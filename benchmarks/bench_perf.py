@@ -74,7 +74,7 @@ from repro.core.config_presets import (
     baseline_config,
     with_cache_sizes,
 )
-from repro.core.runner import run_benchmark, variant_name
+from repro.core.runner import variant_name
 from repro.core.sweep import run_sweep, sweep_point
 from repro.data.datasets import DatasetSize
 from repro.kernels import build_application
@@ -140,8 +140,11 @@ def sweep_points(quick: bool = False):
 
 
 def run_serial(points):
+    """The no-reuse baseline: every point drives the live generators."""
     return {
-        p.label: run_benchmark(p.abbr, cdp=p.cdp, size=p.size, config=p.config)
+        p.label: GPUSimulator(p.config).run_application(
+            build_application(p.abbr, cdp=p.cdp, size=p.size)
+        )
         for p in points
     }
 

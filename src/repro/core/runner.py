@@ -6,12 +6,43 @@ from repro.data.datasets import DatasetSize
 from repro.kernels import benchmark_names, build_application
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPUSimulator
+from repro.sim.launch import Application
+from repro.sim.replay import CachedApplication, replay_application
 from repro.sim.stats import RunStats
 
 
 def variant_name(abbr: str, cdp: bool) -> str:
     """Display name: ``NW`` or ``NW-CDP``."""
     return f"{abbr}-CDP" if cdp else abbr
+
+
+def load_benchmark(
+    abbr: str,
+    cdp: bool = False,
+    size: DatasetSize = DatasetSize.SMALL,
+    workload=None,
+    **options,
+) -> Application:
+    """Build one benchmark's application, materialized for replay.
+
+    Warp traces are instantiated from per-class templates and their
+    instruction totals precounted (:class:`CachedApplication`), which
+    is much cheaper than resuming a generator per warp during the run.
+    Applications declaring ``replayable = False`` (see
+    ``repro.kernels.base``) come back unwrapped and run live.
+    """
+    app = build_application(abbr, cdp=cdp, size=size, workload=workload,
+                            **options)
+    if not getattr(app, "replayable", True):
+        return app
+    return CachedApplication(app)
+
+
+def simulate(app: Application, simulator: GPUSimulator) -> RunStats:
+    """Run a :func:`load_benchmark` result on ``simulator``."""
+    if isinstance(app, CachedApplication):
+        return replay_application(app, simulator)
+    return simulator.run_application(app)
 
 
 def run_benchmark(
@@ -25,11 +56,13 @@ def run_benchmark(
     """Run one benchmark to completion and return its statistics.
 
     A fresh simulator is built per call, so results are independent
-    and deterministic for fixed inputs.
+    and deterministic for fixed inputs.  The run replays the
+    application's materialized traces (:func:`load_benchmark`); the
+    statistics are bit-identical to driving the live generators.
     """
-    app = build_application(abbr, cdp=cdp, size=size, workload=workload, **options)
-    simulator = GPUSimulator(config or GPUConfig())
-    return simulator.run_application(app)
+    app = load_benchmark(abbr, cdp=cdp, size=size, workload=workload,
+                         **options)
+    return simulate(app, GPUSimulator(config or GPUConfig()))
 
 
 def estimate_benchmark(
@@ -49,7 +82,6 @@ def estimate_benchmark(
     ``sample_fraction`` at ``0.0`` (the exact-mode default) a 10%
     sample is used; pass an explicit fraction to override.
     """
-    from repro.sim.replay import CachedApplication
     from repro.sim.sampled import estimate_application
 
     config = config or GPUConfig()

@@ -12,9 +12,8 @@ make those sweeps embarrassingly accelerable:
    benchmark's traces once (:mod:`repro.sim.replay`) and replays them
    at every config point that shares the application.
 
-Both paths return results bit-identical to a fresh serial
-:func:`~repro.core.runner.run_benchmark` per point
-(``tests/core/test_sweep.py``).
+Both paths return results bit-identical to a fresh serial live
+simulation per point (``tests/core/test_sweep.py``).
 
 Cache keying
 ------------
@@ -39,8 +38,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
+from repro.core.runner import load_benchmark, run_benchmark
 from repro.data.datasets import DatasetSize
-from repro.kernels import build_application
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPUSimulator
 from repro.sim.replay import CachedApplication, replay_application
@@ -235,15 +234,13 @@ class TraceCache:
         return len(self._entries)
 
     def _build(self, point: SweepPoint) -> CachedApplication | None:
-        app = build_application(
+        app = load_benchmark(
             point.abbr,
             cdp=point.cdp,
             size=point.size,
             **dict(point.options),
         )
-        if not getattr(app, "replayable", True):
-            return None
-        return CachedApplication(app)
+        return app if isinstance(app, CachedApplication) else None
 
     def get(self, point: SweepPoint) -> CachedApplication | None:
         """The cached application for ``point``, building it on miss.
@@ -304,8 +301,6 @@ def run_point(point: SweepPoint, cache: TraceCache | None = None) -> RunStats:
         # Not replayable -> not estimable; run the exact core instead.
         point = replace(point, config=point.config.with_(sample_fraction=0.0))
     if cache is None:
-        from repro.core.runner import run_benchmark
-
         return run_benchmark(
             point.abbr,
             cdp=point.cdp,

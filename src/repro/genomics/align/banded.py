@@ -15,6 +15,7 @@ from repro.genomics.align.gotoh import (
     _Matrices,
     _as_residues,
     _traceback,
+    query_profile,
 )
 from repro.genomics.scoring import ScoringScheme
 from repro.genomics.align.result import AlignmentResult
@@ -62,20 +63,36 @@ def banded_global(
         f[i][0] = -(scheme.gap_open + i * ext)
         h[i][0] = f[i][0]
 
-    score_fn = scheme.matrix.score
+    profile = query_profile(q, t, scheme)
     for i in range(1, m + 1):
-        qi = q[i - 1]
+        scores = profile[q[i - 1]]
         lo, hi = band_limits(i, m, n, band)
+        if lo > hi:
+            continue
         h_prev, h_row = h[i - 1], h[i]
         e_row = e[i]
         f_prev, f_row = f[i - 1], f[i]
+        # Same inline-maxima cell update as gotoh._fill, inside the band.
+        h_left, e_val, h_diag = h_row[lo - 1], e_row[lo - 1], h_prev[lo - 1]
         for j in range(lo, hi + 1):
-            e_val = max(h_row[j - 1] - open_ext, e_row[j - 1] - ext)
-            f_val = max(h_prev[j] - open_ext, f_prev[j] - ext)
-            diag = h_prev[j - 1] + score_fn(qi, t[j - 1])
-            h_row[j] = max(diag, e_val, f_val)
+            e_val -= ext
+            gap = h_left - open_ext
+            if gap > e_val:
+                e_val = gap
+            h_up = h_prev[j]
+            f_val = f_prev[j] - ext
+            gap = h_up - open_ext
+            if gap > f_val:
+                f_val = gap
+            h_val = h_diag + scores[j - 1]
+            if e_val > h_val:
+                h_val = e_val
+            if f_val > h_val:
+                h_val = f_val
+            h_row[j] = h_val
             e_row[j] = e_val
             f_row[j] = f_val
+            h_left, h_diag = h_val, h_up
 
     if h[m][n] <= NEG_INF // 2:
         raise ValueError(

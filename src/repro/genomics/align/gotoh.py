@@ -47,6 +47,16 @@ def _as_residues(seq) -> str:
     return seq.residues if isinstance(seq, Sequence) else str(seq)
 
 
+def query_profile(
+    query: str, target: str, scheme: ScoringScheme
+) -> dict[str, list[int]]:
+    """Substitution scores against ``target``, one row per distinct
+    query residue: the DP reads ``profile[q][j]`` instead of calling the
+    matrix once per cell."""
+    score_fn = scheme.matrix.score
+    return {q: [score_fn(q, t) for t in target] for q in set(query)}
+
+
 def _fill(
     query: str, target: str, scheme: ScoringScheme, mode: AlignmentMode
 ) -> _Matrices:
@@ -69,24 +79,39 @@ def _fill(
             f[i][0] = -(scheme.gap_open + i * ext)
             h[i][0] = f[i][0]
 
-    score_fn = scheme.matrix.score
+    profile = query_profile(query, target, scheme)
     best = 0
     best_pos = (0, 0)
     for i in range(1, m + 1):
-        qi = query[i - 1]
+        scores = profile[query[i - 1]]
         h_prev, h_row = h[i - 1], h[i]
         e_row = e[i]
         f_prev, f_row = f[i - 1], f[i]
+        # Left and diagonal neighbours ride along in locals, and the
+        # maxima are inline comparisons: a builtin max() call per cell
+        # dominated this loop.
+        h_left, e_val, h_diag = h_row[0], e_row[0], h_prev[0]
         for j in range(1, n + 1):
-            e_val = max(h_row[j - 1] - open_ext, e_row[j - 1] - ext)
-            f_val = max(h_prev[j] - open_ext, f_prev[j] - ext)
-            diag = h_prev[j - 1] + score_fn(qi, target[j - 1])
-            h_val = max(diag, e_val, f_val)
+            e_val -= ext
+            gap = h_left - open_ext
+            if gap > e_val:
+                e_val = gap
+            h_up = h_prev[j]
+            f_val = f_prev[j] - ext
+            gap = h_up - open_ext
+            if gap > f_val:
+                f_val = gap
+            h_val = h_diag + scores[j - 1]
+            if e_val > h_val:
+                h_val = e_val
+            if f_val > h_val:
+                h_val = f_val
             if local and h_val < 0:
                 h_val = 0
             e_row[j] = e_val
             f_row[j] = f_val
             h_row[j] = h_val
+            h_left, h_diag = h_val, h_up
             if local and h_val > best:
                 best = h_val
                 best_pos = (i, j)

@@ -6,9 +6,9 @@ stage_timings)``.  Payloads are plain JSON-safe dicts — stats travel
 as :meth:`repro.sim.stats.RunStats.to_dict` payloads, which the result
 cache persists verbatim and :func:`repro.sim.stats.stats_from_dict`
 rebuilds bit-identically.  Stage timings split the work the way the
-``/metrics`` endpoint reports it: ``trace_load_s`` (application /
-trace construction), ``sim_s`` (the simulation proper) and
-``serialize_s`` (stats -> wire payload).
+``/metrics`` endpoint reports it: ``trace_load_s`` (building the
+application and materializing its traces), ``sim_s`` (the simulation
+proper) and ``serialize_s`` (stats -> wire payload).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.runner import variant_name
+from repro.core.runner import load_benchmark, simulate, variant_name
 from repro.data.datasets import DatasetSize
 from repro.kernels import build_application
 from repro.sim.gpu import GPUSimulator
@@ -83,19 +83,29 @@ def _attach_progress(sim: GPUSimulator, artifact_dir) -> None:
         sim.telemetry.progress = _telemetry_progress(artifact_dir)
 
 
-def execute_simulate(request, artifact_dir: str | None):
-    """Exact cycle-accurate run of one benchmark variant."""
+def _run_exact(request, artifact_dir, timings: dict):
+    """The exact-run path of ``repro run``, split into service stages.
+
+    ``trace_load_s`` covers building the application and materializing
+    its traces (:func:`~repro.core.runner.load_benchmark`), ``sim_s``
+    the replay.  Returns the stats and the ``sim_s`` end stamp.
+    """
     config = request.resolved_config()
-    timings: dict = {}
     t = time.monotonic()
-    app = build_application(
+    app = load_benchmark(
         request.benchmark, cdp=request.cdp, size=DatasetSize(request.size)
     )
     t = _stamp(timings, "trace_load_s", t)
     sim = GPUSimulator(config)
     _attach_progress(sim, artifact_dir)
-    stats = sim.run_application(app)
-    t = _stamp(timings, "sim_s", t)
+    stats = simulate(app, sim)
+    return stats, _stamp(timings, "sim_s", t)
+
+
+def execute_simulate(request, artifact_dir: str | None):
+    """Exact cycle-accurate run of one benchmark variant."""
+    timings: dict = {}
+    stats, t = _run_exact(request, artifact_dir, timings)
     payload = {
         "kind": request.KIND,
         "label": variant_name(request.benchmark, request.cdp),
@@ -195,17 +205,8 @@ def execute_profile(request, artifact_dir: str | None):
     """Telemetry run; exports become downloadable per-job artifacts."""
     from repro.sim.telemetry import write_chrome_trace, write_jsonl
 
-    config = request.resolved_config()
     timings: dict = {}
-    t = time.monotonic()
-    app = build_application(
-        request.benchmark, cdp=request.cdp, size=DatasetSize(request.size)
-    )
-    t = _stamp(timings, "trace_load_s", t)
-    sim = GPUSimulator(config)
-    _attach_progress(sim, artifact_dir)
-    stats = sim.run_application(app)
-    t = _stamp(timings, "sim_s", t)
+    stats, t = _run_exact(request, artifact_dir, timings)
     artifacts = []
     out = Path(artifact_dir) if artifact_dir else None
     if out is not None and stats.telemetry is not None:

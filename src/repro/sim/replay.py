@@ -286,8 +286,8 @@ class CachedApplication(Application):
     :class:`ReplayKernel`, materializes every warp trace it will ever
     execute, and sums their :class:`TraceCounts` into ``total_counts``.
     Each replay then runs the simulator against the same instruction
-    objects; the caller credits ``total_counts`` to the run's stats
-    afterwards (see :func:`replay_application`).
+    objects and credits ``total_counts`` to the run's stats (see
+    :func:`replay_application`).
     """
 
     def __init__(
@@ -420,7 +420,13 @@ class CachedApplication(Application):
 
 
 def replay_application(entry: CachedApplication, simulator) -> RunStats:
-    """Run a cached application and credit its pre-counted totals."""
-    stats = simulator.run_application(entry)
-    entry.total_counts.merge_into(stats)
-    return stats
+    """Run a cached application and credit its pre-counted totals.
+
+    The totals are credited from a finalize hook, ahead of everything
+    finalize derives from the stats (the telemetry metadata), so a
+    replayed run reports exactly what a live one does.
+    """
+    simulator._finalize_hooks.append(
+        lambda: entry.total_counts.merge_into(simulator.stats)
+    )
+    return simulator.run_application(entry)

@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.core.config_presets import baseline_config, with_cache_sizes
-from repro.core.runner import run_benchmark, run_suite, variant_name
+from repro.core.runner import run_suite, variant_name
 from repro.core.sweep import (
     SweepPoint,
     TraceCache,
@@ -18,6 +18,8 @@ from repro.core.sweep import (
     trace_signature,
 )
 from repro.data.datasets import DatasetSize
+from repro.kernels import build_application
+from repro.sim.gpu import GPUSimulator
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +42,11 @@ def points(config):
 
 @pytest.fixture(scope="module")
 def serial(points):
+    """The live oracle: every point drives the generators directly."""
     return {
-        p.label: run_benchmark(p.abbr, cdp=p.cdp, size=p.size, config=p.config)
+        p.label: GPUSimulator(p.config).run_application(
+            build_application(p.abbr, cdp=p.cdp, size=p.size)
+        )
         for p in points
     }
 
@@ -106,8 +111,6 @@ class TestCacheKeying:
 
     def test_non_replayable_app_runs_fresh(self, config, points, serial,
                                            monkeypatch):
-        from repro.kernels import build_application
-
         app_cls = type(build_application("NW"))
         monkeypatch.setattr(app_cls, "replayable", False)
         cache = TraceCache()

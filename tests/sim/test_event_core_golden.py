@@ -9,6 +9,11 @@ is only allowed to change wall-clock, never the timing model.
 The full suite runs at the small dataset; the heaviest benchmarks get
 an extra medium-size lock so the identity holds beyond the default
 size's trace shapes.
+
+``run_benchmark`` replays template-instantiated traces with precounted
+totals, so each case also has a live arm: the event core driving the
+generators directly, which keeps the SM's live-counting branch locked
+to the replay path.
 """
 
 import dataclasses
@@ -17,29 +22,35 @@ import pytest
 
 from repro.core.runner import run_benchmark
 from repro.data.datasets import DatasetSize
-from repro.kernels import benchmark_names
+from repro.kernels import benchmark_names, build_application
 from repro.sim.config import GPUConfig
+from repro.sim.gpu import GPUSimulator
 
 
-def _stats_pair(abbr: str, cdp: bool, size: DatasetSize):
+def _stats_triple(abbr: str, cdp: bool, size: DatasetSize):
     fast = run_benchmark(
         abbr, cdp=cdp, size=size, config=GPUConfig(event_core=True)
     )
     ref = run_benchmark(
         abbr, cdp=cdp, size=size, config=GPUConfig(event_core=False)
     )
-    return dataclasses.asdict(fast), dataclasses.asdict(ref)
+    live = GPUSimulator(GPUConfig(event_core=True)).run_application(
+        build_application(abbr, cdp=cdp, size=size)
+    )
+    return tuple(dataclasses.asdict(s) for s in (fast, ref, live))
 
 
 @pytest.mark.parametrize("cdp", [False, True], ids=["plain", "cdp"])
 @pytest.mark.parametrize("abbr", benchmark_names())
 def test_small_suite_identical(abbr, cdp):
-    fast, ref = _stats_pair(abbr, cdp, DatasetSize.SMALL)
+    fast, ref, live = _stats_triple(abbr, cdp, DatasetSize.SMALL)
     assert fast == ref
+    assert fast == live
 
 
 @pytest.mark.parametrize("cdp", [False, True], ids=["plain", "cdp"])
 @pytest.mark.parametrize("abbr", ["GKSW", "PairHMM", "NvB"])
 def test_medium_heavyweights_identical(abbr, cdp):
-    fast, ref = _stats_pair(abbr, cdp, DatasetSize.MEDIUM)
+    fast, ref, live = _stats_triple(abbr, cdp, DatasetSize.MEDIUM)
     assert fast == ref
+    assert fast == live

@@ -13,35 +13,51 @@ get an extra medium-size lock, and a shards x windows matrix (marked
 ``slow``) locks the identity across explicit window sizes up to the
 safe bound.  Relaxed mode (windows beyond the bound) is deliberately
 absent from these locks: its results are approximate by design.
+
+``run_benchmark`` replays precounted traces; the small-suite matrix
+also runs each sharded case live (generators driven inside the shard
+workers, live instruction counting merged at finalize).
 """
 
 import dataclasses
+import functools
 
 import pytest
 
 from repro.core.runner import run_benchmark
 from repro.data.datasets import DatasetSize
-from repro.kernels import benchmark_names
+from repro.kernels import benchmark_names, build_application
 from repro.sim.config import GPUConfig
+from repro.sim.gpu import GPUSimulator
+
+
+@functools.lru_cache(maxsize=None)
+def _sequential_stats(abbr: str, cdp: bool, size: DatasetSize):
+    return run_benchmark(
+        abbr, cdp=cdp, size=size, config=GPUConfig(event_core=True)
+    )
 
 
 def _sequential(abbr: str, cdp: bool, size: DatasetSize):
-    return dataclasses.asdict(run_benchmark(
-        abbr, cdp=cdp, size=size, config=GPUConfig(event_core=True)
-    ))
+    # Shared by every shards x backend case of one variant.
+    return dataclasses.asdict(_sequential_stats(abbr, cdp, size))
 
 
 def _parallel(abbr: str, cdp: bool, size: DatasetSize, shards: int,
-              window: int = 0, executor: str = "auto"):
+              window: int = 0, executor: str = "auto", live: bool = False):
     config = GPUConfig(
         event_core=True,
         parallel_shards=shards,
         window_cycles=window,
         parallel_executor=executor,
     )
-    return dataclasses.asdict(
-        run_benchmark(abbr, cdp=cdp, size=size, config=config)
-    )
+    if live:
+        stats = GPUSimulator(config).run_application(
+            build_application(abbr, cdp=cdp, size=size)
+        )
+    else:
+        stats = run_benchmark(abbr, cdp=cdp, size=size, config=config)
+    return dataclasses.asdict(stats)
 
 
 @pytest.mark.parametrize("executor", ["threads", "processes"])
@@ -55,6 +71,9 @@ def test_small_suite_identical(abbr, cdp, shards, executor):
     seq = _sequential(abbr, cdp, DatasetSize.SMALL)
     par = _parallel(abbr, cdp, DatasetSize.SMALL, shards, executor=executor)
     assert par == seq
+    live = _parallel(abbr, cdp, DatasetSize.SMALL, shards, executor=executor,
+                     live=True)
+    assert live == seq
 
 
 @pytest.mark.slow

@@ -9,14 +9,21 @@ or runs ahead of global heap order.  Here every benchmark (both CDP
 variants) runs through both cores with sampling on, and the interval
 time series, the canonically-sorted event streams, and the metadata
 must be bit-identical.
+
+``run_benchmark`` replays precounted traces, so a live arm (the
+reference core driving the generators directly) must also reproduce
+the reference core's replayed stats, telemetry included.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.core.runner import run_benchmark
 from repro.data.datasets import DatasetSize
-from repro.kernels import benchmark_names
+from repro.kernels import benchmark_names, build_application
 from repro.sim.config import GPUConfig
+from repro.sim.gpu import GPUSimulator
 
 #: Small enough to make interval effects visible on the SMALL datasets.
 INTERVAL = 2_000
@@ -24,22 +31,27 @@ INTERVAL = 2_000
 pytestmark = pytest.mark.differential
 
 
-def _telemetry_pair(abbr: str, cdp: bool):
+def _telemetry_runs(abbr: str, cdp: bool):
     fast = run_benchmark(
         abbr, cdp=cdp, size=DatasetSize.SMALL,
         config=GPUConfig(event_core=True, telemetry_interval=INTERVAL),
     )
+    ref_config = GPUConfig(event_core=False, telemetry_interval=INTERVAL)
     ref = run_benchmark(
-        abbr, cdp=cdp, size=DatasetSize.SMALL,
-        config=GPUConfig(event_core=False, telemetry_interval=INTERVAL),
+        abbr, cdp=cdp, size=DatasetSize.SMALL, config=ref_config
     )
-    return fast.telemetry, ref.telemetry
+    live = GPUSimulator(ref_config).run_application(
+        build_application(abbr, cdp=cdp, size=DatasetSize.SMALL)
+    )
+    return fast, ref, live
 
 
 @pytest.mark.parametrize("cdp", [False, True], ids=["plain", "cdp"])
 @pytest.mark.parametrize("abbr", benchmark_names())
 def test_interval_series_identical(abbr, cdp):
-    fast, ref = _telemetry_pair(abbr, cdp)
+    fast_stats, ref_stats, live_stats = _telemetry_runs(abbr, cdp)
+    assert dataclasses.asdict(live_stats) == dataclasses.asdict(ref_stats)
+    fast, ref = fast_stats.telemetry, ref_stats.telemetry
     assert fast is not None and ref is not None
     assert fast["rows"] == ref["rows"]
     assert fast["events"] == ref["events"]

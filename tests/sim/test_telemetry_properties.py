@@ -56,7 +56,10 @@ def _assert_exact_decomposition(stats):
         else:
             assert row["stall_fractions"] == {}
 
-    # Whole-run: the series sum back to the aggregate counters exactly.
+    # Whole-run: the series sum back to the aggregate counters exactly,
+    # and the run-level metadata reports the same totals.
+    assert summary["meta"]["instructions"] == stats.instructions
+    assert summary["meta"]["cycles"] == stats.cycles
     assert agg["instructions"] == stats.instructions
     assert agg["occupancy"] == stats.warp_occupancy
     assert agg["stalls"] == {k: v for k, v in stats.stalls.items() if v}
@@ -95,7 +98,9 @@ def test_reference_core_series_decompose_aggregates(abbr, cdp):
 def test_replayed_run_series_decompose_aggregates():
     """Replayed (precounted) warps must still sample time-resolved:
     the hooks sit outside the precount guards, so the invariant holds
-    for trace replay exactly as for a fresh simulation."""
+    for trace replay exactly as for a fresh simulation.  The precounted
+    totals are credited before telemetry snapshots its metadata, so
+    ``meta["instructions"]`` is the run's true count, not 0."""
     entry = CachedApplication(build_application("NW", size=DatasetSize.SMALL))
     config = GPUConfig(telemetry_interval=INTERVAL)
     # Materialize traces, then replay through a fresh simulator.
