@@ -12,18 +12,13 @@ Three harnesses, each locking performance to a bit-identity check:
   replay the same materialized traces, so the measurement isolates the
   issue loop itself; trace generation time is reported separately.
   A ``parallel`` section compares the same run against the
-  window-barrier parallel core (``parallel_shards=4``) under *both*
-  shard backends — the in-process thread pool and the forked process
-  workers (``--backend processes``) — measured in the same invocation,
-  recording the host's effective CPU count and GIL state alongside;
-  a transport microbench (pipe vs shared-memory ring round-trips/s)
-  documents why pipes stay the default channel.  The bit-identity
-  claim is asserted wherever the section runs; the thread speedup
-  claim only arms on free-threaded interpreters, the process speedup
-  claim wherever >= 4 CPUs are available (the whole point of the fork
-  backend is that the GIL does not matter).  On a 1-CPU host the
-  simulation arms are skipped and record the reason instead of a
-  meaningless 0.73x slowdown.
+  window-barrier parallel core (``parallel_shards=4``, forked shard
+  workers) measured in the same invocation, recording the host's
+  effective CPU count and GIL state alongside.  The bit-identity claim
+  is asserted wherever the section runs; the speedup claim arms
+  wherever >= 4 CPUs are available (forked workers are how the GIL
+  stops mattering).  On a 1-CPU host the simulation arm is skipped and
+  records the reason instead of a meaningless slowdown.
 - **trace** (``BENCH_trace.json``): trace materialization itself — the
   live generator (templates off) vs template instantiation vs a warm
   binary trace-store load, on the same application.  All three arms
@@ -75,7 +70,7 @@ from repro.core.config_presets import (
     with_cache_sizes,
 )
 from repro.core.runner import variant_name
-from repro.core.sweep import run_sweep, sweep_point
+from repro.core.sweep import default_jobs, run_sweep, sweep_point
 from repro.data.datasets import DatasetSize
 from repro.kernels import build_application
 from repro.sim.config import GPUConfig
@@ -182,49 +177,6 @@ def main_sweep(quick: bool = False) -> dict:
 
 # -- single-run benchmark (PR 2) --------------------------------------------
 
-def bench_transport(kind: str, rounds: int = 2000, size: int = 256):
-    """Round-trips/s of one parent<->worker frame exchange.
-
-    A forked echo child answers ``rounds`` frames of ``size`` bytes
-    (the typical staged-window frame is a few hundred bytes).  This is
-    latency, not bandwidth — the window loop is an exchange per shard
-    per window, so the round-trip is what the barrier pays.
-    """
-    from repro.sim.parallel_proc import make_transport
-
-    transport = make_transport(kind, 1)
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            channel = transport.child_channel(0)
-            while True:
-                frame = channel.recv_bytes()
-                if frame == b"Q":
-                    break
-                channel.send_bytes(frame)
-            status = 0
-        except BaseException:  # noqa: BLE001 - child never unwinds
-            pass
-        finally:
-            os._exit(status)
-    channel = transport.parent_channels([lambda: True])[0]
-    payload = b"x" * size
-    start = time.perf_counter()
-    for _ in range(rounds):
-        channel.send_bytes(payload)
-        channel.recv_bytes()
-    elapsed = time.perf_counter() - start
-    channel.send_bytes(b"Q")
-    os.waitpid(pid, 0)
-    try:
-        channel.close()
-    except OSError:  # pragma: no cover - best-effort teardown
-        pass
-    transport.destroy()
-    return round(rounds / elapsed)
-
-
 def main_run(quick: bool = False) -> dict:
     """Event core vs reference core on one simulation of the slowest
     benchmark, same materialized traces, best-of-2 each.
@@ -258,70 +210,41 @@ def main_run(quick: bool = False) -> dict:
     ref_stats, ref_s = timed(simulate, False)
     tel_stats, tel_s = timed(simulate, True, telemetry_interval=10_000)
 
-    # Parallel core (PR 6 + PR 9): same traces, same invocation as the
-    # sequential arm above, SM array sharded over PARALLEL_WORKERS
-    # window-barrier workers — once per backend (threads: GIL-bound;
-    # processes: forked shard workers, repro.sim.parallel_proc).  The
-    # host fields record whether real parallelism was even possible
-    # (CPU affinity, GIL); the identity claim holds wherever the
-    # measurement runs.  On a 1-CPU host the simulation arms are
-    # skipped outright: shard workers would serialize on the single
-    # core, so the measurement records only barrier overhead (0.73x on
-    # a recorded 1-CPU thread run) — noise, not a property of the
-    # parallel core (see DESIGN.md "parallel core", host gating).  The
-    # transport microbench (per-frame round-trip latency, the cost one
-    # barrier exchange pays) runs everywhere: it measures latency, not
-    # parallelism.
-    try:
-        effective_cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        effective_cpus = os.cpu_count() or 1
-    gil_enabled = getattr(sys, "_is_gil_enabled", lambda: True)()
-    par_config = GPUConfig(
-        event_core=True, parallel_shards=PARALLEL_WORKERS,
-        parallel_executor="threads",
-    )
-    window = GPUSimulator(par_config).memory.min_cross_sm_latency()
-    transports = {
-        kind: {"round_trips_per_s": bench_transport(kind)}
-        for kind in ("pipe", "ring")
-    }
+    # Parallel core: same traces, same invocation as the sequential arm
+    # above, SM array sharded over PARALLEL_WORKERS forked window-barrier
+    # workers (repro.sim.parallel_proc).  The host fields record whether
+    # real parallelism was even possible (CPU affinity, GIL); the
+    # identity claim holds wherever the measurement runs.  On a 1-CPU
+    # host the simulation arm is skipped outright: shard workers would
+    # serialize on the single core, so the measurement records only
+    # barrier overhead — noise, not a property of the parallel core
+    # (see DESIGN.md "parallel core", host gating).
+    effective_cpus = default_jobs()
+    par_config = GPUConfig(event_core=True, parallel_shards=PARALLEL_WORKERS)
     par_section = {
         "workers": PARALLEL_WORKERS,
-        "window": window,
+        "window": GPUSimulator(par_config).memory.min_cross_sm_latency(),
         "effective_cpus": effective_cpus,
-        "gil_enabled": gil_enabled,
-        # Pipes stay the default channel: frames are a few hundred
-        # bytes and the window loop blocks on the exchange either way,
-        # so the ring's polling buys little and costs spin cycles.
-        "transports": {**transports, "default": "pipe"},
+        "gil_enabled": getattr(sys, "_is_gil_enabled", lambda: True)(),
     }
-    par_identical = True  # vacuous when the simulation arms are skipped
+    par_identical = True  # vacuous when the simulation arm is skipped
     if effective_cpus == 1:
         par_section["skipped"] = (
             "effective_cpus == 1: shard workers would serialize, "
             "measuring barrier/IPC overhead only"
         )
     else:
-        backends = {}
-        for backend in ("threads", "processes"):
-            config = par_config.with_(parallel_executor=backend)
-
-            def simulate_parallel(config=config):
-                return replay_application(cached, GPUSimulator(config))
-
-            par_stats, par_s = timed(simulate_parallel)
-            backend_identical = (
-                dataclasses.asdict(par_stats)
-                == dataclasses.asdict(fast_stats)
-            )
-            par_identical = par_identical and backend_identical
-            backends[backend] = {
-                "parallel_s": round(par_s, 3),
-                "speedup_vs_event_core": round(fast_s / par_s, 2),
-                "identical_stats": backend_identical,
-            }
-        par_section["backends"] = backends
+        par_stats, par_s = timed(
+            lambda: replay_application(cached, GPUSimulator(par_config))
+        )
+        par_identical = (
+            dataclasses.asdict(par_stats) == dataclasses.asdict(fast_stats)
+        )
+        par_section["processes"] = {
+            "parallel_s": round(par_s, 3),
+            "speedup_vs_event_core": round(fast_s / par_s, 2),
+            "identical_stats": par_identical,
+        }
 
     identical = (
         dataclasses.asdict(fast_stats) == dataclasses.asdict(ref_stats)
@@ -574,10 +497,7 @@ def main_service(quick: bool = False) -> dict:
     size = DatasetSize.SMALL if quick else DatasetSize.LARGE
     payload = {"benchmark": RUN_BENCHMARK, "size": size.value}
     hit_rounds = 20 if quick else 100
-    try:
-        effective_cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        effective_cpus = os.cpu_count() or 1
+    effective_cpus = default_jobs()
 
     with tempfile.TemporaryDirectory() as tmp:
         server = make_server(
@@ -665,10 +585,7 @@ def main_dist(quick: bool = False) -> dict:
     from repro.dist import LocalProcessLauncher, run_dsweep
 
     points = sweep_points(quick)
-    try:
-        effective_cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        effective_cpus = os.cpu_count() or 1
+    effective_cpus = default_jobs()
 
     with LocalProcessLauncher(workers=DIST_WORKERS) as launcher:
         spawn_start = time.perf_counter()
@@ -720,23 +637,17 @@ def test_sweep_speedup_and_identity():
 
 def test_single_run_speedup_and_identity():
     """Event core must beat the reference by >= 2x with identical stats;
-    both parallel backends must match bit-for-bit.  The thread backend
-    must beat the sequential event core by >= 2x only on free-threaded
-    interpreters; the process backend must do so on any >= 4-CPU host —
-    forked shard workers are exactly how the GIL stops mattering."""
+    the forked shard workers must match bit-for-bit, and beat the
+    sequential event core by >= 2x on any >= 4-CPU host."""
     report = main_run()
     assert report["identical_stats"]
     assert report["speedup"] >= 2.0
     par = report["parallel"]
-    if "skipped" not in par:  # 1-CPU hosts skip the simulation arms
-        backends = par["backends"]
-        assert all(row["identical_stats"] for row in backends.values())
+    if "skipped" not in par:  # 1-CPU hosts skip the simulation arm
+        row = par["processes"]
+        assert row["identical_stats"]
         if par["effective_cpus"] >= par["workers"]:
-            if not par["gil_enabled"]:
-                assert backends["threads"]["speedup_vs_event_core"] >= 2.0
-            assert backends["processes"]["speedup_vs_event_core"] >= 2.0, (
-                backends["processes"]
-            )
+            assert row["speedup_vs_event_core"] >= 2.0, row
 
 
 def test_trace_speedup_and_identity():

@@ -83,28 +83,19 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
 def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="shard the SM array across N window-barrier workers "
-             "(default: 1, sequential)",
-    )
-    parser.add_argument(
-        "--window", type=int, default=None, metavar="W",
-        help="window size in cycles (default: auto from the minimum "
-             "cross-SM latency)",
-    )
-    parser.add_argument(
-        "--relaxed", action="store_true",
-        help="allow windows beyond the safe bound (results may differ "
-             "from the sequential core)",
-    )
-    parser.add_argument(
-        "--backend", default=None,
-        choices=("auto", "threads", "processes", "inline"),
-        help="shard execution backend (default: auto — forked worker "
-             "processes when eligible and >1 CPU, else threads/inline; "
-             "all backends are bit-identical)",
+        "--workers", type=_positive_int, default=None, metavar="N",
+        help="shard the SM array across N forked window-barrier workers "
+             "(default: 1, sequential; ineligible runs stay sequential; "
+             "results are bit-identical either way)",
     )
 
 
@@ -141,22 +132,6 @@ def _estimate_config(args, config):
     )
 
 
-def _parallel_overrides(args) -> dict:
-    overrides = {}
-    workers = getattr(args, "workers", None)
-    if workers is not None:
-        overrides["parallel_shards"] = workers
-    window = getattr(args, "window", None)
-    if window is not None:
-        overrides["window_cycles"] = window
-    if getattr(args, "relaxed", False):
-        overrides["parallel_relaxed"] = True
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        overrides["parallel_executor"] = backend
-    return overrides
-
-
 def _config(args):
     if getattr(args, "config", None):
         from repro.sim.configfile import load_config
@@ -169,9 +144,9 @@ def _config(args):
         if args.sms is not None:
             overrides["num_sms"] = args.sms
         config = baseline_config(**overrides)
-    parallel = _parallel_overrides(args)
-    if parallel:
-        config = config.with_(**parallel)
+    workers = getattr(args, "workers", None)
+    if workers is not None:
+        config = config.with_(parallel_shards=workers)
     return config
 
 
@@ -206,9 +181,6 @@ def cmd_run(args) -> int:
             flag for flag, given in (
                 ("--profile", args.profile),
                 ("--workers", args.workers is not None),
-                ("--window", args.window is not None),
-                ("--relaxed", args.relaxed),
-                ("--backend", args.backend is not None),
             ) if given
         ]
         if exact_only:

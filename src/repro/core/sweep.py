@@ -57,11 +57,11 @@ def default_jobs(workers_per_job: int = 1) -> int:
     (``GPUConfig.parallel_shards``), so ``jobs × workers`` never
     oversubscribes the cores.  This is the single core-budget source
     for all three consumers of the host's cores: ``sweep --jobs``
-    (pool processes), ``run --workers`` (per-run shard workers, now
-    real forked processes under ``--backend processes``), and the
-    service's worker pool — whose :class:`~repro.service.jobs.JobQueue`
-    additionally *weights* each job by its shard count so the three
-    never multiply together.
+    (pool processes), ``run --workers`` (per-run forked shard
+    workers), and the service's worker pool — whose
+    :class:`~repro.service.jobs.JobQueue` additionally *weights* each
+    job by its shard count so the three never multiply together.  The
+    benchmark harness reads its ``effective_cpus`` from here too.
     """
     try:
         cpus = len(os.sched_getaffinity(0)) or 1

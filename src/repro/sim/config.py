@@ -152,33 +152,16 @@ class GPUConfig:
     #: both produce field-for-field identical :class:`RunStats`.
     event_core: bool = True
 
-    #: Shard the SM array across N workers inside one simulation
-    #: (window-barrier parallel core, see :mod:`repro.sim.parallel`
-    #: and DESIGN.md "parallel core").  ``1`` (the default) keeps the
-    #: sequential event loop; ``N > 1`` partitions SMs round-robin
-    #: over N shards that advance independently to each window
-    #: boundary.  Results stay bit-identical to the sequential core.
+    #: Shard the SM array across N forked workers inside one
+    #: simulation (window-barrier parallel core, see
+    #: :mod:`repro.sim.parallel` and DESIGN.md "parallel core").  ``1``
+    #: (the default) keeps the sequential event loop; ``N > 1``
+    #: partitions SMs round-robin over N shards that advance
+    #: independently to each window boundary when the application is
+    #: eligible (no device launches, no observers, fully dispatchable
+    #: grids) and runs sequentially otherwise.  Results stay
+    #: bit-identical to the sequential core.
     parallel_shards: int = 1
-    #: Window width in cycles for the parallel core.  ``0`` (default)
-    #: auto-tunes to the safe bound — the minimum cross-SM interaction
-    #: latency (NoC request leg + L2 hit), below which no shard can
-    #: observe another shard's same-window traffic.  Explicit values
-    #: above the safe bound are rejected unless ``parallel_relaxed``.
-    window_cycles: int = 0
-    #: Opt-in relaxed synchronization: allow windows larger than the
-    #: safe bound (fewer barriers, bounded timing skew).  Results are
-    #: then approximate and excluded from the golden identity locks.
-    parallel_relaxed: bool = False
-    #: Shard execution backend: ``auto`` prefers forked shard worker
-    #: processes (real multi-core speedup under the GIL — see
-    #: :mod:`repro.sim.parallel_proc`) when the application is
-    #: eligible and more than one CPU is available, degrading to
-    #: threads, then inline; ``processes`` / ``threads`` / ``inline``
-    #: force a backend (``processes`` still falls back to threads for
-    #: ineligible applications — CDP, observers attached, partial
-    #: dispatch).  All backends produce identical results; ``inline``
-    #: runs the shards sequentially (useful for debugging).
-    parallel_executor: str = "auto"
 
     #: Sampled-estimation mode (:mod:`repro.sim.sampled`).  ``0.0``
     #: (the default) runs the exact cycle-accurate core.  A positive
@@ -224,14 +207,6 @@ class GPUConfig:
             raise ValueError("telemetry interval must be >= 0 (0 = off)")
         if self.parallel_shards < 1:
             raise ValueError("parallel_shards must be >= 1")
-        if self.window_cycles < 0:
-            raise ValueError("window_cycles must be >= 0 (0 = auto)")
-        if self.parallel_executor not in (
-            "auto", "threads", "processes", "inline"
-        ):
-            raise ValueError(
-                f"unknown parallel executor {self.parallel_executor!r}"
-            )
         if not 0.0 <= self.sample_fraction <= 1.0:
             raise ValueError("sample_fraction must be in [0, 1]")
         if self.sample_min_per_class < 1:

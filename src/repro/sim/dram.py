@@ -109,14 +109,6 @@ class DRAMChannel:
         bank = row % self.config.banks
         return bank, row
 
-    def min_service_latency(self) -> int:
-        """Lower bound on ``access`` completion minus arrival time.
-
-        Even a pipelined row hit pays the CAS latency plus the data
-        burst.  Used by the parallel core's relaxed-window heuristic.
-        """
-        return self.config.row_hit_latency + self.config.burst_cycles
-
     def access(self, line: int, now: int) -> int:
         """Service one line request arriving at ``now``; returns completion."""
         config = self.config

@@ -65,14 +65,14 @@ class GPUSimulator:
         self.host_time = 0.0
         self._finalized = False
         #: pluggable grid driver (the window-barrier parallel core
-        #: installs itself here — see repro.sim.parallel); ``None``
+        #: installs itself here — see repro.sim.parallel_proc); ``None``
         #: selects the sequential ``_drive_grid`` loop.
         self._grid_driver = None
         #: callbacks run at the top of ``finalize`` (the parallel core
         #: merges per-shard stats/telemetry back into this instance).
         self._finalize_hooks: list = []
-        #: callbacks run after a host-side cache flush (the process
-        #: shard backend forwards the flush to its forked workers,
+        #: callbacks run after a host-side cache flush (the shard
+        #: driver forwards the flush to its forked workers,
         #: whose SM caches hold the authoritative lines).
         self._flush_hooks: list = []
         #: SM-local run-ahead (see repro.sim.sm._run_local): enabled in
@@ -392,18 +392,13 @@ class GPUSimulator:
             app, "may_device_launch", True
         )
         config = self.config
-        if config.parallel_shards > 1 and config.event_core \
-                and self._grid_driver is None:
+        if config.parallel_shards > 1 and self._grid_driver is None:
             # Window-barrier parallel core (lazy import: sequential
-            # runs must not pay for it).  The installer picks a backend
-            # (forked shard workers when eligible, in-process shards
-            # otherwise); the driver installs itself as _grid_driver
-            # and falls back to _drive_grid per grid whenever windowed
-            # execution would not be bit-identical (CDP applications,
-            # partially-dispatched grids).
-            from repro.sim.parallel import install_parallel_driver
+            # runs must not pay for it): forked shard workers when the
+            # application is eligible, else the sequential loop below.
+            from repro.sim.parallel_proc import try_install_process_driver
 
-            app = install_parallel_driver(self, app)
+            app = try_install_process_driver(self, app) or app
         tel = self.telemetry
         for op in app.host_program():
             if isinstance(op, HostMemcpy):

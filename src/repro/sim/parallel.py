@@ -1,21 +1,25 @@
-"""Window-barrier parallel core: shard the SM array across workers.
+"""Window-barrier parallel core: the shard side.
 
 One simulation is still one logical event schedule, but SMs only
 interact through the shared memory subsystem (NoC/L2/DRAM) and grid
 bookkeeping — every such interaction already flows through a deferred
 decision at a global ``(time, sm_id, seq)`` heap slot (see
 ``repro.sim.sm._run_local``).  Following "Parallelizing a modern GPU
-simulator" (PAPERS.md, arXiv 2502.14691), this module partitions the
-SMs round-robin across N shards and advances each shard independently
-up to a window boundary ``T + W``; at the barrier the coordinator
+simulator" (PAPERS.md, arXiv 2502.14691), the SMs are partitioned
+round-robin across N shards and each shard advances independently up
+to a window boundary ``T + W``; at the barrier the coordinator
 *drains* every staged cross-shard interaction in merged
 ``(time, sm_id, k)`` order against the real memory subsystem, then
 *delivers* the resulting completion times back to the parked warps.
 
+This module holds what runs inside one shard; the coordinator (forked
+shard workers exchanging staged interactions over pipes) lives in
+:mod:`repro.sim.parallel_proc`.
+
 Determinism/identity argument (locked by tests/sim/test_parallel_golden.py):
 
-- **Windows are safe.**  ``W`` auto-tunes to the minimum cross-SM
-  interaction latency (NoC request leg + L2 bank latency, see
+- **Windows are safe.**  ``W`` is the minimum cross-SM interaction
+  latency (NoC request leg + L2 bank latency, see
   ``MemorySubsystem.min_cross_sm_latency``), so a completion produced
   by a decision inside window ``[T, T+W)`` lands at or past ``T+W`` —
   no decision inside the window could have observed it.
@@ -35,38 +39,23 @@ Determinism/identity argument (locked by tests/sim/test_parallel_golden.py):
   possibly a freshly delivered cross-shard completion — and
   ``wake_accounting`` charges the whole span in one chunk, literally
   the ``add_stall`` the sequential jump would have made.
-- **Shards are internally sequential**, so thread scheduling cannot
-  reorder anything observable: threads ≡ inline ≡ sequential,
-  bit-for-bit.
+- **Shards are internally sequential**, so worker scheduling cannot
+  reorder anything observable.
 
-Per-grid fallback keeps the API total: CDP-capable applications
-(``may_device_launch``) and grids that cannot fully dispatch at submit
-run under the plain sequential ``_drive_grid`` on the same simulator.
-An opt-in relaxed mode (``GPUConfig.parallel_relaxed``) admits windows
-beyond the safe bound — fewer barriers, approximate results — and is
-excluded from the golden identity locks.
-
-Backends: the shard abstraction is executor-agnostic.  This module
-implements the in-process executors (``threads`` — real concurrency
-only on free-threaded builds — and ``inline``);
-:mod:`repro.sim.parallel_proc` adds the ``processes`` backend (forked
-shard workers exchanging staged interactions over a binary channel),
-which is what delivers real multi-core speedup under the GIL.
-:func:`install_parallel_driver` picks between them: ``auto`` prefers
-forked workers whenever the application is eligible and more than one
-CPU is available.
+Runs that cannot be windowed exactly — CDP-capable applications
+(``may_device_launch``), grids that cannot fully dispatch at submit,
+configurations whose SM-local completions can exceed the safe window —
+run the plain sequential event core instead.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from bisect import insort
-from concurrent.futures import ThreadPoolExecutor
-from heapq import heappop, heappush, merge as _kway_merge
+from heapq import heappop, heappush
 from operator import attrgetter
 
-from repro.sim.gpu import GPUSimulator, SimulationDeadlock
+from repro.sim.gpu import GPUSimulator
 from repro.sim.stats import RunStats
 from repro.sim.warp import NEVER
 
@@ -79,65 +68,17 @@ _WB = 2  # memory.writeback           (fire-and-forget)
 _CTA = 3  # gpu.cta_finished          (grid bookkeeping)
 
 
-def effective_cpus() -> int:
-    """CPUs actually available to this process (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        return os.cpu_count() or 1
+def exact_window(gpu) -> float | None:
+    """The safe window width for ``gpu``, or ``None`` if none is exact.
 
-
-def resolve_window(gpu) -> tuple[float, float, bool, bool]:
-    """Resolve ``(window, safe_bound, exact, enabled)`` for ``gpu``.
-
-    Shared between the thread and process drivers so both reject unsafe
-    explicit windows with the same error and agree on exactness.
+    Windowed execution is bit-identical iff the window respects the
+    minimum cross-SM latency and delivered wakes dominate SM-local
+    completion parts (see :func:`local_completion_floor`).
     """
-    config = gpu.config
     safe = gpu.memory.min_cross_sm_latency()
-    requested = config.window_cycles
-    if requested and requested > safe and not config.parallel_relaxed:
-        raise ValueError(
-            f"window_cycles={requested} exceeds the safe bound {safe} "
-            "(minimum cross-SM interaction latency); set "
-            "parallel_relaxed=True to accept approximate results"
-        )
-    if requested:
-        window = requested
-    elif config.parallel_relaxed:
-        # Relaxed auto-tune: roughly a full L2-miss round trip
-        # (both NoC legs + L2 + DRAM service) — several times
-        # fewer barriers, timing skew bounded by one window.
-        dram_floor = min(
-            channel.min_service_latency() for channel in gpu.memory.dram
-        )
-        window = 2 * safe + dram_floor
-    else:
-        window = safe
-    exact = window <= safe and local_completion_floor(config) < safe
-    return window, safe, exact, exact or config.parallel_relaxed
-
-
-def install_parallel_driver(gpu, app):
-    """Pick and install the shard driver for one ``run_application``.
-
-    Resolves the ``parallel_executor`` policy: ``processes`` (and
-    ``auto`` on multi-CPU hosts) first tries the forked shard backend,
-    which requires a windowable application (see
-    ``parallel_proc.try_install_process_driver``); anything else — or
-    any ineligible application — gets the in-process
-    :class:`WindowBarrierDriver`.  Returns the application to run
-    (possibly wrapped so its host program is materialized exactly once).
-    """
-    mode = gpu.config.parallel_executor
-    if mode == "processes" or (mode == "auto" and effective_cpus() > 1):
-        from repro.sim.parallel_proc import try_install_process_driver
-
-        wrapped = try_install_process_driver(gpu, app)
-        if wrapped is not None:
-            return wrapped
-    WindowBarrierDriver(gpu)
-    return app
+    if local_completion_floor(gpu.config) >= safe:
+        return None
+    return safe
 
 
 def local_completion_floor(config) -> int:
@@ -205,7 +146,7 @@ class _ShardContext:
     """
 
     #: always on — shard mode requires run-ahead (enforced by the
-    #: driver's per-grid fallback)
+    #: eligibility check before any shard runs)
     _runahead = True
 
     __slots__ = ("_shard", "_gpu", "_heap", "_heap_seq", "memory")
@@ -265,7 +206,7 @@ class _Shard:
         self._k = k + 1
         return (self.cursor_t, self.cursor_sm, k)
 
-    # -- window execution (runs on the shard's worker) --------------------
+    # -- window execution -------------------------------------------------
     def run_window(self, w_end: float) -> None:
         """Advance this shard's SMs up to the window boundary.
 
@@ -312,7 +253,7 @@ class _Shard:
                 # (at sm.time >= w_end); hand it to the next window.
                 heappush(heap, (sm.time, sm_id, next(seq), sm))
 
-    # -- barrier phase 2 (coordinator, after the drain) -------------------
+    # -- barrier phase 2 (after the drain) --------------------------------
     def deliver(self) -> None:
         """Wake parked warps and resolve pseudo-dormant SMs."""
         heap = self.heap
@@ -343,217 +284,4 @@ class _Shard:
                 # next window boundary reports it.
 
 
-class WindowBarrierDriver:
-    """Coordinator: owns the shards, the barrier, and the drains.
-
-    Construction wires the driver into ``gpu`` (as ``_grid_driver``
-    plus a finalize hook); ``GPUSimulator.run_application`` does this
-    automatically when ``config.parallel_shards > 1``.
-    """
-
-    def __init__(self, gpu: GPUSimulator, executor: str | None = None):
-        config = gpu.config
-        self.gpu = gpu
-        self.num_shards = max(1, min(config.parallel_shards, len(gpu.sms)))
-        #: bit-identity holds iff the window respects the safe bound
-        #: and delivered wakes dominate SM-local completion parts;
-        #: windowed execution runs when it is exact, or when the user
-        #: opted into approximate results; otherwise every grid takes
-        #: the sequential fallback
-        self.window, self.safe_window, self.exact, self.enabled = (
-            resolve_window(gpu)
-        )
-
-        self.shards: list[_Shard] = []
-        tel = gpu.telemetry
-        for index in range(self.num_shards):
-            shard = _Shard(index, gpu.sms[index::self.num_shards], gpu)
-            if tel is not None:
-                from repro.sim.telemetry import Telemetry
-
-                shard.telemetry = Telemetry(tel.interval, tel.max_events)
-            for sm in shard.sms:
-                sm.stats = shard.stats
-                if shard.telemetry is not None:
-                    sm._tel = shard.telemetry
-            self.shards.append(shard)
-
-        mode = config.parallel_executor if executor is None else executor
-        if mode == "processes":
-            # The forked backend lives in parallel_proc and is selected
-            # by install_parallel_driver; a plain WindowBarrierDriver
-            # asked for "processes" (ineligible application, or direct
-            # construction) degrades to the thread pool — same results.
-            mode = "auto"
-        if mode == "auto":
-            cpus = effective_cpus()
-            mode = "threads" if cpus > 1 and self.num_shards > 1 else "inline"
-        self.executor_mode = mode
-        self._pool = (
-            ThreadPoolExecutor(
-                max_workers=self.num_shards,
-                thread_name_prefix="repro-shard",
-            )
-            if mode == "threads"
-            else None
-        )
-        #: which sink/horizon binding is live ("sequential" at
-        #: construction: GPUSimulator wired the real sinks already)
-        self._binding = "sequential"
-        gpu._grid_driver = self.drive
-        gpu._finalize_hooks.append(self._finalize)
-
-    # -- per-grid entry point ---------------------------------------------
-    def drive(self, grid) -> None:
-        gpu = self.gpu
-        if not gpu._runahead or gpu._pending_grids or not self.enabled:
-            # Not windowable: CDP-capable application (run-ahead off),
-            # a grid that could not fully dispatch at submit (mid-grid
-            # refills read live SM clocks), or an exactness-incapable
-            # configuration without the relaxed opt-in.  Run the plain
-            # sequential loop on this same simulator.
-            self._bind_sequential()
-            gpu._drive_grid(grid)
-            return
-        self._bind_windowed()
-        self._adopt_entries()
-        self._drive_windowed(grid)
-
-    # -- binding flips ----------------------------------------------------
-    def _bind_sequential(self) -> None:
-        if self._binding == "sequential":
-            return
-        self._binding = "sequential"
-        gpu = self.gpu
-        for sm in gpu.sms:
-            sm._horizon = NEVER
-            sm.l1.writeback_sink = (
-                lambda line, _sm=sm: gpu.memory.writeback(
-                    _sm.sm_id, line, _sm.time
-                )
-            )
-        self._return_entries()
-
-    def _bind_windowed(self) -> None:
-        if self._binding == "windowed":
-            return
-        self._binding = "windowed"
-        for shard in self.shards:
-            staging = shard.ctx.memory
-            for sm in shard.sms:
-                # Dirty L1 evictions happen only inside deferred
-                # executions, so staging them under the live cursor
-                # preserves their exact sequential call slot.
-                sm.l1.writeback_sink = (
-                    lambda line, _sm=sm, _mem=staging: _mem.writeback(
-                        _sm.sm_id, line, _sm.time
-                    )
-                )
-
-    # -- heap custody ------------------------------------------------------
-    def _adopt_entries(self) -> None:
-        """Move global heap entries to their owning shards.
-
-        Sorting first preserves FIFO tie order: entries with equal
-        ``(time, sm_id)`` stay in push order under the fresh per-shard
-        sequence numbers.
-        """
-        heap = self.gpu._heap
-        if not heap:
-            return
-        n = self.num_shards
-        shards = self.shards
-        for t, sm_id, _, sm in sorted(heap):
-            shard = shards[sm_id % n]
-            heappush(shard.heap, (t, sm_id, next(shard.seq), sm))
-        heap.clear()
-
-    def _return_entries(self) -> None:
-        """Move shard heap entries back to the global heap (fallback)."""
-        gpu = self.gpu
-        gheap = gpu._heap
-        heap_seq = gpu._heap_seq
-        for shard in self.shards:
-            if shard.heap:
-                for t, sm_id, _, sm in sorted(shard.heap):
-                    heappush(gheap, (t, sm_id, next(heap_seq), sm))
-                shard.heap.clear()
-
-    # -- the window loop ---------------------------------------------------
-    def _drive_windowed(self, grid) -> None:
-        gpu = self.gpu
-        shards = self.shards
-        window = self.window
-        pool = self._pool
-        while grid.remaining_ctas:
-            # Next window starts at the earliest queued decision —
-            # jumping past empty stretches is safe because every
-            # delivery already happened at the previous barrier.
-            start = NEVER
-            for shard in shards:
-                if shard.heap and shard.heap[0][0] < start:
-                    start = shard.heap[0][0]
-            if start == NEVER:
-                raise SimulationDeadlock(
-                    "no runnable SMs but the run predicate is unsatisfied "
-                    f"(pending grids: {len(gpu._pending_grids)})"
-                )
-            w_end = start + window
-            due = [
-                shard for shard in shards
-                if shard.heap and shard.heap[0][0] < w_end
-            ]
-            if pool is not None and len(due) > 1:
-                futures = [
-                    pool.submit(shard.run_window, w_end) for shard in due
-                ]
-                for future in futures:
-                    future.result()
-            else:
-                for shard in due:
-                    shard.run_window(w_end)
-            self._drain()
-            for shard in shards:
-                shard.deliver()
-
-    def _drain(self) -> None:
-        """Barrier phase 1: replay staged interactions in global order."""
-        gpu = self.gpu
-        memory = gpu.memory
-        streams = [shard.staged for shard in self.shards if shard.staged]
-        if not streams:
-            return
-        for key, kind, payload, slot in _kway_merge(*streams):
-            if kind == _REQ:
-                sm_id, line, store, now = payload
-                slot[0] = memory.line_request(sm_id, line, store, now)
-            elif kind == _BATCH:
-                sm_id, entries, store = payload
-                slot[0] = memory.line_requests(sm_id, entries, store)
-            elif kind == _WB:
-                memory.writeback(*payload)
-            else:  # _CTA
-                sm, target, t, cta = payload
-                gpu.cta_finished(sm, target, t, cta)
-        for shard in self.shards:
-            shard.staged.clear()
-
-    # -- finalize hook -----------------------------------------------------
-    def _finalize(self) -> None:
-        gpu = self.gpu
-        for shard in self.shards:
-            gpu.stats.merge(shard.stats)
-            if shard.telemetry is not None:
-                gpu.telemetry.absorb(shard.telemetry)
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None
-
-
-__all__ = [
-    "WindowBarrierDriver",
-    "effective_cpus",
-    "install_parallel_driver",
-    "local_completion_floor",
-    "resolve_window",
-]
+__all__ = ["exact_window", "local_completion_floor"]

@@ -1,9 +1,8 @@
-"""Process shard backend: forked workers for the window-barrier core.
+"""Shard driver for the window-barrier core: forked workers over pipes.
 
-The thread executor in :mod:`repro.sim.parallel` is bit-identical but
-GIL-bound — shards serialize on the interpreter lock, so ``--workers
-N`` buys nothing on stock CPython.  This module runs each shard in a
-**forked worker process** instead:
+Each shard of :mod:`repro.sim.parallel` runs in a **forked worker
+process**, so ``--workers N`` is real multi-core parallelism under
+the GIL:
 
 - **Fork inheritance, no warp pickling.**  The driver forks *after*
   the shards are built, so every worker inherits the cached
@@ -26,11 +25,8 @@ N`` buys nothing on stock CPython.  This module runs each shard in a
   the window's staged interactions (struct-packed, one ``(time,
   sm_id, k, kind)`` header per entry), the shard's next heap minimum,
   a pickled finalize payload (per-shard ``RunStats`` / ``Telemetry`` /
-  per-SM cache stats), or a pickled exception + traceback.  Transport
-  is ``multiprocessing.Pipe`` by default; ``REPRO_PROC_TRANSPORT=ring``
-  selects the shared-memory SPSC ring (measured in
-  ``benchmarks/bench_perf.py`` — pipes win on this workload's frame
-  sizes, so they stay the default).
+  per-SM cache stats), or a pickled exception + traceback, over one
+  duplex ``multiprocessing.Pipe`` per shard.
 - **Exact replay at the barrier.**  The parent is the sole owner of
   the memory subsystem and grid bookkeeping: it k-way merges the
   workers' staged frames by ``(time, sm_id, k)`` and replays them
@@ -45,10 +41,9 @@ N`` buys nothing on stock CPython.  This module runs each shard in a
   and reaps all workers before propagating.
 
 Eligibility is checked up front by :func:`try_install_process_driver`
-(fork available, run-ahead application, no observers, windowed mode
-exact or relaxed, every launch fully dispatches); ineligible runs fall
-back to the in-process :class:`~repro.sim.parallel.WindowBarrierDriver`
-— never a mid-run backend switch.
+(fork available, run-ahead application, no observers, an exact safe
+window, every launch fully dispatches); ineligible runs take the plain
+sequential event core — never a mid-run switch.
 """
 
 from __future__ import annotations
@@ -69,8 +64,8 @@ from repro.sim.parallel import (
     _CTA,
     _REQ,
     _WB,
-    WindowBarrierDriver,
-    resolve_window,
+    _Shard,
+    exact_window,
 )
 from repro.sim.warp import NEVER, Grid
 
@@ -158,185 +153,6 @@ def _decode_staged(frame: bytes, origin: int) -> list:
     return out
 
 
-# -- transports -------------------------------------------------------------
-class _PipeTransport:
-    """One duplex ``multiprocessing.Pipe`` per shard (the default)."""
-
-    kind = "pipe"
-
-    def __init__(self, num_shards: int):
-        self._pairs = [multiprocessing.Pipe(duplex=True)
-                       for _ in range(num_shards)]
-
-    def child_channel(self, index: int):
-        # Close every fd this worker does not own: the parent ends, and
-        # the other workers' child ends — otherwise a dead sibling's
-        # pipe never reaches EOF in the parent.
-        for j, (parent_end, child_end) in enumerate(self._pairs):
-            parent_end.close()
-            if j != index:
-                child_end.close()
-        return self._pairs[index][1]
-
-    def parent_channels(self, alive_fns) -> list:
-        for _parent_end, child_end in self._pairs:
-            child_end.close()
-        return [parent_end for parent_end, _child_end in self._pairs]
-
-    def destroy(self) -> None:
-        pass
-
-
-class _Ring:
-    """One direction of a shared-memory SPSC byte ring.
-
-    Layout at ``offset``: head (u8, bytes consumed), tail (u8, bytes
-    written), then ``capacity`` data bytes.  Indices grow
-    monotonically; positions are ``index % capacity``.  Frames are
-    ``u4 length + payload`` and stream through chunked (frames larger
-    than the ring still pass).
-    """
-
-    def __init__(self, buf, offset: int, capacity: int):
-        self._buf = buf
-        self._head = offset
-        self._tail = offset + 8
-        self._base = offset + 16
-        self._capacity = capacity
-
-    def _load(self, off: int) -> int:
-        return int.from_bytes(bytes(self._buf[off:off + 8]), "little")
-
-    def _store(self, off: int, value: int) -> None:
-        self._buf[off:off + 8] = value.to_bytes(8, "little")
-
-    def write(self, data: bytes, alive) -> None:
-        buf, base, capacity = self._buf, self._base, self._capacity
-        total = len(data)
-        sent = 0
-        spins = 0
-        while sent < total:
-            head = self._load(self._head)
-            tail = self._load(self._tail)
-            free = capacity - (tail - head)
-            if free <= 0:
-                spins = _ring_wait(spins, alive)
-                continue
-            spins = 0
-            n = min(free, total - sent)
-            pos = tail % capacity
-            first = min(n, capacity - pos)
-            buf[base + pos:base + pos + first] = data[sent:sent + first]
-            if n > first:
-                buf[base:base + n - first] = data[sent + first:sent + n]
-            self._store(self._tail, tail + n)
-            sent += n
-
-    def read_exact(self, n: int, alive) -> bytes:
-        buf, base, capacity = self._buf, self._base, self._capacity
-        out = bytearray()
-        spins = 0
-        while len(out) < n:
-            head = self._load(self._head)
-            tail = self._load(self._tail)
-            available = tail - head
-            if available <= 0:
-                spins = _ring_wait(spins, alive)
-                continue
-            spins = 0
-            take = min(available, n - len(out))
-            pos = head % capacity
-            first = min(take, capacity - pos)
-            out += buf[base + pos:base + pos + first]
-            if take > first:
-                out += buf[base:base + take - first]
-            self._store(self._head, head + take)
-        return bytes(out)
-
-
-def _ring_wait(spins: int, alive) -> int:
-    """Backoff between ring polls; EOF when the peer is gone."""
-    spins += 1
-    if spins > 100:
-        if alive is not None and not alive():
-            raise EOFError("ring peer process is gone")
-        time.sleep(0.0002)
-    return spins
-
-
-class RingChannel:
-    """Connection-compatible view over one end of a ring pair."""
-
-    def __init__(self, out_ring: _Ring, in_ring: _Ring, alive=None):
-        self._out = out_ring
-        self._in = in_ring
-        self._alive = alive
-
-    def send_bytes(self, data: bytes) -> None:
-        self._out.write(_U4.pack(len(data)) + data, self._alive)
-
-    def recv_bytes(self) -> bytes:
-        (n,) = _U4.unpack(self._in.read_exact(4, self._alive))
-        return self._in.read_exact(n, self._alive)
-
-    def close(self) -> None:  # shared memory is owned by the transport
-        pass
-
-
-class _RingTransport:
-    """Two SPSC rings per shard in one shared-memory block."""
-
-    kind = "ring"
-
-    def __init__(self, num_shards: int, capacity: int = 1 << 20):
-        from multiprocessing import shared_memory
-
-        self._capacity = capacity
-        stride = 2 * (capacity + 16)
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=stride * num_shards
-        )
-        self._stride = stride
-        self._destroyed = False
-
-    def _rings(self, index: int):
-        base = index * self._stride
-        down = _Ring(self._shm.buf, base, self._capacity)  # parent -> child
-        up = _Ring(self._shm.buf, base + self._capacity + 16, self._capacity)
-        return down, up
-
-    def child_channel(self, index: int):
-        ppid = os.getppid()
-        down, up = self._rings(index)
-        return RingChannel(up, down, alive=lambda: os.getppid() == ppid)
-
-    def parent_channels(self, alive_fns) -> list:
-        channels = []
-        for index, alive in enumerate(alive_fns):
-            down, up = self._rings(index)
-            channels.append(RingChannel(down, up, alive=alive))
-        return channels
-
-    def destroy(self) -> None:
-        if self._destroyed:
-            return
-        self._destroyed = True
-        try:
-            self._shm.close()
-        except Exception:
-            pass
-        try:
-            self._shm.unlink()
-        except Exception:
-            pass
-
-
-def make_transport(kind: str, num_shards: int):
-    if kind == "ring":
-        return _RingTransport(num_shards)
-    return _PipeTransport(num_shards)
-
-
 # -- deterministic dispatch mirror ------------------------------------------
 def plan_dispatch(gpu, kernel, num_ctas: int) -> list[int]:
     """CTA -> SM placement ``_dispatch_pending`` makes from an idle machine.
@@ -346,7 +162,7 @@ def plan_dispatch(gpu, kernel, num_ctas: int) -> list[int]:
     scan keeping the first strict minimum reproduces ``min``'s
     tie-break exactly.  Returns one ``sm_id`` per CTA in admission
     order; shorter than ``num_ctas`` means the grid cannot fully
-    dispatch (the process backend then declines the application).
+    dispatch (the shard driver then declines the application).
     """
     config = gpu.config
     n = len(gpu.sms)
@@ -406,12 +222,12 @@ class _OpsApp:
 def try_install_process_driver(gpu, app):
     """Install :class:`ProcessShardDriver` on ``gpu`` when eligible.
 
-    Returns the (wrapped) application to run, or ``None`` when the
-    run must fall back to the in-process driver: no ``fork`` on this
-    platform, a CDP-capable application, observers attached (the
-    sampled estimator's hooks cannot cross a process boundary),
-    windowed execution disabled, or a launch that cannot fully
-    dispatch from an idle machine.
+    Returns the (wrapped) application to run, or ``None`` when the run
+    must take the sequential event core: no ``fork`` on this platform,
+    fewer than two shards, a CDP-capable application, observers
+    attached (the sampled estimator's hooks cannot cross a process
+    boundary), no exact window for this configuration, or a launch
+    that cannot fully dispatch from an idle machine.
     """
     config = gpu.config
     if not hasattr(os, "fork"):  # pragma: no cover - posix-only repo
@@ -420,12 +236,10 @@ def try_install_process_driver(gpu, app):
         return None
     if gpu.cta_observer is not None or gpu.launch_observer is not None:
         return None
-    if max(1, min(config.parallel_shards, len(gpu.sms))) < 2:
+    if min(config.parallel_shards, len(gpu.sms)) < 2:
         return None
-    # Same validation (and the same ValueError on unsafe explicit
-    # windows) as the in-process driver.
-    _window, _safe, _exact, enabled = resolve_window(gpu)
-    if not enabled:
+    window = exact_window(gpu)
+    if window is None:
         return None
     ops = list(app.host_program())
     launches = [op.launch for op in ops if isinstance(op, HostLaunch)]
@@ -443,37 +257,56 @@ def try_install_process_driver(gpu, app):
         if plan is None:
             plan = memo[key] = plan_dispatch(gpu, kernel, launch.num_ctas)
         if len(plan) < launch.num_ctas:
-            # Partially-dispatched grids need live mid-grid refills;
-            # the in-process driver's per-grid fallback handles them.
+            # Partially-dispatched grids need live mid-grid refills,
+            # which read SM clocks across shards.
             return None
         plans.append(plan)
-    ProcessShardDriver(gpu, launches, plans)
+    ProcessShardDriver(gpu, launches, plans, window)
     return _OpsApp(ops, app)
 
 
-class ProcessShardDriver(WindowBarrierDriver):
-    """Window-barrier driver whose shards run in forked workers.
+class ProcessShardDriver:
+    """Window-barrier coordinator whose shards run in forked workers.
 
-    Construction forks one worker per shard (inheriting the fully
-    built shard structures copy-on-write), takes over ``submit_grid``
-    (grid admission is replicated in the workers from the shared
-    dispatch plans), and registers the flush/finalize hooks.  The
-    parent keeps sole ownership of the memory subsystem, grid
-    bookkeeping, and host accounting; workers own their shard's SMs.
+    Construction partitions the SMs round-robin into shards, forks one
+    worker per shard (inheriting the fully built shard structures
+    copy-on-write), installs itself as the simulator's grid driver,
+    takes over ``submit_grid`` (grid admission is replicated in the
+    workers from the shared dispatch plans), and registers the
+    flush/finalize hooks.  The parent keeps sole ownership of the
+    memory subsystem, grid bookkeeping, and host accounting; workers
+    own their shard's SMs.
     """
 
-    def __init__(self, gpu, launches, plans):
-        super().__init__(gpu, executor="inline")
-        self.executor_mode = "processes"
+    def __init__(self, gpu, launches, plans, window):
+        self.gpu = gpu
         self.launches = launches
         self.plans = plans
-        self.transport_kind = os.environ.get("REPRO_PROC_TRANSPORT", "pipe")
+        #: window width in cycles; :func:`exact_window` picks the safe
+        #: bound, smaller values stay exact (tests shrink it to put a
+        #: barrier on every few cycles)
+        self.window = window
+        self.num_shards = min(gpu.config.parallel_shards, len(gpu.sms))
+        self.shards: list[_Shard] = []
+        tel = gpu.telemetry
+        for index in range(self.num_shards):
+            shard = _Shard(index, gpu.sms[index::self.num_shards], gpu)
+            if tel is not None:
+                from repro.sim.telemetry import Telemetry
+
+                shard.telemetry = Telemetry(tel.interval, tel.max_events)
+            for sm in shard.sms:
+                sm.stats = shard.stats
+                if shard.telemetry is not None:
+                    sm._tel = shard.telemetry
+            self.shards.append(shard)
         self._heap_mins = [NEVER] * self.num_shards
         self._next_launch = 0
         self._pids: list = []
         self._channels: list = []
-        self._transport = None
         self._fork_workers()
+        gpu._grid_driver = self.drive
+        gpu._finalize_hooks.append(self._finalize)
         # Instance-level override: grid admission happens inside the
         # workers, the parent only keeps bookkeeping.
         gpu.submit_grid = self._submit
@@ -481,15 +314,22 @@ class ProcessShardDriver(WindowBarrierDriver):
 
     # -- worker lifecycle --------------------------------------------------
     def _fork_workers(self) -> None:
-        transport = make_transport(self.transport_kind, self.num_shards)
-        self._transport = transport
+        pairs = [multiprocessing.Pipe(duplex=True)
+                 for _ in range(self.num_shards)]
         for index in range(self.num_shards):
             pid = os.fork()
             if pid == 0:
                 status = 1
                 try:
-                    channel = transport.child_channel(index)
-                    self._worker_main(index, channel)
+                    # Close every fd this worker does not own: the
+                    # parent ends, and the other workers' child ends —
+                    # otherwise a dead sibling's pipe never reaches EOF
+                    # in the parent.
+                    for j, (parent_end, child_end) in enumerate(pairs):
+                        parent_end.close()
+                        if j != index:
+                            child_end.close()
+                    self._worker_main(index, pairs[index][1])
                     status = 0
                 except BaseException:  # noqa: BLE001 - child never unwinds
                     pass
@@ -497,25 +337,9 @@ class ProcessShardDriver(WindowBarrierDriver):
                     # Never run the parent's atexit/test machinery.
                     os._exit(status)
             self._pids.append(pid)
-        alive_fns = [
-            (lambda i=index: self._child_alive(i))
-            for index in range(self.num_shards)
-        ]
-        self._channels = transport.parent_channels(alive_fns)
-
-    def _child_alive(self, index: int) -> bool:
-        pid = self._pids[index]
-        if pid is None:
-            return False
-        try:
-            done, _status = os.waitpid(pid, os.WNOHANG)
-        except ChildProcessError:
-            self._pids[index] = None
-            return False
-        if done == pid:
-            self._pids[index] = None
-            return False
-        return True
+        for _parent_end, child_end in pairs:
+            child_end.close()
+        self._channels = [parent_end for parent_end, _child_end in pairs]
 
     def close(self, terminate: bool = False) -> None:
         """Stop and reap all workers (idempotent; safe on error paths)."""
@@ -546,8 +370,6 @@ class ProcessShardDriver(WindowBarrierDriver):
                 channel.close()
             except Exception:
                 pass
-        if self._transport is not None:
-            self._transport.destroy()
 
     # -- parent-side channel helpers ---------------------------------------
     def _send(self, index: int, frame: bytes) -> None:
@@ -617,13 +439,13 @@ class ProcessShardDriver(WindowBarrierDriver):
     def drive(self, grid: Grid) -> None:
         try:
             gpu = self.gpu
-            if not gpu._runahead or gpu._pending_grids or not self.enabled:
+            if not gpu._runahead or gpu._pending_grids:
                 # The eligibility scan guarantees these before forking;
-                # reaching here means a backend invariant broke — fail
+                # reaching here means a driver invariant broke — fail
                 # loudly, a silent sequential fallback would desync the
                 # workers' SM state from the parent's.
                 raise RuntimeError(
-                    "process shard backend: windowed-execution "
+                    "process shard driver: windowed-execution "
                     "preconditions violated mid-run"
                 )
             self._window_loop(grid)
@@ -726,8 +548,9 @@ class ProcessShardDriver(WindowBarrierDriver):
         shard = self.shards[index]
         staging = shard.ctx.memory
         for sm in shard.sms:
-            # The windowed writeback binding (dirty L1 evictions stage
-            # under the live cursor — see WindowBarrierDriver).
+            # Dirty L1 evictions happen only inside deferred
+            # executions, so staging them under the live cursor
+            # preserves their exact sequential call slot.
             sm.l1.writeback_sink = (
                 lambda line, _sm=sm, _mem=staging: _mem.writeback(
                     _sm.sm_id, line, _sm.time
@@ -849,8 +672,6 @@ def _reap(pid: int, timeout: float) -> bool:
 
 __all__ = [
     "ProcessShardDriver",
-    "RingChannel",
-    "make_transport",
     "plan_dispatch",
     "try_install_process_driver",
 ]

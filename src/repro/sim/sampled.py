@@ -704,8 +704,6 @@ def _scaled_machine(
         sample_fraction=0.0,
         telemetry_interval=0,
         parallel_shards=1,
-        window_cycles=0,
-        parallel_relaxed=False,
     )
 
 

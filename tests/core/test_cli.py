@@ -171,8 +171,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("flags", [
         ["--profile"],
         ["--workers", "2"],
-        ["--window", "1000"],
-        ["--relaxed"],
+        ["--workers", "2", "--profile"],
+        ["--workers", "1"],  # given explicitly, even at the default
         ["--profile", "--workers", "2"],
     ])
     def test_estimate_rejects_exact_only_flags(self, flags, capsys):
@@ -183,9 +183,16 @@ class TestErrorPaths:
 
     def test_estimate_conflict_names_every_flag(self, capsys):
         assert main(["run", "SW", "--estimate", "--profile",
-                     "--relaxed"]) == 2
+                     "--workers", "2"]) == 2
         err = capsys.readouterr().err
-        assert "--profile" in err and "--relaxed" in err
+        assert "--profile" in err and "--workers" in err
+
+    @pytest.mark.parametrize("bad", ["0", "-2", "many"])
+    def test_invalid_workers(self, bad, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "NW", "--workers", bad])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_estimate_without_conflicts_runs(self, capsys):
         assert main(["run", "SW", "--sms", "4", "--estimate",

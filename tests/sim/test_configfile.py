@@ -3,7 +3,12 @@
 import pytest
 
 from repro.sim.config import GPUConfig
-from repro.sim.configfile import load_config, parse_config, save_config
+from repro.sim.configfile import (
+    apply_overrides,
+    load_config,
+    parse_config,
+    save_config,
+)
 
 
 class TestParseConfig:
@@ -58,6 +63,20 @@ class TestParseConfig:
     def test_validation_still_applies(self):
         with pytest.raises(ValueError):
             parse_config("scheduler = fifo\n")  # not a scheduler name
+
+    def test_removed_parallel_knobs_rejected(self):
+        """``parallel_shards`` is the only intra-run parallelism knob:
+        the former window/backend settings must fail naming the key,
+        never be silently ignored."""
+        for key, raw, value in (
+            ("window_cycles", "64", 64),
+            ("parallel_executor", "threads", "threads"),
+            ("parallel_relaxed", "true", True),
+        ):
+            with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+                parse_config(f"{key} = {raw}\n")
+            with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+                apply_overrides(GPUConfig(), {key: value})
 
 
 class TestSaveLoadRoundtrip:

@@ -2,11 +2,10 @@
 
 These exercise the paths the golden suite (``test_parallel_golden``)
 only crosses incidentally: a CDP device launch whose child lands on a
-remote shard (the per-grid sequential fallback), a grid retiring
-exactly on a window boundary, the deadlock detector when every shard
-heap drains mid-run, the mismarked-application error propagating
-through the thread pool, relaxed mode, and the window-bound
-validation.
+remote shard (the sequential fallback), grids retiring exactly on a
+window boundary (the driver's window shrunk as a test seam), the
+deadlock detector when every shard heap drains mid-run, and the
+mismarked-application error propagating out of a shard worker.
 """
 
 import dataclasses
@@ -23,7 +22,11 @@ from repro.sim import (
     KernelProgram,
 )
 from repro.sim.gpu import SimulationDeadlock
-from repro.sim.parallel import WindowBarrierDriver, local_completion_floor
+from repro.sim.parallel import local_completion_floor
+from repro.sim.parallel_proc import (
+    ProcessShardDriver,
+    try_install_process_driver,
+)
 from repro.sim.warp import Grid
 
 
@@ -52,12 +55,24 @@ class ScriptApp(Application):
         yield HostLaunch(KernelLaunch(self.kernel, num_ctas=self.num_ctas))
 
 
-def run_app(app, num_sms=4, **config_overrides):
-    config = GPUConfig(
+def make_sim(num_sms=4, **config_overrides):
+    return GPUSimulator(GPUConfig(
         event_core=True, num_sms=num_sms, num_mem_partitions=2,
         **config_overrides,
-    )
-    return GPUSimulator(config).run_application(app)
+    ))
+
+
+def run_app(app, num_sms=4, **config_overrides):
+    return make_sim(num_sms, **config_overrides).run_application(app)
+
+
+def install_driver(sim, app):
+    """Install the shard driver on ``sim``; returns (driver, wrapped)."""
+    wrapped = try_install_process_driver(sim, app)
+    assert wrapped is not None, "expected an eligible application"
+    driver = sim._grid_driver.__self__
+    assert isinstance(driver, ProcessShardDriver)
+    return driver, wrapped
 
 
 def memory_script(ctx):
@@ -93,16 +108,15 @@ class TestCDPFallback:
         application through the sequential fallback and match the
         plain event core bit-for-bit."""
         seq = run_app(self._cdp_app())
-        par = run_app(
-            self._cdp_app(), parallel_shards=4, parallel_executor="threads"
-        )
+        par = run_app(self._cdp_app(), parallel_shards=4)
         assert par.device_launches > 0
         assert dataclasses.asdict(par) == dataclasses.asdict(seq)
 
     def test_mismarked_app_raises_through_pool(self):
         """An application that declares itself launch-free enters
-        windowed execution; a device launch from inside a shard worker
-        must surface the loud RuntimeError, not diverge or hang."""
+        windowed execution; a device launch from inside a forked shard
+        worker must surface the loud RuntimeError, not diverge or
+        hang."""
         child = ScriptKernel(lambda ctx: iter([TraceBuilder().exit()]), 32)
 
         def parent(ctx):
@@ -112,7 +126,7 @@ class TestCDPFallback:
 
         app = ScriptApp(ScriptKernel(parent, 32), launch_free=True)
         with pytest.raises(RuntimeError, match="may_device_launch"):
-            run_app(app, parallel_shards=2, parallel_executor="threads")
+            run_app(app, parallel_shards=2)
 
 
 class TestWindowBoundaries:
@@ -128,7 +142,10 @@ class TestWindowBoundaries:
             )
 
         seq = run_app(app())
-        par = run_app(app(), parallel_shards=2, window_cycles=window)
+        sim = make_sim(parallel_shards=2)
+        driver, wrapped = install_driver(sim, app())
+        driver.window = window
+        par = sim.run_application(wrapped)
         assert dataclasses.asdict(par) == dataclasses.asdict(seq)
 
     def test_partial_dispatch_falls_back_identically(self):
@@ -151,16 +168,14 @@ class TestDeadlock:
     def test_all_shards_idle_raises(self):
         """Every shard heap empty with CTAs still outstanding must
         raise, not spin: the window loop cannot pick a start time."""
-        sim = GPUSimulator(GPUConfig(
-            event_core=True, num_sms=2, num_mem_partitions=2,
-            parallel_shards=2, parallel_executor="inline",
-        ))
-        driver = WindowBarrierDriver(sim)
-        sim._runahead = True  # windowed path, no fallback
+        sim = make_sim(num_sms=2, parallel_shards=2)
         kernel = ScriptKernel(lambda ctx: iter([TraceBuilder().exit()]), 32)
+        driver, _ = install_driver(sim, ScriptApp(kernel, launch_free=True))
+        sim._runahead = True  # as run_application sets for this app
         orphan = Grid(kernel, num_ctas=1)  # never submitted: no heap entries
         with pytest.raises(SimulationDeadlock):
             driver.drive(orphan)
+        assert all(pid is None for pid in driver._pids)
 
     def test_undispatchable_grid_raises(self):
         """The classic deadlock (a CTA that fits no SM) flows through
@@ -179,37 +194,14 @@ class TestDeadlock:
 
 
 class TestWindowValidation:
-    def test_window_beyond_safe_bound_rejected(self):
+    def test_driver_reports_exactness(self):
+        """The installed driver runs the safe window, which must exceed
+        the SM-local completion floor for delivered wakes to be exact."""
+        sim = make_sim(parallel_shards=2)
         app = ScriptApp(
             ScriptKernel(memory_script, 64), num_ctas=2, launch_free=True
         )
-        with pytest.raises(ValueError, match="safe bound"):
-            run_app(app, parallel_shards=2, window_cycles=10_000)
-
-    def test_relaxed_mode_completes(self):
-        """Relaxed windows trade exactness for fewer barriers: results
-        must still be a complete, plausible simulation (identical
-        instruction stream; timing may drift within a window)."""
-        def app():
-            return ScriptApp(
-                ScriptKernel(memory_script, 64), num_ctas=8, launch_free=True
-            )
-
-        seq = run_app(app())
-        for overrides in (
-            {"parallel_relaxed": True},                        # auto window
-            {"parallel_relaxed": True, "window_cycles": 2_000},
-        ):
-            par = run_app(app(), parallel_shards=2, **overrides)
-            assert par.instructions == seq.instructions
-            assert par.cycles > 0
-
-    def test_driver_reports_exactness(self):
-        sim = GPUSimulator(GPUConfig(
-            event_core=True, num_sms=4, num_mem_partitions=2,
-            parallel_shards=2,
-        ))
-        driver = WindowBarrierDriver(sim)
-        assert driver.exact
-        assert driver.window <= driver.safe_window
-        assert local_completion_floor(sim.config) < driver.safe_window
+        driver, _ = install_driver(sim, app)
+        driver.close()
+        assert driver.window == sim.memory.min_cross_sm_latency()
+        assert local_completion_floor(sim.config) < driver.window

@@ -1,18 +1,16 @@
 """Golden bit-identity: window-barrier parallel core vs sequential.
 
-The parallel core (``repro.sim.parallel``) shards the SM array across
-N workers and synchronizes them at window barriers; within the safe
-window bound it must produce field-for-field identical
-:class:`RunStats` to the sequential event core on every benchmark —
-sharding is only allowed to change wall-clock, never the timing model.
+The parallel core (``repro.sim.parallel``, forked shard workers from
+``repro.sim.parallel_proc``) shards the SM array across N workers and
+synchronizes them at window barriers; it must produce field-for-field
+identical :class:`RunStats` to the sequential event core on every
+benchmark — sharding is only allowed to change wall-clock, never the
+timing model.
 
-The full suite runs at the small dataset for shards in {2, 4} under
-*both* execution backends — the in-process thread pool and the forked
-process workers (``repro.sim.parallel_proc``); the heaviest benchmarks
-get an extra medium-size lock, and a shards x windows matrix (marked
-``slow``) locks the identity across explicit window sizes up to the
-safe bound.  Relaxed mode (windows beyond the bound) is deliberately
-absent from these locks: its results are approximate by design.
+The full suite runs at the small dataset for shards in {2, 4}; CDP
+variants are ineligible for sharding and must come out of the
+sequential core unchanged.  The heaviest benchmarks get an extra
+medium-size lock (marked ``slow``).
 
 ``run_benchmark`` replays precounted traces; the small-suite matrix
 also runs each sharded case live (generators driven inside the shard
@@ -24,11 +22,15 @@ import functools
 
 import pytest
 
-from repro.core.runner import run_benchmark
+from repro.core.runner import load_benchmark, run_benchmark
 from repro.data.datasets import DatasetSize
 from repro.kernels import benchmark_names, build_application
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPUSimulator
+from repro.sim.parallel_proc import (
+    ProcessShardDriver,
+    try_install_process_driver,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -39,18 +41,13 @@ def _sequential_stats(abbr: str, cdp: bool, size: DatasetSize):
 
 
 def _sequential(abbr: str, cdp: bool, size: DatasetSize):
-    # Shared by every shards x backend case of one variant.
+    # Shared by every shards case of one variant.
     return dataclasses.asdict(_sequential_stats(abbr, cdp, size))
 
 
 def _parallel(abbr: str, cdp: bool, size: DatasetSize, shards: int,
-              window: int = 0, executor: str = "auto", live: bool = False):
-    config = GPUConfig(
-        event_core=True,
-        parallel_shards=shards,
-        window_cycles=window,
-        parallel_executor=executor,
-    )
+              live: bool = False):
+    config = GPUConfig(event_core=True, parallel_shards=shards)
     if live:
         stats = GPUSimulator(config).run_application(
             build_application(abbr, cdp=cdp, size=size)
@@ -60,20 +57,38 @@ def _parallel(abbr: str, cdp: bool, size: DatasetSize, shards: int,
     return dataclasses.asdict(stats)
 
 
-@pytest.mark.parametrize("executor", ["threads", "processes"])
+# ``backend`` has one value; it stays in the test ids so results line
+# up with earlier runs of this matrix.
+@pytest.mark.parametrize("backend", ["processes"])
 @pytest.mark.parametrize("shards", [2, 4])
 @pytest.mark.parametrize("cdp", [False, True], ids=["plain", "cdp"])
 @pytest.mark.parametrize("abbr", benchmark_names())
-def test_small_suite_identical(abbr, cdp, shards, executor):
-    """Both backends, whole suite.  CDP variants exercise the process
-    backend's eligibility fallback (device launches keep the run
-    in-process) — the identity contract holds either way."""
+def test_small_suite_identical(abbr, cdp, shards, backend):
+    """Whole suite.  CDP variants exercise the eligibility fallback
+    (device launches keep the run sequential) — the identity contract
+    holds either way."""
     seq = _sequential(abbr, cdp, DatasetSize.SMALL)
-    par = _parallel(abbr, cdp, DatasetSize.SMALL, shards, executor=executor)
+    par = _parallel(abbr, cdp, DatasetSize.SMALL, shards)
     assert par == seq
-    live = _parallel(abbr, cdp, DatasetSize.SMALL, shards, executor=executor,
-                     live=True)
+    live = _parallel(abbr, cdp, DatasetSize.SMALL, shards, live=True)
     assert live == seq
+
+
+def test_matrix_is_not_vacuous():
+    """The golden matrix must actually exercise the shard workers: a
+    plain variant installs the forked driver, a CDP variant none."""
+    config = GPUConfig(event_core=True, parallel_shards=2)
+    sim = GPUSimulator(config)
+    app = load_benchmark("NW", size=DatasetSize.SMALL)
+    assert try_install_process_driver(sim, app) is not None
+    driver = sim._grid_driver.__self__
+    assert isinstance(driver, ProcessShardDriver)
+    driver.close()
+
+    sim = GPUSimulator(config)
+    cdp_app = load_benchmark("NW", cdp=True, size=DatasetSize.SMALL)
+    assert try_install_process_driver(sim, cdp_app) is None
+    assert sim._grid_driver is None
 
 
 @pytest.mark.slow
@@ -85,51 +100,15 @@ def test_medium_heavyweights_identical(abbr, cdp):
     assert par == seq
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("window", [1, 16, 64, 131])
-@pytest.mark.parametrize("shards", [2, 4])
-@pytest.mark.parametrize("abbr", ["NW", "PairHMM"])
-def test_shards_windows_matrix_identical(abbr, shards, window):
-    """Explicit window sizes up to the default safe bound (131)."""
-    seq = _sequential(abbr, False, DatasetSize.SMALL)
-    par = _parallel(abbr, False, DatasetSize.SMALL, shards, window=window)
-    assert par == seq
-
-
-def test_inline_matches_threads():
-    """The executor is pure mechanism: inline (no threads) and the
-    thread pool must walk the exact same schedule."""
-    threaded = _parallel(
-        "PairHMM", False, DatasetSize.SMALL, 4, executor="threads"
-    )
-    inline = _parallel(
-        "PairHMM", False, DatasetSize.SMALL, 4, executor="inline"
-    )
-    assert inline == threaded
-
-
-def test_processes_match_threads():
-    """The forked backend and the thread pool are two mechanisms for
-    the same schedule: their RunStats must agree field-for-field."""
-    procs = _parallel(
-        "PairHMM", False, DatasetSize.SMALL, 4, executor="processes"
-    )
-    threaded = _parallel(
-        "PairHMM", False, DatasetSize.SMALL, 4, executor="threads"
-    )
-    assert procs == threaded
-
-
-@pytest.mark.parametrize("executor", ["threads", "processes"])
-def test_telemetry_differential_identical(executor):
+@pytest.mark.parametrize("backend", ["processes"])
+def test_telemetry_differential_identical(backend):
     """Per-shard telemetry absorbed at finalize must reproduce the
-    sequential sampler's rows and events — for both backends (the
-    process backend ships each worker's Telemetry pickled at
-    finalize)."""
+    sequential sampler's rows and events (each worker ships its
+    Telemetry pickled at finalize)."""
     def stats(shards):
         config = GPUConfig(
             event_core=True, parallel_shards=shards,
-            telemetry_interval=5_000, parallel_executor=executor,
+            telemetry_interval=5_000,
         )
         return run_benchmark(
             "PairHMM", size=DatasetSize.SMALL, config=config

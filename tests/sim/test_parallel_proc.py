@@ -1,12 +1,12 @@
-"""Process shard backend: failure modes, dispatch mirror, transports.
+"""Process shard driver: failure modes, dispatch mirror, eligibility.
 
-The golden matrix (``test_parallel_golden``) locks the process
-backend's bit-identity; this file exercises the machinery around it:
-the replicated dispatch plan against the real ``_dispatch_pending``,
+The golden matrix (``test_parallel_golden``) locks the shard driver's
+bit-identity; this file exercises the machinery around it: the
+replicated dispatch plan against the real ``_dispatch_pending``,
 eligibility fallbacks (CDP, observers, partial dispatch), a worker
 killed mid-run surfacing as :class:`SimulationDeadlock`, a worker
 exception re-raising in the parent with the child traceback attached,
-teardown on ``KeyboardInterrupt``, and both wire transports.
+and teardown on ``KeyboardInterrupt``.
 """
 
 import dataclasses
@@ -16,32 +16,17 @@ import signal
 import pytest
 
 from repro.isa import TraceBuilder
-from repro.sim import GPUConfig, GPUSimulator, HostLaunch, KernelLaunch
+from repro.sim import HostLaunch, KernelLaunch
 from repro.sim.gpu import SimulationDeadlock
-from repro.sim.parallel import WindowBarrierDriver, install_parallel_driver
-from repro.sim.parallel_proc import (
-    ProcessShardDriver,
-    plan_dispatch,
-    try_install_process_driver,
-)
+from repro.sim.parallel_proc import plan_dispatch, try_install_process_driver
 from tests.sim.test_parallel_core import (
     ScriptApp,
     ScriptKernel,
+    install_driver,
+    make_sim,
     memory_script,
     run_app,
 )
-
-
-def _proc_config(**overrides):
-    params = dict(
-        event_core=True,
-        num_sms=4,
-        num_mem_partitions=2,
-        parallel_shards=2,
-        parallel_executor="processes",
-    )
-    params.update(overrides)
-    return GPUConfig(**params)
 
 
 def _script_app(num_ctas=8):
@@ -50,29 +35,10 @@ def _script_app(num_ctas=8):
     )
 
 
-def _install(sim, app):
-    """Install the process driver on ``sim``; returns (driver, wrapped)."""
-    wrapped = try_install_process_driver(sim, app)
-    assert wrapped is not None, "expected an eligible application"
-    driver = sim._grid_driver.__self__
-    assert isinstance(driver, ProcessShardDriver)
-    return driver, wrapped
-
-
 class TestIdentity:
     def test_small_app_identical(self):
         seq = run_app(_script_app())
-        par = run_app(
-            _script_app(), parallel_shards=2, parallel_executor="processes"
-        )
-        assert dataclasses.asdict(par) == dataclasses.asdict(seq)
-
-    def test_ring_transport_identical(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROC_TRANSPORT", "ring")
-        seq = run_app(_script_app())
-        par = run_app(
-            _script_app(), parallel_shards=2, parallel_executor="processes"
-        )
+        par = run_app(_script_app(), parallel_shards=2)
         assert dataclasses.asdict(par) == dataclasses.asdict(seq)
 
     def test_memcpy_flush_identical(self):
@@ -98,9 +64,7 @@ class TestIdentity:
             )
 
         seq = run_app(app())
-        par = run_app(
-            app(), parallel_shards=2, parallel_executor="processes"
-        )
+        par = run_app(app(), parallel_shards=2)
         assert dataclasses.asdict(par) == dataclasses.asdict(seq)
 
 
@@ -109,9 +73,7 @@ class TestDispatchMirror:
         """plan_dispatch must reproduce ``_dispatch_pending``'s
         placement CTA-for-CTA, including the (used_threads, sm_id)
         tie-break, under real resource pressure."""
-        sim = GPUSimulator(GPUConfig(
-            event_core=True, num_sms=3, num_mem_partitions=2,
-        ))
+        sim = make_sim(num_sms=3)
         kernel = ScriptKernel(memory_script, 256, smem_per_cta=16 * 1024)
         num_ctas = 12
         plan = plan_dispatch(sim, kernel, num_ctas)
@@ -130,7 +92,7 @@ class TestDispatchMirror:
     def test_partial_dispatch_declined(self):
         """A grid that cannot fully dispatch from idle needs live
         mid-grid refills — the process backend must decline it."""
-        sim = GPUSimulator(_proc_config(num_sms=2))
+        sim = make_sim(num_sms=2, parallel_shards=2)
         app = ScriptApp(
             ScriptKernel(memory_script, 256, smem_per_cta=24 * 1024),
             num_ctas=24,
@@ -140,31 +102,22 @@ class TestDispatchMirror:
 
 
 class TestEligibility:
-    def test_cdp_app_falls_back_to_threads(self):
+    def test_cdp_app_runs_sequential(self):
         """A CDP-capable application cannot enter windowed execution
-        (children may land on remote shards); install must hand it to
-        the in-process driver, never the process backend."""
-        sim = GPUSimulator(_proc_config())
+        (children may land on remote shards): no driver is installed
+        and the run takes the sequential event core."""
+        sim = make_sim(parallel_shards=2)
         app = _script_app()
         app.may_device_launch = True
-        installed = install_parallel_driver(sim, app)
-        assert installed is app  # not wrapped
-        driver = sim._grid_driver.__self__
-        assert type(driver) is WindowBarrierDriver
+        assert try_install_process_driver(sim, app) is None
+        assert sim._grid_driver is None
 
     def test_observers_fall_back(self):
         """The sampled estimator's hooks cannot cross a fork; any
         attached observer keeps the run in-process."""
-        sim = GPUSimulator(_proc_config())
+        sim = make_sim(parallel_shards=2)
         sim.cta_observer = lambda cta, t: None
         assert try_install_process_driver(sim, _script_app()) is None
-
-    def test_unsafe_window_still_rejected(self):
-        """The explicit-window validation must not be bypassed by the
-        process path."""
-        sim = GPUSimulator(_proc_config(window_cycles=10_000))
-        with pytest.raises(ValueError, match="safe bound"):
-            try_install_process_driver(sim, _script_app())
 
 
 class TestFailurePropagation:
@@ -172,8 +125,8 @@ class TestFailurePropagation:
         """A shard worker killed mid-run (OOM killer, operator) must
         surface as SimulationDeadlock at the next exchange — and every
         worker must be reaped on the way out."""
-        sim = GPUSimulator(_proc_config())
-        driver, wrapped = _install(sim, _script_app())
+        sim = make_sim(parallel_shards=2)
+        driver, wrapped = install_driver(sim, _script_app())
         victim = driver._pids[0]
         os.kill(victim, signal.SIGKILL)
         with pytest.raises(SimulationDeadlock, match="shard worker"):
@@ -193,7 +146,7 @@ class TestFailurePropagation:
 
         app = ScriptApp(ScriptKernel(parent, 32), launch_free=True)
         with pytest.raises(RuntimeError, match="may_device_launch") as info:
-            run_app(app, parallel_shards=2, parallel_executor="processes")
+            run_app(app, parallel_shards=2)
         cause = info.value.__cause__
         assert cause is not None
         assert "worker traceback" in str(cause)
@@ -202,8 +155,8 @@ class TestFailurePropagation:
     def test_keyboard_interrupt_reaps_workers(self):
         """Ctrl-C mid-window must terminate and reap every worker
         before propagating — no orphan processes, no leaked shm."""
-        sim = GPUSimulator(_proc_config())
-        driver, wrapped = _install(sim, _script_app())
+        sim = make_sim(parallel_shards=2)
+        driver, wrapped = install_driver(sim, _script_app())
         pids = list(driver._pids)
 
         def interrupt(*args, **kwargs):
@@ -219,8 +172,8 @@ class TestFailurePropagation:
                 os.waitpid(pid, os.WNOHANG)
 
     def test_close_is_idempotent(self):
-        sim = GPUSimulator(_proc_config())
-        driver, wrapped = _install(sim, _script_app())
+        sim = make_sim(parallel_shards=2)
+        driver, wrapped = install_driver(sim, _script_app())
         stats = sim.run_application(wrapped)
         assert stats.instructions > 0
         driver.close()  # finalize already closed; must be a no-op
