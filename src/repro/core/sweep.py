@@ -5,8 +5,10 @@ grids (Figs 11-22 are 20 variants x 3-6 configs each).  Two properties
 make those sweeps embarrassingly accelerable:
 
 1. Points are independent — a ``(benchmark, cdp, size, config)`` tuple
-   fully determines its :class:`RunStats` — so they fan out across a
-   :class:`~concurrent.futures.ProcessPoolExecutor` (``jobs=N``).
+   fully determines its :class:`RunStats` — so they fan out across
+   forked worker processes (``jobs=N``) driven by the distributed
+   sweep coordinator (:mod:`repro.dist`), the one ``repro dsweep``
+   uses.
 2. Instruction traces depend only on the *application*, never on the
    timing config being swept, so each worker materializes a
    benchmark's traces once (:mod:`repro.sim.replay`) and replays them
@@ -34,8 +36,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from repro.core.runner import load_benchmark, run_benchmark
@@ -57,7 +59,7 @@ def default_jobs(workers_per_job: int = 1) -> int:
     (``GPUConfig.parallel_shards``), so ``jobs × workers`` never
     oversubscribes the cores.  This is the single core-budget source
     for all three consumers of the host's cores: ``sweep --jobs``
-    (pool processes), ``run --workers`` (per-run forked shard
+    (forked sweep workers), ``run --workers`` (per-run forked shard
     workers), and the service's worker pool — whose
     :class:`~repro.service.jobs.JobQueue` additionally *weights* each
     job by its shard count so the three never multiply together.  The
@@ -74,8 +76,8 @@ def default_jobs(workers_per_job: int = 1) -> int:
 class SweepPoint:
     """One independent simulation point of a sweep.
 
-    Everything here crosses the process-pool boundary, so every field
-    must pickle cheaply: plain benchmark identity plus a
+    Everything here crosses the worker wire (:mod:`repro.dist.wire`),
+    so every field must encode as JSON: plain benchmark identity plus a
     :class:`GPUConfig` (a frozen dataclass tree).  ``options`` are the
     extra :func:`repro.kernels.build_application` keyword arguments as
     a sorted ``(name, value)`` tuple — use :func:`sweep_point` instead
@@ -123,9 +125,9 @@ def trace_signature(config: GPUConfig) -> tuple:
 class SweepMergeError(RuntimeError):
     """The reassembled result list does not cover the input point grid.
 
-    Carries the offending point identities so a failed distributed (or
-    pooled) sweep names exactly what was lost instead of silently
-    returning a partial grid.
+    Carries the offending point identities so a failed sweep names
+    exactly what was lost instead of silently returning a partial
+    grid.
     """
 
     def __init__(self, missing: list[str], duplicated: list[str] = ()):
@@ -184,8 +186,8 @@ def assert_merge_complete(points: list[SweepPoint], results: list) -> None:
     ``results`` is the reassembled per-point list (aligned with
     ``points``); a ``None`` entry is a dropped point.  Raises
     :class:`SweepMergeError` naming the missing point identities — the
-    merge contract every fan-out path (process pool, distributed
-    coordinator) must satisfy before returning.
+    merge contract :func:`resume_merge` checks for every sweep before
+    it returns.
     """
     if len(results) != len(points):
         raise SweepMergeError(
@@ -328,31 +330,33 @@ def _resolve_store(store) -> TraceStore | None:
     return TraceStore(store)
 
 
-# Per-worker caches, one per store root: fork gives each pool worker
-# its own copy, and a worker processes whole same-application groups,
-# so every point after a group's first replays materialized traces.
-# The shared on-disk store (when configured) removes the remaining
-# cold-start redundancy *across* workers.
-_worker_caches: dict = {}
+def resume_merge(points: list[SweepPoint], resume, run) -> dict:
+    """Run what ``resume`` does not know; merge back in input order.
 
-
-def _run_group(
-    points: tuple[SweepPoint, ...], store_root: str | None = None
-) -> list[RunStats]:
-    """Pool task: run one same-application group of points, in order."""
-    cache = _worker_caches.get(store_root)
-    if cache is None:
-        store = TraceStore(store_root) if store_root else None
-        cache = _worker_caches[store_root] = TraceCache(store=store)
-    return [run_point(point, cache) for point in points]
-
-
-def _group_by_app(points: list[SweepPoint]) -> list[list[int]]:
-    """Indices of ``points`` grouped by application key, order kept."""
-    groups: dict[tuple, list[int]] = {}
-    for index, point in enumerate(points):
-        groups.setdefault(app_key(point), []).append(index)
-    return list(groups.values())
+    The one normalization every fan-out path shares: labels must be
+    unique, points whose :func:`point_key` is in ``resume`` (a
+    ``{point_key: RunStats}`` mapping) are filled from it without
+    running, and ``run(todo)`` returns one result per remaining point,
+    aligned with ``todo``.  The merge is checked against the grid
+    (:func:`assert_merge_complete`) before anything is returned.
+    """
+    labels = [point.label for point in points]
+    if len(set(labels)) != len(labels):
+        raise ValueError("sweep point labels must be unique")
+    hits = {}
+    if resume:
+        for index, point in enumerate(points):
+            known = resume.get(point_key(point))
+            if known is not None:
+                hits[index] = known
+    todo = [point for index, point in enumerate(points) if index not in hits]
+    fresh = list(run(todo)) if todo else []
+    assert_merge_complete(todo, fresh)
+    merged = iter(fresh)
+    return {
+        point.label: hits[index] if index in hits else next(merged)
+        for index, point in enumerate(points)
+    }
 
 
 def run_sweep(
@@ -366,11 +370,12 @@ def run_sweep(
     """Run every point; returns ``{point.label: RunStats}`` in input order.
 
     ``jobs=0`` runs in-process (sharing ``cache``, or a private one);
-    ``jobs=N`` fans same-application groups out over ``N`` worker
-    processes; ``jobs=None`` uses one worker per CPU.  Results are
-    bit-identical across all three paths.  If a process pool cannot be
-    created (restricted environments), the sweep falls back to the
-    in-process path rather than failing.
+    ``jobs=N`` hands the grid to the distributed sweep coordinator
+    (:func:`repro.dist.run_dsweep`) over ``N`` forked local workers,
+    one chunk per application group so each worker materializes an
+    application's traces once; ``jobs=None`` uses one worker per CPU.
+    Results are bit-identical across all three paths.  Where the
+    platform cannot fork, every ``jobs`` value runs in-process.
 
     ``store`` selects the persistent trace store (see
     :func:`_resolve_store`): the default ``"env"`` honours the
@@ -380,17 +385,17 @@ def run_sweep(
     ``telemetry_interval`` opts every point into time-resolved sampling
     (overriding each point's config): the resulting
     ``RunStats.telemetry`` summaries are plain dicts, so they survive
-    the process-pool pickle boundary unchanged.  Sampling never alters
-    a point's trace-cache key — the interval is not part of
+    the worker wire unchanged.  Sampling never alters a point's
+    trace-cache key — the interval is not part of
     :func:`trace_signature` — so sweeps keep full trace reuse.
 
     ``resume`` is a ``{point_key: RunStats}`` mapping of already-known
     results (a partial results file, a dsweep journal replay): matching
     points are filled from it without simulating, the rest run normally
-    (``repro.dist.journal`` loads the file format).  Keys are matched on
-    each point's *final* config — after the ``telemetry_interval``
-    override — so a resumed result always carries the payload the live
-    run would have produced.
+    (:func:`resume_merge`; ``repro.dist.journal`` loads the file
+    format).  Keys are matched on each point's *final* config — after
+    the ``telemetry_interval`` override — so a resumed result always
+    carries the payload the live run would have produced.
     """
     if telemetry_interval is not None:
         points = [
@@ -402,27 +407,6 @@ def run_sweep(
             )
             for point in points
         ]
-    labels = [point.label for point in points]
-    if len(set(labels)) != len(labels):
-        raise ValueError("sweep point labels must be unique")
-    if resume:
-        hits = {}
-        for index, point in enumerate(points):
-            known = resume.get(point_key(point))
-            if known is not None:
-                hits[index] = known
-        if hits:
-            todo = [
-                point for index, point in enumerate(points)
-                if index not in hits
-            ]
-            fresh = run_sweep(todo, jobs=jobs, cache=cache, store=store)
-            return {
-                point.label: (
-                    hits[index] if index in hits else fresh[point.label]
-                )
-                for index, point in enumerate(points)
-            }
     if jobs is None:
         workers = max(
             (point.config.parallel_shards for point in points), default=1
@@ -432,48 +416,20 @@ def run_sweep(
         raise ValueError("jobs must be >= 0")
 
     resolved = _resolve_store(store)
-    if jobs == 0:
+    if jobs == 0 or "fork" not in multiprocessing.get_all_start_methods():
         local = cache if cache is not None else TraceCache(store=resolved)
-        return {
-            point.label: run_point(point, local) for point in points
-        }
+        return resume_merge(
+            points, resume, lambda todo: [run_point(p, local) for p in todo]
+        )
+
+    # ``repro.dist`` imports this module, so it loads only here.
+    from repro.dist import LocalProcessLauncher, run_dsweep
 
     store_root = str(resolved.root) if resolved is not None else None
-    groups = _group_by_app(points)
-    results: list[RunStats | None] = [None] * len(points)
-    try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                (indices, pool.submit(
-                    _run_group,
-                    tuple(points[i] for i in indices),
-                    store_root,
-                ))
-                for indices in groups
-            ]
-            for indices, future in futures:
-                group = future.result()
-                if len(group) != len(indices):  # pragma: no cover - guard
-                    raise SweepMergeError(
-                        missing=[
-                            f"{points[i].label} [{point_key(points[i])}]"
-                            for i in indices[len(group):]
-                        ]
-                    )
-                for i, stats in zip(indices, group):
-                    results[i] = stats
-    except (OSError, PermissionError):
-        # No process pool available (sandboxed /dev/shm, fork limits):
-        # degrade to the in-process cached path, same results.
-        return run_sweep(points, jobs=0, cache=cache, store=resolved)
-    # Merge integrity: the reassembled list must cover exactly the
-    # input grid — a worker failure must fail loudly with the lost
-    # point identities, never return a silently partial grid.
-    assert_merge_complete(points, results)
-    return {
-        point.label: stats
-        for point, stats in zip(points, results)
-    }
+    with LocalProcessLauncher(workers=jobs, store=store_root) as launcher:
+        # A chunk as large as the grid is a whole application group.
+        return run_dsweep(points, launcher, chunk_size=max(1, len(points)),
+                          resume=resume)
 
 
 def suite_points(

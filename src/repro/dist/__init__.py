@@ -2,8 +2,9 @@
 
 The coordinator (:mod:`repro.dist.coordinator`) chunks a
 ``(benchmark, cdp, size, config)`` point grid into work units,
-dispatches them to a launcher-managed worker pool — local subprocesses
-(:class:`~repro.dist.launchers.LocalProcessLauncher`) or remote
+dispatches them to a launcher-managed worker pool — forked local
+workers (:class:`~repro.dist.launchers.LocalProcessLauncher`, also the
+engine behind ``run_sweep(jobs>=1)``) or remote
 ``repro serve`` instances
 (:class:`~repro.dist.launchers.ServiceLauncher`) — and merges the
 results back in input order, bit-identical to a local

@@ -10,7 +10,7 @@ Determinism contract
 --------------------
 Results are merged by *input position*, never arrival order, and the
 merge is checked against the full grid
-(:func:`~repro.core.sweep.assert_merge_complete`) before anything is
+(:func:`~repro.core.sweep.resume_merge`) before anything is
 returned.  Workers run points through the exact ``run_point`` path a
 local sweep uses and stats cross the wire through the bit-exact
 ``to_dict``/``stats_from_dict`` round trip, so where a point ran can
@@ -38,14 +38,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from repro.core.sweep import (
-    SweepPoint,
-    app_key,
-    assert_merge_complete,
-    point_key,
-)
+from repro.core.sweep import SweepPoint, app_key, point_key, resume_merge
 from repro.dist.journal import ChunkJournal
 from repro.dist.launchers import ChunkFailed, ChunkTimeout, WorkerDied
 
@@ -244,8 +239,7 @@ class _State:
 
 
 def _worker_loop(worker_id: int, launcher, state: _State,
-                 chunk_timeout, journal, on_progress,
-                 worker_failure_limit: int) -> None:
+                 chunk_timeout, journal, worker_failure_limit: int) -> None:
     consecutive_deaths = 0
     while True:
         with state.cond:
@@ -278,13 +272,8 @@ def _worker_loop(worker_id: int, launcher, state: _State,
                 return
             continue
         consecutive_deaths = 0
-        if state.complete(chunk, stats):
-            if journal is not None:
-                journal.record(chunk.id, chunk.keys, stats)
-            if on_progress is not None:
-                with state.cond:
-                    done = sum(len(v) for v in state.results.values())
-                on_progress(done)
+        if state.complete(chunk, stats) and journal is not None:
+            journal.record(chunk.id, chunk.keys, stats)
 
 
 def run_dsweep(
@@ -297,8 +286,6 @@ def run_dsweep(
     straggler_factor: float | None = 4.0,
     journal=None,
     resume=None,
-    telemetry_interval: int | None = None,
-    on_progress=None,
 ):
     """Run every point across ``launcher``'s workers; returns
     ``{point.label: RunStats}`` in input order, bit-identical to
@@ -308,9 +295,9 @@ def run_dsweep(
     persists completed chunks and replays them on a re-run of the same
     grid.  ``resume`` is a ``{point_key: RunStats}`` mapping (e.g. from
     :func:`~repro.dist.journal.load_results_file`) applied before
-    chunking, exactly like ``run_sweep``'s.  ``straggler_factor=None``
-    disables tail re-dispatch; ``on_progress`` (when given) receives
-    the running count of completed points.
+    chunking by the same :func:`~repro.core.sweep.resume_merge`
+    ``run_sweep`` uses.  ``straggler_factor=None`` disables tail
+    re-dispatch.
 
     Failure budgets compose: each chunk survives ``max_retries``
     failed dispatches, and each worker slot survives
@@ -320,35 +307,21 @@ def run_dsweep(
     ``worker_failure_limit <= max_retries`` so one bad slot can never
     exhaust a chunk alone.
     """
-    if telemetry_interval is not None:
-        points = [
-            replace(point, config=point.config.with_(
-                telemetry_interval=telemetry_interval))
-            for point in points
-        ]
-    labels = [point.label for point in points]
-    if len(set(labels)) != len(labels):
-        raise ValueError("sweep point labels must be unique")
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
+    if journal is not None and not isinstance(journal, ChunkJournal):
+        journal = ChunkJournal(journal)
+    run_dsweep.last_stats = dict.fromkeys(
+        ("chunks", "replayed", "retries", "redispatches",
+         "duplicates_dropped", "workers_retired"), 0,
+    )
 
-    hits: dict[int, object] = {}
-    if resume:
-        for index, point in enumerate(points):
-            known = resume.get(point_key(point))
-            if known is not None:
-                hits[index] = known
-    todo = [p for i, p in enumerate(points) if i not in hits]
-
-    merged: list = [None] * len(todo)
-    if todo:
+    def dispatch(todo: list[SweepPoint]) -> list:
         chunks = [
             _Chunk(id=i, indices=indices,
                    points=[todo[j] for j in indices])
             for i, indices in enumerate(make_chunks(todo, chunk_size))
         ]
-        if journal is not None and not isinstance(journal, ChunkJournal):
-            journal = ChunkJournal(journal)
         replayed: dict[int, list] = {}
         if journal is not None:
             replayed = journal.open([chunk.keys for chunk in chunks])
@@ -365,7 +338,7 @@ def run_dsweep(
             threading.Thread(
                 target=_worker_loop,
                 args=(worker_id, launcher, state, chunk_timeout,
-                      journal, on_progress, worker_failure_limit),
+                      journal, worker_failure_limit),
                 name=f"repro-dsweep-{worker_id}",
                 daemon=True,
             )
@@ -378,33 +351,23 @@ def run_dsweep(
         if state.fatal is not None:
             raise state.fatal
 
+        merged: list = [None] * len(todo)
         for chunk in chunks:
-            stats = state.results.get(chunk.id)
-            if stats is None:
-                continue  # assert_merge_complete names it below
-            for position, one in zip(chunk.indices, stats):
+            # A chunk without results stays None: the merge check names it.
+            for position, one in zip(chunk.indices,
+                                     state.results.get(chunk.id, ())):
                 merged[position] = one
-        run_dsweep.last_stats = {  # introspection for tests/benchmarks
-            "chunks": len(chunks),
-            "replayed": len(replayed),
-            "retries": state.retries,
-            "redispatches": state.redispatches,
-            "duplicates_dropped": state.duplicates,
-            "workers_retired": state.retired,
-        }
-    else:
-        run_dsweep.last_stats = {
-            "chunks": 0, "replayed": 0, "retries": 0,
-            "redispatches": 0, "duplicates_dropped": 0,
-            "workers_retired": 0,
-        }
-    assert_merge_complete(todo, merged)
+        run_dsweep.last_stats.update(  # introspection for tests/benchmarks
+            chunks=len(chunks),
+            replayed=len(replayed),
+            retries=state.retries,
+            redispatches=state.redispatches,
+            duplicates_dropped=state.duplicates,
+            workers_retired=state.retired,
+        )
+        return merged
 
-    fresh = iter(merged)
-    return {
-        point.label: (hits[index] if index in hits else next(fresh))
-        for index, point in enumerate(points)
-    }
+    return resume_merge(points, resume, dispatch)
 
 
 #: Stats of the most recent ``run_dsweep`` call (single-threaded use).

@@ -14,9 +14,9 @@ decision lives in one place.
 
 Two implementations:
 
-- :class:`LocalProcessLauncher` — persistent ``python -m
-  repro.dist.worker`` subprocesses speaking the length-prefixed frame
-  protocol of :mod:`repro.dist.wire` over stdin/stdout.
+- :class:`LocalProcessLauncher` — persistent forked workers running
+  :func:`repro.dist.worker.serve`, speaking the length-prefixed frame
+  protocol of :mod:`repro.dist.wire` over a pipe pair each.
 - :class:`ServiceLauncher` — one remote ``repro serve`` instance per
   slot, driven through :class:`repro.service.client.ServiceClient`
   using the sweep endpoint's explicit-points mode.
@@ -24,11 +24,11 @@ Two implementations:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import select
 import struct
-import subprocess
-import sys
+import threading
 import time
 
 from repro.core.sweep import SweepPoint, point_key
@@ -39,9 +39,9 @@ from repro.dist.wire import (
     encode_point,
     write_frame,
 )
+from repro.dist.worker import serve
 
-#: How long a freshly spawned worker gets to answer the hello exchange
-#: (it imports the simulator, which dominates).
+#: How long a freshly forked worker gets to answer the hello exchange.
 SPAWN_TIMEOUT_S = 60.0
 
 
@@ -58,42 +58,50 @@ class ChunkFailed(RuntimeError):
 
 
 class _Worker:
-    """One live subprocess plus its read buffer."""
+    """One forked worker: its process, pipe ends and read buffer."""
 
-    def __init__(self, proc: subprocess.Popen):
+    def __init__(self, proc, request_fd: int, result_fd: int):
         self.proc = proc
+        self.fds = (request_fd, result_fd)  # the parent's pipe ends
+        self.to_child = os.fdopen(request_fd, "wb")
+        self.from_child = result_fd
         self.buffer = b""
 
 
-def _worker_env(store, extra: dict | None) -> dict:
-    """The child environment: repro importable + the shared store."""
-    import repro
+def _child_main(request_fd: int, result_fd: int, foreign_fds: list,
+                env: dict) -> None:
+    """Forked worker body: keep one pipe pair, set the env, serve.
 
-    env = dict(os.environ)
-    src = str(os.path.dirname(os.path.dirname(os.path.abspath(
-        repro.__file__))))
-    parts = [src] + [
-        p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p
-    ]
-    env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(parts))
-    if store is not None:
-        env["REPRO_TRACE_STORE"] = str(store)
-    if extra:
-        env.update({k: str(v) for k, v in extra.items()})
-    return env
+    Every other pipe end is closed first — the parent's ends of this
+    worker's pair and every sibling's — so the parent still sees EOF
+    the moment any one worker dies.
+    """
+    for fd in foreign_fds:
+        os.close(fd)
+    for name, value in env.items():
+        if value is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = value
+    try:
+        serve(os.fdopen(request_fd, "rb"), os.fdopen(result_fd, "wb"))
+    except (BrokenPipeError, KeyboardInterrupt):
+        pass
 
 
 class LocalProcessLauncher:
-    """A pool of persistent local worker subprocesses.
+    """A pool of persistent forked local workers.
 
-    Workers spawn lazily and are respawned transparently after a death
+    Workers fork lazily and are respawned transparently after a death
     or a timeout kill; each keeps a warm in-process
     :class:`~repro.core.sweep.TraceCache` (plus the shared on-disk
-    store when ``store`` is set) across all the chunks it runs.
+    store when ``store`` is set — and only then: a worker never picks
+    up ``REPRO_TRACE_STORE`` on its own) across all the chunks it runs.
 
-    ``worker_env`` maps worker ids to extra environment variables for
-    that worker only — the failure-injection hook the tests use to make
-    exactly one worker die deterministically mid-sweep.
+    ``extra_env`` sets environment variables in every worker;
+    ``worker_env`` maps worker ids to extra variables for that worker
+    only — the failure-injection hook the tests use to make exactly one
+    worker die deterministically mid-sweep.
     """
 
     def __init__(
@@ -110,72 +118,91 @@ class LocalProcessLauncher:
         self.extra_env = dict(extra_env or {})
         self.worker_env = {k: dict(v) for k, v in (worker_env or {}).items()}
         self._live: dict[int, _Worker] = {}
+        # Coordinator threads spawn and drop workers concurrently; this
+        # lock guards ``_live`` and its pipe ends, so every fork sees
+        # exactly the sibling ends it must close.
+        self._lock = threading.Lock()
         self.spawns = 0
 
     # -- lifecycle -----------------------------------------------------------
     def _spawn(self, worker_id: int) -> _Worker:
-        env = _worker_env(self.store, self.extra_env)
-        env.update(
-            {k: str(v) for k, v in self.worker_env.get(worker_id, {}).items()}
-        )
-        proc = subprocess.Popen(
-            [sys.executable, "-u", "-m", "repro.dist.worker"],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            env=env,
-        )
-        worker = _Worker(proc)
-        self.spawns += 1
-        try:
-            write_frame(proc.stdin, {"type": "hello", "wire": WIRE_VERSION})
-            reply = self._read_frame(
-                worker, time.monotonic() + SPAWN_TIMEOUT_S, chunk_id=None
+        env = {"REPRO_TRACE_STORE": None if self.store is None
+               else str(self.store)}
+        for extra in (self.extra_env, self.worker_env.get(worker_id, {})):
+            env.update({k: str(v) for k, v in extra.items()})
+        with self._lock:
+            request_r, request_w = os.pipe()
+            result_r, result_w = os.pipe()
+            foreign = [request_w, result_r] + [
+                fd for worker in self._live.values() for fd in worker.fds
+            ]
+            proc = multiprocessing.get_context("fork").Process(
+                target=_child_main,
+                args=(request_r, result_w, foreign, env),
+                daemon=True,
             )
-        except (WorkerDied, ChunkTimeout, OSError) as exc:
-            self._kill(worker)
-            raise WorkerDied(
-                f"worker {worker_id} died during startup: {exc}"
-            ) from exc
-        if reply.get("type") != "hello" or reply.get("wire") != WIRE_VERSION:
-            self._kill(worker)
-            raise WorkerDied(
-                f"worker {worker_id} spoke wire version "
-                f"{reply.get('wire')!r}, expected {WIRE_VERSION}"
-            )
-        self._live[worker_id] = worker
+            try:
+                proc.start()
+            except OSError as exc:
+                for fd in (request_r, request_w, result_r, result_w):
+                    os.close(fd)
+                raise WorkerDied(
+                    f"worker {worker_id} could not fork: {exc}"
+                ) from exc
+            os.close(request_r)
+            os.close(result_w)
+            worker = _Worker(proc, request_w, result_r)
+            self.spawns += 1
+            try:
+                write_frame(worker.to_child,
+                            {"type": "hello", "wire": WIRE_VERSION})
+                reply = self._read_frame(
+                    worker, time.monotonic() + SPAWN_TIMEOUT_S,
+                    chunk_id=None,
+                )
+            except (WorkerDied, ChunkTimeout, OSError) as exc:
+                self._kill(worker)
+                raise WorkerDied(
+                    f"worker {worker_id} died during startup: {exc}"
+                ) from exc
+            if reply.get("type") != "hello" or reply.get("wire") != WIRE_VERSION:
+                self._kill(worker)
+                raise WorkerDied(
+                    f"worker {worker_id} spoke wire version "
+                    f"{reply.get('wire')!r}, expected {WIRE_VERSION}"
+                )
+            self._live[worker_id] = worker
         return worker
 
     def _ensure(self, worker_id: int) -> _Worker:
         worker = self._live.get(worker_id)
-        if worker is not None and worker.proc.poll() is None:
+        if worker is not None and worker.proc.is_alive():
             return worker
         if worker is not None:
             self._drop(worker_id)
         return self._spawn(worker_id)
 
     def _kill(self, worker: _Worker) -> None:
+        worker.proc.kill()
+        worker.proc.join()
         try:
-            worker.proc.kill()
+            worker.to_child.close()
         except OSError:
             pass
-        worker.proc.wait()
-        for stream in (worker.proc.stdin, worker.proc.stdout):
-            try:
-                stream.close()
-            except OSError:
-                pass
+        os.close(worker.from_child)
 
     def _drop(self, worker_id: int) -> None:
-        worker = self._live.pop(worker_id, None)
-        if worker is not None:
-            self._kill(worker)
+        with self._lock:
+            worker = self._live.pop(worker_id, None)
+            if worker is not None:
+                self._kill(worker)
 
     def pids(self) -> dict[int, int]:
         """Live worker pids (the SIGKILL tests aim at these)."""
         return {
             worker_id: worker.proc.pid
             for worker_id, worker in self._live.items()
-            if worker.proc.poll() is None
+            if worker.proc.is_alive()
         }
 
     def close(self) -> None:
@@ -183,10 +210,10 @@ class LocalProcessLauncher:
         for worker_id in list(self._live):
             worker = self._live[worker_id]
             try:
-                write_frame(worker.proc.stdin, {"type": "exit"})
-                worker.proc.wait(timeout=5)
-            except (OSError, ValueError, subprocess.TimeoutExpired):
+                write_frame(worker.to_child, {"type": "exit"})
+            except (OSError, ValueError):
                 pass
+            worker.proc.join(timeout=5)
             self._drop(worker_id)
 
     def __enter__(self) -> "LocalProcessLauncher":
@@ -208,7 +235,7 @@ class LocalProcessLauncher:
         worker = self._ensure(worker_id)
         deadline = None if timeout is None else time.monotonic() + timeout
         try:
-            write_frame(worker.proc.stdin, {
+            write_frame(worker.to_child, {
                 "type": "chunk",
                 "chunk": chunk_id,
                 "points": [encode_point(point) for point in points],
@@ -254,7 +281,7 @@ class LocalProcessLauncher:
 
     # -- frame IO with a deadline --------------------------------------------
     def _read_frame(self, worker: _Worker, deadline, chunk_id) -> dict:
-        fd = worker.proc.stdout.fileno()
+        fd = worker.from_child
         while True:
             frame, worker.buffer = _try_parse(worker.buffer)
             if frame is not None:

@@ -14,8 +14,8 @@ re-implemented.
 
 Frames
 ------
-The local subprocess protocol exchanges length-prefixed JSON frames
-(``<u32 length><payload>``) over the worker's stdin/stdout.  A frame
+The local worker protocol exchanges length-prefixed JSON frames
+(``<u32 length><payload>``) over each forked worker's pipe pair.  A frame
 boundary is also the failure boundary: a worker that dies mid-chunk
 leaves a truncated stream, which the reader surfaces as ``None``
 (EOF) so the launcher can declare the worker dead.

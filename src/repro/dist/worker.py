@@ -1,16 +1,18 @@
-"""The subprocess end of the local dsweep protocol.
+"""The worker end of the local dsweep protocol.
 
-``python -m repro.dist.worker`` reads length-prefixed JSON frames from
-stdin and answers on stdout (see :mod:`repro.dist.wire`): a ``hello``
-version handshake, then ``chunk`` frames carrying encoded sweep
-points, each answered by a ``result`` frame (the points' stats, in
-order, tagged with their identity keys) or an ``error`` frame when a
-simulation raises.  EOF or an ``exit`` frame ends the worker.
+:func:`serve` runs in each forked
+:class:`~repro.dist.launchers.LocalProcessLauncher` child.  It reads
+length-prefixed JSON frames from its request pipe and answers on its
+result pipe (see :mod:`repro.dist.wire`): a ``hello`` version
+handshake, then ``chunk`` frames carrying encoded sweep points, each
+answered by a ``result`` frame (the points' stats, in order, tagged
+with their identity keys) or an ``error`` frame when a simulation
+raises.  EOF or an ``exit`` frame ends the worker.
 
 The worker keeps one warm :class:`~repro.core.sweep.TraceCache`
 (backed by ``REPRO_TRACE_STORE`` when set) across every chunk it runs,
-so same-application points replay materialized traces exactly like a
-local ``run_sweep`` worker does.
+so same-application points replay materialized traces exactly like an
+in-process ``run_sweep`` does.
 
 Failure injection (tests only): ``REPRO_DIST_DIE_AFTER=N`` makes the
 worker exit hard — no reply, no cleanup, exactly like a SIGKILL —
@@ -22,7 +24,6 @@ straggler).
 from __future__ import annotations
 
 import os
-import sys
 import time
 
 from repro.core.sweep import TraceCache, point_key, run_point
@@ -31,7 +32,7 @@ from repro.sim.trace_store import TraceStore
 
 
 def serve(proto_in, proto_out) -> int:
-    """The frame loop (split out so tests can drive it over pipes)."""
+    """The frame loop over one request/result stream pair."""
     die_after = int(os.environ.get("REPRO_DIST_DIE_AFTER", "0"))
     stall_s = float(os.environ.get("REPRO_DIST_STALL_S", "0"))
     cache = TraceCache(store=TraceStore.from_env())
@@ -77,20 +78,3 @@ def serve(proto_in, proto_out) -> int:
                 "chunk": frame.get("chunk"),
                 "error": f"{type(exc).__name__}: {exc}",
             })
-
-
-def main() -> int:
-    # Own the protocol fds, then point fd 1 at stderr so any stray
-    # print inside the simulator cannot corrupt the frame stream.
-    proto_in = os.fdopen(os.dup(0), "rb")
-    proto_out = os.fdopen(os.dup(1), "wb")
-    os.dup2(2, 1)
-    sys.stdout = sys.stderr
-    try:
-        return serve(proto_in, proto_out)
-    except (BrokenPipeError, KeyboardInterrupt):
-        return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -84,6 +84,26 @@ class TestDeterminism:
         assert run_point(point) == serial[point.label]
 
 
+class TestCoordinatorFanOut:
+    """``jobs>=1`` runs on the dist coordinator over forked workers."""
+
+    def test_one_chunk_per_application_group(self, points, serial):
+        from repro.dist import run_dsweep
+
+        assert run_sweep(points, jobs=2) == serial
+        assert run_dsweep.last_stats["chunks"] == 6
+
+    def test_failing_point_is_named(self, config):
+        from repro.core.sweep import point_key
+        from repro.dist import DistSweepError
+
+        good = sweep_point("NW", "NW", config)
+        bad = sweep_point("NW|bad", "NW", config, no_such_option=1)
+        with pytest.raises(DistSweepError) as err:
+            run_sweep([good, bad], jobs=2)
+        assert err.value.lost == [f"NW|bad [{point_key(bad)}]"]
+
+
 class TestCacheKeying:
     def test_timing_knobs_share_traces(self, config):
         a = sweep_point("a", "NW", config)

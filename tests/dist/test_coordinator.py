@@ -4,7 +4,7 @@ Every failure mode the real pool can hit is reproduced here
 deterministically: chunk failures, dying workers, retry exhaustion,
 duplicate delivery after a straggler re-dispatch, quarantine of a slot
 that keeps dying, and journal resume after an interrupt.  The real
-subprocess pool is exercised in ``test_launchers.py``.
+forked worker pool is exercised in ``test_launchers.py``.
 """
 
 import threading
@@ -97,13 +97,6 @@ class TestHappyPath:
         twice = points + points
         with pytest.raises(ValueError, match="unique"):
             run_dsweep(twice, ScriptedLauncher())
-
-    def test_progress_reports_completed_points(self, points, serial):
-        seen = []
-        run_dsweep(points, ScriptedLauncher(), chunk_size=2,
-                   on_progress=seen.append)
-        assert seen[-1] == len(points)
-        assert seen == sorted(seen)
 
 
 class TestRetries:

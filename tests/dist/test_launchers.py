@@ -1,6 +1,7 @@
-"""The real subprocess pool: bit-identity and violent failure modes.
+"""The real worker pool: bit-identity and violent failure modes.
 
-These tests spawn actual ``python -m repro.dist.worker`` processes.
+These tests fork actual worker processes running
+``repro.dist.worker.serve``.
 Failure injection uses the worker's env knobs (``REPRO_DIST_DIE_AFTER``
 kills the process with no reply mid-chunk — indistinguishable from a
 SIGKILL to the parent — and ``REPRO_DIST_STALL_S`` wedges it), plus one
@@ -125,9 +126,32 @@ def test_direct_run_chunk_worker_death_raises(points):
             launcher.run_chunk(0, 0, points[:1], timeout=None)
 
 
+def test_worker_sees_eof_despite_siblings(points):
+    """Later forks close the pipe ends of earlier workers, so closing a
+    worker's request pipe still ends it while its siblings live."""
+    with LocalProcessLauncher(workers=3) as launcher:
+        for worker_id in range(3):
+            launcher.run_chunk(worker_id, worker_id, points[:1])
+        first = launcher._live[0]
+        first.to_child.close()
+        first.proc.join(timeout=10)
+        assert not first.proc.is_alive()
+        assert set(launcher.pids()) == {1, 2}
+
+
 def test_close_is_idempotent(points):
     launcher = LocalProcessLauncher(workers=1)
     launcher.run_chunk(0, 0, points[:1], timeout=None)
     launcher.close()
     launcher.close()
     assert launcher.pids() == {}
+
+
+def test_no_store_means_no_store_even_with_env(points, tmp_path,
+                                              monkeypatch):
+    """``store=None`` must keep workers off ``$REPRO_TRACE_STORE``."""
+    monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path))
+    with LocalProcessLauncher(workers=1, store=None) as launcher:
+        run_dsweep(points[:1], launcher)
+    run_sweep(points[:1], jobs=2, store=None)
+    assert list(tmp_path.iterdir()) == []
