@@ -78,9 +78,29 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
         choices=list(DatasetSize), help="dataset scale",
     )
     parser.add_argument(
-        "--config", default=None, metavar="FILE",
+        "--config", type=_config_file, default=None, metavar="FILE",
         help="simulator config file (see repro.sim.configfile)",
     )
+
+
+def _config_file(path: str):
+    """``--config FILE`` as a GPUConfig; defects name file, line, key.
+
+    A file describes the machine: sampling is ``--estimate``'s job.
+    """
+    from repro.sim.configfile import config_from_entries, parse_entries
+
+    try:
+        entries = parse_entries(Path(path).read_text())
+        for lineno, key, value in entries:
+            if key == "sample_fraction" and value:
+                raise ValueError(
+                    f"line {lineno}: {key}: request sampled estimation "
+                    "with --estimate --sample-fraction, not a config file"
+                )
+        return config_from_entries(entries)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"{path}: {exc}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -133,17 +153,9 @@ def _estimate_config(args, config):
 
 
 def _config(args):
-    if getattr(args, "config", None):
-        from repro.sim.configfile import load_config
-
-        config = load_config(args.config)
-        if args.sms is not None:
-            config = config.with_(num_sms=args.sms)
-    else:
-        overrides = {}
-        if args.sms is not None:
-            overrides["num_sms"] = args.sms
-        config = baseline_config(**overrides)
+    config = getattr(args, "config", None) or baseline_config()
+    if args.sms is not None:
+        config = config.with_(num_sms=args.sms)
     workers = getattr(args, "workers", None)
     if workers is not None:
         config = config.with_(parallel_shards=workers)

@@ -26,7 +26,7 @@ that changes *trace shape* (not timing) must be listed there, so two
 configs differing in such a knob never share traces.  Today that is
 only ``warp_size``; timing knobs (cache geometry, schedulers, DRAM,
 NoC, CTA limits, ``perfect_memory``...) deliberately do not invalidate.
-The sampled-estimation knobs (``sample_fraction``, ``sample_seed``...)
+The sampled-estimation knobs (``sample_fraction``, ``sample_seed``)
 are timing-side too: an ``--estimate`` sweep replays the very traces
 an exact sweep materialized, and :func:`run_point` routes such points
 through :mod:`repro.sim.sampled` instead of the cycle-exact replay.

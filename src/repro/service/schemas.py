@@ -110,6 +110,18 @@ def _config_overrides(name: str, value) -> dict:
     return dict(value)
 
 
+def _exact_config(name: str, value) -> dict:
+    """Config overrides for an exact run: sampling is another endpoint."""
+    overrides = _config_overrides(name, value)
+    if overrides.get("sample_fraction"):
+        raise SchemaError(
+            name,
+            "sample_fraction requests sampled estimation; "
+            "POST /v1/estimate instead",
+        )
+    return overrides
+
+
 def _timeout(name: str, value) -> float | None:
     if value is None:
         return None
@@ -152,7 +164,7 @@ class SimulateRequest:
             benchmark=_benchmark("benchmark", _require(payload, "benchmark")),
             cdp=_bool("cdp", payload.get("cdp", False)),
             size=_size("size", payload.get("size", DatasetSize.SMALL.value)),
-            config=_config_overrides("config", payload.get("config", {})),
+            config=_exact_config("config", payload.get("config", {})),
             priority=_int("priority", payload.get("priority", 0)),
             timeout_s=_timeout("timeout_s", payload.get("timeout_s")),
             use_cache=_bool("use_cache", payload.get("use_cache", True)),
@@ -375,7 +387,7 @@ class ProfileRequest:
             benchmark=_benchmark("benchmark", _require(payload, "benchmark")),
             cdp=_bool("cdp", payload.get("cdp", False)),
             size=_size("size", payload.get("size", DatasetSize.SMALL.value)),
-            config=_config_overrides("config", payload.get("config", {})),
+            config=_exact_config("config", payload.get("config", {})),
             interval=interval,
             artifacts=tuple(raw),
             priority=_int("priority", payload.get("priority", 0)),

@@ -177,16 +177,6 @@ class GPUConfig:
     #: :class:`~repro.sim.sampled.EstimatedRunStats`, regardless of
     #: ``--jobs`` / ``--workers`` (no global RNG state is touched).
     sample_seed: int = 0
-    #: Minimum CTAs sampled per equivalence class (stratum), so rare
-    #: classes are never extrapolated from zero observations.
-    sample_min_per_class: int = 2
-    #: Cap on host launches simulated per launch stratum (``0`` =
-    #: uncapped).  Stratum-rate sampling error shrinks with the
-    #: absolute sample size, not the fraction, so apps issuing
-    #: thousands of similar launches (NvB) gain nothing past a few
-    #: dozen observations — the cap is what lets launch-heavy apps
-    #: beat the ``1/sample_fraction`` speedup ceiling.
-    sample_max_launches_per_class: int = 24
 
     # Ablation switches (defaults model the hardware; see DESIGN.md).
     #: Host-to-device copies invalidate cached device data (the paper's
@@ -209,12 +199,6 @@ class GPUConfig:
             raise ValueError("parallel_shards must be >= 1")
         if not 0.0 <= self.sample_fraction <= 1.0:
             raise ValueError("sample_fraction must be in [0, 1]")
-        if self.sample_min_per_class < 1:
-            raise ValueError("sample_min_per_class must be >= 1")
-        if self.sample_max_launches_per_class < 0:
-            raise ValueError(
-                "sample_max_launches_per_class must be >= 0 (0 = uncapped)"
-            )
 
     def with_(self, **changes) -> "GPUConfig":
         """A copy with fields replaced (sweep helper)."""

@@ -18,6 +18,7 @@ Example::
 from __future__ import annotations
 
 import dataclasses
+import functools
 from pathlib import Path
 
 from repro.sim.config import (
@@ -40,64 +41,98 @@ _COMPONENTS = {
 }
 
 
-def _parse_value(field: dataclasses.Field, raw: str):
+def _parse_value(key: str, field: dataclasses.Field, raw: str):
     if field.type in ("bool", bool):
         lowered = raw.lower()
         if lowered in ("true", "1", "yes", "on"):
             return True
         if lowered in ("false", "0", "no", "off"):
             return False
-        raise ValueError(f"invalid boolean {raw!r} for {field.name}")
-    if field.type in ("float", float):
-        return float(raw)
-    if field.type in ("int", int):
-        return int(raw, 0)
+        raise ValueError(f"{key}: expected a boolean, got {raw!r}")
+    try:
+        if field.type in ("float", float):
+            return float(raw)
+        if field.type in ("int", int):
+            return int(raw, 0)
+    except ValueError:
+        kind = "a number" if field.type in ("float", float) else "an integer"
+        raise ValueError(f"{key}: expected {kind}, got {raw!r}") from None
     return raw  # strings (controller/topology/scheduler names)
 
 
+@functools.cache
 def _field_map(cls) -> dict:
     return {f.name: f for f in dataclasses.fields(cls)}
 
 
-def parse_config(text: str) -> GPUConfig:
-    """Build a :class:`GPUConfig` from config-file text."""
-    top: dict = {}
-    nested: dict[str, dict] = {}
-    gpu_fields = _field_map(GPUConfig)
+def _field_for(key) -> dataclasses.Field:
+    """The dataclass field a (possibly dotted) config key names."""
+    if not isinstance(key, str):
+        raise ValueError(f"config keys must be strings, got {key!r}")
+    if "." in key:
+        prefix, _, sub = key.partition(".")
+        if prefix not in _COMPONENTS:
+            raise ValueError(f"unknown component {prefix!r}")
+        fields = _field_map(_COMPONENTS[prefix][1])
+        if sub not in fields:
+            raise ValueError(f"unknown key {sub!r} for {prefix}")
+        return fields[sub]
+    fields = _field_map(GPUConfig)
+    if key not in fields or key in _COMPONENTS:
+        raise ValueError(f"unknown key {key!r}")
+    return fields[key]
 
+
+def parse_entries(text: str) -> list[tuple[int, str, object]]:
+    """``(line number, key, typed value)`` per assignment in ``text``.
+
+    Malformed lines, unknown keys and badly typed values raise
+    ``ValueError`` naming the line (and the key).
+    """
+    entries = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value'")
-        key, _, raw = line.partition("=")
+        key, equals, raw = line.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        if "." in key:
-            prefix, _, sub = key.partition(".")
-            if prefix not in _COMPONENTS:
-                raise ValueError(f"line {lineno}: unknown component {prefix!r}")
-            _, cls = _COMPONENTS[prefix]
-            fields = _field_map(cls)
-            if sub not in fields:
-                raise ValueError(
-                    f"line {lineno}: unknown key {sub!r} for {prefix}"
-                )
-            nested.setdefault(prefix, {})[sub] = _parse_value(fields[sub], raw)
-        else:
-            if key not in gpu_fields or key in (
-                name for name, _ in _COMPONENTS.values()
-            ):
-                raise ValueError(f"line {lineno}: unknown key {key!r}")
-            top[key] = _parse_value(gpu_fields[key], raw)
+        try:
+            if not equals:
+                raise ValueError("expected 'key = value'")
+            entries.append(
+                (lineno, key, _parse_value(key, _field_for(key), raw.strip()))
+            )
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return entries
 
-    base = GPUConfig()
-    for prefix, overrides in nested.items():
-        field_name, _ = _COMPONENTS[prefix]
-        component = dataclasses.replace(getattr(base, field_name), **overrides)
-        top[field_name] = component
-    return base.with_(**top) if top else base
+
+def config_from_entries(entries) -> GPUConfig:
+    """The baseline with :func:`parse_entries` output applied.
+
+    A value the config validators reject is blamed on its line and
+    key.  Some values are invalid only in combination (a cache smaller
+    than its line), so the blame falls on the first line at which the
+    file stops describing a valid machine.
+    """
+    overrides = {key: value for _, key, value in entries}
+    try:
+        return apply_overrides(GPUConfig(), overrides)
+    except ValueError:
+        pass
+    prefix: dict = {}
+    for lineno, key, value in entries:
+        prefix[key] = value
+        try:
+            apply_overrides(GPUConfig(), prefix)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
+    return apply_overrides(GPUConfig(), overrides)
+
+
+def parse_config(text: str) -> GPUConfig:
+    """Build a :class:`GPUConfig` from config-file text."""
+    return config_from_entries(parse_entries(text))
 
 
 def apply_overrides(config: GPUConfig, overrides: dict) -> GPUConfig:
@@ -113,28 +148,13 @@ def apply_overrides(config: GPUConfig, overrides: dict) -> GPUConfig:
     """
     top: dict = {}
     nested: dict[str, dict] = {}
-    gpu_fields = _field_map(GPUConfig)
-    component_fields = {name for name, _ in _COMPONENTS.values()}
-
     for key, value in overrides.items():
-        if not isinstance(key, str):
-            raise ValueError(f"config keys must be strings, got {key!r}")
+        value = _check_type(_field_for(key), value)
         if "." in key:
             prefix, _, sub = key.partition(".")
-            if prefix not in _COMPONENTS:
-                raise ValueError(f"unknown component {prefix!r}")
-            _, cls = _COMPONENTS[prefix]
-            fields = _field_map(cls)
-            if sub not in fields:
-                raise ValueError(f"unknown key {sub!r} for {prefix}")
-            nested.setdefault(prefix, {})[sub] = _check_type(
-                fields[sub], value
-            )
+            nested.setdefault(prefix, {})[sub] = value
         else:
-            if key not in gpu_fields or key in component_fields:
-                raise ValueError(f"unknown key {key!r}")
-            top[key] = _check_type(gpu_fields[key], value)
-
+            top[key] = value
     for prefix, changes in nested.items():
         field_name, _ = _COMPONENTS[prefix]
         top[field_name] = dataclasses.replace(

@@ -6,83 +6,46 @@ cost.  This module trades bounded accuracy for large speedups: it
 cycle-accurately simulates a stratified sample of each grid's CTAs on
 a proportionally scaled-down machine and extrapolates the whole-run
 statistics, attaching a confidence interval to every estimated metric.
+DESIGN.md "Sampled estimation" records the rationale and the ablation
+that every component below survived.
 
-How it works
-------------
-**Sampling units.**  Two levels, both stratified:
+:func:`estimate_application` runs three stages, each testable alone:
 
-- *Host launches.*  Applications that issue many similar grids (NvB
-  runs thousands of one-CTA comparisons; PairHMM one grid per read
-  group) are sampled at the launch level: launches are stratified by
-  signature (kernel name, grid size, warps per CTA, factor-of-two
-  work bucket), a subset of each stratum is simulated, and the rest
-  are extrapolated from their stratum's measured cycles-per-
-  instruction rate.  The host program is synchronous, so dropping a
-  launch removes its grid wholesale without perturbing others
-  (memcpys are always kept, preserving cache-flush behaviour).
-  Wavefront pipelines (SW/NW diagonals) are the exception: launch
-  ``i+1`` loads lines launch ``i`` stored, and dropping the producer
-  turns warm hits into cold misses.  A cheap write->read line-overlap
-  probe on a few adjacent launch pairs detects this; when it fires,
-  each kept launch is preceded by its (otherwise dropped) predecessors
-  as *warm-up* launches — replayed in full to restore cache state but
-  excluded from every measurement — and within-launch CTA sampling is
-  disabled (a CTA subset would land on different SMs than the warm-up
-  data, defeating the warm-up through the per-SM L1).
-- *CTAs within a kept launch* — whole CTAs, never individual warps (a
-  CTA's barrier semantics only hold when all of its warps run
-  together).  CTAs are stratified by their equivalence class: the
-  tuple of per-warp :meth:`~repro.sim.replay.ReplayKernel.class_key`
-  values (the trace template's class key where a kernel declares one,
-  else the canonical work signature of the materialized trace).
-
-Each stratum at either level contributes at least
-``sample_min_per_class`` members, so rare classes are never
-extrapolated from zero observations, and classes are weighted by
-their true population when summing back up.
-
-**Dilution model.**  Running 10% of a grid's CTAs on the full machine
-dilutes every contention effect — cache footprints, DRAM row
-locality, NoC bandwidth pressure — and systematically underestimates
-memory time.  Two regimes, picked by where the work lives:
-
-- *Multi-wave grids* (more CTAs than the machine holds at once) run
-  on a *proportional miniature*: ``num_sms`` and
-  ``num_mem_partitions`` are scaled by the within-launch work
-  fraction (partitions only to divisors of the original count, so
-  address-alignment camping survives) and the L2 scales with the
-  partition count, keeping the per-partition slice constant.  Per-SM
-  resources are untouched, so per-CTA behaviour is preserved while
-  machine-level pressure per CTA approximates the full run.
-- *Single-wave grids* contend only with their own co-resident CTAs,
-  and no machine shrinking can restore that pressure.  The miniature
-  keeps every sampled grid at its original wave count (``sm_floor``),
-  and contention is measured instead of modelled: a second *probe*
-  run replays roughly half the CTA sample, and the duration
-  difference between the two points gives the slope of duration vs
-  co-resident work, which extrapolates linearly to the full grid
-  (capped by the fully-serialized bound ``D * W/w``).
-
-**Extrapolation.**  Config-independent totals (instructions, op/mem
-mix, occupancy) come from the replay layer's pre-counted
-``total_counts`` and are *exact*, as are host-side launch overheads.
-Per-launch durations combine a work/concurrency bound with the
-measured packing factor (plus the probe slope in the single-wave
-regime); unsampled launches are extrapolated from their stratum's
-work-weighted duration rate.  Cache/DRAM/NoC counters are snapshotted
-per host launch (the host is synchronous, so each launch's traffic
-has fully retired at its completion), and each launch stratum's
-measured counter deltas are scaled to the stratum's population work —
-so counter estimates and miss rates are composition-corrected, and
-warm-up launches never contaminate them.  Stall cycles scale the same
-way, corrected per stratum by estimated-over-measured machine-time.
-
-**Confidence intervals.**  The statistical half-width comes from the
-stratified sampling variance of the duration estimator (finite
-population corrected); a declared model margin (wider for CDP) is
-added on top, because scaling the machine is a model, not an
-estimator.  ``tests/sim/test_sampled_accuracy.py`` validates the
-declared bounds against the exact core across the whole suite.
+- :func:`_plan` decides what to simulate.  *Host launches* are
+  stratified by shape and relative work, and a capped share of each
+  stratum is kept; dropped launches are extrapolated from their
+  stratum's duration rate (the host is synchronous, so dropping a
+  launch removes its grid wholesale; memcpys are always kept).  When
+  a write->read line-overlap scan finds a wavefront pipeline (SW/NW
+  diagonals: launch ``i+1`` loads lines launch ``i`` stored), each
+  kept launch is preceded by its dropped predecessors as unmeasured
+  *warm-up* launches and kept launches run whole.  *CTAs within a
+  kept launch* are stratified by the tuple of per-warp
+  :meth:`~repro.sim.replay.ReplayKernel.class_key` values and sampled
+  as whole CTAs (barrier semantics).  Every stratum at either level
+  keeps at least ``SAMPLE_MIN_PER_CLASS`` members.  Multi-wave grids
+  run on a *proportional miniature* (SMs and memory partitions scaled
+  by the within-launch work fraction, partitions only to divisors so
+  address camping survives, L2 in step); single-wave grids keep their
+  wave count and are measured twice more instead (below).
+- :func:`_replay` runs the miniature, snapshotting cache counters at
+  every host-launch boundary.  In the single-wave regime a *probe*
+  replays about half the sample, and an *SM-boost* probe reruns the
+  sample with twice the SMs but the same memory system, which
+  separates per-SM crowding from memory pressure.  Apart from
+  :func:`_exact_fallback` it is the only code that builds a
+  :class:`GPUSimulator`.
+- :func:`_extrapolate` is pure arithmetic.  Config-independent totals
+  (instructions, op/mem mix, launch counts, host overheads) are exact.
+  A launch's duration is its work/concurrency bound times the measured
+  packing factor, raised in the single-wave regime to the one duration
+  candidate: a hyperbolic queueing curve ``D(w) = A / (1 - w/C)``
+  through the measurement and the probe, capped by the serialized
+  bound ``D * W/w``.  Cache counters and stalls scale per launch
+  stratum to its population work; DRAM/NoC traffic is pooled over the
+  whole sampled run.  Intervals are the stratified-sampling half-width
+  plus a declared model margin (``ERROR_BOUNDS``, wider for CDP),
+  validated by ``tests/sim/test_sampled_accuracy.py``.
 
 When NOT to trust estimates
 ---------------------------
@@ -110,7 +73,11 @@ from repro.sim.gpu import GPUSimulator
 from repro.sim.kernel import KernelProgram, WarpContext
 from repro.sim.launch import Application, HostLaunch, KernelLaunch
 from repro.sim.occupancy import ctas_per_sm
-from repro.sim.replay import CachedApplication, replay_application
+from repro.sim.replay import (
+    CachedApplication,
+    TraceCounts,
+    replay_application,
+)
 from repro.sim.stats import RunStats, StallReason
 
 #: z-score of the nominal two-sided 95% confidence level.
@@ -136,6 +103,18 @@ ERROR_BOUNDS = {
 #: Relative spread assumed for a stratum observed only once (no
 #: within-stratum variance estimate exists; this stands in for it).
 _SINGLETON_CV = 0.25
+
+#: Minimum members sampled per stratum (CTA classes and launch
+#: strata alike), so rare classes are never extrapolated from zero
+#: observations.
+SAMPLE_MIN_PER_CLASS = 2
+
+#: Cap on host launches simulated per launch stratum.  Stratum-rate
+#: sampling error shrinks with the absolute sample size, not the
+#: fraction, so apps issuing thousands of similar launches (NvB) gain
+#: nothing past a few dozen observations — the cap is what lets
+#: launch-heavy apps beat the ``1/sample_fraction`` speedup ceiling.
+SAMPLE_MAX_LAUNCHES_PER_CLASS = 24
 
 
 @dataclass
@@ -201,60 +180,28 @@ def _derived_seed(seed: int, index: int, name: str, num_ctas: int) -> int:
     )
 
 
-def _launch_work(launch: KernelLaunch, owner, memo: dict) -> tuple:
-    """``(total, max_cta)`` instructions incl. CDP descendants.
+def _profile(cached: CachedApplication, launch: KernelLaunch) -> tuple:
+    """``(counts, total, max_cta, descendants)`` of a launch.
 
-    ``total`` drives work-proportional scaling (traffic, multi-wave
-    durations); ``max_cta`` is the critical-path basis for single-wave
-    launches, whose duration tracks their longest CTA.  The replay
-    layer profiles every launch at materialization time
-    (``CachedApplication.launch_profiles``); the walk below is only a
-    fallback for owners built before that cache existed.
+    Work is in instructions incl. CDP descendants: ``total`` drives
+    work-proportional scaling (traffic, multi-wave durations);
+    ``max_cta`` is the critical-path basis for single-wave launches,
+    whose duration tracks their longest CTA.  The replay layer records
+    the profile of every launch at materialization time.
     """
-    kernel = launch.kernel
-    key = (id(kernel), launch.num_ctas, owner.args_token(launch.args))
-    profiles = getattr(owner, "launch_profiles", None)
-    if profiles is not None:
-        profile = profiles.get(key)
-        if profile is not None:
-            return (profile[1], profile[2])
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    total = 0
-    max_cta = 0
-    for cta_id in range(launch.num_ctas):
-        cta_total = 0
-        for warp_id in range(kernel.warps_per_cta):
-            ctx = WarpContext(
-                cta_id=cta_id,
-                warp_id=warp_id,
-                warps_per_cta=kernel.warps_per_cta,
-                num_ctas=launch.num_ctas,
-                args=launch.args,
-            )
-            instrs, counts = kernel.entry_for(ctx)
-            cta_total += counts.instructions
-            if counts.op_mix.get("launch"):
-                for instr in instrs:
-                    if instr.op is OpClass.LAUNCH:
-                        cta_total += _launch_work(
-                            instr.child, owner, memo
-                        )[0]
-        total += cta_total
-        max_cta = max(max_cta, cta_total)
-    memo[key] = (total, max_cta)
-    return (total, max_cta)
+    return cached.launch_profiles[cached.launch_key(launch)]
 
 
 class _LaunchPlan:
     """One host launch's strata, sample, and measured durations."""
 
-    def __init__(self, index: int, launch: KernelLaunch, owner,
-                 fraction: float, min_per_class: int, seed: int,
-                 work_memo: dict):
+    def __init__(self, index: int, launch: KernelLaunch,
+                 cached: CachedApplication, fraction: float, seed: int,
+                 sig: tuple):
         kernel = launch.kernel
         self.index = index
+        #: the launch stratum this launch belongs to
+        self.sig = sig
         self.launch = launch
         self.num_ctas = launch.num_ctas
         warps = kernel.warps_per_cta
@@ -280,9 +227,7 @@ class _LaunchPlan:
                 if counts.op_mix.get("launch"):
                     for instr in instrs:
                         if instr.op is OpClass.LAUNCH:
-                            work += _launch_work(
-                                instr.child, owner, work_memo
-                            )[0]
+                            work += _profile(cached, instr.child)[1]
             strata.setdefault(tuple(sig), []).append(cta_id)
             cta_work.append(work)
         self.cta_work = cta_work
@@ -295,7 +240,8 @@ class _LaunchPlan:
         for members in self.strata:
             n = min(
                 len(members),
-                max(min_per_class, math.ceil(fraction * len(members))),
+                max(SAMPLE_MIN_PER_CLASS,
+                    math.ceil(fraction * len(members))),
             )
             self.sampled.append(sorted(rng.sample(members, n)))
 
@@ -312,15 +258,11 @@ class _LaunchPlan:
         self.slot_stratum = [
             stratum_of[cta_id] for cta_id in self.slot_to_orig
         ]
-        #: measured durations per stratum, filled by the CTA observer
-        self.durations: list[list[float]] = [[] for _ in self.strata]
-        #: ``(probe_work, probe_duration)`` once the contention probe
-        #: has measured this launch at a second sample size
-        self.probe: tuple[float, float] | None = None
-        #: duration of the same sampled set on the SM-boosted inner
-        #: machine (memory system unchanged) — separates per-SM
-        #: crowding from memory pressure in the contention model
-        self.d_boost: float = 0.0
+        #: the shrunken grid replaying the sample
+        self.kernel = _SampledKernel(kernel, self.slot_to_orig,
+                                     launch.num_ctas)
+        #: concurrent CTAs per SM (set by the plan's regime pass)
+        self.cps = 0
 
     @property
     def n_sampled(self) -> int:
@@ -344,7 +286,7 @@ class _LaunchPlan:
         chosen members keeps the subset deterministic and preserves
         class coverage; strata sampled once stay at one member.  The
         probe must itself be *contended* — the convex queueing
-        candidates read curvature from the secant between two loaded
+        curve reads curvature from the secant between two loaded
         points, and a solo CTA carries no queueing signal — and its
         class mix must mirror the sample's, or the secant tilts
         toward whichever classes were kept.
@@ -355,10 +297,12 @@ class _LaunchPlan:
         return sorted(chosen2)
 
     def estimate_duration(
-        self, measured: float, conc_sampled: int, conc_full: int
+        self, durations: list[list[float]], measured: float,
+        conc_sampled: int, conc_full: int,
     ) -> tuple[float, float]:
         """(estimated full duration, statistical sd) for this launch.
 
+        ``durations`` holds the measured CTA durations per stratum;
         ``measured`` is the launch's wall duration on the miniature
         machine at ``conc_sampled`` concurrent-CTA capacity; the full
         machine offers ``conc_full``.  A grid's duration is bounded
@@ -375,27 +319,27 @@ class _LaunchPlan:
         variance = 0.0
         max_duration = 0.0
         cvs = []
-        for durations in self.durations:
-            mean = sum(durations) / len(durations)
-            if len(durations) >= 2 and mean > 0:
-                var = sum((d - mean) ** 2 for d in durations) / (
-                    len(durations) - 1
+        for observed in durations:
+            mean = sum(observed) / len(observed)
+            if len(observed) >= 2 and mean > 0:
+                var = sum((d - mean) ** 2 for d in observed) / (
+                    len(observed) - 1
                 )
                 cvs.append(math.sqrt(var) / mean)
         pooled_cv = sum(cvs) / len(cvs) if cvs else _SINGLETON_CV
-        for members, chosen, durations in zip(
-            self.strata, self.sampled, self.durations
+        for members, chosen, observed in zip(
+            self.strata, self.sampled, durations
         ):
             big_n, small_n = len(members), len(chosen)
-            subtotal = sum(durations)
+            subtotal = sum(observed)
             t_sampled += subtotal
             t_hat += (big_n / small_n) * subtotal
-            max_duration = max(max_duration, max(durations))
+            max_duration = max(max_duration, max(observed))
             if big_n == small_n:
                 continue  # fully observed stratum: no sampling error
             mean = subtotal / small_n
             if small_n >= 2:
-                var = sum((d - mean) ** 2 for d in durations) / (
+                var = sum((d - mean) ** 2 for d in observed) / (
                     small_n - 1
                 )
             else:
@@ -476,9 +420,6 @@ class _SampledApplication(Application):
 #: producer->consumer dependency between adjacent host launches.
 _LOCALITY_THRESHOLD = 0.05
 
-#: How many adjacent launch pairs the locality probe inspects.
-_LOCALITY_PROBES = 3
-
 #: How many CTAs of a probed launch the detector scans, how many
 #: warps within each scanned CTA, and how many instructions within
 #: each scanned warp.  Overlap is structural (wavefront neighbours
@@ -538,10 +479,7 @@ def _launch_lines(launch: KernelLaunch, reads: set, writes: set) -> None:
                     _launch_lines(instr.child, reads, writes)
 
 
-def _warmup_depth(
-    launches: list[KernelLaunch],
-    sigs: list[tuple] | None = None,
-) -> int:
+def _warmup_depth(launches: list[KernelLaunch], sigs: list[tuple]) -> int:
     """How many predecessors feed a launch's loads (0, 1 or 2).
 
     Probes a few adjacent launch pairs spread across the program: if a
@@ -553,30 +491,29 @@ def _warmup_depth(
     applications (NvB comparisons) keep their full launch-sampling
     speedup.
 
-    When launch-stratum ``sigs`` are given, probe windows whose
-    signature pattern was already inspected are skipped: a program of
-    structurally identical launches (PairHMM's batch loop) answers the
-    question once instead of three times, and the trace walk is the
-    detector's whole cost on large grids.
+    Probe windows whose launch-stratum ``sigs`` pattern was already
+    inspected are skipped: a program of structurally identical
+    launches (PairHMM's batch loop) answers the question once instead
+    of three times, and the trace walk is the detector's whole cost on
+    large grids.
     """
     n = len(launches)
     if n < 2:
         return 0
+    # Three adjacent pairs spread across the program (n // 2 is always
+    # a valid consumer index once n >= 2).
     probes = sorted(
         {j for j in (n // 4, n // 2, (3 * n) // 4) if 1 <= j < n}
-    )[:_LOCALITY_PROBES]
-    if not probes:
-        probes = [n - 1]
+    )
     depth = 0
     seen_windows: set[tuple] = set()
     for j in probes:
         if depth >= 2:
             break
-        if sigs is not None:
-            window = tuple(sigs[max(0, j - 2):j + 1])
-            if window in seen_windows:
-                continue
-            seen_windows.add(window)
+        window = tuple(sigs[max(0, j - 2):j + 1])
+        if window in seen_windows:
+            continue
+        seen_windows.add(window)
         reads_j: set = set()
         _launch_lines(launches[j], reads_j, set())
         if not reads_j:
@@ -599,11 +536,11 @@ _CACHE_FIELDS = ("accesses", "hits", "misses", "load_accesses",
 _DRAM_FIELDS = ("requests", "row_hits", "row_misses", "data_cycles",
                 "activation_cycles", "queue_cycles")
 _NOC_FIELDS = ("messages", "bytes", "latency_cycles", "contention_cycles")
-_COUNTER_GROUPS = ("l1", "const_cache", "l2", "dram", "noc")
+_COUNTER_GROUPS = ("l1", "const_cache", "l2")
 
 
 def _counter_snapshot(sim: GPUSimulator) -> dict:
-    """Cumulative memory-system counters, read mid-run.
+    """Cumulative cache counters and stalls, read mid-run.
 
     Every counter below is bumped synchronously as requests retire, so
     at a host-launch boundary (the host program is synchronous) the
@@ -618,22 +555,7 @@ def _counter_snapshot(sim: GPUSimulator) -> dict:
         ],
         "l2": [sum(getattr(b.stats, f) for b in sim.memory.l2_banks)
                for f in _CACHE_FIELDS],
-        "dram": [sum(getattr(ch.stats, f) for ch in sim.memory.dram)
-                 for f in _DRAM_FIELDS],
-        "noc": [getattr(sim.memory.network.stats, f)
-                for f in _NOC_FIELDS],
         "stalls": dict(sim.stats.stalls),
-    }
-
-
-def _zero_snapshot() -> dict:
-    return {
-        "l1": [0] * len(_CACHE_FIELDS),
-        "const_cache": [0] * len(_CACHE_FIELDS),
-        "l2": [0] * len(_CACHE_FIELDS),
-        "dram": [0] * len(_DRAM_FIELDS),
-        "noc": [0] * len(_NOC_FIELDS),
-        "stalls": {},
     }
 
 
@@ -721,42 +643,6 @@ def _interval(center: float, half: float, lo_clamp=None, hi_clamp=None
     return (lo, hi)
 
 
-def _count_device_launches(cached: CachedApplication) -> int:
-    """Exact CDP launch count from the materialized plan."""
-    if not cached.may_device_launch:
-        return 0  # skip the per-warp walk: nothing can launch
-    profiles = getattr(cached, "launch_profiles", None)
-    if profiles is not None:
-        return sum(
-            profiles[cached.launch_key(op.launch)][3]
-            for op in cached.ops
-            if isinstance(op, HostLaunch)
-        )
-    total = 0
-    pending = [
-        op.launch for op in cached.ops if isinstance(op, HostLaunch)
-    ]
-    while pending:
-        launch = pending.pop()
-        kernel = launch.kernel
-        for cta_id in range(launch.num_ctas):
-            for warp_id in range(kernel.warps_per_cta):
-                ctx = WarpContext(
-                    cta_id=cta_id,
-                    warp_id=warp_id,
-                    warps_per_cta=kernel.warps_per_cta,
-                    num_ctas=launch.num_ctas,
-                    args=launch.args,
-                )
-                instrs, counts = kernel.entry_for(ctx)
-                if counts.op_mix.get("launch"):
-                    for instr in instrs:
-                        if instr.op is OpClass.LAUNCH:
-                            total += 1
-                            pending.append(instr.child)
-    return total
-
-
 # -- entry point -----------------------------------------------------------
 
 def estimate_application(
@@ -782,32 +668,64 @@ def estimate_application(
             "provides the equivalence classes and exact totals); got "
             f"{type(cached).__name__}"
         )
+    plan = _plan(cached, config)
+    if plan is None:
+        return _exact_fallback(cached, config)
+    return _extrapolate(plan, _replay(plan, cached), config)
 
-    work_memo: dict = {}
-    cps_memo: dict = {}
-    launches = [
-        op.launch for op in cached.ops if isinstance(op, HostLaunch)
-    ]
-    work_pairs = [_launch_work(ln, cached, work_memo) for ln in launches]
-    works = [pair[0] for pair in work_pairs]
-    max_cta_works = [pair[1] for pair in work_pairs]
-    launches_total = len(launches)
-    total_work = sum(works)
-    total_ctas = sum(ln.num_ctas for ln in launches)
-    device_launches = _count_device_launches(cached)
-    cdp = device_launches > 0
 
-    # -- launch-level sample ----------------------------------------
-    # Group by shape, then split each group where works differ by more
-    # than 2x from the cluster's first (smallest) member — clustering
-    # relative to the group avoids splitting near-identical launches
-    # across an absolute log2 boundary.
+# -- stage 1: plan ---------------------------------------------------------
+
+@dataclass
+class _Plan:
+    """Everything decided before the first simulated cycle.
+
+    ``works``/``basis`` are per host launch: work incl. CDP
+    descendants, and the extrapolation basis (max-CTA work for
+    single-wave launches, total work for multi-wave ones).  ``plans``
+    are the kept launches in program order; ``ops`` is the miniature
+    host program, whose host launches ``span_kinds`` marks ``"kept"``
+    (measured) or ``"warmup"``.  ``probed`` lists the half-sample
+    probe's ``(plan position, CTA subset)`` pairs, replayed by
+    ``probe_ops``; ``boost_sms`` is the SM-boost machine (0: no run).
+    """
+
+    total_counts: TraceCounts
+    works: list[int]
+    basis: list[int]
+    launch_strata: dict[tuple, list[int]]
+    plans: list[_LaunchPlan]
+    warmup: set[int]
+    warm_depth: int
+    ops: list
+    span_kinds: list[str]
+    inner: GPUConfig
+    resident_limited: bool
+    probed: list[tuple[int, list[int]]]
+    probe_ops: list
+    boost_sms: int
+    device_launches: int
+    total_ctas: int
+    sampled_ctas: int
+    total_work: int
+    sampled_work: int
+    within_fraction: float
+
+
+def _launch_strata(launches: list[KernelLaunch], works: list[int]
+                   ) -> dict[tuple, list[int]]:
+    """Group launches by shape, then by relative work.
+
+    Each shape group is split where works differ by more than 2x from
+    the cluster's first (smallest) member — clustering relative to the
+    group avoids splitting near-identical launches across an absolute
+    log2 boundary.
+    """
     shape_groups: dict[tuple, list[int]] = {}
     for i, ln in enumerate(launches):
         shape = (ln.kernel.name, ln.num_ctas, ln.kernel.warps_per_cta)
         shape_groups.setdefault(shape, []).append(i)
-    launch_strata: dict[tuple, list[int]] = {}
-    launch_sig: dict[int, tuple] = {}
+    strata: dict[tuple, list[int]] = {}
     for shape, members in shape_groups.items():
         members = sorted(members, key=lambda i: (works[i], i))
         cluster_floor = None
@@ -816,153 +734,264 @@ def estimate_application(
             if cluster_floor is None or works[i] > 2 * cluster_floor:
                 cluster_floor = works[i]
                 bucket += 1
-            sig = shape + (bucket,)
-            launch_strata.setdefault(sig, []).append(i)
-            launch_sig[i] = sig
-    launch_rng = random.Random(
-        _derived_seed(config.sample_seed, -1, cached.name, launches_total)
+            strata.setdefault(shape + (bucket,), []).append(i)
+    return strata
+
+
+def _keep_launches(strata: dict[tuple, list[int]], config: GPUConfig,
+                   name: str, launches_total: int) -> set[int]:
+    """The seeded launch-level sample: a capped share of each stratum."""
+    rng = random.Random(
+        _derived_seed(config.sample_seed, -1, name, launches_total)
     )
-    launch_cap = config.sample_max_launches_per_class or launches_total
     kept: set[int] = set()
-    for members in launch_strata.values():
+    for members in strata.values():
         n = min(
             len(members),
-            launch_cap,
+            SAMPLE_MAX_LAUNCHES_PER_CLASS,
             max(
-                config.sample_min_per_class,
-                math.ceil(fraction * len(members)),
+                SAMPLE_MIN_PER_CLASS,
+                math.ceil(config.sample_fraction * len(members)),
             ),
         )
-        n = max(n, min(len(members), config.sample_min_per_class))
-        kept.update(launch_rng.sample(members, n))
+        n = max(n, min(len(members), SAMPLE_MIN_PER_CLASS))
+        kept.update(rng.sample(members, n))
+    return kept
 
-    # -- inter-launch locality: warm-up predecessors ----------------
-    # When a dropped launch produced lines a kept launch loads, the
-    # kept launch would run cold and its measured cache rates and
-    # duration would not represent the exact run.  Replay the missing
-    # predecessors as warm-up (full grids, excluded from measurement)
-    # and keep whole launches — a CTA subset lands on different SMs
-    # than the warm-up data and would defeat it through the per-SM L1.
-    warm_depth = 0
-    if len(kept) < launches_total:
-        # Depth depends only on the application's launch sequence, so
-        # it memoizes on the owner exactly like materialized traces do
-        # — sweeps re-estimate the same application across many
-        # configs and pay the trace walk once.
-        warm_depth = getattr(cached, "_sampled_warmup_depth", None)
-        if warm_depth is None:
-            warm_depth = _warmup_depth(
-                launches, [launch_sig[i] for i in range(launches_total)]
-            )
-            cached._sampled_warmup_depth = warm_depth
+
+def _warmup_launches(cached: CachedApplication, launches, sigs,
+                     kept: set[int]) -> tuple[int, set[int]]:
+    """``(depth, warm-up launch indices)`` for the kept set.
+
+    When a dropped launch produced lines a kept launch loads, the kept
+    launch would run cold and its measured cache rates and duration
+    would not represent the exact run.  The missing predecessors are
+    replayed as warm-up (full grids, excluded from measurement).
+    """
+    if len(kept) >= len(launches):
+        return 0, set()
+    # Depth depends only on the application's launch sequence, so it
+    # memoizes on the owner exactly like materialized traces do —
+    # sweeps re-estimate the same application across many configs and
+    # pay the trace walk once.
+    depth = getattr(cached, "_sampled_warmup_depth", None)
+    if depth is None:
+        depth = _warmup_depth(launches, sigs)
+        cached._sampled_warmup_depth = depth
     warmup: set[int] = set()
-    if warm_depth:
+    if depth:
         for i in kept:
-            for j in range(max(0, i - warm_depth), i):
+            for j in range(max(0, i - depth), i):
                 if j not in kept:
                     warmup.add(j)
-        if len(kept) + len(warmup) >= launches_total:
-            # Warm-up would replay everything anyway: run exactly.
-            return _exact_fallback(cached, config, fraction, total_ctas)
-    within_target = 1.0 if warm_depth else fraction
+    return depth, warmup
 
-    # -- CTA-level sample within kept launches ----------------------
+
+def _plan(cached: CachedApplication, config: GPUConfig) -> _Plan | None:
+    """Decide what to simulate; ``None`` when the run must be exact."""
+    launches = [
+        op.launch for op in cached.ops if isinstance(op, HostLaunch)
+    ]
+    profiles = [_profile(cached, ln) for ln in launches]
+    works = [profile[1] for profile in profiles]
+    launches_total = len(launches)
+    total_work = sum(works)
+    total_ctas = sum(ln.num_ctas for ln in launches)
+
+    strata = _launch_strata(launches, works)
+    sigs: list = [None] * launches_total
+    for sig, members in strata.items():
+        for i in members:
+            sigs[i] = sig
+    kept = _keep_launches(strata, config, cached.name, launches_total)
+    warm_depth, warmup = _warmup_launches(cached, launches, sigs, kept)
+    if warm_depth and len(kept) + len(warmup) >= launches_total:
+        return None  # warm-up would replay everything anyway
+    # With warm-up, kept launches run whole: a CTA subset lands on
+    # different SMs than the warm-up data and would defeat it through
+    # the per-SM L1.
+    within_target = 1.0 if warm_depth else config.sample_fraction
+
+    # The measurement program, and beside it the half-sample probe's:
+    # a partial sample misses the queueing pressure of the CTAs it
+    # left out, and replaying ~half the sample gives a second (work,
+    # duration) point for the contention curve.  Launches in the same
+    # stratum share structure, so one probe per stratum suffices.
     plans: list[_LaunchPlan] = []
     ops: list = []
-    #: per emitted host launch, in program order: measured or warm-up
     span_kinds: list[str] = []
-    launch_index = 0
+    probed: list[tuple[int, list[int]]] = []
+    probe_ops: list = []
+    probed_sigs: set[tuple] = set()
+    index = -1
     for op in cached.ops:
         if not isinstance(op, HostLaunch):
             ops.append(op)
+            probe_ops.append(op)
             continue
-        index = launch_index
-        launch_index += 1
+        index += 1
         if index in warmup:
             ops.append(op)  # the original full grid, unmeasured
             span_kinds.append("warmup")
-            continue
         if index not in kept:
-            continue  # extrapolated from its launch stratum
-        plan = _LaunchPlan(
-            index, op.launch, cached, within_target,
-            config.sample_min_per_class, config.sample_seed, work_memo,
-        )
-        plan.sig = launch_sig[index]
-        plans.append(plan)
+            continue  # warm-up, or extrapolated from its stratum
+        plan = _LaunchPlan(index, op.launch, cached, within_target,
+                           config.sample_seed, sigs[index])
         span_kinds.append("kept")
-        skernel = _SampledKernel(
-            op.launch.kernel, plan.slot_to_orig, op.launch.num_ctas
-        )
-        plan.kernel_id = id(skernel)
         ops.append(HostLaunch(KernelLaunch(
-            skernel, plan.n_sampled, args=op.launch.args
+            plan.kernel, plan.n_sampled, args=op.launch.args
         )))
+        subset = plan.probe_subset()
+        # Singleton strata have no smaller point to probe.
+        if (plan.n_sampled < plan.num_ctas and plan.sig not in probed_sigs
+                and subset != plan.slot_to_orig):
+            probe_ops.append(HostLaunch(KernelLaunch(
+                _SampledKernel(op.launch.kernel, subset, plan.num_ctas),
+                len(subset), args=op.launch.args,
+            )))
+            probed.append((len(plans), subset))
+            probed_sigs.add(plan.sig)
+        plans.append(plan)
 
     sampled_ctas = sum(plan.n_sampled for plan in plans)
-    kept_work = sum(plan.total_work for plan in plans)
-    sampled_work = sum(plan.sampled_work for plan in plans)
-
     if total_work == 0 or (
         len(kept) >= launches_total and sampled_ctas >= total_ctas
     ):
-        # Nothing was left out: run the exact core on the unscaled
-        # machine (bit-identical to a plain replay) and report
-        # zero-width intervals.
-        return _exact_fallback(cached, config, fraction, total_ctas)
-
-    work_fraction = sampled_work / total_work
-    # The host is synchronous — contention happens among one launch's
-    # co-resident CTAs — so the dilution machine is driven by the
-    # *within-launch* fraction, not the launch-sampling fraction.
-    within_fraction = sampled_work / max(1, kept_work)
+        return None  # nothing was left out
 
     # Pick the dilution model by where the work lives: grids that fit
     # on the machine in one wave (resident-limited) contend with their
     # own CTAs — run them unscaled and measure contention with the
     # probe; multi-wave grids keep machine-level pressure under the
     # proportional miniature.
+    cps_memo: dict = {}
+
+    def cps_of(kernel) -> int:
+        occ_key = (kernel.cta_threads, kernel.regs_per_thread,
+                   kernel.smem_per_cta)
+        if occ_key not in cps_memo:
+            cps_memo[occ_key] = ctas_per_sm(config, kernel)
+        return cps_memo[occ_key]
+
     single_wave_work = 0
-    # Extrapolation basis per launch: a single-wave launch's duration
-    # tracks its longest CTA (critical path), a multi-wave launch's
-    # its total work (throughput).
     basis: list[int] = []
-    for i, (ln, work) in enumerate(zip(launches, works)):
-        occ_key = (
-            ln.kernel.cta_threads,
-            ln.kernel.regs_per_thread,
-            ln.kernel.smem_per_cta,
-        )
-        cps = cps_memo.get(occ_key)
-        if cps is None:
-            cps = ctas_per_sm(config, ln.kernel)
-            cps_memo[occ_key] = cps
-        if ln.num_ctas <= config.num_sms * cps:
+    for ln, (_counts, work, max_cta, _cdp) in zip(launches, profiles):
+        if ln.num_ctas <= config.num_sms * cps_of(ln.kernel):
             single_wave_work += work
-            basis.append(max(1, max_cta_works[i]))
+            basis.append(max(1, max_cta))
         else:
             basis.append(max(1, work))
-    resident_limited = single_wave_work * 2 > total_work
     sm_floor = 1
     for plan in plans:
-        kernel = plan.launch.kernel
-        plan.cps = cps_memo[(
-            kernel.cta_threads, kernel.regs_per_thread,
-            kernel.smem_per_cta,
-        )]
+        plan.cps = cps_of(plan.launch.kernel)
         sm_floor = max(sm_floor, math.ceil(plan.n_sampled / plan.cps))
+    sampled_work = sum(plan.sampled_work for plan in plans)
+    # The host is synchronous — contention happens among one launch's
+    # co-resident CTAs — so the dilution machine is driven by the
+    # *within-launch* fraction, not the launch-sampling fraction.
+    within_fraction = sampled_work / max(
+        1, sum(plan.total_work for plan in plans)
+    )
     inner = _scaled_machine(config, within_fraction, sm_floor)
+    resident_limited = single_wave_work * 2 > total_work
+    if not resident_limited:
+        probed, probe_ops = [], []
+    return _Plan(
+        total_counts=cached.total_counts, works=works, basis=basis,
+        launch_strata=strata, plans=plans, warmup=warmup,
+        warm_depth=warm_depth, ops=ops, span_kinds=span_kinds,
+        inner=inner, resident_limited=resident_limited, probed=probed,
+        probe_ops=probe_ops,
+        boost_sms=_boost_sms(config, inner, plans, probed),
+        device_launches=sum(profile[3] for profile in profiles),
+        total_ctas=total_ctas, sampled_ctas=sampled_ctas,
+        total_work=total_work, sampled_work=sampled_work,
+        within_fraction=within_fraction,
+    )
 
-    simulator = GPUSimulator(inner)
-    by_kernel = {plan.kernel_id: plan for plan in plans}
+
+def _boost_sms(config: GPUConfig, inner: GPUConfig,
+               plans: list[_LaunchPlan], probed) -> int:
+    """SMs for the SM-boost probe, or 0 when it cannot move the estimate.
+
+    The boost replays the sample with twice the SMs but the *identical*
+    memory system, so its duration ratio isolates per-SM crowding.
+    That only matters when the miniature is *more* crowded per SM than
+    the full machine (rounding floors on small-SM sweeps), so the run
+    is gated on a 10% overload: rounding jitter (19 SMs for a 0.247
+    work fraction of 78) cannot move the estimate, while the
+    floored-at-one-SM cases sit at 25%+.
+    """
+    sm_boost = min(config.num_sms, 2 * inner.num_sms)
+    overloaded = any(
+        plans[pos].sampled_work * config.num_sms
+        > 1.1 * plans[pos].total_work * inner.num_sms
+        for pos, _subset in probed
+    )
+    if probed and overloaded and sm_boost > inner.num_sms:
+        return sm_boost
+    return 0
+
+
+# -- stage 2: replay -------------------------------------------------------
+
+@dataclass
+class _Measured:
+    """What the miniature-machine runs observed, per kept launch."""
+
+    #: the measurement run's stats (host-side totals, timeline)
+    stats: RunStats
+    #: host-grid duration of each kept launch (>= 1 cycle)
+    spans: list[float]
+    #: CTA durations per kept launch, per CTA stratum
+    durations: list[list[list[float]]]
+    #: cache-counter and stall deltas per kept launch
+    deltas: list[dict]
+    #: ``(work, duration)`` per entry of ``_Plan.probed``
+    probes: list[tuple[float, float]]
+    #: each kept launch's duration on the SM-boost machine (0.0: the
+    #: boost probe did not run)
+    boosts: list[float]
+    #: dirty lines still cached when the measurement run ended
+    dirty_left: int
+
+
+def _host_spans(stats: RunStats, launches: int) -> list[float]:
+    """Durations of the ``launches`` host-launched grids, in order.
+
+    The host program is synchronous, so host-origin timeline entries
+    complete in launch order.
+    """
+    spans = [
+        max(float(entry["end"] - entry["start"]), 1.0)
+        for entry in stats.kernel_timeline
+        if entry["origin"] == "host"
+    ]
+    if len(spans) != launches:  # pragma: no cover - invariant
+        raise RuntimeError(
+            f"sampled run recorded {len(spans)} host grids for "
+            f"{launches} launches"
+        )
+    return spans
+
+
+def _kept(values: list, span_kinds: list[str]) -> list:
+    """The entries of ``values`` that belong to measured launches."""
+    return [v for v, kind in zip(values, span_kinds) if kind == "kept"]
+
+
+def _replay(plan: _Plan, cached: CachedApplication) -> _Measured:
+    """Run the measurement, half-sample probe and SM-boost probe."""
+    simulator = GPUSimulator(plan.inner)
+    position = {id(lp.kernel): pos for pos, lp in enumerate(plan.plans)}
+    durations = [[[] for _ in lp.strata] for lp in plan.plans]
 
     def observe(cta, t):
-        plan = by_kernel.get(id(cta.grid.kernel))
-        if plan is None:
+        pos = position.get(id(cta.grid.kernel))
+        if pos is None:
             return  # a CDP child grid: folded into its parent's time
-        plan.durations[plan.slot_stratum[cta.cta_id]].append(
-            t - cta.start_time
-        )
+        slot = plan.plans[pos].slot_stratum[cta.cta_id]
+        durations[pos][slot].append(t - cta.start_time)
 
     simulator.cta_observer = observe
 
@@ -972,196 +1001,104 @@ def estimate_application(
     # attribute every counter to the launch that caused it.  Warm-up
     # launches get their own deltas, which are then *discarded* —
     # that is the whole point of excluding them from measurement.
-    snapshots: list[dict] = [_zero_snapshot()]
+    last = [_counter_snapshot(simulator)]  # all zero before the run
     deltas: list[dict] = []
 
     def on_launch(_launch, _grid):
         snap = _counter_snapshot(simulator)
-        deltas.append(_snapshot_delta(snapshots[-1], snap))
-        snapshots[-1] = snap
+        deltas.append(_snapshot_delta(last[0], snap))
+        last[0] = snap
 
     simulator.launch_observer = on_launch
-    stats_s = simulator.run_application(_SampledApplication(cached, ops))
+    stats = simulator.run_application(_SampledApplication(cached, plan.ops))
+    spans = _host_spans(stats, len(plan.span_kinds))
+    dirty_left = sum(
+        bank.dirty_resident() for bank in simulator.memory.l2_banks
+    ) + sum(sm.l1.dirty_resident() for sm in simulator.sms)
 
-    # Pair measured host-grid durations with plans: the host program is
-    # synchronous, so host-origin timeline entries complete in launch
-    # order; warm-up spans are skipped by kind.
-    host_spans = [
-        entry["end"] - entry["start"]
-        for entry in stats_s.kernel_timeline
-        if entry["origin"] == "host"
-    ]
-    if not (len(host_spans) == len(deltas) == len(span_kinds)):
-        raise RuntimeError(  # pragma: no cover - invariant
-            f"sampled run recorded {len(host_spans)} host grids and "
-            f"{len(deltas)} counter deltas for {len(span_kinds)} launches"
-        )
-    kept_deltas = [
-        delta for delta, kind in zip(deltas, span_kinds)
-        if kind == "kept"
-    ]
-    for plan, span in zip(plans, (
-        span for span, kind in zip(host_spans, span_kinds)
-        if kind == "kept"
-    )):
-        plan.d1 = max(float(span), 1.0)
+    probes: list[tuple[float, float]] = []
+    if plan.probed:
+        prober = GPUSimulator(plan.inner)
+        probe_spans = _host_spans(prober.run_application(
+            _SampledApplication(cached, plan.probe_ops)
+        ), len(plan.probed))
+        probes = [
+            (float(plan.plans[pos].work_of(subset)), span)
+            for (pos, subset), span in zip(plan.probed, probe_spans)
+        ]
+    boosts = [0.0] * len(plan.plans)
+    if plan.boost_sms:
+        booster = GPUSimulator(plan.inner.with_(num_sms=plan.boost_sms))
+        boosts = _kept(_host_spans(booster.run_application(
+            _SampledApplication(cached, plan.ops)
+        ), len(plan.span_kinds)), plan.span_kinds)
+    return _Measured(
+        stats=stats,
+        spans=_kept(spans, plan.span_kinds),
+        durations=durations,
+        deltas=_kept(deltas, plan.span_kinds),
+        probes=probes,
+        boosts=boosts,
+        dirty_left=dirty_left,
+    )
 
-    # -- contention probe (single-wave regime only) -----------------
-    # A partial sample on the full machine misses the queueing
-    # pressure of the CTAs it left out.  Replaying ~half the sample
-    # gives a second (work, duration) point; the slope of duration vs
-    # co-resident work extrapolates to the full grid.  Launches in the
-    # same stratum share structure, so one probe per stratum suffices
-    # and its slope is shared.
-    probe_plans: list[tuple[_LaunchPlan, list[int]]] = []
-    if resident_limited:
-        probe_ops: list = []
-        probe_index = 0
-        plan_of = {plan.index: plan for plan in plans}
-        probed_sigs: set[tuple] = set()
-        for op in cached.ops:
-            if not isinstance(op, HostLaunch):
-                probe_ops.append(op)
-                continue
-            plan = plan_of.get(probe_index)
-            probe_index += 1
-            if (
-                plan is None
-                or plan.n_sampled >= plan.num_ctas
-                or plan.sig in probed_sigs
-            ):
-                continue
-            subset = plan.probe_subset()
-            if subset == plan.slot_to_orig:
-                continue  # singleton strata: no smaller point exists
-            pkernel = _SampledKernel(
-                op.launch.kernel, subset, op.launch.num_ctas
-            )
-            probe_ops.append(HostLaunch(KernelLaunch(
-                pkernel, len(subset), args=op.launch.args
-            )))
-            probe_plans.append((plan, subset))
-            probed_sigs.add(plan.sig)
-        if probe_plans:
-            prober = GPUSimulator(inner)
-            stats_p = prober.run_application(
-                _SampledApplication(cached, probe_ops)
-            )
-            probe_spans = [
-                entry["end"] - entry["start"]
-                for entry in stats_p.kernel_timeline
-                if entry["origin"] == "host"
-            ]
-            if len(probe_spans) != len(probe_plans):  # pragma: no cover
-                raise RuntimeError(
-                    "probe run recorded "
-                    f"{len(probe_spans)} host grids for "
-                    f"{len(probe_plans)} probed launches"
-                )
-            for (plan, subset), span in zip(probe_plans, probe_spans):
-                plan.probe = (float(plan.work_of(subset)),
-                              max(float(span), 1.0))
-        # Second probe axis: the same sampled set on an inner machine
-        # with twice the SMs but the *identical* memory system.  Only
-        # per-SM crowding changes between this run and the measurement
-        # run, so the duration ratio isolates the compute/serialization
-        # exponent; whatever growth the half-sample probe saw beyond it
-        # is memory-side.  The split only changes the outcome when the
-        # miniature is *more* crowded per SM than the full machine
-        # (rounding floors on small-SM sweeps) — extrapolating an
-        # inflated d1 upward by total work is the failure mode it
-        # prevents — so the extra replay is gated on that overload.
-        # The 10% tolerance keeps the rounding jitter of a
-        # proportionally scaled miniature (e.g. 19 SMs for a 0.247
-        # work fraction of 78) from buying a probe run that cannot
-        # move the estimate; the pathological floored-at-one-SM cases
-        # sit at 25%+ overload.
-        sm_boost = min(config.num_sms, 2 * inner.num_sms)
-        overloaded = any(
-            plan.sampled_work * config.num_sms
-            > 1.1 * plan.total_work * inner.num_sms
-            for plan, _subset in probe_plans
-        )
-        if probe_plans and overloaded and sm_boost > inner.num_sms:
-            booster = GPUSimulator(inner.with_(num_sms=sm_boost))
-            stats_b = booster.run_application(
-                _SampledApplication(cached, ops)
-            )
-            boost_spans = [
-                entry["end"] - entry["start"]
-                for entry in stats_b.kernel_timeline
-                if entry["origin"] == "host"
-            ]
-            for plan, span in zip(plans, (
-                span for span, kind in zip(boost_spans, span_kinds)
-                if kind == "kept"
-            )):
-                plan.d_boost = max(float(span), 1.0)
 
-    # Per-stratum contention model from the two probe points: a
-    # linear rate in co-resident work, a power-law exponent, and a
-    # hyperbolic capacity ``D(w) = A / (1 - w/C)`` (M/M/1-style:
-    # queueing delay is convex in offered load, so the secant slope
-    # between two low-load points underestimates growth — the
-    # hyperbola recovers it).  The largest extrapolation wins, capped
-    # by the serialized bound.
-    #
-    # The half-sample probe varies per-SM crowding and memory pressure
-    # *together* (same machine, fewer CTAs), so its exponent ``e_a``
-    # conflates the two.  In the full run they scale differently: the
-    # grid spreads over ``config.num_sms`` SMs (crowding ratio
-    # ``total/sampled * inner/config`` SMs) while the memory system
-    # sees the full total (ratio ``total/sampled``).  The SM-boost
-    # probe isolates the crowding exponent ``e_c``; attributing that
-    # share of ``e_a`` to per-SM load shrinks the extrapolation target
-    # to ``total_work * (inner/config SMs)^(e_c/e_a)`` — the work an
-    # equally-loaded miniature SM would host.  A compute-serialized
-    # kernel (``e_c == e_a``) extrapolates purely per-SM; a
-    # memory-bound one (``e_c == 0``) purely by total work.
-    slopes: dict[tuple, tuple[float, float, float, float]] = {}
+# -- stage 3: extrapolate --------------------------------------------------
+
+def _launch_estimates(plan: _Plan, measured: _Measured,
+                      config: GPUConfig) -> list[tuple[float, float]]:
+    """``(estimated duration, sd)`` for every kept launch.
+
+    Launches in a probed stratum follow a hyperbolic capacity curve
+    ``D(w) = A / (1 - w/C)`` through the measurement and the
+    half-sample probe (queueing delay is convex in offered load, so
+    the secant between two low-load points underestimates growth),
+    never below the work/concurrency bound and capped by the
+    serialized bound.  The half-sample probe's growth exponent ``e_a``
+    conflates per-SM crowding with memory pressure; the SM-boost probe
+    isolates the crowding exponent ``e_c``, and attributing that share
+    of ``e_a`` to per-SM load shrinks the extrapolation target to
+    ``total_work * (inner/config SMs)^(e_c/e_a)`` — the work an
+    equally-loaded miniature SM would host.
+    """
+    inner = plan.inner
     sm_shrink = inner.num_sms / config.num_sms
-    for plan, _subset in probe_plans:
-        w1, d1 = float(plan.sampled_work), plan.d1
-        w2, d2 = plan.probe
+    curves: dict[tuple, tuple[float, float]] = {}
+    for (pos, _subset), (w2, d2) in zip(plan.probed, measured.probes):
+        lp = plan.plans[pos]
+        w1, d1 = float(lp.sampled_work), measured.spans[pos]
         if w1 > w2 and d1 > d2:
             ratio = d1 / d2
-            e_a = math.log(ratio) / math.log(w1 / w2)
             shrink = 1.0
-            if plan.d_boost and plan.d_boost < d1 and sm_shrink < 1.0:
+            d_boost = measured.boosts[pos]
+            if d_boost and d_boost < d1 and sm_shrink < 1.0:
+                e_a = math.log(ratio) / math.log(w1 / w2)
                 e_c = min(e_a, (
-                    math.log(d1 / plan.d_boost)
-                    / math.log(sm_boost / inner.num_sms)
+                    math.log(d1 / d_boost)
+                    / math.log(plan.boost_sms / inner.num_sms)
                 ))
                 if e_a > 1e-9:
                     shrink = sm_shrink ** (e_c / e_a)
-            slopes[plan.sig] = (
-                (d1 - d2) / (w1 - w2),
-                e_a,
-                (ratio - 1.0) / (ratio * w1 - w2),  # 1/C
-                shrink,
-            )
+            curves[lp.sig] = ((ratio - 1.0) / (ratio * w1 - w2), shrink)
 
-    # -- per-launch estimates, then launch-level extrapolation ------
-    for plan in plans:
-        conc_full = min(plan.num_ctas, config.num_sms * plan.cps)
-        conc_sampled = min(plan.n_sampled, inner.num_sms * plan.cps)
-        d1 = plan.d1
-        estimate, sd = plan.estimate_duration(
-            d1, conc_sampled, conc_full
+    estimates = []
+    for pos, lp in enumerate(plan.plans):
+        conc_full = min(lp.num_ctas, config.num_sms * lp.cps)
+        conc_sampled = min(lp.n_sampled, inner.num_sms * lp.cps)
+        d1 = measured.spans[pos]
+        estimate, sd = lp.estimate_duration(
+            measured.durations[pos], d1, conc_sampled, conc_full
         )
-        slope = slopes.get(plan.sig)
-        if slope is not None and plan.n_sampled < plan.num_ctas:
-            per_work, exponent, inv_cap, shrink = slope
-            w1 = float(plan.sampled_work)
+        curve = curves.get(lp.sig)
+        if curve is not None and lp.n_sampled < lp.num_ctas:
+            inv_cap, shrink = curve  # 1/C and the target-load shrink
+            w1 = float(lp.sampled_work)
             # ``shrink`` folds the crowding/memory decomposition into
-            # the target load (see the slope derivation above): a
-            # miniature that is *more* loaded per SM than the real
-            # machine extrapolates downward from its inflated d1
-            # instead of serializing upward.
-            full_w = float(plan.total_work) * shrink
+            # the target load: a miniature that is *more* loaded per
+            # SM than the real machine extrapolates downward from its
+            # inflated d1 instead of serializing upward.
+            full_w = float(lp.total_work) * shrink
             serial = d1 * full_w / w1
-            linear = d1 + per_work * (full_w - w1)
-            power = d1 * (full_w / w1) ** exponent
             if inv_cap * full_w < 1.0:
                 hyper = (
                     d1 * (1.0 - inv_cap * w1) / (1.0 - inv_cap * full_w)
@@ -1172,38 +1109,43 @@ def estimate_application(
             # above the serialized scaling of d1 at the target load
             # (which can sit *below* d1 when the miniature was
             # overloaded per SM).
-            estimate = min(max(linear, power, hyper, estimate), serial)
+            estimate = min(max(hyper, estimate), serial)
             # The extrapolated contention term is a model, not an
             # estimator — carry a spread on it.
             sd = math.hypot(sd, 0.25 * abs(estimate - d1))
-        plan.cycles_estimate = estimate
-        plan.cycles_sd = sd
+        estimates.append((estimate, sd))
+    return estimates
 
+
+def _stratum_cycles(plan: _Plan, measured: _Measured,
+                    estimates: list[tuple[float, float]]
+                    ) -> tuple[float, float, dict]:
+    """Launch-level extrapolation: ``(cycles, variance, per stratum)``.
+
+    Dropped launches take their stratum's work-weighted duration rate.
+    The per-stratum map holds ``(estimated stratum cycles incl.
+    extrapolated launches, measured cycles of the kept members)`` —
+    the stall and counter scalers reuse the duration extrapolation.
+    """
+    position = {lp.index: pos for pos, lp in enumerate(plan.plans)}
+    basis = plan.basis
     est_cycles = 0.0
     stat_var = 0.0
-    plan_of = {plan.index: plan for plan in plans}
-    #: sig -> (estimated stratum cycles incl. extrapolated launches,
-    #:         measured cycles of the kept members) — the stall and
-    #: counter scalers below reuse the duration extrapolation.
     stratum_cycles: dict[tuple, tuple[float, float]] = {}
-    for sig, members in launch_strata.items():
-        kept_members = [
-            plan_of[i] for i in members if i in plan_of
-        ]
-        unseen_work = sum(
-            basis[i] for i in members if i not in plan_of
-        )
-        stratum_est = sum(p.cycles_estimate for p in kept_members)
-        stat_var += sum(p.cycles_sd ** 2 for p in kept_members)
+    for sig, members in plan.launch_strata.items():
+        kept = [position[i] for i in members if i in position]
+        unseen_work = sum(basis[i] for i in members if i not in position)
+        stratum_est = sum(estimates[pos][0] for pos in kept)
+        stat_var += sum(estimates[pos][1] ** 2 for pos in kept)
         if unseen_work:
-            stratum_work = sum(basis[p.index] for p in kept_members) or 1
-            rate = (
-                sum(p.cycles_estimate for p in kept_members)
-                / stratum_work
-            )
+            stratum_work = sum(
+                basis[plan.plans[pos].index] for pos in kept
+            ) or 1
+            rate = stratum_est / stratum_work
             stratum_est += unseen_work * rate
             rates = [
-                p.cycles_estimate / basis[p.index] for p in kept_members
+                estimates[pos][0] / basis[plan.plans[pos].index]
+                for pos in kept
             ]
             if len(rates) >= 2:
                 mean_r = sum(rates) / len(rates)
@@ -1215,58 +1157,44 @@ def estimate_application(
                 sd_r = _SINGLETON_CV * rate
             # Extrapolated launches share the estimated rate, so their
             # errors are correlated: scale the block, not each member.
-            stat_var += (unseen_work * sd_r) ** 2 / len(kept_members)
+            stat_var += (unseen_work * sd_r) ** 2 / len(kept)
         est_cycles += stratum_est
         stratum_cycles[sig] = (
-            stratum_est, sum(p.d1 for p in kept_members)
+            stratum_est, sum(measured.spans[pos] for pos in kept)
         )
+    return est_cycles, stat_var, stratum_cycles
 
-    bounds = ERROR_BOUNDS
-    cyc_margin = bounds["cycles_rel_cdp" if cdp else "cycles_rel"]
-    traffic_margin = bounds["traffic_rel_cdp" if cdp else "traffic_rel"]
-    miss_margin = bounds["miss_rate_abs_cdp" if cdp else "miss_rate_abs"]
-    stall_margin = bounds[
-        "stall_frac_abs_cdp" if cdp else "stall_frac_abs"
-    ]
 
-    est = EstimatedRunStats()
-    cached.total_counts.merge_into(est)
-    # Host-side costs are exact arithmetic over the *original* host
-    # program (dropped launches still pay their driver overhead).
-    est.kernel_launches = launches_total
-    est.memcpy_calls = stats_s.memcpy_calls
-    est.pci_cycles = stats_s.pci_cycles
-    est.launch_overhead_cycles = (
-        config.host_launch_cycles * launches_total
-    )
-    est.device_launches = device_launches
-    est.kernel_cycles = max(1, int(round(est_cycles)))
-    est.cycles = est.kernel_cycles
-    est.kernel_timeline = stats_s.kernel_timeline
+def _scale_counters(est: EstimatedRunStats, plan: _Plan,
+                    measured: _Measured, config: GPUConfig,
+                    est_cycles: float, stratum_cycles: dict) -> float:
+    """Scale measured counters and stalls to the full run.
 
+    Returns the DRAM writeback slack (see :func:`_set_intervals`).
+    """
+    stats_s = measured.stats
+    inner = plan.inner
     # Per-stratum scaling of the measured per-launch counter deltas:
     # each launch stratum's sampled traffic is blown up to its
     # population work, so launch-composition bias cancels and warm-up
-    # launches (absent from ``kept_deltas``) never contaminate the
+    # launches (absent from the kept deltas) never contaminate the
     # estimate.  Miss rates then fall out of the scaled numerators and
     # denominators instead of transferring raw pooled rates.
     stratum_entries: dict[tuple, list[dict]] = {}
     stratum_samp_work: dict[tuple, int] = {}
-    for plan, delta in zip(plans, kept_deltas):
-        stratum_entries.setdefault(plan.sig, []).append(delta)
-        stratum_samp_work[plan.sig] = (
-            stratum_samp_work.get(plan.sig, 0) + plan.sampled_work
+    for lp, delta in zip(plan.plans, measured.deltas):
+        stratum_entries.setdefault(lp.sig, []).append(delta)
+        stratum_samp_work[lp.sig] = (
+            stratum_samp_work.get(lp.sig, 0) + lp.sampled_work
         )
     counter_acc = {
-        "l1": [0.0] * len(_CACHE_FIELDS),
-        "const_cache": [0.0] * len(_CACHE_FIELDS),
-        "l2": [0.0] * len(_CACHE_FIELDS),
+        group: [0.0] * len(_CACHE_FIELDS) for group in _COUNTER_GROUPS
     }
     stall_acc: dict = {}
     sm_ratio = config.num_sms / inner.num_sms
     fdone = StallReason.FUNCTIONAL_DONE._value_
     for sig, entries in stratum_entries.items():
-        pop_work = sum(works[i] for i in launch_strata[sig])
+        pop_work = sum(plan.works[i] for i in plan.launch_strata[sig])
         scale = pop_work / max(1, stratum_samp_work[sig])
         # SM-side stalls accumulate per SM per cycle: rescale this
         # stratum from (miniature SMs x measured time) to (full SMs x
@@ -1290,11 +1218,9 @@ def estimate_application(
                 stall_acc[reason] = (
                     stall_acc.get(reason, 0.0) + factor * cycles
                 )
-    for group, dst in (
-        ("l1", est.l1), ("const_cache", est.const_cache), ("l2", est.l2)
-    ):
-        for field_name, value in zip(_CACHE_FIELDS, counter_acc[group]):
-            setattr(dst, field_name, int(round(value)))
+    for group, acc in counter_acc.items():
+        for field_name, value in zip(_CACHE_FIELDS, acc):
+            setattr(getattr(est, group), field_name, int(round(value)))
     # DRAM/NoC traffic is *not* attributable per window: a dirty line
     # written by launch i is written back whenever capacity pressure
     # evicts it, often launches later, so the per-window deltas of a
@@ -1302,28 +1228,15 @@ def estimate_application(
     # Pool the whole sampled run instead (warm-up launches included —
     # they are full, genuine population members for traffic purposes)
     # and scale by the work the run actually simulated.
-    warmup_work = sum(works[i] for i in warmup)
-    traffic_ratio = total_work / max(1, sampled_work + warmup_work)
-    for field_name in _DRAM_FIELDS:
-        setattr(est.dram, field_name,
-                _scale_int(getattr(stats_s.dram, field_name),
-                           traffic_ratio))
-    for field_name in _NOC_FIELDS:
-        setattr(est.noc, field_name,
-                _scale_int(getattr(stats_s.noc, field_name),
-                           traffic_ratio))
-    # Writeback slack: dirty lines parked in the caches when the
-    # shorter sampled run ends generated no DRAM writes, but the
-    # launches the sample dropped might have evicted them (store ->
-    # L1 dirty -> L2 -> DRAM drains only under set-conflict pressure).
-    # How much of that population drains is genuinely unobservable
-    # from the sample — in NW it is none, in SW a sizeable slice — so
-    # it widens the DRAM intervals upward rather than moving the
-    # estimate (see the interval construction below).
-    dirty_left = sum(
-        bank.dirty_resident() for bank in simulator.memory.l2_banks
-    ) + sum(sm.l1.dirty_resident() for sm in simulator.sms)
-    writeback_slack = max(0.0, (traffic_ratio - 1.0) * dirty_left)
+    warmup_work = sum(plan.works[i] for i in plan.warmup)
+    traffic_ratio = plan.total_work / max(
+        1, plan.sampled_work + warmup_work
+    )
+    for group, names in (("dram", _DRAM_FIELDS), ("noc", _NOC_FIELDS)):
+        for name in names:
+            value = getattr(getattr(stats_s, group), name)
+            setattr(getattr(est, group), name,
+                    _scale_int(value, traffic_ratio))
     # Idle-while-pending cycles scale with channel-time, not work.
     time_ratio = (config.num_mem_partitions * est_cycles) / max(
         1.0, inner.num_mem_partitions * stats_s.kernel_cycles
@@ -1334,13 +1247,24 @@ def estimate_application(
     # Every launch pays its setup stall, dropped ones included.
     stall_acc[fdone] = (
         stall_acc.get(fdone, 0.0)
-        + config.host_launch_cycles * launches_total
+        + config.host_launch_cycles * len(plan.works)
     )
     for reason, cycles in stall_acc.items():
         est.stalls[reason] = max(0, int(round(cycles)))
+    # Writeback slack: dirty lines parked in the caches when the
+    # shorter sampled run ends generated no DRAM writes, but the
+    # launches the sample dropped might have evicted them (store ->
+    # L1 dirty -> L2 -> DRAM drains only under set-conflict pressure).
+    return max(0.0, (traffic_ratio - 1.0) * measured.dirty_left)
 
-    # Intervals: statistical half-width plus the declared model margin.
-    half = Z_95 * math.sqrt(stat_var) + cyc_margin * est_cycles
+
+def _set_intervals(est: EstimatedRunStats, measured: _Measured,
+                   est_cycles: float, stat_var: float,
+                   writeback_slack: float, margins: dict) -> None:
+    """Statistical half-width plus the declared model margin."""
+    stats_s = measured.stats
+    half = (Z_95 * math.sqrt(stat_var)
+            + margins["cycles_rel"] * est_cycles)
     est.intervals["cycles"] = _interval(est_cycles, half, lo_clamp=1.0)
     est.intervals["kernel_cycles"] = est.intervals["cycles"]
     est.intervals["device_time"] = _interval(
@@ -1350,16 +1274,15 @@ def estimate_application(
     est.intervals["ipc"] = (
         est.instructions / cyc_hi, est.instructions / cyc_lo
     )
-    est.intervals["l1_miss_rate"] = _interval(
-        est.l1.miss_rate,
-        Z_95 * _rate_se(kept_deltas, "l1") + miss_margin,
-        lo_clamp=0.0, hi_clamp=1.0,
-    )
-    est.intervals["l2_miss_rate"] = _interval(
-        est.l2.miss_rate,
-        Z_95 * _rate_se(kept_deltas, "l2") + miss_margin,
-        lo_clamp=0.0, hi_clamp=1.0,
-    )
+    for metric, group, stats in (
+        ("l1_miss_rate", "l1", est.l1), ("l2_miss_rate", "l2", est.l2)
+    ):
+        est.intervals[metric] = _interval(
+            stats.miss_rate,
+            Z_95 * _rate_se(measured.deltas, group)
+            + margins["miss_rate_abs"],
+            lo_clamp=0.0, hi_clamp=1.0,
+        )
     for metric, value in (
         ("dram_requests", est.dram.requests),
         ("dram_data_cycles", est.dram.data_cycles),
@@ -1367,8 +1290,12 @@ def estimate_application(
         ("noc_messages", est.noc.messages),
     ):
         est.intervals[metric] = _interval(
-            value, traffic_margin * value, lo_clamp=0.0
+            value, margins["traffic_rel"] * value, lo_clamp=0.0
         )
+    # How much of the writeback slack drains is genuinely unobservable
+    # from the sample — in NW it is none, in SW a sizeable slice — so
+    # it widens the DRAM intervals upward rather than moving the
+    # estimate.
     if writeback_slack > 0:
         per_request_data = stats_s.dram.data_cycles / max(
             1, stats_s.dram.requests
@@ -1381,27 +1308,66 @@ def estimate_application(
             est.intervals[metric] = (lo, hi + writeback_slack * per_unit)
     for reason, frac in est.stall_breakdown().items():
         est.intervals[f"stall_{reason}"] = _interval(
-            frac, stall_margin, lo_clamp=0.0, hi_clamp=1.0
+            frac, margins["stall_frac_abs"], lo_clamp=0.0, hi_clamp=1.0
         )
 
+
+def _extrapolate(plan: _Plan, measured: _Measured, config: GPUConfig
+                 ) -> EstimatedRunStats:
+    """Scale the measurements up to whole-run stats with intervals."""
+    estimates = _launch_estimates(plan, measured, config)
+    est_cycles, stat_var, stratum_cycles = _stratum_cycles(
+        plan, measured, estimates
+    )
+    cdp = plan.device_launches > 0
+    suffix = "_cdp" if cdp else ""
+    margins = {
+        name: ERROR_BOUNDS[name + suffix]
+        for name in ("cycles_rel", "traffic_rel", "miss_rate_abs",
+                     "stall_frac_abs")
+    }
+    stats_s = measured.stats
+    launches_total = len(plan.works)
+
+    est = EstimatedRunStats()
+    plan.total_counts.merge_into(est)
+    # Host-side costs are exact arithmetic over the *original* host
+    # program (dropped launches still pay their driver overhead).
+    est.kernel_launches = launches_total
+    est.memcpy_calls = stats_s.memcpy_calls
+    est.pci_cycles = stats_s.pci_cycles
+    est.launch_overhead_cycles = (
+        config.host_launch_cycles * launches_total
+    )
+    est.device_launches = plan.device_launches
+    est.kernel_cycles = max(1, int(round(est_cycles)))
+    est.cycles = est.kernel_cycles
+    est.kernel_timeline = stats_s.kernel_timeline
+    writeback_slack = _scale_counters(
+        est, plan, measured, config, est_cycles, stratum_cycles
+    )
+    _set_intervals(est, measured, est_cycles, stat_var, writeback_slack,
+                   margins)
+    inner = plan.inner
     est.sample = {
-        "requested_fraction": fraction,
-        "achieved_work_fraction": work_fraction,
-        "achieved_cta_fraction": sampled_ctas / total_ctas,
-        "within_launch_fraction": within_fraction,
+        "requested_fraction": config.sample_fraction,
+        "achieved_work_fraction": plan.sampled_work / plan.total_work,
+        "achieved_cta_fraction": plan.sampled_ctas / plan.total_ctas,
+        "within_launch_fraction": plan.within_fraction,
         "seed": config.sample_seed,
-        "min_per_class": config.sample_min_per_class,
-        "strata": sum(len(plan.strata) for plan in plans),
-        "sampled_ctas": sampled_ctas,
-        "total_ctas": total_ctas,
+        "min_per_class": SAMPLE_MIN_PER_CLASS,
+        "strata": sum(len(lp.strata) for lp in plan.plans),
+        "sampled_ctas": plan.sampled_ctas,
+        "total_ctas": plan.total_ctas,
         "launches": launches_total,
-        "launches_kept": len(plans),
-        "launch_strata": len(launch_strata),
-        "probed_launches": len(probe_plans),
-        "warmup_depth": warm_depth,
-        "warmup_launches": len(warmup),
+        "launches_kept": len(plan.plans),
+        "launch_strata": len(plan.launch_strata),
+        "probed_launches": len(plan.probed),
+        "warmup_depth": plan.warm_depth,
+        "warmup_launches": len(plan.warmup),
         "dilution": (
-            "resident_limited" if resident_limited else "machine_scaled"
+            "resident_limited" if plan.resident_limited
+            else "machine_scaled"
         ),
         "machine": {
             "num_sms": inner.num_sms,
@@ -1410,60 +1376,50 @@ def estimate_application(
         },
         "exact_fallback": False,
         "cdp": cdp,
-        "margins": {
-            "cycles_rel": cyc_margin,
-            "traffic_rel": traffic_margin,
-            "miss_rate_abs": miss_margin,
-            "stall_frac_abs": stall_margin,
-        },
+        "margins": margins,
         "measured_kernel_cycles": stats_s.kernel_cycles,
     }
     return est
 
 
 def _exact_fallback(
-    cached: CachedApplication,
-    config: GPUConfig,
-    fraction: float,
-    total_ctas: int,
+    cached: CachedApplication, config: GPUConfig
 ) -> EstimatedRunStats:
     """Every CTA sampled: run exactly, report zero-width intervals."""
     exact_cfg = config.with_(sample_fraction=0.0)
     stats = replay_application(cached, GPUSimulator(exact_cfg))
+    total_ctas = sum(
+        op.launch.num_ctas for op in cached.ops
+        if isinstance(op, HostLaunch)
+    )
     est = EstimatedRunStats()
     est.merge(stats)
     est.cycles = stats.cycles
     est.telemetry = stats.telemetry
-    est.intervals = {
-        "cycles": (float(stats.cycles), float(stats.cycles)),
-        "kernel_cycles": (
-            float(stats.kernel_cycles), float(stats.kernel_cycles)
-        ),
-        "device_time": (
-            float(stats.device_time()), float(stats.device_time())
-        ),
-        "ipc": (stats.ipc, stats.ipc),
-        "l1_miss_rate": (stats.l1.miss_rate, stats.l1.miss_rate),
-        "l2_miss_rate": (stats.l2.miss_rate, stats.l2.miss_rate),
-        "dram_requests": (
-            float(stats.dram.requests), float(stats.dram.requests)
-        ),
-        "dram_data_cycles": (
-            float(stats.dram.data_cycles), float(stats.dram.data_cycles)
-        ),
-        "noc_bytes": (float(stats.noc.bytes), float(stats.noc.bytes)),
-        "noc_messages": (
-            float(stats.noc.messages), float(stats.noc.messages)
-        ),
+    exact = {
+        "cycles": stats.cycles,
+        "kernel_cycles": stats.kernel_cycles,
+        "device_time": stats.device_time(),
+        "ipc": stats.ipc,
+        "l1_miss_rate": stats.l1.miss_rate,
+        "l2_miss_rate": stats.l2.miss_rate,
+        "dram_requests": stats.dram.requests,
+        "dram_data_cycles": stats.dram.data_cycles,
+        "noc_bytes": stats.noc.bytes,
+        "noc_messages": stats.noc.messages,
     }
     for reason, frac in stats.stall_breakdown().items():
-        est.intervals[f"stall_{reason}"] = (frac, frac)
+        exact[f"stall_{reason}"] = frac
+    est.intervals = {
+        metric: (float(value), float(value))
+        for metric, value in exact.items()
+    }
     est.sample = {
-        "requested_fraction": fraction,
+        "requested_fraction": config.sample_fraction,
         "achieved_work_fraction": 1.0,
         "achieved_cta_fraction": 1.0,
         "seed": config.sample_seed,
-        "min_per_class": config.sample_min_per_class,
+        "min_per_class": SAMPLE_MIN_PER_CLASS,
         "sampled_ctas": total_ctas,
         "total_ctas": total_ctas,
         "exact_fallback": True,

@@ -194,6 +194,31 @@ class TestErrorPaths:
         assert exit_info.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,where", [
+        ("num_sms = 0\n", "line 1: num_sms: need at least one SM"),
+        ("# c\nnum_sms = abc\n", "line 2: num_sms: expected an integer"),
+        ("sample_fraction = 0.5\n", "line 1: sample_fraction: "),
+        ("num_smz = 4\n", "line 1: unknown key 'num_smz'"),
+    ])
+    def test_bad_config_file_is_a_usage_error(self, tmp_path, capsys,
+                                              text, where):
+        path = tmp_path / "f.cfg"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "NW", "--config", str(path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--config: {path}: {where}" in err
+        assert "Traceback" not in err
+
+    def test_config_file_drives_the_run(self, tmp_path, capsys):
+        path = tmp_path / "f.cfg"
+        path.write_text("num_sms = 4\n")
+        assert main(["run", "NW", "--config", str(path)]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["run", "NW", "--sms", "4"]) == 0
+        assert capsys.readouterr().out == from_file
+
     def test_estimate_without_conflicts_runs(self, capsys):
         assert main(["run", "SW", "--sms", "4", "--estimate",
                      "--sample-fraction", "0.5"]) == 0

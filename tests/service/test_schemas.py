@@ -146,6 +146,26 @@ class TestRejection:
                 "simulate", {"benchmark": "NW", "config": overrides}
             )
 
+    @pytest.mark.parametrize("kind", ["simulate", "profile"])
+    def test_exact_endpoints_reject_sampling_config(self, kind):
+        """A sampled config on an exact endpoint fails at parse time,
+        pointing to the estimate endpoint (not inside the forked job)."""
+        with pytest.raises(SchemaError, match="/v1/estimate") as err:
+            parse_request(kind, {
+                "benchmark": "NW", "config": {"sample_fraction": 0.5},
+            })
+        assert err.value.field == "config"
+        parse_request(kind, {
+            "benchmark": "NW", "config": {"sample_fraction": 0.0},
+        })
+
+    @pytest.mark.parametrize("key", [
+        "sample_min_per_class", "sample_max_launches_per_class",
+    ])
+    def test_removed_sample_knobs_rejected(self, key):
+        with pytest.raises(SchemaError, match=f"unknown key '{key}'"):
+            parse_request("estimate", {"benchmark": "NW", "config": {key: 4}})
+
     @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5, "half"])
     def test_estimate_fraction_range(self, fraction):
         with pytest.raises(SchemaError, match="sample_fraction"):

@@ -78,6 +78,30 @@ class TestParseConfig:
             with pytest.raises(ValueError, match=f"unknown key '{key}'"):
                 apply_overrides(GPUConfig(), {key: value})
 
+    def test_removed_sample_knobs_rejected(self):
+        """The per-class sampling minimum and launch cap are estimator
+        constants: setting them must fail naming the key."""
+        for key in ("sample_min_per_class", "sample_max_launches_per_class"):
+            with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+                parse_config(f"{key} = 4\n")
+            with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+                apply_overrides(GPUConfig(), {key: 4})
+
+    @pytest.mark.parametrize("text,where", [
+        ("num_sms = 0\n", "line 1: num_sms: need at least one SM"),
+        ("# c\nnum_sms = abc\n", "line 2: num_sms: expected an integer"),
+        ("perfect_memory = maybe\n", "line 1: perfect_memory: expected a"),
+        ("l1.line_bytes = 256\nl1.size_bytes = 128\n",
+         "line 2: l1.size_bytes: cache smaller than one line"),
+    ])
+    def test_errors_name_line_and_key(self, text, where):
+        with pytest.raises(ValueError, match=where):
+            parse_config(text)
+
+    def test_values_valid_only_together_are_accepted(self):
+        cfg = parse_config("l1.size_bytes = 64\nl1.line_bytes = 64\n")
+        assert (cfg.l1.size_bytes, cfg.l1.line_bytes) == (64, 64)
+
 
 class TestSaveLoadRoundtrip:
     def test_roundtrip_baseline(self, tmp_path):

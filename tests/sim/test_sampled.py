@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,16 +22,24 @@ from repro.core.sweep import (
     sweep_point,
     trace_signature,
 )
+from repro.data.datasets import DatasetSize
 from repro.kernels import build_application
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPUSimulator
 from repro.sim.replay import CachedApplication, replay_application
 from repro.sim.sampled import (
+    _CACHE_FIELDS,
+    ERROR_BOUNDS,
+    SAMPLE_MAX_LAUNCHES_PER_CLASS,
     EstimatedRunStats,
+    _extrapolate,
+    _Measured,
+    _plan,
     estimate_application,
     ranking_inversions,
     spearman,
 )
+from repro.sim.stats import RunStats
 
 
 @pytest.fixture(scope="module")
@@ -119,10 +128,11 @@ def test_estimate_requires_cached_application():
 def test_config_validates_sample_knobs():
     with pytest.raises(ValueError):
         GPUConfig(sample_fraction=1.5)
-    with pytest.raises(ValueError):
-        GPUConfig(sample_min_per_class=0)
-    with pytest.raises(ValueError):
-        GPUConfig(sample_max_launches_per_class=-1)
+    # The per-class minimum and launch cap are estimator constants,
+    # not config fields.
+    for knob in ("sample_min_per_class", "sample_max_launches_per_class"):
+        with pytest.raises(TypeError):
+            GPUConfig(**{knob: 2})
 
 
 # -- determinism (the satellite lock) --------------------------------------
@@ -200,7 +210,7 @@ def test_exact_and_estimated_points_share_traces():
 
 def test_trace_signature_excludes_sample_knobs():
     assert trace_signature(GPUConfig()) == trace_signature(
-        est_config(sample_seed=7, sample_min_per_class=4)
+        est_config(sample_seed=7)
     )
 
 
@@ -208,6 +218,83 @@ def test_estimate_benchmark_defaults_to_ten_percent():
     stats = estimate_benchmark("NW")
     assert isinstance(stats, EstimatedRunStats)
     assert stats.sample["requested_fraction"] == 0.1
+
+
+# -- stages: plan and extrapolate, no simulator ----------------------------
+
+def _measured(plan, spans, probes=()) -> _Measured:
+    """A hand-built measurement: zero counters, uniform CTA durations."""
+    zero = {
+        "l1": [0] * len(_CACHE_FIELDS),
+        "const_cache": [0] * len(_CACHE_FIELDS),
+        "l2": [0] * len(_CACHE_FIELDS),
+        "stalls": {},
+    }
+    return _Measured(
+        stats=RunStats(),
+        spans=list(spans),
+        durations=[
+            [[span / 2] * len(chosen) for chosen in lp.sampled]
+            for lp, span in zip(plan.plans, spans)
+        ],
+        deltas=[zero] * len(plan.plans),
+        probes=list(probes),
+        boosts=[0.0] * len(plan.plans),
+        dirty_left=0,
+    )
+
+
+def test_plan_caps_launch_strata_without_warmup():
+    """NvB's comparisons are independent: no warm-up, and the launch
+    cap binds on its 256-launch stratum."""
+    cached = CachedApplication(
+        build_application("NvB", size=DatasetSize.MEDIUM)
+    )
+    plan = _plan(cached, est_config())
+    assert plan.warm_depth == 0 and not plan.warmup
+    kept = Counter(lp.sig for lp in plan.plans)
+    assert max(kept.values()) == SAMPLE_MAX_LAUNCHES_PER_CLASS
+    assert max(len(m) for m in plan.launch_strata.values()) > 10 * 24
+
+
+def test_plan_warms_up_wavefronts_with_whole_launches(cached_sw):
+    plan = _plan(cached_sw, est_config())
+    assert plan.warm_depth >= 1 and plan.warmup
+    assert all(lp.n_sampled == lp.num_ctas for lp in plan.plans)
+    assert plan.span_kinds.count("kept") == len(plan.plans)
+
+
+def test_extrapolate_hyperbola_pole_hits_serial_cap():
+    """A probe far below the measurement puts the hyperbola's pole
+    before the full grid: the launch saturates at the serialized
+    scaling of its measured duration."""
+    cached = CachedApplication(build_application("CLUSTER", cdp=True))
+    config = est_config()
+    plan = _plan(cached, config)
+    assert len(plan.plans) == 1 and len(plan.probed) == 1
+    (lp,) = plan.plans
+    w1, d1 = float(lp.sampled_work), 1000.0
+    w2, d2 = w1 / 2, 1.0
+    ratio = d1 / d2
+    assert (ratio - 1) / (ratio * w1 - w2) * lp.total_work >= 1.0
+    est = _extrapolate(plan, _measured(plan, [d1], [(w2, d2)]), config)
+    assert est.cycles == round(d1 * lp.total_work / w1)
+
+
+def test_extrapolate_fully_observed_strata_have_no_sampling_error(
+    cached_sw,
+):
+    """SW's kept launches run whole, so every CTA stratum is fully
+    observed; with extrapolated launches at one exact rate, the cycle
+    interval is the declared model margin alone."""
+    config = est_config()
+    plan = _plan(cached_sw, config)
+    spans = [3.0 * plan.basis[lp.index] for lp in plan.plans]
+    est = _extrapolate(plan, _measured(plan, spans), config)
+    lo, hi = est.interval("cycles")
+    margin = ERROR_BOUNDS["cycles_rel"] * (hi + lo) / 2
+    assert (hi - lo) / 2 == pytest.approx(margin, rel=1e-9)
+    assert est.cycles == pytest.approx(3.0 * sum(plan.basis), rel=1e-6)
 
 
 # -- ranking helpers -------------------------------------------------------
