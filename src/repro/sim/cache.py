@@ -105,20 +105,19 @@ class Cache:
         stats.misses += 1
         if not store:
             stats.load_misses += 1
-        self._fill(ways, line, dirty=store)
-        return False
-
-    def _fill(self, ways: OrderedDict[int, bool], line: int, dirty: bool) -> None:
+        # Fill: evict the LRU way when the set is full, handing a dirty
+        # victim to the next level before the new line is inserted.
         if len(ways) >= self._assoc:
             victim, victim_dirty = ways.popitem(last=False)
-            self.stats.evictions += 1
+            stats.evictions += 1
             if victim_dirty:
-                self.stats.writebacks += 1
+                stats.writebacks += 1
                 if self.writeback_sink is not None:
                     self.writeback_sink(victim)
         else:
             self._resident += 1
-        ways[line] = dirty
+        ways[line] = store
+        return False
 
     def probe_hits(self, lines, store: bool = False) -> int:
         """Access the longest all-hit prefix of ``lines`` in one call.

@@ -57,7 +57,6 @@ class DRAMConfig:
     row_hit_latency: int = 40
     row_miss_latency: int = 100
     burst_cycles: int = 4  # one 128B line over a 32B/cycle pin bus
-    queue_entries: int = 64
 
     def __post_init__(self) -> None:
         if self.controller not in ("frfcfs", "fifo", "ooo128"):

@@ -100,73 +100,55 @@ class DRAMChannel:
         self.telemetry = None
         self._banks = [_Bank() for _ in range(config.banks)]
         self._bus_busy_until = 0
-        self._last_start = 0  # for FIFO ordering
-
-    def _locate(self, line: int) -> tuple[int, int]:
-        """(bank, row) of a line index."""
-        byte_addr = line * self.line_bytes
-        row = byte_addr // self.config.row_bytes
-        bank = row % self.config.banks
-        return bank, row
+        # Per-access constants hoisted out of the per-line path.
+        self._fifo = config.controller == "fifo"
+        self._activation = config.row_miss_latency - config.row_hit_latency
 
     def access(self, line: int, now: int) -> int:
         """Service one line request arriving at ``now``; returns completion."""
         config = self.config
-        bank_id, row = self._locate(line)
-        bank = self._banks[bank_id]
+        stats = self.stats
+        row = line * self.line_bytes // config.row_bytes
+        bank = self._banks[row % config.banks]
+        recent = bank.recent_rows
+        busy = bank.busy_until
 
-        if config.controller == "fifo":
-            # In order per bank; only the physically open row gives a
-            # hit, so interleaved streams lose row-buffer locality.
-            row_hit = bank.open_row == row
-        else:  # frfcfs / ooo128: the reorder window batches row hits
-            row_hit = row in bank.recent_rows
-
-        if row_hit:
-            if config.controller == "fifo":
-                # In-order issue: even a row hit waits for the bank's
-                # previous command to drain (no CAS pipelining).
-                start = max(now, bank.busy_until)
-            else:
-                # Column commands pipeline: CAS can issue immediately
-                # on arrival, so back-to-back hits stream at bus rate.
-                start = now
-            latency = config.row_hit_latency
-            self.stats.row_hits += 1
+        # FIFO issues in order per bank and only the physically open
+        # row gives a hit, so interleaved streams lose row-buffer
+        # locality; FR-FCFS / OoO-128's reorder window batches row hits.
+        fifo = self._fifo
+        if bank.open_row == row if fifo else row in recent:
+            # FIFO: even a row hit waits for the bank's previous command
+            # to drain (no CAS pipelining).  Otherwise column commands
+            # pipeline, so back-to-back hits stream at bus rate.
+            start = busy if fifo and busy > now else now
+            ready = start + config.row_hit_latency
+            stats.row_hits += 1
         else:
             # Activate/precharge occupies the bank until the transfer.
-            start = max(now, bank.busy_until)
-            latency = config.row_miss_latency
-            self.stats.row_misses += 1
-            self.stats.activation_cycles += (
-                config.row_miss_latency - config.row_hit_latency
-            )
+            start = busy if busy > now else now
+            ready = start + config.row_miss_latency
+            stats.row_misses += 1
+            stats.activation_cycles += self._activation
         bank.open_row = row
-        if row not in bank.recent_rows:
-            bank.recent_rows.append(row)
+        if row not in recent:
+            recent.append(row)
 
-        transfer_start = max(start + latency, self._bus_busy_until)
+        bus = self._bus_busy_until
+        transfer_start = bus if bus > ready else ready
         completion = transfer_start + config.burst_cycles
-
         # Bus idle time while this request was pending: the gap between
         # the previous transfer's end (or this request's arrival, if
         # later) and this transfer's start.
-        self.stats.idle_pending_cycles += max(
-            0, transfer_start - max(now, self._bus_busy_until)
-        )
-
-        self._bus_busy_until = completion
-        bank.busy_until = completion
-        self._last_start = start
+        stats.idle_pending_cycles += transfer_start - (bus if bus > now else now)
+        self._bus_busy_until = bank.busy_until = completion
         if self.telemetry is not None:
             # Data-pin occupancy, attributed to the transfer window.
             self.telemetry.dram(transfer_start, config.burst_cycles)
 
-        self.stats.requests += 1
-        self.stats.data_cycles += config.burst_cycles
+        stats.requests += 1
+        stats.data_cycles += config.burst_cycles
         # Queue wait: time lost to ordering, bank conflicts, and bus
         # contention beyond the intrinsic service latency.
-        self.stats.queue_cycles += (start - now) + max(
-            0, transfer_start - (start + latency)
-        )
+        stats.queue_cycles += (start - now) + (transfer_start - ready)
         return completion

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from repro.sim.config import NoCConfig
-from repro.sim.interconnect.topology import Topology, build_topology
+from repro.sim.interconnect.topology import Topology, build_topology, route_table
 
 #: Control header bytes on every message (request or response).
 HEADER_BYTES = 8
@@ -57,37 +57,51 @@ class Network:
         self.topology: Topology = build_topology(
             config.topology, num_sms, num_partitions
         )
+        self._up, self._down = route_table(self.topology)
         self.stats = NetworkStats()
         #: time-resolved sampler (set by the owning MemorySubsystem;
         #: None when telemetry is off)
         self.telemetry = None
         self._inject_busy = [0] * self.topology.total_nodes
         self._eject_busy = [0] * self.topology.total_nodes
+        #: payload bytes -> (message bytes, serialization, cycles per hop)
+        self._costs: dict[int, tuple[int, int, int]] = {}
 
-    def _transfer(self, src: int, dst: int, payload_bytes: int, now: int) -> int:
+    def _cost(self, payload_bytes: int) -> tuple[int, int, int]:
         config = self.config
         bytes_total = payload_bytes + HEADER_BYTES
         ser = max(1, math.ceil(bytes_total / config.channel_bytes))
-        start = max(now, self._inject_busy[src], self._eject_busy[dst])
-        self._inject_busy[src] = start + ser
-        self._eject_busy[dst] = start + ser
-        hops = self.topology.hops(src, dst)
         # Store-and-forward switching: every hop re-serializes the
         # packet, and added router-pipeline delay is paid per flit per
         # hop (flits cannot overlap the stalled pipeline with only two
         # virtual channels).  Both the per-router delay (Fig 21) and
         # the channel width (Fig 22) therefore multiply with the
         # topology's hop count (Fig 20).
-        arrival = (
-            start
-            + hops * ser * (1 + config.router_delay)
-            + config.base_latency
-        )
+        cost = (bytes_total, ser, ser * (1 + config.router_delay))
+        self._costs[payload_bytes] = cost
+        return cost
 
-        self.stats.messages += 1
-        self.stats.bytes += bytes_total
-        self.stats.latency_cycles += arrival - now
-        self.stats.contention_cycles += start - now
+    def _transfer(
+        self, src: int, dst: int, hops: int, payload_bytes: int, now: int
+    ) -> int:
+        bytes_total, ser, per_hop = (
+            self._costs.get(payload_bytes) or self._cost(payload_bytes)
+        )
+        inject = self._inject_busy
+        eject = self._eject_busy
+        start = now
+        if inject[src] > start:
+            start = inject[src]
+        if eject[dst] > start:
+            start = eject[dst]
+        inject[src] = eject[dst] = start + ser
+        arrival = start + hops * per_hop + self.config.base_latency
+
+        stats = self.stats
+        stats.messages += 1
+        stats.bytes += bytes_total
+        stats.latency_cycles += arrival - now
+        stats.contention_cycles += start - now
         if self.telemetry is not None:
             # Channel occupancy, attributed to the serialization window.
             self.telemetry.noc(start, ser, bytes_total)
@@ -102,22 +116,18 @@ class Network:
         auto-tune (:mod:`repro.sim.parallel`) uses this as part of the
         minimum cross-SM interaction latency.
         """
-        config = self.config
-        num_partitions = self.topology.total_nodes - self.num_sms
-        hops = min(
-            self.topology.hops(sm, self.num_sms + p)
-            for sm in range(self.num_sms)
-            for p in range(num_partitions)
-        )
-        return hops * (1 + config.router_delay) + config.base_latency
+        hops = min(min(row) for row in self._up)
+        return hops * (1 + self.config.router_delay) + self.config.base_latency
 
     def request(self, sm: int, partition: int, now: int, store_bytes: int = 0) -> int:
         """Send a memory request; returns arrival time at the partition.
 
         ``store_bytes`` carries write data (reads send only a header).
         """
-        return self._transfer(sm, self.num_sms + partition, store_bytes, now)
+        return self._transfer(sm, self.num_sms + partition,
+                              self._up[sm][partition], store_bytes, now)
 
     def response(self, partition: int, sm: int, now: int, data_bytes: int = 128) -> int:
         """Send a reply; returns arrival time at the SM."""
-        return self._transfer(self.num_sms + partition, sm, data_bytes, now)
+        return self._transfer(self.num_sms + partition, sm,
+                              self._down[partition][sm], data_bytes, now)

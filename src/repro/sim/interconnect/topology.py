@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -39,13 +40,8 @@ class Topology:
 
     def average_hops(self) -> float:
         """Mean SM->partition hop count (diagnostic / tests)."""
-        total = 0
-        count = 0
-        for sm in range(self.num_sms):
-            for part in range(self.num_partitions):
-                total += self.hops(sm, self.num_sms + part)
-                count += 1
-        return total / count
+        up, _ = route_table(self)
+        return sum(map(sum, up)) / (self.num_sms * self.num_partitions)
 
 
 class CrossbarTopology(Topology):
@@ -58,9 +54,9 @@ class CrossbarTopology(Topology):
 class MeshTopology(Topology):
     """2D mesh with dimension-order (X then Y) routing.
 
-    Nodes are laid row-major on the smallest square grid that fits;
-    partitions are interleaved through the population the way
-    GPGPU-Sim places memory nodes.
+    Nodes are numbered SMs first, then partitions, and laid row-major
+    on the smallest square grid that fits: the partitions take the
+    cells after the last SM, in the bottom rows.
     """
 
     def _side(self) -> int:
@@ -126,6 +122,23 @@ _TOPOLOGIES = {
     "fattree": FatTreeTopology,
     "butterfly": ButterflyTopology,
 }
+
+
+@lru_cache(maxsize=64)
+def route_table(topology: Topology) -> tuple[tuple, tuple]:
+    """Hop counts of every leg the network carries, as ``(up, down)``.
+
+    ``up[sm][p]`` is SM ``sm`` -> partition ``p`` and ``down[p][sm]``
+    the reply leg; both equal :meth:`Topology.hops`.  Built once per
+    distinct topology value and shared by every network using it.
+    """
+    sms, parts = range(topology.num_sms), range(topology.num_partitions)
+    first = topology.num_sms
+    up = tuple(tuple(topology.hops(sm, first + p) for p in parts)
+               for sm in sms)
+    down = tuple(tuple(topology.hops(first + p, sm) for sm in sms)
+                 for p in parts)
+    return up, down
 
 
 def build_topology(name: str, num_sms: int, num_partitions: int) -> Topology:

@@ -51,34 +51,42 @@ class MemorySubsystem:
         ]
         for channel in self.dram:
             channel.telemetry = telemetry
+        # Per-line constants hoisted out of the request path.
+        self._num_partitions = config.num_mem_partitions
+        self._line_bytes = config.l2.line_bytes
+        self._l2_latency = slice_config.hit_latency
 
     def partition_of(self, line: int) -> int:
         """Address interleaving: consecutive lines hit consecutive partitions."""
-        return line % self.config.num_mem_partitions
+        return line % self._num_partitions
 
-    def line_request(self, sm_id: int, line: int, store: bool, now: float) -> float:
-        """Service one line that missed the SM-side cache; returns completion."""
-        partition = self.partition_of(line)
-        store_bytes = self.config.l2.line_bytes if store else 0
-        at_l2 = self.network.request(sm_id, partition, int(now), store_bytes)
-        bank = self.l2_banks[partition]
-        hit = bank.access(line, store=store)
+    def _leg(self, sm_id: int, line: int, store: bool, now: int) -> int:
+        """The one per-line path: NoC request -> L2 bank -> DRAM on a
+        miss -> NoC response (loads only); returns completion.
+
+        Stores carry the line as write data and are accepted at the
+        partition, so they complete without a response leg.
+        """
+        partition = line % self._num_partitions
+        line_bytes = self._line_bytes
+        at_l2 = self.network.request(
+            sm_id, partition, now, line_bytes if store else 0
+        )
+        hit = self.l2_banks[partition].access(line, store)
         tel = self.telemetry
         if tel is not None:
             tel.cache("l2", at_l2, 1, 0 if hit else 1,
                       0 if store else 1, 0 if (store or hit) else 1)
-        if hit:
-            served = at_l2 + bank.config.hit_latency
-        else:
-            served = self.dram[partition].access(
-                line, at_l2 + bank.config.hit_latency
-            )
+        served = at_l2 + self._l2_latency
+        if not hit:
+            served = self.dram[partition].access(line, served)
         if store:
-            # Write data is accepted at the partition; no response needed.
             return served
-        return self.network.response(
-            partition, sm_id, served, data_bytes=self.config.l2.line_bytes
-        )
+        return self.network.response(partition, sm_id, served, line_bytes)
+
+    def line_request(self, sm_id: int, line: int, store: bool, now: float) -> float:
+        """Service one line that missed the SM-side cache; returns completion."""
+        return self._leg(sm_id, line, store, int(now))
 
     def line_requests(self, sm_id: int, entries, store: bool) -> float:
         """Service an ordered batch of SM-cache misses in one call.
@@ -91,34 +99,10 @@ class MemorySubsystem:
         cache has no ``writeback_sink`` (const/tex), so no writeback
         traffic can interleave between the entries.
         """
-        config = self.config
-        line_bytes = config.l2.line_bytes
-        store_bytes = line_bytes if store else 0
-        num_partitions = config.num_mem_partitions
-        network = self.network
-        request = network.request
-        response = network.response
-        banks = self.l2_banks
-        dram = self.dram
-        tel = self.telemetry
+        leg = self._leg
         latest = 0.0
         for now, line in entries:
-            partition = line % num_partitions
-            at_l2 = request(sm_id, partition, int(now), store_bytes)
-            bank = banks[partition]
-            hit = bank.access(line, store=store)
-            if tel is not None:
-                tel.cache("l2", at_l2, 1, 0 if hit else 1,
-                          0 if store else 1, 0 if (store or hit) else 1)
-            if hit:
-                served = at_l2 + bank.config.hit_latency
-            else:
-                served = dram[partition].access(
-                    line, at_l2 + bank.config.hit_latency
-                )
-            done = served if store else response(
-                partition, sm_id, served, data_bytes=line_bytes
-            )
+            done = leg(sm_id, line, store, int(now))
             if done > latest:
                 latest = done
         return latest
@@ -135,8 +119,7 @@ class MemorySubsystem:
         same-window traffic through a completion earlier than
         ``issue + min_cross_sm_latency()``.
         """
-        l2_latency = self.l2_banks[0].config.hit_latency
-        return max(1, self.network.min_request_latency() + l2_latency)
+        return max(1, self.network.min_request_latency() + self._l2_latency)
 
     def writeback(self, sm_id: int, line: int, now: float) -> None:
         """An L1 dirty eviction: push the line to L2 (and DRAM on miss).
@@ -145,17 +128,7 @@ class MemorySubsystem:
         NoC and DRAM bandwidth, which is where the write-heavy kernels'
         DRAM utilization comes from.
         """
-        partition = self.partition_of(line)
-        at_l2 = self.network.request(
-            sm_id, partition, int(now), self.config.l2.line_bytes
-        )
-        bank = self.l2_banks[partition]
-        hit = bank.access(line, store=True)
-        tel = self.telemetry
-        if tel is not None:
-            tel.cache("l2", at_l2, 1, 0 if hit else 1, 0, 0)
-        if not hit:
-            self.dram[partition].access(line, at_l2 + bank.config.hit_latency)
+        self._leg(sm_id, line, True, int(now))
 
     def flush(self) -> None:
         """Invalidate all L2 banks (host memcpy clobbers device data)."""

@@ -166,6 +166,12 @@ class TestRejection:
         with pytest.raises(SchemaError, match=f"unknown key '{key}'"):
             parse_request("estimate", {"benchmark": "NW", "config": {key: 4}})
 
+    def test_removed_dram_queue_knob_rejected(self):
+        with pytest.raises(SchemaError, match="unknown key 'queue_entries' for dram"):
+            parse_request("simulate", {
+                "benchmark": "NW", "config": {"dram.queue_entries": 64},
+            })
+
     @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5, "half"])
     def test_estimate_fraction_range(self, fraction):
         with pytest.raises(SchemaError, match="sample_fraction"):

@@ -78,6 +78,15 @@ class TestParseConfig:
             with pytest.raises(ValueError, match=f"unknown key '{key}'"):
                 apply_overrides(GPUConfig(), {key: value})
 
+    def test_removed_dram_queue_knob_rejected(self):
+        """The DRAM model has no controller queue bound: the former
+        ``dram.queue_entries`` setting must fail naming the key."""
+        match = "unknown key 'queue_entries' for dram"
+        with pytest.raises(ValueError, match=match):
+            parse_config("dram.queue_entries = 64\n")
+        with pytest.raises(ValueError, match=match):
+            apply_overrides(GPUConfig(), {"dram.queue_entries": 64})
+
     def test_removed_sample_knobs_rejected(self):
         """The per-class sampling minimum and launch cap are estimator
         constants: setting them must fail naming the key."""

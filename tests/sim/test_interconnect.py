@@ -1,10 +1,15 @@
 """Tests for topologies and the network timing model."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.config import NoCConfig
 from repro.sim.interconnect import Network, build_topology
+from repro.sim.interconnect.topology import route_table
+
+TOPOLOGY_NAMES = ["xbar", "mesh", "fattree", "butterfly"]
 
 
 class TestTopologies:
@@ -63,6 +68,44 @@ class TestTopologies:
                 assert topo.hops(sm, sms + p) >= 1
 
 
+class TestRouteTable:
+    """The network reads hop counts from a per-topology table; every
+    leg must equal the routing algorithm's own answer."""
+
+    # (num_sms, num_partitions): the baseline machine, square and
+    # non-square meshes, a lone SM and more partitions than SMs.
+    POPULATIONS = [(78, 16), (14, 2), (16, 8), (5, 3), (1, 1), (2, 7),
+                   (30, 6)]
+
+    @pytest.mark.parametrize("name", TOPOLOGY_NAMES)
+    @pytest.mark.parametrize("sms,parts", POPULATIONS)
+    def test_legs_equal_hops(self, name, sms, parts):
+        topo = build_topology(name, sms, parts)
+        up, down = route_table(topo)
+        assert len(up) == sms and len(down) == parts
+        for sm in range(sms):
+            for p in range(parts):
+                assert up[sm][p] == topo.hops(sm, sms + p)
+                assert down[p][sm] == topo.hops(sms + p, sm)
+
+    @pytest.mark.parametrize("name", TOPOLOGY_NAMES)
+    @pytest.mark.parametrize("sms,parts", POPULATIONS)
+    @pytest.mark.parametrize("delay", [0, 4])
+    def test_min_request_latency_unchanged(self, name, sms, parts, delay):
+        config = NoCConfig(topology=name, router_delay=delay)
+        topo = build_topology(name, sms, parts)
+        closest = min(topo.hops(sm, sms + p)
+                      for sm in range(sms) for p in range(parts))
+        assert Network(config, sms, parts).min_request_latency() == (
+            closest * (1 + delay) + config.base_latency
+        )
+
+    def test_shared_per_topology_value(self):
+        a = Network(NoCConfig(topology="mesh"), 14, 2)
+        b = Network(NoCConfig(topology="mesh", router_delay=8), 14, 2)
+        assert route_table(a.topology) is route_table(b.topology)
+
+
 class TestNetworkTiming:
     def make(self, **noc_kwargs):
         return Network(NoCConfig(**noc_kwargs), num_sms=4, num_partitions=2)
@@ -108,6 +151,30 @@ class TestNetworkTiming:
         assert net.stats.messages == 2
         assert net.stats.bytes > 256
         assert net.stats.average_latency > 0
+
+    @given(st.sampled_from(TOPOLOGY_NAMES), st.integers(0, 8),
+           st.sampled_from([8, 16, 40]),
+           st.lists(st.tuples(st.booleans(), st.integers(0, 5),
+                              st.integers(0, 2), st.integers(0, 300),
+                              st.sampled_from([0, 128])), max_size=30))
+    @settings(max_examples=60)
+    def test_matches_reference_model(self, name, delay, width, messages):
+        """Route tables and the per-size serialization cache change no
+        timing: every arrival equals the model computed from scratch."""
+        config = NoCConfig(topology=name, router_delay=delay,
+                           channel_bytes=width)
+        net = Network(config, num_sms=6, num_partitions=3)
+        inject, eject = [0] * 9, [0] * 9
+        for is_request, sm, p, now, payload in messages:
+            src, dst = (sm, 6 + p) if is_request else (6 + p, sm)
+            ser = max(1, math.ceil((payload + 8) / width))
+            start = max(now, inject[src], eject[dst])
+            inject[src] = eject[dst] = start + ser
+            hops = net.topology.hops(src, dst)
+            expected = start + hops * ser * (1 + delay) + config.base_latency
+            got = (net.request(sm, p, now, payload) if is_request
+                   else net.response(p, sm, now, payload))
+            assert got == expected
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
