@@ -11,14 +11,6 @@ Three harnesses, each locking performance to a bit-identity check:
   scan-per-decision reference core (``event_core=False``).  Both cores
   replay the same materialized traces, so the measurement isolates the
   issue loop itself; trace generation time is reported separately.
-  A ``parallel`` section compares the same run against the
-  window-barrier parallel core (``parallel_shards=4``, forked shard
-  workers) measured in the same invocation, recording the host's
-  effective CPU count and GIL state alongside.  The bit-identity claim
-  is asserted wherever the section runs; the speedup claim arms
-  wherever >= 4 CPUs are available (forked workers are how the GIL
-  stops mattering).  On a 1-CPU host the simulation arm is skipped and
-  records the reason instead of a meaningless slowdown.
 - **trace** (``BENCH_trace.json``): trace materialization itself — the
   live generator (templates off) vs template instantiation vs a warm
   binary trace-store load, on the same application.  All three arms
@@ -78,8 +70,6 @@ from repro.sim.gpu import GPUSimulator
 from repro.sim.replay import CachedApplication, replay_application
 
 POOL_JOBS = 4
-#: Shard workers for the parallel-core arm of the ``run`` benchmark.
-PARALLEL_WORKERS = 4
 _ROOT = Path(__file__).resolve().parent.parent
 SWEEP_RESULT_PATH = _ROOT / "BENCH_sweep.json"
 RUN_RESULT_PATH = _ROOT / "BENCH_run.json"
@@ -210,42 +200,6 @@ def main_run(quick: bool = False) -> dict:
     ref_stats, ref_s = timed(simulate, False)
     tel_stats, tel_s = timed(simulate, True, telemetry_interval=10_000)
 
-    # Parallel core: same traces, same invocation as the sequential arm
-    # above, SM array sharded over PARALLEL_WORKERS forked window-barrier
-    # workers (repro.sim.parallel_proc).  The host fields record whether
-    # real parallelism was even possible (CPU affinity, GIL); the
-    # identity claim holds wherever the measurement runs.  On a 1-CPU
-    # host the simulation arm is skipped outright: shard workers would
-    # serialize on the single core, so the measurement records only
-    # barrier overhead — noise, not a property of the parallel core
-    # (see DESIGN.md "parallel core", host gating).
-    effective_cpus = default_jobs()
-    par_config = GPUConfig(event_core=True, parallel_shards=PARALLEL_WORKERS)
-    par_section = {
-        "workers": PARALLEL_WORKERS,
-        "window": GPUSimulator(par_config).memory.min_cross_sm_latency(),
-        "effective_cpus": effective_cpus,
-        "gil_enabled": getattr(sys, "_is_gil_enabled", lambda: True)(),
-    }
-    par_identical = True  # vacuous when the simulation arm is skipped
-    if effective_cpus == 1:
-        par_section["skipped"] = (
-            "effective_cpus == 1: shard workers would serialize, "
-            "measuring barrier/IPC overhead only"
-        )
-    else:
-        par_stats, par_s = timed(
-            lambda: replay_application(cached, GPUSimulator(par_config))
-        )
-        par_identical = (
-            dataclasses.asdict(par_stats) == dataclasses.asdict(fast_stats)
-        )
-        par_section["processes"] = {
-            "parallel_s": round(par_s, 3),
-            "speedup_vs_event_core": round(fast_s / par_s, 2),
-            "identical_stats": par_identical,
-        }
-
     identical = (
         dataclasses.asdict(fast_stats) == dataclasses.asdict(ref_stats)
     )
@@ -266,7 +220,6 @@ def main_run(quick: bool = False) -> dict:
         "cycles": int(fast_stats.cycles),
         "identical_stats": identical,
         "telemetry_neutral": tel_neutral,
-        "parallel": par_section,
     }
     # Telemetry-off overhead vs the last recorded run of the same
     # workload: the dormant hooks' <2% budget, measured where the
@@ -291,9 +244,6 @@ def main_run(quick: bool = False) -> dict:
     # silently becoming the recorded baseline the next run compares to.
     assert identical, "event core diverged from the reference core"
     assert tel_neutral, "telemetry sampling changed simulation results"
-    assert par_identical, (
-        "parallel core diverged from the sequential event core"
-    )
     if not quick:
         RUN_RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     return report
@@ -636,18 +586,10 @@ def test_sweep_speedup_and_identity():
 
 
 def test_single_run_speedup_and_identity():
-    """Event core must beat the reference by >= 2x with identical stats;
-    the forked shard workers must match bit-for-bit, and beat the
-    sequential event core by >= 2x on any >= 4-CPU host."""
+    """Event core must beat the reference by >= 2x with identical stats."""
     report = main_run()
     assert report["identical_stats"]
     assert report["speedup"] >= 2.0
-    par = report["parallel"]
-    if "skipped" not in par:  # 1-CPU hosts skip the simulation arm
-        row = par["processes"]
-        assert row["identical_stats"]
-        if par["effective_cpus"] >= par["workers"]:
-            assert row["speedup_vs_event_core"] >= 2.0, row
 
 
 def test_trace_speedup_and_identity():

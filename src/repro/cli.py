@@ -70,7 +70,7 @@ def _size(value: str) -> DatasetSize:
 
 def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--sms", type=int, default=None,
+        "--sms", type=_positive_int, default=None,
         help="number of SMs (default: the paper's 78)",
     )
     parser.add_argument(
@@ -110,15 +110,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", type=_positive_int, default=None, metavar="N",
-        help="shard the SM array across N forked window-barrier workers "
-             "(default: 1, sequential; ineligible runs stay sequential; "
-             "results are bit-identical either way)",
-    )
-
-
 def _fraction(text: str) -> float:
     value = float(text)
     if not 0.0 < value <= 1.0:
@@ -156,9 +147,6 @@ def _config(args):
     config = getattr(args, "config", None) or baseline_config()
     if args.sms is not None:
         config = config.with_(num_sms=args.sms)
-    workers = getattr(args, "workers", None)
-    if workers is not None:
-        config = config.with_(parallel_shards=workers)
     return config
 
 
@@ -187,17 +175,11 @@ def cmd_run(args) -> int:
         return 2
     if args.estimate:
         # The estimator replays a miniature machine of its own: the
-        # exact core's per-kernel profile and shard knobs don't apply,
-        # and silently ignoring them would misreport what ran.
-        exact_only = [
-            flag for flag, given in (
-                ("--profile", args.profile),
-                ("--workers", args.workers is not None),
-            ) if given
-        ]
-        if exact_only:
+        # exact core's per-kernel profile doesn't apply, and silently
+        # ignoring it would misreport what ran.
+        if args.profile:
             print("--estimate cannot be combined with exact-only flags: "
-                  + ", ".join(exact_only), file=sys.stderr)
+                  "--profile", file=sys.stderr)
             return 2
         return _run_estimate(args)
     suite = BenchmarkSuite(_config(args), size=args.size)
@@ -332,12 +314,7 @@ def cmd_sweep(args) -> int:
         # traces are still shared with exact sweeps (sample knobs are
         # not part of the trace signature).
         config = _estimate_config(args, config)
-    # One core budget for the whole invocation: each sweep job may run
-    # --workers shards, so the process count shrinks to compensate.
-    jobs = (
-        default_jobs(workers_per_job=config.parallel_shards)
-        if args.jobs is None else args.jobs
-    )
+    jobs = default_jobs() if args.jobs is None else args.jobs
     if args.axis == "benchmark":
         return _sweep_benchmark(args, config, jobs)
     if args.resume or args.results:
@@ -753,7 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--profile", action="store_true",
                        help="print an nvprof-style per-kernel profile")
     _add_machine_args(p_run)
-    _add_parallel_args(p_run)
     _add_estimate_args(p_run)
     p_run.set_defaults(func=cmd_run)
 
@@ -764,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--cdp", action="store_true",
                         help="profile the CDP variant")
     p_prof.add_argument(
-        "--interval", type=int, default=10_000, metavar="N",
+        "--interval", type=_positive_int, default=10_000, metavar="N",
         help="sampling interval in cycles (default: 10000)",
     )
     p_prof.add_argument(
@@ -786,7 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--no-cdp", action="store_true",
                          help="skip the CDP variants")
     _add_machine_args(p_suite)
-    _add_parallel_args(p_suite)
     p_suite.set_defaults(func=cmd_suite)
 
     p_sweep = sub.add_parser(
@@ -820,7 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="benchmark axis: write a results file usable by --resume",
     )
     _add_machine_args(p_sweep)
-    _add_parallel_args(p_sweep)
     _add_estimate_args(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -829,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the benchmark sweep through the distributed coordinator",
     )
     p_dsweep.add_argument(
-        "--dist-workers", type=int, default=2, metavar="N",
+        "--dist-workers", type=_positive_int, default=2, metavar="N",
         help="local subprocess workers (default: 2; ignored with "
              "--endpoints)",
     )
@@ -839,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
              "instead of local subprocesses",
     )
     p_dsweep.add_argument(
-        "--chunk-size", type=int, default=4, metavar="N",
+        "--chunk-size", type=_positive_int, default=4, metavar="N",
         help="points per work unit (default: 4)",
     )
     p_dsweep.add_argument(
@@ -847,7 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-chunk deadline in seconds (default: none)",
     )
     p_dsweep.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
+        "--max-retries", type=_nonneg_int, default=2, metavar="N",
         help="re-dispatch attempts per chunk before failing the sweep "
              "(default: 2)",
     )
@@ -946,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8777,
                          help="bind port (default: 8777)")
     p_serve.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_positive_int, default=None, metavar="N",
         help="job-queue worker slots (default: the core budget, "
              "one per available CPU)",
     )

@@ -49,27 +49,21 @@ from repro.sim.stats import RunStats
 from repro.sim.trace_store import TraceStore
 
 
-def default_jobs(workers_per_job: int = 1) -> int:
-    """The ``--jobs`` default: the CPU-affinity budget per job.
+def default_jobs() -> int:
+    """The ``--jobs`` default: the CPU-affinity budget.
 
     The budget is the CPUs this process may actually run on
     (``os.sched_getaffinity``, which respects cgroup/taskset limits),
-    not the machine-wide ``cpu_count``.  ``workers_per_job`` divides
-    the budget when each job itself runs shard workers
-    (``GPUConfig.parallel_shards``), so ``jobs × workers`` never
-    oversubscribes the cores.  This is the single core-budget source
-    for all three consumers of the host's cores: ``sweep --jobs``
-    (forked sweep workers), ``run --workers`` (per-run forked shard
-    workers), and the service's worker pool — whose
-    :class:`~repro.service.jobs.JobQueue` additionally *weights* each
-    job by its shard count so the three never multiply together.  The
-    benchmark harness reads its ``effective_cpus`` from here too.
+    not the machine-wide ``cpu_count``.  Every simulation is one
+    sequential process, so this is the single core-budget source for
+    the host's forked workers: ``sweep --jobs`` and the service's
+    worker pool.  The benchmark harness reads its ``effective_cpus``
+    from here too.
     """
     try:
-        cpus = len(os.sched_getaffinity(0)) or 1
+        return len(os.sched_getaffinity(0)) or 1
     except AttributeError:  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
-    return max(1, cpus // max(1, workers_per_job))
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -408,10 +402,7 @@ def run_sweep(
             for point in points
         ]
     if jobs is None:
-        workers = max(
-            (point.config.parallel_shards for point in points), default=1
-        )
-        jobs = default_jobs(workers_per_job=workers)
+        jobs = default_jobs()
     if jobs < 0:
         raise ValueError("jobs must be >= 0")
 

@@ -3,17 +3,13 @@
 Jobs are executed by a fixed pool of worker *threads* whose size
 defaults to the repo-wide core budget
 (:func:`repro.core.sweep.default_jobs`), so one server never
-oversubscribes the host even when sweeps and single runs mix.  The
-budget is *weighted*: a job whose resolved config runs with
-``parallel_shards = N`` forks N shard workers of its own, so it
-occupies ``min(N, workers)`` slots rather than one — without the
-weighting, a server with W workers each running an N-shard job would
-put ``W x N`` runnable processes on W cores.  Each
-worker runs its job's executor in a forked child *process* (when the
-platform offers ``fork``): a blocking simulation can then be genuinely
-killed — cancellation of a running job and per-job timeouts both
-``terminate()`` the child rather than waiting politely for code that
-never checks a flag.  Hosts without ``fork`` degrade to inline
+oversubscribes the host even when sweeps and single runs mix.  Every
+simulation is one sequential process, so each running job holds
+exactly one slot.  Each worker runs its job's executor in a forked
+child *process* (when the platform offers ``fork``): a blocking
+simulation can then be genuinely killed — cancellation of a running
+job and per-job timeouts both ``terminate()`` the child rather than
+waiting politely for code that never checks a flag.  Hosts without ``fork`` degrade to inline
 execution (documented: running jobs become uncancellable there;
 queued jobs still cancel).
 
@@ -183,7 +179,6 @@ class JobQueue:
         self._cond = threading.Condition()
         self._threads: list[threading.Thread] = []
         self._stop = False
-        self._in_use = 0  # weighted slots held by running jobs
         self.executed = 0  # jobs a worker actually ran (cache bypasses)
         if start:
             self.start()
@@ -327,7 +322,6 @@ class JobQueue:
                 "running": states.get(JobState.RUNNING, 0),
                 "states": states,
                 "workers": self.workers,
-                "slots_in_use": self._in_use,
             }
 
     def running_progress(self) -> list:
@@ -345,26 +339,6 @@ class JobQueue:
         ]
 
     # -- execution ----------------------------------------------------------
-    def _job_weight(self, job: Job) -> int:
-        """Worker slots one job occupies: its run's shard count.
-
-        A job whose resolved config forks ``parallel_shards`` shard
-        workers uses that many cores, not one, so it must hold that
-        many slots of the core budget.  Capped at ``self.workers`` so
-        a single over-sharded job can always run (alone).  Requests
-        without a resolvable config (profile jobs, test doubles) weigh
-        one.
-        """
-        resolver = getattr(job.request, "resolved_config", None)
-        if resolver is None:
-            return 1
-        try:
-            config = resolver()
-        except Exception:
-            return 1
-        shards = getattr(config, "parallel_shards", 1)
-        return max(1, min(int(shards), self.workers))
-
     def _worker(self) -> None:
         while True:
             with self._cond:
@@ -376,21 +350,6 @@ class JobQueue:
                 job = self.jobs[job_id]
                 if job.state != JobState.QUEUED:
                     continue  # cancelled while queued
-                # Weighted admission: wait until the job's slots fit.
-                # Other workers keep draining lighter jobs meanwhile;
-                # cancellation while we wait still wins (state check).
-                weight = self._job_weight(job)
-                while (
-                    self._in_use + weight > self.workers
-                    and not self._stop
-                    and job.state == JobState.QUEUED
-                ):
-                    self._cond.wait()
-                if self._stop:
-                    return
-                if job.state != JobState.QUEUED:
-                    continue  # cancelled while waiting for slots
-                self._in_use += weight
                 job.state = JobState.RUNNING
                 job.started_at = time.time()
                 job.timings["queue_wait_s"] = (
@@ -403,10 +362,6 @@ class JobQueue:
                     if not job.finished:
                         self._finish(job, JobState.FAILED,
                                      error=f"{type(exc).__name__}: {exc}")
-            finally:
-                with self._cond:
-                    self._in_use -= weight
-                    self._cond.notify_all()
             callback = self.on_complete
             if callback is not None:
                 try:

@@ -151,17 +151,6 @@ class GPUConfig:
     #: both produce field-for-field identical :class:`RunStats`.
     event_core: bool = True
 
-    #: Shard the SM array across N forked workers inside one
-    #: simulation (window-barrier parallel core, see
-    #: :mod:`repro.sim.parallel` and DESIGN.md "parallel core").  ``1``
-    #: (the default) keeps the sequential event loop; ``N > 1``
-    #: partitions SMs round-robin over N shards that advance
-    #: independently to each window boundary when the application is
-    #: eligible (no device launches, no observers, fully dispatchable
-    #: grids) and runs sequentially otherwise.  Results stay
-    #: bit-identical to the sequential core.
-    parallel_shards: int = 1
-
     #: Sampled-estimation mode (:mod:`repro.sim.sampled`).  ``0.0``
     #: (the default) runs the exact cycle-accurate core.  A positive
     #: fraction simulates a stratified sample of CTAs on a
@@ -174,7 +163,7 @@ class GPUConfig:
     #: Deterministic seed for CTA sampling.  The same
     #: ``(app, config, sample_seed)`` always yields the same
     #: :class:`~repro.sim.sampled.EstimatedRunStats`, regardless of
-    #: ``--jobs`` / ``--workers`` (no global RNG state is touched).
+    #: ``--jobs`` (no global RNG state is touched).
     sample_seed: int = 0
 
     # Ablation switches (defaults model the hardware; see DESIGN.md).
@@ -194,8 +183,6 @@ class GPUConfig:
             raise ValueError("need at least one memory partition")
         if self.telemetry_interval < 0:
             raise ValueError("telemetry interval must be >= 0 (0 = off)")
-        if self.parallel_shards < 1:
-            raise ValueError("parallel_shards must be >= 1")
         if not 0.0 <= self.sample_fraction <= 1.0:
             raise ValueError("sample_fraction must be in [0, 1]")
 

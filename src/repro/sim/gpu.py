@@ -64,17 +64,9 @@ class GPUSimulator:
         self._active_grids = 0
         self.host_time = 0.0
         self._finalized = False
-        #: pluggable grid driver (the window-barrier parallel core
-        #: installs itself here — see repro.sim.parallel_proc); ``None``
-        #: selects the sequential ``_drive_grid`` loop.
-        self._grid_driver = None
-        #: callbacks run at the top of ``finalize`` (the parallel core
-        #: merges per-shard stats/telemetry back into this instance).
+        #: callbacks run at the top of ``finalize`` (trace replay
+        #: publishes its counters here).
         self._finalize_hooks: list = []
-        #: callbacks run after a host-side cache flush (the shard
-        #: driver forwards the flush to its forked workers,
-        #: whose SM caches hold the authoritative lines).
-        self._flush_hooks: list = []
         #: SM-local run-ahead (see repro.sim.sm._run_local): enabled in
         #: ``run_application`` for applications that declare they can
         #: never device-launch.  Off by default so direct ``run_grid``
@@ -164,9 +156,8 @@ class GPUSimulator:
     ) -> None:
         """A CTA of ``grid`` retired on ``sm`` at ``t``.
 
-        Grid bookkeeping lives here (not in the SM) so the parallel
-        core can stage the event at a shard boundary and replay it in
-        global ``(time, sm_id, seq)`` order at the window barrier.
+        Grid bookkeeping lives here (not in the SM): it touches other
+        grids and the pending-dispatch queue.
         """
         if cta is not None and self.cta_observer is not None:
             self.cta_observer(cta, t)
@@ -363,10 +354,7 @@ class GPUSimulator:
             available_time=start,
         )
         self.submit_grid(grid)
-        if self._grid_driver is not None:
-            self._grid_driver(grid)
-        else:
-            self._drive_grid(grid)
+        self._drive_grid(grid)
         return grid
 
     # -- host interface ----------------------------------------------------
@@ -392,13 +380,6 @@ class GPUSimulator:
             app, "may_device_launch", True
         )
         config = self.config
-        if config.parallel_shards > 1 and self._grid_driver is None:
-            # Window-barrier parallel core (lazy import: sequential
-            # runs must not pay for it): forked shard workers when the
-            # application is eligible, else the sequential loop below.
-            from repro.sim.parallel_proc import try_install_process_driver
-
-            app = try_install_process_driver(self, app) or app
         tel = self.telemetry
         for op in app.host_program():
             if isinstance(op, HostMemcpy):
@@ -421,8 +402,6 @@ class GPUSimulator:
                         sm.const_cache.flush()
                         sm.tex_cache.flush()
                     self.memory.flush()
-                    for hook in self._flush_hooks:
-                        hook()
             elif isinstance(op, HostLaunch):
                 self.stats.kernel_launches += 1
                 self.stats.launch_overhead_cycles += config.host_launch_cycles

@@ -107,18 +107,6 @@ class Network:
             self.telemetry.noc(start, ser, bytes_total)
         return arrival
 
-    def min_request_latency(self) -> int:
-        """Lower bound on ``request`` arrival minus issue time.
-
-        Serialization is at least one cycle per hop and port waits only
-        push arrivals later, so the closest SM/partition pair bounds
-        every request leg from below.  The parallel core's window
-        auto-tune (:mod:`repro.sim.parallel`) uses this as part of the
-        minimum cross-SM interaction latency.
-        """
-        hops = min(min(row) for row in self._up)
-        return hops * (1 + self.config.router_delay) + self.config.base_latency
-
     def request(self, sm: int, partition: int, now: int, store_bytes: int = 0) -> int:
         """Send a memory request; returns arrival time at the partition.
 

@@ -107,20 +107,6 @@ class MemorySubsystem:
                 latest = done
         return latest
 
-    def min_cross_sm_latency(self) -> int:
-        """Lower bound on any completion this subsystem hands back.
-
-        Every path through :meth:`line_request` / :meth:`line_requests`
-        pays at least the NoC request leg plus the L2 bank latency
-        before a completion time can be produced (stores return at that
-        point; loads and L2 misses only add DRAM and response-leg time
-        on top).  The window-barrier parallel core uses this as the
-        safe window width: no shard can observe another shard's
-        same-window traffic through a completion earlier than
-        ``issue + min_cross_sm_latency()``.
-        """
-        return max(1, self.network.min_request_latency() + self._l2_latency)
-
     def writeback(self, sm_id: int, line: int, now: float) -> None:
         """An L1 dirty eviction: push the line to L2 (and DRAM on miss).
 

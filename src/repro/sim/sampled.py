@@ -172,7 +172,7 @@ def _derived_seed(seed: int, index: int, name: str, num_ctas: int) -> int:
 
     ``hash()`` is salted per interpreter, so the seed is derived with
     blake2b — the determinism satellite requires identical samples
-    regardless of ``--jobs`` / ``--workers`` process topology.
+    regardless of ``--jobs`` process topology.
     """
     payload = f"{seed}:{index}:{name}:{num_ctas}".encode()
     return int.from_bytes(
@@ -625,7 +625,6 @@ def _scaled_machine(
         l2=replace(l2, size_bytes=l2_bytes),
         sample_fraction=0.0,
         telemetry_interval=0,
-        parallel_shards=1,
     )
 
 

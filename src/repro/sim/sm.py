@@ -115,15 +115,6 @@ class StreamingMultiprocessor:
         #: that entry pops, so FIFO tie-breaking matches the
         #: one-decision-per-pop schedule.
         self._deferred_seq = -1
-        #: run-ahead time horizon (window end under the parallel core,
-        #: see repro.sim.parallel): ``_run_local`` makes no decision at
-        #: ``t >= _horizon``, and a blocked SM whose next wake falls at
-        #: or past it parks as pseudo-dormant so the window barrier can
-        #: resolve the true wake (which may involve a cross-shard
-        #: completion) and attribute the stall in one sequential-
-        #: identical chunk.  ``NEVER`` (the default) disables the gate:
-        #: ``wk >= NEVER`` degenerates to the plain dormancy check.
-        self._horizon: float = NEVER
         self._reason_counts: dict = {
             None: 0,
             _R_MEMORY: 0,
@@ -284,18 +275,10 @@ class StreamingMultiprocessor:
         tex_cache = self.tex_cache
         l1 = self.l1
         tel = self._tel
-        horizon = self._horizon
         issued = 0
         warp = None
         while True:
             t = self.time
-            if t >= horizon:
-                # Window gate (parallel core): every decision at or
-                # past the horizon belongs to the next window.  Only
-                # reached with the last warp fully settled — the fused
-                # paths below never carry a selected warp across the
-                # horizon (their jump targets are gated on it).
-                break
             if warp is None:
                 # -- pick the warp the one-decision loop would pick ----
                 if ready:
@@ -352,13 +335,12 @@ class StreamingMultiprocessor:
                         best, dominant = n, _R_FUNCTIONAL
                     if rc[None] > best:
                         dominant = _R_IDLE
-                    if wk >= horizon:
-                        # No wake before the horizon (NEVER when the
-                        # gate is off): park dormant with the dominant
-                        # reason *at this decision time*; the waker —
-                        # GPU or window barrier — charges [t, wake) in
-                        # one chunk via wake_accounting, exactly the
-                        # add_stall the jump below would have made.
+                    if wk == NEVER:
+                        # No pending wake: park dormant with the
+                        # dominant reason *at this decision time*; the
+                        # GPU's wake charges [t, wake) in one chunk via
+                        # wake_accounting, exactly the add_stall a jump
+                        # would have made.
                         self.dormant_since = t
                         self.dormant_reason = dominant
                         break
@@ -415,11 +397,10 @@ class StreamingMultiprocessor:
                     if in_list:
                         ready.remove(warp)
                         warp.in_ready = False
-                    if nr < horizon and not ready \
+                    if nr != NEVER and not ready \
                             and not (wakes and wakes[0][0] <= nr):
                         # The warp is provably the next decision: no
-                        # ready peer and every queued wake is later
-                        # (and the jump stays inside the window).
+                        # ready peer and every queued wake is later.
                         # Fuse the stall the next pick would attribute
                         # and reissue without the heap round trip.
                         best = rc[_R_MEMORY]
@@ -478,7 +459,7 @@ class StreamingMultiprocessor:
                         if in_list:
                             ready.remove(warp)
                             warp.in_ready = False
-                        if nr < horizon and not ready \
+                        if nr != NEVER and not ready \
                                 and not (wakes and wakes[0][0] <= nr):
                             # Provably next (as in the ALU path): fuse
                             # the stall and skip the heap round trip.
@@ -548,8 +529,7 @@ class StreamingMultiprocessor:
                     ready.remove(warp)
                     warp.in_ready = False
                 if nr != NEVER:
-                    if nr < horizon and not ready \
-                            and not (wakes and wakes[0][0] <= nr):
+                    if not ready and not (wakes and wakes[0][0] <= nr):
                         # Provably next (as in the ALU path).
                         best = rc[_R_MEMORY]
                         dominant = _R_MEMORY
@@ -1052,8 +1032,7 @@ class StreamingMultiprocessor:
         if cta.live_warps == 0:
             self._release_cta(cta)
             # Grid bookkeeping (retire count, completion, backfill)
-            # lives on the GPU so the parallel core can stage it at a
-            # shard boundary and replay it in global order.
+            # lives on the GPU.
             gpu.cta_finished(self, cta.grid, t, cta)
         elif cta.barrier_arrived and cta.barrier_ready():
             # An exiting warp can satisfy a barrier its peers wait on.

@@ -194,35 +194,6 @@ class Telemetry:
             record["args"] = args
         self.events.append(record)
 
-    def absorb(self, other: "Telemetry") -> None:
-        """Fold another sampler's series into this one.
-
-        The window-barrier parallel core gives each shard a private
-        ``Telemetry`` (same interval) so SM-side sampling stays
-        single-writer, then absorbs them all here at finalize.
-        Interval rows sum cell-by-cell and events concatenate —
-        :meth:`sorted_events` canonicalizes their order — so the merged
-        summary is bit-identical to a sequential run's.  (Exception:
-        runs that overflow ``max_events`` may drop a different subset
-        of events per sharding; see DESIGN.md "parallel core".)
-        """
-        if other.interval != self.interval:
-            raise ValueError("cannot absorb a different telemetry interval")
-        for index, src in other._rows.items():
-            row = self._row(index)
-            for key in _COUNTER_KEYS:
-                row[key] += src[key]
-            occupancy = row["occupancy"]
-            for bucket, n in src["occupancy"].items():
-                occupancy[bucket] += n
-            stalls = row["stalls"]
-            for key, n in src["stalls"].items():
-                stalls[key] += n
-        for record in other.events:
-            self.event(record["cat"], record["name"], record["ts"],
-                       dur=record.get("dur", 0), **record.get("args", {}))
-        self.events_dropped += other.events_dropped
-
     # -- finalize ----------------------------------------------------------
     def finalize(self, stats) -> None:
         """Derive burst events and snapshot run-level metadata."""

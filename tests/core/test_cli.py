@@ -31,14 +31,6 @@ class TestRun:
         assert main(["run", "BLAST", "--sms", "4"]) == 2
         assert "unknown benchmark" in capsys.readouterr().err
 
-    def test_run_with_workers_matches_sequential(self, capsys):
-        """--workers routes through the parallel core and must print
-        the exact characterization the sequential run prints."""
-        assert main(["run", "NW", "--sms", "4"]) == 0
-        sequential = capsys.readouterr().out
-        assert main(["run", "NW", "--sms", "4", "--workers", "2"]) == 0
-        assert capsys.readouterr().out == sequential
-
 
 class TestFigure:
     def test_table3(self, capsys):
@@ -170,10 +162,6 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("flags", [
         ["--profile"],
-        ["--workers", "2"],
-        ["--workers", "2", "--profile"],
-        ["--workers", "1"],  # given explicitly, even at the default
-        ["--profile", "--workers", "2"],
     ])
     def test_estimate_rejects_exact_only_flags(self, flags, capsys):
         assert main(["run", "SW", "--sms", "4", "--estimate", *flags]) == 2
@@ -181,16 +169,33 @@ class TestErrorPaths:
         assert "--estimate cannot be combined" in err
         assert flags[0] in err
 
-    def test_estimate_conflict_names_every_flag(self, capsys):
-        assert main(["run", "SW", "--estimate", "--profile",
-                     "--workers", "2"]) == 2
-        err = capsys.readouterr().err
-        assert "--profile" in err and "--workers" in err
-
-    @pytest.mark.parametrize("bad", ["0", "-2", "many"])
-    def test_invalid_workers(self, bad, capsys):
+    @pytest.mark.parametrize("argv,flag", [
+        pytest.param(["run", "NW", "--sms", "0"], "--sms", id="sms-zero"),
+        pytest.param(["run", "NW", "--sms", "many"], "--sms", id="sms-text"),
+        pytest.param(["serve", "--workers", "0"], "--workers",
+                     id="serve-workers"),
+        pytest.param(["dsweep", "--dist-workers", "0"], "--dist-workers",
+                     id="dist-workers"),
+        pytest.param(["dsweep", "--chunk-size", "0"], "--chunk-size",
+                     id="chunk-size"),
+        pytest.param(["dsweep", "--max-retries", "-1"], "--max-retries",
+                     id="max-retries"),
+        pytest.param(["profile", "NW", "--interval", "0"], "--interval",
+                     id="interval"),
+    ])
+    def test_invalid_integer_flags(self, argv, flag, capsys):
+        """Out-of-range integers are argparse errors naming the flag,
+        never a traceback from deeper in the simulator or engine."""
         with pytest.raises(SystemExit) as exit_info:
-            main(["run", "NW", "--workers", bad])
+            main(argv)
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_removed_workers_flag_rejected(self, capsys):
+        """Every simulation is one sequential process: ``run`` has no
+        ``--workers`` and must refuse it rather than ignore it."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "NW", "--workers", "2"])
         assert exit_info.value.code == 2
         assert "--workers" in capsys.readouterr().err
 

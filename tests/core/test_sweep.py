@@ -163,18 +163,6 @@ class TestValidation:
     def test_default_jobs_positive(self):
         assert default_jobs() >= 1
 
-    def test_default_jobs_divides_core_budget(self):
-        """jobs x workers must never oversubscribe the affinity budget:
-        the per-job worker count divides the same budget --jobs uses."""
-        budget = default_jobs()
-        for workers in (1, 2, 4, budget, budget * 2):
-            jobs = default_jobs(workers_per_job=workers)
-            assert jobs >= 1
-            if workers <= budget:
-                assert jobs * workers <= budget
-        assert default_jobs(workers_per_job=0) == budget
-        assert default_jobs(workers_per_job=1) == budget
-
 
 class TestSuiteIntegration:
     def test_run_suite_jobs_matches_serial(self, config):

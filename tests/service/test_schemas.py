@@ -161,6 +161,7 @@ class TestRejection:
 
     @pytest.mark.parametrize("key", [
         "sample_min_per_class", "sample_max_launches_per_class",
+        "parallel_shards",
     ])
     def test_removed_sample_knobs_rejected(self, key):
         with pytest.raises(SchemaError, match=f"unknown key '{key}'"):

@@ -65,10 +65,11 @@ class TestParseConfig:
             parse_config("scheduler = fifo\n")  # not a scheduler name
 
     def test_removed_parallel_knobs_rejected(self):
-        """``parallel_shards`` is the only intra-run parallelism knob:
-        the former window/backend settings must fail naming the key,
-        never be silently ignored."""
+        """Every simulation is the sequential event core: the former
+        shard count and window/backend settings must fail naming the
+        key, never be silently ignored."""
         for key, raw, value in (
+            ("parallel_shards", "2", 2),
             ("window_cycles", "64", 64),
             ("parallel_executor", "threads", "threads"),
             ("parallel_relaxed", "true", True),

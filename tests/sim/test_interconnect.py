@@ -88,18 +88,6 @@ class TestRouteTable:
                 assert up[sm][p] == topo.hops(sm, sms + p)
                 assert down[p][sm] == topo.hops(sms + p, sm)
 
-    @pytest.mark.parametrize("name", TOPOLOGY_NAMES)
-    @pytest.mark.parametrize("sms,parts", POPULATIONS)
-    @pytest.mark.parametrize("delay", [0, 4])
-    def test_min_request_latency_unchanged(self, name, sms, parts, delay):
-        config = NoCConfig(topology=name, router_delay=delay)
-        topo = build_topology(name, sms, parts)
-        closest = min(topo.hops(sm, sms + p)
-                      for sm in range(sms) for p in range(parts))
-        assert Network(config, sms, parts).min_request_latency() == (
-            closest * (1 + delay) + config.base_latency
-        )
-
     def test_shared_per_topology_value(self):
         a = Network(NoCConfig(topology="mesh"), 14, 2)
         b = Network(NoCConfig(topology="mesh", router_delay=8), 14, 2)

@@ -3,7 +3,7 @@
 The determinism lock is the load-bearing test here: the same
 ``(application, config, sample_seed)`` must produce the identical
 :class:`EstimatedRunStats` regardless of process topology
-(``--jobs`` / ``--workers``) or ambient global-RNG state.
+(``--jobs``) or ambient global-RNG state.
 """
 
 from __future__ import annotations
