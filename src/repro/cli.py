@@ -410,6 +410,16 @@ def cmd_warm(args) -> int:
               file=sys.stderr)
         return 2
     store = TraceStore(root)
+    # Create the root up front: a bad path must fail before the first
+    # application is materialized, not from the store's lazy mkdir.
+    try:
+        store.root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        source = "--store" if args.store else "REPRO_TRACE_STORE"
+        reason = "not a directory" if store.root.exists() else exc.strerror
+        print(f"{source}: cannot use trace store {root}: {reason}",
+              file=sys.stderr)
+        return 2
     config = _config(args)
     benchmarks = args.benchmarks or benchmark_names()
     unknown = [b for b in benchmarks if b not in benchmark_names()]

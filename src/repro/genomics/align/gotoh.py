@@ -18,6 +18,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.genomics.align.result import AlignmentResult, compress_ops
 from repro.genomics.scoring import ScoringScheme
 from repro.genomics.sequence import Sequence
@@ -60,62 +62,62 @@ def query_profile(
 def _fill(
     query: str, target: str, scheme: ScoringScheme, mode: AlignmentMode
 ) -> _Matrices:
+    """Fill H, E and F one row at a time with exact int64 array maths.
+
+    F, and H without its E term (``h0``), are element-wise in the row
+    above.  E is a running maximum: with ``gap_open >= 0`` (which
+    :class:`ScoringScheme` enforces) reopening a gap after ``E[j-1]``
+    never beats extending it, so ``E[j] = max(E[j-1] - ext, h0[j-1] -
+    open - ext)`` and ``E[j] + j*ext`` is a prefix maximum.  The
+    matrices are handed to the traceback as lists.
+    """
     m, n = len(query), len(target)
-    open_ext = scheme.gap_open + scheme.gap_extend
     ext = scheme.gap_extend
     local = mode is AlignmentMode.LOCAL
 
-    h = [[0] * (n + 1) for _ in range(m + 1)]
-    e = [[NEG_INF] * (n + 1) for _ in range(m + 1)]
-    f = [[NEG_INF] * (n + 1) for _ in range(m + 1)]
-
+    h = np.zeros((m + 1, n + 1), dtype=np.int64)
+    e = np.full((m + 1, n + 1), NEG_INF, dtype=np.int64)
+    f = np.full((m + 1, n + 1), NEG_INF, dtype=np.int64)
+    ramp = np.arange(n + 1, dtype=np.int64) * ext  # j * ext
     if mode is AlignmentMode.GLOBAL:
-        for j in range(1, n + 1):
-            e[0][j] = -(scheme.gap_open + j * ext)
-            h[0][j] = e[0][j]
+        e[0, 1:] = h[0, 1:] = -(scheme.gap_open + ramp[1:])
     # SEMI_GLOBAL and LOCAL: free leading target gaps -> h[0][j] = 0.
-    if mode is not AlignmentMode.LOCAL:
-        for i in range(1, m + 1):
-            f[i][0] = -(scheme.gap_open + i * ext)
-            h[i][0] = f[i][0]
+    if not local:
+        f[1:, 0] = h[1:, 0] = -(
+            scheme.gap_open + np.arange(1, m + 1, dtype=np.int64) * ext
+        )
 
-    profile = query_profile(query, target, scheme)
+    profile = {
+        q: np.array(row, dtype=np.int64)
+        for q, row in query_profile(query, target, scheme).items()
+    }
+    shift = ramp[1:] - (scheme.gap_open + ext)
+    d = np.empty(n + 1, dtype=np.int64)
+    d[0] = NEG_INF  # E[i][0]: column 0 consumes no target residue
     best = 0
     best_pos = (0, 0)
     for i in range(1, m + 1):
-        scores = profile[query[i - 1]]
-        h_prev, h_row = h[i - 1], h[i]
-        e_row = e[i]
-        f_prev, f_row = f[i - 1], f[i]
-        # Left and diagonal neighbours ride along in locals, and the
-        # maxima are inline comparisons: a builtin max() call per cell
-        # dominated this loop.
-        h_left, e_val, h_diag = h_row[0], e_row[0], h_prev[0]
-        for j in range(1, n + 1):
-            e_val -= ext
-            gap = h_left - open_ext
-            if gap > e_val:
-                e_val = gap
-            h_up = h_prev[j]
-            f_val = f_prev[j] - ext
-            gap = h_up - open_ext
-            if gap > f_val:
-                f_val = gap
-            h_val = h_diag + scores[j - 1]
-            if e_val > h_val:
-                h_val = e_val
-            if f_val > h_val:
-                h_val = f_val
-            if local and h_val < 0:
-                h_val = 0
-            e_row[j] = e_val
-            f_row[j] = f_val
-            h_row[j] = h_val
-            h_left, h_diag = h_val, h_up
-            if local and h_val > best:
-                best = h_val
+        h_prev, h_row, e_row, f_row = h[i - 1], h[i], e[i], f[i]
+        # F = max(F_up - ext, H_up - open - ext), as one subtraction.
+        np.maximum(f[i - 1, 1:], h_prev[1:] - scheme.gap_open,
+                   out=f_row[1:])
+        f_row[1:] -= ext
+        np.maximum(h_prev[:-1] + profile[query[i - 1]], f_row[1:],
+                   out=h_row[1:])
+        if local:
+            np.maximum(h_row, 0, out=h_row)
+        np.add(h_row[:-1], shift, out=d[1:])
+        np.maximum.accumulate(d, out=e_row)
+        e_row -= ramp
+        np.maximum(h_row, e_row, out=h_row)
+        if local and n:
+            # The first strict maximum in row-major order.
+            j = int(h_row[1:].argmax()) + 1
+            if h_row[j] > best:
+                best = int(h_row[j])
                 best_pos = (i, j)
 
+    h, e, f = h.tolist(), e.tolist(), f.tolist()
     if mode is AlignmentMode.GLOBAL:
         end = (m, n)
     elif mode is AlignmentMode.LOCAL:

@@ -77,11 +77,9 @@ class FMIndex:
         """Occurrences of ``ch`` in ``bwt[:row]`` via the checkpoints."""
         self.occ_lookups += 1
         checkpoint = row // self.occ_rate
-        count = self._checkpoints[checkpoint].get(ch, 0)
-        for i in range(checkpoint * self.occ_rate, row):
-            if self._bwt[i] == ch:
-                count += 1
-        return count
+        return self._checkpoints[checkpoint].get(ch, 0) + self._bwt.count(
+            ch, checkpoint * self.occ_rate, row
+        )
 
     def backward_search(self, pattern: str) -> tuple[int, int]:
         """Half-open row range ``[lo, hi)`` of suffixes prefixed by ``pattern``.

@@ -21,12 +21,15 @@ also narrows the candidate sets.  Structure mismatches (different ops,
 masks, repeats, spaces, line counts) kill the class outright.
 
 Instantiation is cheap by design: the proto instruction list is
-shallow-copied (instructions without relocatable lines — ALU blocks,
-shared-memory traffic, barriers — are *shared* between all members) and
-only the patched LDST instructions are rebuilt, bypassing dataclass
-validation.  ``REPRO_TRACE_VERIFY=1`` makes the replay layer check
-every instantiated trace against the live generator (used by the
-golden test suite).
+shallow-copied and only the patched LDST instructions are rebuilt,
+bypassing dataclass validation.  Instructions without relocatable lines
+— ALU blocks, shared-memory traffic, barriers — carry over as the same
+objects, and those are not private to the class either:
+:class:`~repro.isa.trace.TraceBuilder` interns them, one process-wide
+instance per distinct shape for every warp of every kernel.
+``REPRO_TRACE_VERIFY=1`` makes the replay layer check every
+instantiated trace against the live generator (used by the golden test
+suite).
 """
 
 from __future__ import annotations

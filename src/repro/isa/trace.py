@@ -5,6 +5,16 @@ A kernel's per-warp trace is a generator of
 construct the common instruction shapes and perform address coalescing
 (per-lane addresses -> 128B line sets) so kernel code stays close to
 the algorithm it models.
+
+Address-free instructions are interned: :class:`TraceBuilder` returns
+one process-wide instance per distinct ALU block ``(op, mask,
+repeat)``, control instruction ``(op, mask)`` and shared-memory access
+``(mask, store)``, so equal calls from any warp of any kernel yield the
+same object.  Instructions are therefore immutable by contract: nothing
+may assign to a builder-returned :class:`WarpInstruction` or its
+:class:`MemAccess` (relocation and the trace store build fresh objects
+instead).  ``launch`` and every addressed load or store are built per
+call.
 """
 
 from __future__ import annotations
@@ -39,6 +49,20 @@ def lines_for_stride(
     return tuple(sorted(lines))
 
 
+#: The intern table behind :class:`TraceBuilder`'s address-free
+#: instructions.  It only ever gains entries (a few dozen per process:
+#: one per distinct op/mask/repeat a kernel emits), and a racing miss
+#: merely builds an equal instance twice.
+_SHARED: dict[tuple, WarpInstruction] = {}
+
+
+def _shared(key: tuple, op: OpClass, mask: int, repeat: int = 1,
+            mem: MemAccess | None = None) -> WarpInstruction:
+    """Build, validate and intern the instruction for a missed ``key``."""
+    instr = _SHARED[key] = WarpInstruction(op, mask, mem=mem, repeat=repeat)
+    return instr
+
+
 class TraceBuilder:
     """Stateful helper carrying the current active mask.
 
@@ -56,21 +80,29 @@ class TraceBuilder:
         self.mask = (1 << lanes) - 1
 
     # -- compute ---------------------------------------------------------
+    def _alu(self, op: OpClass, count: int) -> WarpInstruction:
+        key = (op, self.mask, count)
+        return _SHARED.get(key) or _shared(key, op, self.mask, count)
+
+    def _ctrl(self, op: OpClass) -> WarpInstruction:
+        key = (op, self.mask)
+        return _SHARED.get(key) or _shared(key, op, self.mask)
+
     def ints(self, count: int = 1) -> WarpInstruction:
         """``count`` integer ALU instructions."""
-        return WarpInstruction(OpClass.INT, self.mask, repeat=count)
+        return self._alu(OpClass.INT, count)
 
     def fps(self, count: int = 1) -> WarpInstruction:
         """``count`` floating-point instructions."""
-        return WarpInstruction(OpClass.FP, self.mask, repeat=count)
+        return self._alu(OpClass.FP, count)
 
     def sfu(self, count: int = 1) -> WarpInstruction:
         """``count`` special-function (transcendental) instructions."""
-        return WarpInstruction(OpClass.SFU, self.mask, repeat=count)
+        return self._alu(OpClass.SFU, count)
 
     def branch(self) -> WarpInstruction:
         """A control instruction (divergence is expressed via ``mask``)."""
-        return WarpInstruction(OpClass.CTRL, self.mask)
+        return self._ctrl(OpClass.CTRL)
 
     # -- memory ----------------------------------------------------------
     def _mem(self, space: MemSpace, lines, store: bool) -> WarpInstruction:
@@ -92,18 +124,19 @@ class TraceBuilder:
     def st_local(self, lines) -> WarpInstruction:
         return self._mem(MemSpace.LOCAL, lines, True)
 
-    def ld_shared(self) -> WarpInstruction:
-        """Shared-memory load (on-chip: no line addresses needed)."""
-        return WarpInstruction(
-            OpClass.LDST, self.mask, mem=MemAccess(MemSpace.SHARED, ())
+    def _smem(self, store: bool) -> WarpInstruction:
+        key = (self.mask, store)
+        return _SHARED.get(key) or _shared(
+            key, OpClass.LDST, self.mask,
+            mem=MemAccess(MemSpace.SHARED, (), store=store),
         )
 
+    def ld_shared(self) -> WarpInstruction:
+        """Shared-memory load (on-chip: no line addresses needed)."""
+        return self._smem(False)
+
     def st_shared(self) -> WarpInstruction:
-        return WarpInstruction(
-            OpClass.LDST,
-            self.mask,
-            mem=MemAccess(MemSpace.SHARED, (), store=True),
-        )
+        return self._smem(True)
 
     def ld_const(self, lines) -> WarpInstruction:
         return self._mem(MemSpace.CONST, lines, False)
@@ -117,11 +150,11 @@ class TraceBuilder:
     # -- control flow / launch --------------------------------------------
     def barrier(self) -> WarpInstruction:
         """CTA-wide ``__syncthreads()``."""
-        return WarpInstruction(OpClass.SYNC, self.mask)
+        return self._ctrl(OpClass.SYNC)
 
     def device_sync(self) -> WarpInstruction:
         """``cudaDeviceSynchronize()`` in a CDP parent."""
-        return WarpInstruction(OpClass.DEVSYNC, self.mask)
+        return self._ctrl(OpClass.DEVSYNC)
 
     def launch(self, child) -> WarpInstruction:
         """Device-side kernel launch of a :class:`KernelLaunch` spec."""
@@ -129,4 +162,4 @@ class TraceBuilder:
 
     def exit(self) -> WarpInstruction:
         """Warp termination (always the last instruction of a trace)."""
-        return WarpInstruction(OpClass.EXIT, self.mask)
+        return self._ctrl(OpClass.EXIT)

@@ -395,6 +395,10 @@ class CachedApplication(Application):
                     instrs, counts = kernel.entry_for(ctx)
                     agg.merge(counts)
                     cta_total += counts.instructions
+                    # The exact per-warp op mix says whether this trace
+                    # launches at all; most never do, and need no scan.
+                    if "launch" not in counts.op_mix:
+                        continue
                     for instr in instrs:
                         if instr.op is OpClass.LAUNCH:
                             child = visit(instr.child)

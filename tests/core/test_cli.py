@@ -229,6 +229,31 @@ class TestErrorPaths:
                      "--sample-fraction", "0.5"]) == 0
         assert "estimated" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    @pytest.mark.parametrize("kind", ["regular-file", "uncreatable"])
+    def test_warm_rejects_an_unusable_store(self, tmp_path, monkeypatch,
+                                            capsys, kind, via):
+        """A store root that is a file, or cannot be created, exits 2
+        naming the path before any application is materialized."""
+        if kind == "regular-file":
+            root = tmp_path / "store"
+            root.write_text("")
+        else:
+            root = tmp_path / "file" / "store"
+            (tmp_path / "file").write_text("")
+        argv = ["warm", "NW", "--no-cdp"]
+        if via == "flag":
+            argv += ["--store", str(root)]
+        else:
+            monkeypatch.setenv("REPRO_TRACE_STORE", str(root))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"cannot use trace store {root}" in captured.err
+        assert ("--store" if via == "flag" else "REPRO_TRACE_STORE") in (
+            captured.err)
+        assert "Traceback" not in captured.err
+        assert "NW" not in captured.out
+
     def test_serve_port_in_use(self, capsys):
         import socket
 

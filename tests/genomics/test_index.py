@@ -128,6 +128,18 @@ class TestFMIndex:
         for pos in positions:
             assert text[pos : pos + len(pattern)] == pattern
 
+    @given(dna, st.sampled_from([1, 3, 64]))
+    @settings(max_examples=40, deadline=None)
+    def test_rank_counts_the_bwt_prefix(self, text, occ_rate):
+        """Checkpoint plus the counted stretch after it == a plain count,
+        for every row (both ends included) and every character, absent
+        ones and the sentinel too."""
+        fm = FMIndex(text, occ_rate=occ_rate)
+        bwt = bwt_from_sa(text)
+        for ch in "ACGTN$":
+            for row in range(len(bwt) + 1):
+                assert fm.rank(ch, row) == bwt[:row].count(ch)
+
     @given(dna)
     @settings(max_examples=30, deadline=None)
     def test_every_suffix_locatable(self, text):

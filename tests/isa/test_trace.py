@@ -85,3 +85,52 @@ class TestTraceBuilder:
         instr = b.launch(spec)
         assert instr.op is OpClass.LAUNCH
         assert instr.child is spec
+
+
+class TestSharedInstructions:
+    """Address-free builder calls return one interned instance each."""
+
+    SHAPES = [
+        lambda b: b.ints(3), lambda b: b.fps(2), lambda b: b.sfu(),
+        lambda b: b.branch(), lambda b: b.barrier(),
+        lambda b: b.device_sync(), lambda b: b.exit(),
+        lambda b: b.ld_shared(), lambda b: b.st_shared(),
+    ]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_equal_calls_share_one_object(self, shape):
+        a, b = TraceBuilder(), TraceBuilder()
+        a.set_lanes(7)
+        b.set_lanes(7)
+        assert shape(a) is shape(b)
+        assert shape(a) is shape(a)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_different_mask_is_another_object(self, shape):
+        a, b = TraceBuilder(), TraceBuilder()
+        b.set_lanes(9)
+        assert shape(a) is not shape(b)
+        assert shape(b).active_lanes == 9
+
+    def test_repeat_op_and_store_are_part_of_the_key(self):
+        b = TraceBuilder()
+        assert b.ints(3) is not b.ints(4)
+        assert b.ints(3) is not b.fps(3)
+        assert b.branch() is not b.barrier()
+        assert b.ld_shared() is not b.st_shared()
+        assert not b.ld_shared().mem.store
+        assert b.st_shared().mem.store
+
+    def test_invalid_repeat_still_rejected(self):
+        with pytest.raises(ValueError):
+            TraceBuilder().ints(0)
+
+    def test_launch_and_addressed_accesses_are_never_shared(self):
+        b = TraceBuilder()
+        spec = object()
+        assert b.launch(spec) is not b.launch(spec)
+        for op in (b.ld_global, b.st_global, b.ld_local, b.st_local,
+                   b.ld_const, b.ld_tex, b.ld_param):
+            first, second = op([4]), op([4])
+            assert first is not second
+            assert first.mem is not second.mem

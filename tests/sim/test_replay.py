@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.isa.instructions import OpClass
 from repro.kernels import build_application
 from repro.sim import GPUConfig, GPUSimulator
+from repro.sim.kernel import WarpContext
 from repro.sim.launch import HostLaunch
 from repro.sim.replay import (
     CachedApplication,
@@ -75,6 +77,57 @@ class TestReplayKernel:
         second = list(kernel.warp_trace(ctx))
         assert all(x is y for x, y in zip(first, second))
         assert len(first) == len(second)
+
+
+def _brute_force_walk(launch):
+    """(counts, total, max_cta, descendants) of one launch, scanning
+    every instruction of every warp and recursing into each LAUNCH."""
+    counts = TraceCounts()
+    total = max_cta = descendants = 0
+    kernel = launch.kernel
+    for cta_id in range(launch.num_ctas):
+        cta_total = 0
+        for warp_id in range(kernel.warps_per_cta):
+            ctx = WarpContext(cta_id, warp_id, kernel.warps_per_cta,
+                              launch.num_ctas, args=launch.args)
+            for instr in kernel.warp_trace(ctx):
+                counts.count(instr)
+                cta_total += instr.repeat
+                if instr.op is OpClass.LAUNCH:
+                    child = _brute_force_walk(instr.child)
+                    counts.merge(child[0])
+                    cta_total += child[1]
+                    descendants += 1 + child[3]
+        total += cta_total
+        max_cta = max(max_cta, cta_total)
+    return counts, total, max_cta, descendants
+
+
+def _as_tuple(counts):
+    return (counts.instructions, counts.op_mix, counts.mem_mix,
+            counts.warp_occupancy)
+
+
+class TestLaunchWalk:
+    """The materializer scans only warps whose op mix counts a launch;
+    its profiles must equal a walk that scans every instruction."""
+
+    @pytest.mark.parametrize("abbr", ["PairHMM", "STAR", "NW"])
+    def test_profiles_match_a_brute_force_walk(self, abbr):
+        cached = CachedApplication(build_application(abbr, cdp=True))
+        total = TraceCounts()
+        launches = 0
+        for op in cached.host_program():
+            if not isinstance(op, HostLaunch):
+                continue
+            counts, work, max_cta, descendants = _brute_force_walk(op.launch)
+            profile = cached.launch_profiles[cached.launch_key(op.launch)]
+            assert _as_tuple(profile[0]) == _as_tuple(counts)
+            assert profile[1:] == (work, max_cta, descendants)
+            total.merge(counts)
+            launches += descendants
+        assert _as_tuple(cached.total_counts) == _as_tuple(total)
+        assert launches > 0, "a CDP variant must launch children"
 
 
 class TestReplayIdentity:
