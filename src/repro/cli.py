@@ -49,6 +49,7 @@ serve
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from pathlib import Path
@@ -223,6 +224,20 @@ def _run_estimate(args) -> int:
     return 0
 
 
+def _unwritable(path: str) -> str | None:
+    """Why a file cannot be created at ``path``, or None if it can."""
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.exists(parent):
+        return os.strerror(errno.ENOENT)
+    if not os.path.isdir(parent):
+        return os.strerror(errno.ENOTDIR)
+    if not os.access(parent, os.W_OK | os.X_OK):
+        return os.strerror(errno.EACCES)
+    return None
+
+
 def cmd_profile(args) -> int:
     """Run one benchmark with telemetry on; print/export the series."""
     from repro.core.report import format_interval_profile
@@ -233,6 +248,13 @@ def cmd_profile(args) -> int:
         print(f"unknown benchmark {args.benchmark!r}; "
               f"choose from {benchmark_names()}", file=sys.stderr)
         return 2
+    # Check the export paths up front: a bad one must fail before the
+    # simulation, not after it.
+    for flag, path in (("--trace", args.trace), ("--jsonl", args.jsonl)):
+        reason = _unwritable(path) if path else None
+        if reason is not None:
+            print(f"{flag}: cannot write {path}: {reason}", file=sys.stderr)
+            return 2
     config = _config(args).with_(telemetry_interval=args.interval)
     stats = run_benchmark(
         args.benchmark, cdp=args.cdp, size=args.size, config=config

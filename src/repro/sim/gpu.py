@@ -67,11 +67,12 @@ class GPUSimulator:
         #: callbacks run at the top of ``finalize`` (trace replay
         #: publishes its counters here).
         self._finalize_hooks: list = []
-        #: SM-local run-ahead (see repro.sim.sm._run_local): enabled in
-        #: ``run_application`` for applications that declare they can
-        #: never device-launch.  Off by default so direct ``run_grid``
-        #: or ``_run_until`` callers get the one-decision-per-pop
-        #: schedule without needing any declaration.
+        #: SM-local run-ahead (see StreamingMultiprocessor.step):
+        #: enabled in ``run_application`` for applications that declare
+        #: they can never device-launch.  Off by default so direct
+        #: ``run_grid`` or ``_drive_grid`` callers get the gated issue
+        #: loop — the one-decision-per-pop schedule — without needing
+        #: any declaration.
         self._runahead = False
         #: optional ``(cta, t)`` callback fired as each CTA retires —
         #: the sampled-estimation mode records per-CTA durations here.
@@ -265,10 +266,22 @@ class GPUSimulator:
             return True
         return False
 
-    def _run_until(self, predicate) -> None:
+    def _drive_grid(self, grid: Grid) -> None:
+        """Run the event loop until ``grid`` completes.
+
+        Pops SMs in ``(time, sm_id, seq)`` order and steps each.  While
+        the stepped SM is strictly next anyway it keeps stepping without
+        the push/pop round trip; ties defer to the heap, whose sequence
+        numbers keep the FIFO order, so the schedule is identical to the
+        push-then-pop loop.  The completion check is a
+        ``remaining_ctas`` read once per ``step``; an SM is re-queued
+        before returning, because every live SM stays in the heap
+        between calls (several grids can be driven one after another).
+        """
         heap = self._heap
         heappop, heappush = heapq.heappop, heapq.heappush
-        while not predicate():
+        heap_seq = self._heap_seq
+        while grid.remaining_ctas:
             if not heap:
                 if self._pending_grids and self._force_admit_child():
                     continue
@@ -286,57 +299,13 @@ class GPUSimulator:
                 # (deferred entries are exempt: their time is frozen at
                 # the decision time, and bouncing would orphan the
                 # recorded sequence number).
-                heappush(heap, (sm.time, sm.sm_id, next(self._heap_seq), sm))
-                continue
-            sm.step(self, t, s)
-            # While this SM is strictly next anyway, keep stepping it
-            # without the push/pop round trip.  Ties defer to the heap,
-            # whose sequence numbers keep the original FIFO order, so
-            # the schedule is identical to the push-then-pop loop.
-            while sm.has_resident_work and sm.dormant_since is None:
-                if sm._deferred is not None:
-                    # The SM queued its next (nonlocal) decision under
-                    # its own heap entry; don't push a duplicate.
-                    break
-                if heap and heap[0][0] <= sm.time:
-                    heappush(heap, (sm.time, sm.sm_id, next(self._heap_seq), sm))
-                    break
-                if predicate():
-                    # Re-queue before returning: callers rely on every
-                    # live SM staying in the heap between run calls.
-                    heappush(heap, (sm.time, sm.sm_id, next(self._heap_seq), sm))
-                    return
-                sm.step(self, sm.time)
-
-    def _drive_grid(self, grid: Grid) -> None:
-        """Run the event loop until ``grid`` completes.
-
-        Same schedule as ``self._run_until(lambda: grid.finished)`` —
-        which remains the general API — but with the predicate inlined
-        as a ``remaining_ctas`` read: the completion check runs once
-        per scheduling decision, so the lambda + property dispatch was
-        measurable across multi-million-decision runs.
-        """
-        heap = self._heap
-        heappop, heappush = heapq.heappop, heapq.heappush
-        heap_seq = self._heap_seq
-        while grid.remaining_ctas:
-            if not heap:
-                if self._pending_grids and self._force_admit_child():
-                    continue
-                raise SimulationDeadlock(
-                    "no runnable SMs but the run predicate is unsatisfied "
-                    f"(pending grids: {len(self._pending_grids)})"
-                )
-            t, _, s, sm = heappop(heap)
-            if t < sm.time and sm._deferred is None:
-                # Stale entry — re-queue at the SM's real time (see
-                # ``_run_until`` for the canonical-order rationale).
                 heappush(heap, (sm.time, sm.sm_id, next(heap_seq), sm))
                 continue
             sm.step(self, t, s)
             while sm.has_resident_work and sm.dormant_since is None:
                 if sm._deferred is not None:
+                    # The SM queued its next (nonlocal) decision under
+                    # its own heap entry; don't push a duplicate.
                     break
                 if heap and heap[0][0] <= sm.time:
                     heappush(heap, (sm.time, sm.sm_id, next(heap_seq), sm))

@@ -17,8 +17,8 @@ ready warps in residence order (ascending ``age``); each ready warp has
 ``in_ready`` set, so membership checks are attribute reads, not set
 rebuilds.  ``select_sole`` is the fast path for a one-warp ready set —
 it must leave the policy in exactly the state ``select([warp])`` would,
-and stay idempotent so a monopolizing warp can issue repeatedly under a
-single call.
+and stay idempotent, untouched by ``issued``: after a fused stall the
+issue loop reissues a sole warp without selecting it again.
 """
 
 from __future__ import annotations

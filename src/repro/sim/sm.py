@@ -1,9 +1,9 @@
 """Streaming multiprocessor: issue loop, hazards, stall attribution.
 
 Each SM owns a private L1, constant and texture cache, a warp
-scheduler, and a set of resident CTAs.  ``step`` makes one scheduling
-decision: issue from a ready warp, or account a stall and jump to the
-next wake-up time.
+scheduler, and a set of resident CTAs.  ``step`` is the issue loop:
+it makes a burst of scheduling decisions, each one an issue from a
+ready warp or a stall accounted up to the next wake-up time.
 
 This is the **event core**: instead of rescanning every resident warp
 per decision, the SM maintains
@@ -20,19 +20,21 @@ per decision, the SM maintains
 
 Both structures are updated at the points where ``next_ready`` /
 ``block_reason`` change: ``_execute``, barrier release, CDP child
-completion (``wake_warp``), and exit.  When a single warp is the only
-one ready, ``step`` enters a *monopolize* loop that keeps issuing from
-it — ALU repeat blocks in closed form, stall gaps fused inline — for
-as long as the one-decision-per-step loop would provably have made the
-same choices.  See DESIGN.md ("event core") for the invariants; the
-scan-per-decision original lives on as
-:class:`repro.sim.sm_reference.ReferenceSM` and the two are locked
-bit-identical by ``tests/sim/test_event_core_golden.py``.
+completion (``wake_warp``), and exit.  There is one issue loop for
+every application, in one of two modes: *run-ahead* (no device
+launches possible) defers the first decision that touches shared state
+to its global heap slot; *gated* (CDP) executes every decision inline
+but stops before any decision the global heap would order elsewhere,
+and after any EXIT.  Either way a burst makes exactly the choices the
+one-decision-per-pop schedule would — ALU repeat blocks in closed
+form, stall gaps fused inline when provably next.  See DESIGN.md
+("event core") for the invariants; the scan-per-decision original
+lives on as :class:`repro.sim.sm_reference.ReferenceSM` and the two
+are locked bit-identical by ``tests/sim/test_event_core_golden.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, insort
 from heapq import heappop, heappush
 from operator import attrgetter
@@ -175,18 +177,49 @@ class StreamingMultiprocessor:
 
     # -- issue loop -----------------------------------------------------------
     def step(self, gpu, now: float, seq: int = -1) -> None:
-        """One or more scheduling decisions at ``max(self.time, now)``.
+        """The issue loop: a burst of scheduling decisions from
+        ``max(self.time, now)`` on, each the one the
+        one-decision-per-pop schedule would make.
 
         ``gpu`` is the owning :class:`~repro.sim.gpu.GPUSimulator`,
         used for memory access, device launches and completion hooks.
         ``seq`` is the heap sequence number of the popped entry; a
         pending deferred decision executes only when its own entry
-        pops (stale wake entries are no-ops until then).
+        pops (stale wake entries are no-ops until then), and the loop
+        follows it.
 
-        With run-ahead enabled (``gpu._runahead``, non-CDP
-        applications only) this executes every *SM-local* decision in
-        one call and stops just before the next shared-state op; the
-        classic gheap-gated path below handles everything else.
+        Which decisions a burst may take depends on the application,
+        not on a knob (``gpu._runahead`` is derived from
+        ``may_device_launch``):
+
+        - **Run-ahead** (applications that can never device-launch).
+          The only state shared between SMs is the memory subsystem
+          (NoC/L2/DRAM) plus grid dispatch bookkeeping.  ALU, control,
+          CTA barriers, shared/param accesses, perfect-memory accesses,
+          and cache accesses whose lines are all resident touch none of
+          it, so their interleaving with other SMs is unobservable and
+          this SM retires them regardless of the global heap.  The
+          first *nonlocal* decision — a cache access that would miss
+          (probed side-effect-free via ``contains_all``), or an
+          EXIT/LAUNCH/DEVSYNC whose grid bookkeeping must stay globally
+          ordered — is left selected-but-unexecuted in ``_deferred``
+          and this SM re-queues itself at the decision time; it
+          executes when that exact entry pops, giving the same (time,
+          seq) order the one-decision-per-pop schedule produces.
+        - **Gated** (CDP applications: child dispatch and parent
+          wake-ups mutate other SMs at arbitrary times).  Every
+          decision executes inline, but after the first one the burst
+          stops before any decision at time ``t`` while the GPU's heap
+          holds an entry due at ``t`` — exactly where the driver's
+          "strictly next" loop would hand control elsewhere.  It also
+          returns after any EXIT, so the driver's grid-completion check
+          runs after the same decision it always did.
+
+        Stopping is identity-safe in both modes: the driver resumes
+        from the same state.  An ALU repeat block issues in closed
+        form, and a warp that blocks while provably next has the stall
+        the next decision would attribute fused inline, skipping the
+        wake-heap round trip.
         """
         if now > self.time:
             self.time = now
@@ -205,58 +238,10 @@ class StreamingMultiprocessor:
                 self._settle(warp)
         if not self.warps:
             return
-        if gpu._runahead:
-            self._run_local(gpu)
-            return
-
-        t = self.time
-        wakes = self._wakes
-        if wakes and wakes[0][0] <= t:
-            self._drain_wakes(t)
-        ready = self._ready
-        if not ready:
-            self._account_stall(t)
-            return
-
-        scheduler = self.scheduler
-        if len(ready) == 1:
-            warp = scheduler.select_sole(ready[0])
-            self._monopolize(gpu, warp)
-            scheduler.issued(warp)
-            return
-
-        warp = scheduler.select(ready)
-        try:
-            instr = next(warp.trace)
-        except StopIteration:  # pragma: no cover - traces must end with EXIT
-            raise RuntimeError(
-                f"trace of kernel {warp.cta.grid.kernel.name} ended "
-                "without an EXIT instruction"
-            ) from None
-        self._execute(gpu, warp, instr, t)
-        scheduler.issued(warp)
-        if not warp.exited:
-            self._settle(warp)
-
-    def _run_local(self, gpu) -> None:
-        """Run-ahead: execute SM-local decisions without the event heap.
-
-        For applications that can never device-launch, the only state
-        shared between SMs is the memory subsystem (NoC/L2/DRAM) plus
-        grid dispatch bookkeeping.  ALU, control, CTA barriers,
-        shared/param accesses, perfect-memory accesses, and cache
-        accesses whose lines are all resident touch none of it, so
-        their interleaving with other SMs is unobservable and this SM
-        may retire them in one burst regardless of the global heap.
-
-        The first *nonlocal* decision — a cache access that would miss
-        (probed side-effect-free via ``contains_all``), or an
-        EXIT/LAUNCH/DEVSYNC whose grid bookkeeping must stay globally
-        ordered — is left selected-but-unexecuted in ``_deferred`` and
-        this SM re-queues itself at the decision time; it executes when
-        that exact entry pops, giving the same (time, seq) order the
-        one-decision-per-pop schedule produces.
-        """
+        runahead = gpu._runahead
+        # The gate reads the GPU heap's head; under run-ahead an empty
+        # tuple makes every gate check false.
+        gheap = () if runahead else gpu._heap
         ready = self._ready
         wakes = self._wakes
         rc = self._reason_counts
@@ -270,11 +255,11 @@ class StreamingMultiprocessor:
         perfect = config.perfect_memory
         count_instruction = stats.count_instruction
         count_memory = stats.count_memory
-        stalls = stats.stalls
         const_cache = self.const_cache
         tex_cache = self.tex_cache
         l1 = self.l1
         tel = self._tel
+        stall = self._stall
         issued = 0
         warp = None
         while True:
@@ -305,14 +290,11 @@ class StreamingMultiprocessor:
                     warp = scheduler.select_sole(w)
                     in_list = False
                 else:
-                    # No ready warp and no due wake: the one-decision
-                    # loop would peek the next live wake (_next_wake),
-                    # attribute the gap (_dominant_reason + add_stall),
-                    # jump, and on the next decision pop that same
-                    # entry.  Fused here into one pass — the hottest
-                    # path on the latency-bound benchmarks.
+                    # No ready warp and no due wake: attribute the gap
+                    # to the next live wake, jump, and pop that same
+                    # entry in one pass — the hottest path on the
+                    # latency-bound benchmarks.
                     wk = NEVER
-                    w = None
                     while wakes:
                         head = wakes[0]
                         w = head[2]
@@ -321,36 +303,10 @@ class StreamingMultiprocessor:
                             continue
                         wk = head[0]
                         break
-                    # _dominant_reason, inlined (ties: memory wins).
-                    best = rc[_R_MEMORY]
-                    dominant = _R_MEMORY
-                    n = rc[_R_CONTROL]
-                    if n > best:
-                        best, dominant = n, _R_CONTROL
-                    n = rc[_R_SYNC]
-                    if n > best:
-                        best, dominant = n, _R_SYNC
-                    n = rc[_R_FUNCTIONAL]
-                    if n > best:
-                        best, dominant = n, _R_FUNCTIONAL
-                    if rc[None] > best:
-                        dominant = _R_IDLE
-                    if wk == NEVER:
-                        # No pending wake: park dormant with the
-                        # dominant reason *at this decision time*; the
-                        # GPU's wake charges [t, wake) in one chunk via
-                        # wake_accounting, exactly the add_stall a jump
-                        # would have made.
-                        self.dormant_since = t
-                        self.dormant_reason = dominant
+                    stall(t, wk)
+                    # Parked dormant, or gated at the post-jump time.
+                    if wk == NEVER or (gheap and gheap[0][0] <= wk):
                         break
-                    gap = int(wk - t)
-                    if gap > 0:  # add_stall, inlined
-                        key = dominant._value_
-                        stalls[key] = stalls.get(key, 0) + gap
-                        if tel is not None:
-                            tel.stall(t, key, gap)
-                    self.time = wk
                     t = wk
                     heappop(wakes)
                     if wakes and wakes[0][0] <= t:
@@ -371,6 +327,7 @@ class StreamingMultiprocessor:
                 ) from None
             op = instr.op
             if op is _INT or op is _FP or op is _SFU:
+                # Closed-form macro-issue of the whole repeat block.
                 repeat = instr.repeat
                 if not warp.precounted:
                     count_instruction(op, instr.active_lanes, repeat)
@@ -392,166 +349,79 @@ class StreamingMultiprocessor:
                 warp.next_ready = nr
                 now = t + repeat
                 self.time = now
-                scheduler.issued(warp)
-                if nr > now:
-                    if in_list:
-                        ready.remove(warp)
-                        warp.in_ready = False
-                    if nr != NEVER and not ready \
-                            and not (wakes and wakes[0][0] <= nr):
-                        # The warp is provably the next decision: no
-                        # ready peer and every queued wake is later.
-                        # Fuse the stall the next pick would attribute
-                        # and reissue without the heap round trip.
-                        best = rc[_R_MEMORY]
-                        dominant = _R_MEMORY
-                        n = rc[_R_CONTROL]
-                        if n > best:
-                            best, dominant = n, _R_CONTROL
-                        n = rc[_R_SYNC]
-                        if n > best:
-                            best, dominant = n, _R_SYNC
-                        n = rc[_R_FUNCTIONAL]
-                        if n > best:
-                            best, dominant = n, _R_FUNCTIONAL
-                        if rc[None] > best:
-                            dominant = _R_IDLE
-                        gap = int(nr - now)
-                        if gap > 0:
-                            key = dominant._value_
-                            stalls[key] = stalls.get(key, 0) + gap
-                            if tel is not None:
-                                tel.stall(now, key, gap)
-                        self.time = nr
-                        scheduler.select_sole(warp)
-                        in_list = False
-                        continue
-                    heappush(wakes, (nr, warp.age, warp))
-                elif not in_list:
-                    warp.in_ready = True
-                    insort(ready, warp, key=_AGE)
-                warp = None
-                continue
-
-            if op is _LDST:
-                mem = instr.mem
-                space = mem.space
-                if space is _SHARED:
-                    # Scratchpad: inlined (hot in the shared-tiled
-                    # kernels), identical to _execute_memory's path.
-                    if not warp.precounted:
-                        count_instruction(op, instr.active_lanes, 1)
-                        count_memory(space, mem.transactions)
-                    issued += 1
-                    if tel is not None:
-                        tel.issue(t, instr.active_lanes, 1)
-                    now = t + 1
-                    self.time = now
-                    nr = t + shared_latency
-                    warp.next_ready = nr
-                    old = warp.block_reason
-                    if old is not _R_MEMORY:
-                        rc[old] -= 1
-                        rc[_R_MEMORY] += 1
-                        warp.block_reason = _R_MEMORY
-                    scheduler.issued(warp)
-                    if nr > now:
-                        if in_list:
-                            ready.remove(warp)
-                            warp.in_ready = False
-                        if nr != NEVER and not ready \
-                                and not (wakes and wakes[0][0] <= nr):
-                            # Provably next (as in the ALU path): fuse
-                            # the stall and skip the heap round trip.
-                            # All warps block on memory here, so the
-                            # dominant reason is never contested by a
-                            # recount: rc changed by exactly this warp.
-                            best = rc[_R_MEMORY]
-                            dominant = _R_MEMORY
-                            n = rc[_R_CONTROL]
-                            if n > best:
-                                best, dominant = n, _R_CONTROL
-                            n = rc[_R_SYNC]
-                            if n > best:
-                                best, dominant = n, _R_SYNC
-                            n = rc[_R_FUNCTIONAL]
-                            if n > best:
-                                best, dominant = n, _R_FUNCTIONAL
-                            if rc[None] > best:
-                                dominant = _R_IDLE
-                            gap = int(nr - now)
-                            if gap > 0:
-                                key = dominant._value_
-                                stalls[key] = stalls.get(key, 0) + gap
-                                if tel is not None:
-                                    tel.stall(now, key, gap)
-                            self.time = nr
-                            scheduler.select_sole(warp)
-                            in_list = False
-                            continue
-                        heappush(wakes, (nr, warp.age, warp))
-                    elif not in_list:
+            elif op is _LDST and instr.mem.space is _SHARED:
+                # Scratchpad: inlined (hot in the shared-tiled kernels),
+                # identical to _execute_memory's path.
+                if not warp.precounted:
+                    count_instruction(op, instr.active_lanes, 1)
+                    count_memory(_SHARED, instr.mem.transactions)
+                issued += 1
+                if tel is not None:
+                    tel.issue(t, instr.active_lanes, 1)
+                now = t + 1
+                self.time = now
+                nr = t + shared_latency
+                warp.next_ready = nr
+                old = warp.block_reason
+                if old is not _R_MEMORY:
+                    rc[old] -= 1
+                    rc[_R_MEMORY] += 1
+                    warp.block_reason = _R_MEMORY
+            else:
+                if op is _LDST:
+                    nonlocal_op = False
+                    if runahead:
+                        mem = instr.mem
+                        space = mem.space
+                        if not (space is _PARAM or perfect):
+                            if space is _CONST:
+                                cache = const_cache
+                            elif space is _TEX:
+                                cache = tex_cache
+                            else:
+                                cache = l1
+                            # Would miss: shared-state traffic.
+                            nonlocal_op = not cache.contains_all(mem.lines)
+                else:
+                    # EXIT / LAUNCH / DEVSYNC: grid bookkeeping must
+                    # stay globally ordered.
+                    nonlocal_op = op is not _CTRL and op is not _SYNC
+                if nonlocal_op:
+                    # These decisions execute from the ready list, as
+                    # in the one-decision loop.
+                    if not in_list:
                         warp.in_ready = True
                         insort(ready, warp, key=_AGE)
-                    warp = None
-                    continue
-                if not (space is _PARAM or perfect):
-                    if space is _CONST:
-                        cache = const_cache
-                    elif space is _TEX:
-                        cache = tex_cache
-                    else:
-                        cache = l1
-                    if not cache.contains_all(mem.lines):
-                        # Would miss: shared-state traffic — defer.
-                        if not in_list:
-                            warp.in_ready = True
-                            insort(ready, warp, key=_AGE)
+                        in_list = True
+                    if runahead:
                         self._defer(gpu, warp, instr, t)
                         break
-            elif op is not _CTRL and op is not _SYNC:
-                # EXIT / LAUNCH / DEVSYNC: grid bookkeeping must stay
-                # globally ordered — defer.
-                if not in_list:
-                    warp.in_ready = True
-                    insort(ready, warp, key=_AGE)
-                self._defer(gpu, warp, instr, t)
-                break
-
-            # Local op with non-inlined semantics (control, barriers,
-            # param/const/tex/L1 all-hit, perfect memory).
-            self._execute(gpu, warp, instr, t)
+                    # Gated: execute inline, as the one-decision loop
+                    # would at this heap slot.
+                self._execute(gpu, warp, instr, t)
+                if op is _EXIT:
+                    scheduler.issued(warp)
+                    break
+                nr = warp.next_ready
+                now = self.time
             scheduler.issued(warp)
-            nr = warp.next_ready
-            now = self.time
+
+            # -- one tail: blocked → provably next → fuse the stall,
+            # else push its wake; still ready → (re-)insert --------------
             if nr > now:
                 if in_list:
                     ready.remove(warp)
                     warp.in_ready = False
                 if nr != NEVER:
-                    if not ready and not (wakes and wakes[0][0] <= nr):
-                        # Provably next (as in the ALU path).
-                        best = rc[_R_MEMORY]
-                        dominant = _R_MEMORY
-                        n = rc[_R_CONTROL]
-                        if n > best:
-                            best, dominant = n, _R_CONTROL
-                        n = rc[_R_SYNC]
-                        if n > best:
-                            best, dominant = n, _R_SYNC
-                        n = rc[_R_FUNCTIONAL]
-                        if n > best:
-                            best, dominant = n, _R_FUNCTIONAL
-                        if rc[None] > best:
-                            dominant = _R_IDLE
-                        gap = int(nr - now)
-                        if gap > 0:
-                            key = dominant._value_
-                            stalls[key] = stalls.get(key, 0) + gap
-                            if tel is not None:
-                                tel.stall(now, key, gap)
-                        self.time = nr
-                        scheduler.select_sole(warp)
+                    if not ready and not (wakes and wakes[0][0] <= nr) \
+                            and not (gheap and gheap[0][0] <= nr):
+                        # The warp is provably the next decision: no
+                        # ready peer, every queued wake is later, and
+                        # no global entry gates it.  Fuse the stall the
+                        # next pick would attribute and reissue without
+                        # the heap round trip (it was picked by
+                        # select_sole, which is idempotent).
+                        stall(now, nr)
                         in_list = False
                         continue
                     heappush(wakes, (nr, warp.age, warp))
@@ -559,6 +429,10 @@ class StreamingMultiprocessor:
                 warp.in_ready = True
                 insort(ready, warp, key=_AGE)
             warp = None
+            # Gated: the next decision, at ``now``, belongs to the
+            # driver while a global entry is due.
+            if gheap and gheap[0][0] <= now:
+                break
         self.issued_instructions += issued
 
     def _defer(self, gpu, warp: Warp, instr, t: float) -> None:
@@ -567,111 +441,6 @@ class StreamingMultiprocessor:
         heappush(gpu._heap, (t, self.sm_id, seq, self))
         self._deferred = (warp, instr)
         self._deferred_seq = seq
-
-    def _monopolize(self, gpu, warp: Warp) -> None:
-        """Keep issuing from the sole ready warp while the one-decision
-        loop would provably do the same.
-
-        The gates, re-checked after every issue in exactly the order
-        the outer loops check them:
-
-        1. nothing on the GPU's event heap is due (another SM — or a
-           queued wake of this one — would run first otherwise);
-        2. no other resident warp became ready (the scheduler would
-           then have a real choice), via the ready list and the wake
-           heap's minimum;
-        3. when the warp blocks with every gate still clear, the stall
-           decision the next ``step`` would make is fused inline.
-
-        Breaking out at any point is identity-safe: the outer loop
-        simply resumes one decision at a time from the same state.
-        """
-        config = self.config
-        stats = self.stats
-        rc = self._reason_counts
-        gheap = gpu._heap
-        wakes = self._wakes
-        ready = self._ready
-        trace = warp.trace
-        precounted = warp.precounted
-        int_latency = config.int_latency
-        fp_latency = config.fp_latency
-        sfu_latency = config.sfu_latency
-        count_instruction = stats.count_instruction
-        tel = self._tel
-        inline_issued = 0
-        while True:
-            t = self.time
-            try:
-                instr = next(trace)
-            except StopIteration:  # pragma: no cover - traces end with EXIT
-                raise RuntimeError(
-                    f"trace of kernel {warp.cta.grid.kernel.name} ended "
-                    "without an EXIT instruction"
-                ) from None
-            op = instr.op
-            if op is _INT or op is _FP or op is _SFU:
-                # Closed-form macro-issue of the whole repeat block.
-                repeat = instr.repeat
-                if not precounted:
-                    count_instruction(op, instr.active_lanes, repeat)
-                inline_issued += repeat
-                if tel is not None:
-                    tel.issue(t, instr.active_lanes, repeat)
-                old = warp.block_reason
-                if old is not None:
-                    rc[old] -= 1
-                    rc[None] += 1
-                    warp.block_reason = None
-                if op is _INT:
-                    latency = int_latency
-                elif op is _FP:
-                    latency = fp_latency
-                else:
-                    latency = sfu_latency
-                next_ready = t + repeat - 1 + latency
-                warp.next_ready = next_ready
-                now = t + repeat
-                self.time = now
-            else:
-                self._execute(gpu, warp, instr, t)
-                if warp.exited:
-                    break
-                now = self.time
-                next_ready = warp.next_ready
-            # Gate 1: the GPU loop would hand control elsewhere.
-            if gheap and gheap[0][0] <= now:
-                self._settle(warp)
-                break
-            # Gate 2: the scheduler would see more than one candidate.
-            if len(ready) != 1 or (wakes and wakes[0][0] <= now):
-                self._settle(warp)
-                break
-            if next_ready > now:
-                # Sole warp blocked: fuse the stall decision the next
-                # step would have made.
-                dominant = self._dominant_reason()
-                wake = self._next_wake()
-                if next_ready < wake:
-                    wake = next_ready
-                if wake == NEVER:
-                    self.dormant_since = now
-                    self.dormant_reason = dominant
-                    self._settle(warp)
-                    break
-                gap = int(wake - now)
-                stats.add_stall(dominant, gap)
-                if tel is not None:
-                    tel.stall(now, dominant._value_, gap)
-                self.time = wake
-                if wake != next_ready or (wakes and wakes[0][0] <= wake):
-                    # Another warp wakes here (too): resume stepping.
-                    self._settle(warp)
-                    break
-                # Gate 1 again, at the post-jump time.
-                if gheap and gheap[0][0] <= wake:
-                    break
-        self.issued_instructions += inline_issued
 
     def _drain_wakes(self, t: float) -> None:
         """Move every due wake event into the ready list."""
@@ -688,17 +457,6 @@ class StreamingMultiprocessor:
             warp.in_ready = True
             insort(ready, warp, key=_AGE)
 
-    def _next_wake(self) -> float:
-        """Earliest live wake time, dropping stale heap heads."""
-        wakes = self._wakes
-        while wakes:
-            wake, _, warp = wakes[0]
-            if warp.exited or warp.in_ready or warp.next_ready != wake:
-                heappop(wakes)
-                continue
-            return wake
-        return NEVER
-
     def _settle(self, warp: Warp) -> None:
         """Move an issued warp out of the ready list if it blocked."""
         nr = warp.next_ready
@@ -710,11 +468,18 @@ class StreamingMultiprocessor:
         if nr != NEVER:
             heappush(self._wakes, (nr, warp.age, warp))
 
-    def _dominant_reason(self) -> StallReason:
-        """The stall reason blocking the most resident warps.
+    def _stall(self, t: float, wake: float) -> None:
+        """No warp can issue before ``wake``: charge ``[t, wake)`` to
+        the dominant stall reason — the one blocking the most resident
+        warps — and jump there.
 
         Ties break in a fixed priority order: memory is the paper's
-        headline cause, so it wins ties.
+        headline cause, so it wins ties.  With no pending wake
+        (``NEVER``) every warp waits on an external event (device sync,
+        or a barrier released from another path): the SM parks dormant
+        with the reason *at this decision time*, and the GPU's wake
+        charges the whole dormant period in one chunk
+        (``wake_accounting``).
         """
         rc = self._reason_counts
         best, dominant = rc[_R_MEMORY], _R_MEMORY
@@ -729,23 +494,17 @@ class StreamingMultiprocessor:
             best, dominant = n, _R_FUNCTIONAL
         if rc[None] > best:
             dominant = _R_IDLE
-        return dominant
-
-    def _account_stall(self, t: float) -> None:
-        """No warp ready: attribute the gap and jump to the next wake."""
-        dominant = self._dominant_reason()
-        wake = self._next_wake()
         if wake == NEVER:
-            # Every warp waits on an external event (device sync /
-            # barrier release from another path).  Go dormant; the GPU
-            # attributes the dormant period when it wakes us.
             self.dormant_since = t
             self.dormant_reason = dominant
             return
         gap = int(wake - t)
-        self.stats.add_stall(dominant, gap)
-        if self._tel is not None:
-            self._tel.stall(t, dominant._value_, gap)
+        if gap > 0:
+            key = dominant._value_
+            stalls = self.stats.stalls
+            stalls[key] = stalls.get(key, 0) + gap
+            if self._tel is not None:
+                self._tel.stall(t, key, gap)
         self.time = wake
 
     def wake_accounting(self, wake_time: float) -> None:

@@ -27,7 +27,7 @@ across interval boundaries by the cycles it covers:
   serialization window.
 
 Both SM cores — the event-maintained fast core
-(:mod:`repro.sim.sm`, including its macro-issue, monopolize, and
+(:mod:`repro.sim.sm`, including its macro-issue, fused-stall, and
 run-ahead paths) and the scan-per-decision reference
 (:mod:`repro.sim.sm_reference`) — feed these hooks with identical
 ``(cycle, value)`` samples, so the interval series are bit-identical

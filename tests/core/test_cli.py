@@ -146,6 +146,26 @@ class TestProfile:
         assert main(["profile", "BLAST"]) == 2
         assert "unknown benchmark" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--trace", "--jsonl"])
+    @pytest.mark.parametrize("kind", ["missing-dir", "file-as-dir", "dir"])
+    def test_profile_rejects_an_unwritable_output(self, tmp_path, capsys,
+                                                  flag, kind):
+        """A bad export path exits 2 naming the flag and path before
+        anything is simulated."""
+        if kind == "missing-dir":
+            path, reason = tmp_path / "missing" / "x.json", "No such file"
+        elif kind == "file-as-dir":
+            (tmp_path / "file").write_text("")
+            path, reason = tmp_path / "file" / "x.json", "Not a directory"
+        else:
+            path, reason = tmp_path, "Is a directory"
+        assert main(["profile", "NW", "--interval", "1000",
+                     flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"{flag}: cannot write {path}: {reason}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestErrorPaths:
     """Malformed invocations must exit 2 with a pointed stderr message

@@ -14,6 +14,11 @@ size's trace shapes.
 totals, so each case also has a live arm: the event core driving the
 generators directly, which keeps the SM's live-counting branch locked
 to the replay path.
+
+The default ``lrr`` policy runs every cell; the other three Fig 19
+policies get a small-suite lock of their own, since each reads
+different issue-loop state (``gto`` the last issued warp, ``2lv`` the
+ready flags, ``old`` nothing but the ready order).
 """
 
 import dataclasses
@@ -25,6 +30,8 @@ from repro.data.datasets import DatasetSize
 from repro.kernels import benchmark_names, build_application
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPUSimulator
+
+pytestmark = pytest.mark.differential
 
 
 def _stats_triple(abbr: str, cdp: bool, size: DatasetSize):
@@ -54,3 +61,17 @@ def test_medium_heavyweights_identical(abbr, cdp):
     fast, ref, live = _stats_triple(abbr, cdp, DatasetSize.MEDIUM)
     assert fast == ref
     assert fast == live
+
+
+@pytest.mark.parametrize("scheduler", ["gto", "old", "2lv"])
+@pytest.mark.parametrize("cdp", [False, True], ids=["plain", "cdp"])
+@pytest.mark.parametrize("abbr", benchmark_names())
+def test_small_suite_identical_per_scheduler(abbr, cdp, scheduler):
+    fast, ref = (
+        dataclasses.asdict(run_benchmark(
+            abbr, cdp=cdp, size=DatasetSize.SMALL,
+            config=GPUConfig(event_core=event_core, scheduler=scheduler),
+        ))
+        for event_core in (True, False)
+    )
+    assert fast == ref

@@ -369,7 +369,8 @@ class TestManyTinyGrids:
             sim.submit_grid(grid)
         # 2 SMs x 4 CTA slots: the rest must sit in the pending queue.
         assert len(sim._pending_grids) == 200 - 8
-        sim._run_until(lambda: all(g.finished for g in grids))
+        for g in grids:
+            sim._drive_grid(g)
         assert not sim._pending_grids
         stats = sim.finalize()
         assert stats.instructions == 200 * 3
@@ -385,7 +386,8 @@ class TestManyTinyGrids:
         grids = [Grid(kernel, 1) for _ in range(50)]
         for grid in grids:
             sim.submit_grid(grid)
-        sim._run_until(lambda: all(g.finished for g in grids))
+        for g in grids:
+            sim._drive_grid(g)
         completions = [g.completion_time for g in grids]
         assert completions == sorted(completions)
 
@@ -399,7 +401,8 @@ class TestManyTinyGrids:
         grids = [Grid(kernel, 1 + (i % 5)) for i in range(60)]
         for grid in grids:
             sim.submit_grid(grid)
-        sim._run_until(lambda: all(g.finished for g in grids))
+        for g in grids:
+            sim._drive_grid(g)
         assert not sim._pending_grids
         total_ctas = sum(g.num_ctas for g in grids)
         assert sim.finalize().instructions == total_ctas * 3
