@@ -619,9 +619,14 @@ def cmd_dataset(args) -> int:
     )
     from repro.genomics.sequence import DNA, Sequence
 
-    workload = dataset_for(args.benchmark, args.size)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        reason = "not a directory" if out.exists() else exc.strerror
+        print(f"--out: cannot use {out}: {reason}", file=sys.stderr)
+        return 2
+    workload = dataset_for(args.benchmark, args.size)
     written: list[Path] = []
 
     def save_fasta(name, sequences):

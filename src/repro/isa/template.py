@@ -61,6 +61,7 @@ def relocate_ldst(proto: WarpInstruction, lines: tuple) -> WarpInstruction:
     instr.child = None
     instr.repeat = 1
     instr.active_lanes = proto.active_lanes
+    instr.kind = proto.kind
     return instr
 
 

@@ -16,7 +16,7 @@ import math
 from repro.sim.config import GPUConfig
 from repro.sim.launch import Application, HostLaunch, HostMemcpy, KernelLaunch
 from repro.sim.memory import MemorySubsystem
-from repro.sim.sm import StreamingMultiprocessor
+from repro.sim.sm import _STALL_KEYS, StreamingMultiprocessor
 from repro.sim.stats import RunStats, StallReason
 from repro.sim.warp import CTA, Grid, Warp
 
@@ -50,8 +50,13 @@ class GPUSimulator:
             sm_cls(i, self.config, self.stats)
             for i in range(self.config.num_sms)
         ]
+        #: stall cycles the issue loops charged since the last fold, per
+        #: reason in ``_STALL_KEYS`` order; one list shared by every SM,
+        #: so a fold is one pass however many SMs there are
+        self._stall_cycles = [0] * len(_STALL_KEYS)
         for sm in self.sms:
             sm._tel = telemetry
+            sm._stall_cycles = self._stall_cycles
             # Dirty L1 evictions flow to L2/DRAM at the SM's local time.
             sm.l1.writeback_sink = (
                 lambda line, _sm=sm: self.memory.writeback(
@@ -302,7 +307,7 @@ class GPUSimulator:
                 heappush(heap, (sm.time, sm.sm_id, next(heap_seq), sm))
                 continue
             sm.step(self, t, s)
-            while sm.has_resident_work and sm.dormant_since is None:
+            while sm.warps and sm.dormant_since is None:
                 if sm._deferred is not None:
                     # The SM queued its next (nonlocal) decision under
                     # its own heap entry; don't push a duplicate.
@@ -324,7 +329,21 @@ class GPUSimulator:
         )
         self.submit_grid(grid)
         self._drive_grid(grid)
+        self._fold_stalls()
         return grid
+
+    def _fold_stalls(self) -> None:
+        """Move the issue loops' stall cycles into ``stats.stalls``: at
+        every launch boundary (ahead of ``launch_observer``, which may
+        snapshot the stalls) and at finalize.  ``_stall`` entered each
+        key at its first charge, so the dict's key order is the one
+        charging every stall directly would give."""
+        acc = self._stall_cycles
+        stalls = self.stats.stalls
+        for i, cycles in enumerate(acc):
+            if cycles:
+                stalls[_STALL_KEYS[i]] += int(cycles)
+                acc[i] = 0
 
     # -- host interface ----------------------------------------------------
     def _memcpy_cycles(self, nbytes: int) -> int:
@@ -399,6 +418,7 @@ class GPUSimulator:
         """Aggregate per-component counters into the run stats."""
         if not self._finalized:
             self._finalized = True
+            self._fold_stalls()
             for hook in self._finalize_hooks:
                 hook()
             for sm in self.sms:

@@ -17,8 +17,14 @@ ready warps in residence order (ascending ``age``); each ready warp has
 ``in_ready`` set, so membership checks are attribute reads, not set
 rebuilds.  ``select_sole`` is the fast path for a one-warp ready set —
 it must leave the policy in exactly the state ``select([warp])`` would,
-and stay idempotent, untouched by ``issued``: after a fused stall the
-issue loop reissues a sole warp without selecting it again.
+and stay idempotent: when a sole warp blocks and is again the next to
+issue, the issue loop reissues it without selecting it again.
+
+There is no per-issue hook.  Every pick is issued before the SM makes
+its next pick (a deferred decision executes before the loop selects
+again), so a policy that needs the last issued warp — GTO — records
+its own pick in ``select``/``select_sole``.  ``retired`` is the only
+other call: the SM makes it when a warp exits.
 """
 
 from __future__ import annotations
@@ -29,9 +35,6 @@ from repro.sim.warp import Warp
 class WarpScheduler:
     """Base policy; subclasses implement :meth:`select`."""
 
-    def __init__(self):
-        self._last: Warp | None = None
-
     def select(self, ready: list[Warp]) -> Warp:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -39,21 +42,14 @@ class WarpScheduler:
         """Equivalent of ``select([warp])`` when only one warp is ready."""
         return warp
 
-    def issued(self, warp: Warp) -> None:
-        """Hook called after ``warp`` issues."""
-        self._last = warp
-
     def retired(self, warp: Warp) -> None:
         """Hook called when ``warp`` exits."""
-        if self._last is warp:
-            self._last = None
 
 
 class LooseRoundRobin(WarpScheduler):
     """Rotate fairly among ready warps."""
 
     def __init__(self):
-        super().__init__()
         self._pointer = 0
 
     def select(self, ready: list[Warp]) -> Warp:
@@ -66,14 +62,31 @@ class LooseRoundRobin(WarpScheduler):
 
 
 class GreedyThenOldest(WarpScheduler):
-    """Stick with the last warp while it stays ready; else oldest."""
+    """Stick with the last warp while it stays ready; else oldest.
+
+    The last pick is the last issued warp: the SM issues every pick
+    before it selects again (see the module docstring).
+    """
+
+    def __init__(self):
+        self._last: Warp | None = None
 
     def select(self, ready: list[Warp]) -> Warp:
-        if self._last is not None and not self._last.exited:
+        last = self._last
+        if last is not None and not last.exited:
             for warp in ready:
-                if warp is self._last:
+                if warp is last:
                     return warp
-        return min(ready, key=lambda w: w.age)
+        warp = self._last = min(ready, key=lambda w: w.age)
+        return warp
+
+    def select_sole(self, warp: Warp) -> Warp:
+        self._last = warp
+        return warp
+
+    def retired(self, warp: Warp) -> None:
+        if self._last is warp:
+            self._last = None
 
 
 class OldestFirst(WarpScheduler):
@@ -95,7 +108,6 @@ class TwoLevel(WarpScheduler):
     """
 
     def __init__(self, active_size: int = 8):
-        super().__init__()
         self.active_size = active_size
         self._active: list[Warp] = []
         self._active_ids: set[int] = set()
@@ -133,7 +145,6 @@ class TwoLevel(WarpScheduler):
         return warp
 
     def retired(self, warp: Warp) -> None:
-        super().retired(warp)
         if id(warp) in self._active_ids:  # pragma: no cover - defensive
             self._active.remove(warp)
             self._active_ids.discard(id(warp))

@@ -27,19 +27,23 @@ to its global heap slot; *gated* (CDP) executes every decision inline
 but stops before any decision the global heap would order elsewhere,
 and after any EXIT.  Either way a burst makes exactly the choices the
 one-decision-per-pop schedule would — ALU repeat blocks in closed
-form, stall gaps fused inline when provably next.  See DESIGN.md
-("event core") for the invariants; the scan-per-decision original
-lives on as :class:`repro.sim.sm_reference.ReferenceSM` and the two
-are locked bit-identical by ``tests/sim/test_event_core_golden.py``.
+form, one heap call per blocked warp.  See DESIGN.md ("event core")
+for the invariants and per-decision costs; the scan-per-decision
+original lives on as :class:`repro.sim.sm_reference.ReferenceSM` and
+the two are locked bit-identical by
+``tests/sim/test_event_core_golden.py``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from operator import attrgetter
 
-from repro.isa.instructions import MemSpace, OpClass
+from repro.isa.instructions import (
+    K_CTRL, K_DEVSYNC, K_EXIT, K_LAUNCH, K_LDST, K_SHARED, K_SYNC,
+    MemSpace, OpClass,
+)
 from repro.sim.cache import Cache
 from repro.sim.config import GPUConfig
 from repro.sim.kernel import KernelProgram
@@ -47,9 +51,9 @@ from repro.sim.scheduler import build_scheduler
 from repro.sim.stats import RunStats, StallReason
 from repro.sim.warp import CTA, Grid, NEVER, Warp
 
-# Hot-loop aliases: issue-loop comparisons run once per dynamic
-# instruction, so they use ``is`` against bound locals instead of enum
-# lookups on every call.
+# Enum aliases for ``is`` tests without attribute lookups (the issue
+# loop dispatches on ``WarpInstruction.kind``; the reference core
+# imports the op aliases).
 _INT = OpClass.INT
 _FP = OpClass.FP
 _SFU = OpClass.SFU
@@ -68,6 +72,10 @@ _R_CONTROL = StallReason.CONTROL
 _R_SYNC = StallReason.SYNC
 _R_FUNCTIONAL = StallReason.FUNCTIONAL_DONE
 _R_IDLE = StallReason.IDLE
+#: the stall reasons in ``_stall``'s tie-break order; the stall
+#: accumulator (``_stall_cycles``) is indexed the same way
+_STALL_ORDER = (_R_MEMORY, _R_CONTROL, _R_SYNC, _R_FUNCTIONAL, _R_IDLE)
+_STALL_KEYS = tuple(reason._value_ for reason in _STALL_ORDER)
 
 _AGE = attrgetter("age")
 
@@ -124,6 +132,21 @@ class StreamingMultiprocessor:
             _R_SYNC: 0,
             _R_FUNCTIONAL: 0,
         }
+        #: stall cycles charged by ``_stall`` per reason (``_STALL_ORDER``
+        #: index) since the last fold; the GPU shares one list among its
+        #: SMs and folds it (``GPUSimulator._fold_stalls``)
+        self._stall_cycles = [0] * len(_STALL_ORDER)
+        #: ALU latency by dispatch code (``K_INT``, ``K_FP``, ``K_SFU``)
+        self._alu_latency = (
+            config.int_latency, config.fp_latency, config.sfu_latency
+        )
+        #: the issue loop's per-SM constants, unpacked once per ``step``
+        self._loop = (
+            self._ready, self._wakes, self._reason_counts, self.scheduler,
+            stats.count_instruction, stats.count_memory,
+            self.const_cache, self.tex_cache, self.l1, self._alu_latency,
+            config.shared_latency, config.perfect_memory, self._stall,
+        )
 
     # -- CTA admission ------------------------------------------------------
     def can_admit(self, kernel: KernelProgram) -> bool:
@@ -171,10 +194,6 @@ class StreamingMultiprocessor:
         self.used_regs -= kernel.regs_per_thread * kernel.cta_threads
         self.used_smem -= kernel.smem_per_cta
 
-    @property
-    def has_resident_work(self) -> bool:
-        return bool(self.warps)
-
     # -- issue loop -----------------------------------------------------------
     def step(self, gpu, now: float, seq: int = -1) -> None:
         """The issue loop: a burst of scheduling decisions from
@@ -217,9 +236,8 @@ class StreamingMultiprocessor:
 
         Stopping is identity-safe in both modes: the driver resumes
         from the same state.  An ALU repeat block issues in closed
-        form, and a warp that blocks while provably next has the stall
-        the next decision would attribute fused inline, skipping the
-        wake-heap round trip.
+        form; a warp that blocks with no ready peer pushes its wake and
+        pops the next pick in one heap call.
         """
         if now > self.time:
             self.time = now
@@ -233,7 +251,6 @@ class StreamingMultiprocessor:
             self._deferred_seq = -1
             warp, instr = deferred
             self._execute(gpu, warp, instr, self.time)
-            self.scheduler.issued(warp)
             if not warp.exited:
                 self._settle(warp)
         if not self.warps:
@@ -242,24 +259,10 @@ class StreamingMultiprocessor:
         # The gate reads the GPU heap's head; under run-ahead an empty
         # tuple makes every gate check false.
         gheap = () if runahead else gpu._heap
-        ready = self._ready
-        wakes = self._wakes
-        rc = self._reason_counts
-        scheduler = self.scheduler
-        stats = self.stats
-        config = self.config
-        int_latency = config.int_latency
-        fp_latency = config.fp_latency
-        sfu_latency = config.sfu_latency
-        shared_latency = config.shared_latency
-        perfect = config.perfect_memory
-        count_instruction = stats.count_instruction
-        count_memory = stats.count_memory
-        const_cache = self.const_cache
-        tex_cache = self.tex_cache
-        l1 = self.l1
+        (ready, wakes, rc, scheduler, count_instruction, count_memory,
+         const_cache, tex_cache, l1, alu_latency, shared_latency, perfect,
+         stall) = self._loop
         tel = self._tel
-        stall = self._stall
         issued = 0
         warp = None
         while True:
@@ -291,9 +294,7 @@ class StreamingMultiprocessor:
                     in_list = False
                 else:
                     # No ready warp and no due wake: attribute the gap
-                    # to the next live wake, jump, and pop that same
-                    # entry in one pass — the hottest path on the
-                    # latency-bound benchmarks.
+                    # to the next live wake, jump, and pop that entry.
                     wk = NEVER
                     while wakes:
                         head = wakes[0]
@@ -325,12 +326,12 @@ class StreamingMultiprocessor:
                     f"trace of kernel {warp.cta.grid.kernel.name} ended "
                     "without an EXIT instruction"
                 ) from None
-            op = instr.op
-            if op is _INT or op is _FP or op is _SFU:
-                # Closed-form macro-issue of the whole repeat block.
+            kind = instr.kind
+            if kind < K_SHARED:
+                # ALU: closed-form macro-issue of the whole repeat block.
                 repeat = instr.repeat
                 if not warp.precounted:
-                    count_instruction(op, instr.active_lanes, repeat)
+                    count_instruction(instr.op, instr.active_lanes, repeat)
                 issued += repeat
                 if tel is not None:
                     tel.issue(t, instr.active_lanes, repeat)
@@ -339,21 +340,15 @@ class StreamingMultiprocessor:
                     rc[old] -= 1
                     rc[None] += 1
                     warp.block_reason = None
-                if op is _INT:
-                    latency = int_latency
-                elif op is _FP:
-                    latency = fp_latency
-                else:
-                    latency = sfu_latency
-                nr = t + repeat - 1 + latency
+                nr = t + repeat - 1 + alu_latency[kind]
                 warp.next_ready = nr
                 now = t + repeat
                 self.time = now
-            elif op is _LDST and instr.mem.space is _SHARED:
+            elif kind == K_SHARED:
                 # Scratchpad: inlined (hot in the shared-tiled kernels),
                 # identical to _execute_memory's path.
                 if not warp.precounted:
-                    count_instruction(op, instr.active_lanes, 1)
+                    count_instruction(_LDST, instr.active_lanes, 1)
                     count_memory(_SHARED, instr.mem.transactions)
                 issued += 1
                 if tel is not None:
@@ -368,7 +363,7 @@ class StreamingMultiprocessor:
                     rc[_R_MEMORY] += 1
                     warp.block_reason = _R_MEMORY
             else:
-                if op is _LDST:
+                if kind == K_LDST:
                     nonlocal_op = False
                     if runahead:
                         mem = instr.mem
@@ -385,7 +380,7 @@ class StreamingMultiprocessor:
                 else:
                     # EXIT / LAUNCH / DEVSYNC: grid bookkeeping must
                     # stay globally ordered.
-                    nonlocal_op = op is not _CTRL and op is not _SYNC
+                    nonlocal_op = kind >= K_DEVSYNC
                 if nonlocal_op:
                     # These decisions execute from the ready list, as
                     # in the one-decision loop.
@@ -399,32 +394,53 @@ class StreamingMultiprocessor:
                     # Gated: execute inline, as the one-decision loop
                     # would at this heap slot.
                 self._execute(gpu, warp, instr, t)
-                if op is _EXIT:
-                    scheduler.issued(warp)
+                if kind == K_EXIT:
                     break
                 nr = warp.next_ready
                 now = self.time
-            scheduler.issued(warp)
 
-            # -- one tail: blocked → provably next → fuse the stall,
-            # else push its wake; still ready → (re-)insert --------------
+            # -- one tail: blocked → push its wake, fused with the next
+            # pick when no peer is ready; still ready → (re-)insert ------
             if nr > now:
                 if in_list:
                     ready.remove(warp)
                     warp.in_ready = False
                 if nr != NEVER:
-                    if not ready and not (wakes and wakes[0][0] <= nr) \
+                    if ready:
+                        heappush(wakes, (nr, warp.age, warp))
+                    elif runahead:
+                        # No ready peer: the next decision belongs to
+                        # the earliest live wake, this warp's included.
+                        # Push and pop it in one call, attribute the
+                        # gap, and take the pick the loop top would.
+                        wk, _, w = heappushpop(wakes, (nr, warp.age, warp))
+                        while w.exited or w.in_ready or w.next_ready != wk:
+                            wk, _, w = heappop(wakes)
+                        if wk > now:
+                            stall(now, wk)
+                            now = wk
+                        if wakes and wakes[0][0] <= now:
+                            # Several warps wake together: materialize
+                            # the ready list and take the general path.
+                            w.in_ready = True
+                            insort(ready, w, key=_AGE)
+                            warp = None
+                        else:
+                            if w is not warp:  # select_sole is idempotent
+                                warp = scheduler.select_sole(w)
+                            in_list = False
+                        continue
+                    elif not (wakes and wakes[0][0] <= nr) \
                             and not (gheap and gheap[0][0] <= nr):
-                        # The warp is provably the next decision: no
-                        # ready peer, every queued wake is later, and
-                        # no global entry gates it.  Fuse the stall the
-                        # next pick would attribute and reissue without
-                        # the heap round trip (it was picked by
-                        # select_sole, which is idempotent).
+                        # Gated, and the warp is provably the next
+                        # decision: every queued wake is later and no
+                        # global entry gates it.  Fuse the stall the
+                        # next pick would attribute and reissue.
                         stall(now, nr)
                         in_list = False
                         continue
-                    heappush(wakes, (nr, warp.age, warp))
+                    else:
+                        heappush(wakes, (nr, warp.age, warp))
             elif not in_list:
                 warp.in_ready = True
                 insort(ready, warp, key=_AGE)
@@ -480,31 +496,35 @@ class StreamingMultiprocessor:
         with the reason *at this decision time*, and the GPU's wake
         charges the whole dormant period in one chunk
         (``wake_accounting``).
+
+        Callers stall forward only and times are whole cycles, so the
+        gap goes to the stall accumulator as is.
         """
         rc = self._reason_counts
-        best, dominant = rc[_R_MEMORY], _R_MEMORY
+        best, i = rc[_R_MEMORY], 0  # i indexes _STALL_ORDER
         n = rc[_R_CONTROL]
         if n > best:
-            best, dominant = n, _R_CONTROL
+            best, i = n, 1
         n = rc[_R_SYNC]
         if n > best:
-            best, dominant = n, _R_SYNC
+            best, i = n, 2
         n = rc[_R_FUNCTIONAL]
         if n > best:
-            best, dominant = n, _R_FUNCTIONAL
+            best, i = n, 3
         if rc[None] > best:
-            dominant = _R_IDLE
+            i = 4
         if wake == NEVER:
             self.dormant_since = t
-            self.dormant_reason = dominant
+            self.dormant_reason = _STALL_ORDER[i]
             return
-        gap = int(wake - t)
-        if gap > 0:
-            key = dominant._value_
-            stalls = self.stats.stalls
-            stalls[key] = stalls.get(key, 0) + gap
-            if self._tel is not None:
-                self._tel.stall(t, key, gap)
+        acc = self._stall_cycles
+        if not acc[i]:
+            # First charge since the last fold: enter the key now, in
+            # the order direct charging would have.
+            self.stats.stalls.setdefault(_STALL_KEYS[i], 0)
+        acc[i] += wake - t
+        if self._tel is not None:
+            self._tel.stall(t, _STALL_KEYS[i], int(wake - t))
         self.time = wake
 
     def wake_accounting(self, wake_time: float) -> None:
@@ -540,10 +560,9 @@ class StreamingMultiprocessor:
     # -- instruction semantics -------------------------------------------------
     def _execute(self, gpu, warp: Warp, instr, t: float) -> None:
         config = self.config
-        op = instr.op
         repeat = instr.repeat
         if not warp.precounted:
-            self.stats.count_instruction(op, instr.active_lanes, repeat)
+            self.stats.count_instruction(instr.op, instr.active_lanes, repeat)
         self.issued_instructions += repeat
         tel = self._tel
         if tel is not None:
@@ -554,16 +573,11 @@ class StreamingMultiprocessor:
         rc = self._reason_counts
         old = warp.block_reason
 
-        if op is _INT or op is _FP or op is _SFU:
-            if op is _INT:
-                latency = config.int_latency
-            elif op is _FP:
-                latency = config.fp_latency
-            else:
-                latency = config.sfu_latency
+        kind = instr.kind
+        if kind < K_SHARED:
             # A repeat block monopolizes the issue port for `repeat`
             # cycles; the dependent-use latency applies after the last.
-            warp.next_ready = t + repeat - 1 + latency
+            warp.next_ready = t + repeat - 1 + self._alu_latency[kind]
             self.time = t + repeat
             if old is not None:
                 rc[old] -= 1
@@ -572,26 +586,15 @@ class StreamingMultiprocessor:
             return
 
         self.time = t + 1
-        if op is _LDST:
+        if kind <= K_LDST:
             warp.block_reason = None
             self._execute_memory(gpu, warp, instr, t)
-            new = warp.block_reason
-            if new is not old:
-                rc[old] -= 1
-                rc[new] += 1
-        elif op is _CTRL:
+        elif kind == K_CTRL:
             warp.next_ready = t + config.branch_latency
             warp.block_reason = _R_CONTROL
-            if old is not _R_CONTROL:
-                rc[old] -= 1
-                rc[_R_CONTROL] += 1
-        elif op is _SYNC:
+        elif kind == K_SYNC:
             self._execute_barrier(warp, t)
-            new = warp.block_reason
-            if new is not old:
-                rc[old] -= 1
-                rc[new] += 1
-        elif op is _DEVSYNC:
+        elif kind == K_DEVSYNC:
             if warp.pending_children > 0:
                 # Waiting for child kernels to be set up, run, and
                 # drain — the CDP face of "functional done" (Fig 5
@@ -599,28 +602,22 @@ class StreamingMultiprocessor:
                 warp.waiting_device_sync = True
                 warp.next_ready = NEVER
                 warp.block_reason = _R_FUNCTIONAL
-                if old is not _R_FUNCTIONAL:
-                    rc[old] -= 1
-                    rc[_R_FUNCTIONAL] += 1
             else:
                 warp.next_ready = t + 1
                 warp.block_reason = None
-                if old is not None:
-                    rc[old] -= 1
-                    rc[None] += 1
-        elif op is _LAUNCH:
+        elif kind == K_LAUNCH:
             gpu.device_launch(self, warp, instr.child, t)
             warp.next_ready = t + config.cdp_launch_cycles
             warp.block_reason = _R_FUNCTIONAL
-            if old is not _R_FUNCTIONAL:
-                rc[old] -= 1
-                rc[_R_FUNCTIONAL] += 1
-        elif op is _EXIT:
+        else:  # K_EXIT
             warp.block_reason = None
             rc[old] -= 1  # the warp leaves the resident population
             self._execute_exit(gpu, warp, t)
-        else:  # pragma: no cover - enum is closed
-            raise AssertionError(f"unhandled op {op}")
+            return
+        new = warp.block_reason
+        if new is not old:
+            rc[old] -= 1
+            rc[new] += 1
 
     def _execute_memory(self, gpu, warp: Warp, instr, t: float) -> None:
         config = self.config
@@ -748,36 +745,41 @@ class StreamingMultiprocessor:
         cta.barrier_arrived += 1
         if cta.barrier_ready():
             # Last arrival releases everyone.
-            rc = self._reason_counts
-            ready = self._ready
-            nr = t + 1
-            released = 0
-            for peer in cta.warps:
-                if peer.exited:
-                    continue
-                released += 1
-                peer.next_ready = nr
-                if peer is warp:
-                    # The issuer's reason transition is accounted by
-                    # the caller (_execute).
-                    peer.block_reason = None
-                    continue
-                reason = peer.block_reason
-                if reason is not None:
-                    rc[reason] -= 1
-                    rc[None] += 1
-                    peer.block_reason = None
-                if not peer.in_ready:
-                    peer.in_ready = True
-                    insort(ready, peer, key=_AGE)
-            cta.barrier_arrived = 0
-            if self._tel is not None:
-                self._tel.event(
-                    "barrier", "release", t, sm=self.sm_id, warps=released
-                )
+            self._release_barrier(cta, t, warp)
         else:
             warp.next_ready = NEVER
             warp.block_reason = _R_SYNC
+
+    def _release_barrier(
+        self, cta: CTA, t: float, issuer: Warp | None = None
+    ) -> None:
+        """Release ``cta``'s barrier at ``t``: every other live warp has
+        arrived, so each is blocked on SYNC and leaves the ready list.
+        The issuer's own reason transition is accounted by the caller
+        (``_execute``); an exiting warp releases with no issuer."""
+        rc = self._reason_counts
+        ready = self._ready
+        nr = t + 1
+        released = 0
+        for peer in cta.warps:
+            if peer is issuer:
+                released += 1
+                peer.next_ready = nr
+                peer.block_reason = None
+            elif not peer.exited and peer.block_reason is _R_SYNC:
+                released += 1
+                peer.next_ready = nr
+                peer.block_reason = None
+                rc[_R_SYNC] -= 1
+                rc[None] += 1
+                if not peer.in_ready:
+                    peer.in_ready = True
+                    insort(ready, peer, key=_AGE)
+        cta.barrier_arrived = 0
+        if self._tel is not None:
+            self._tel.event(
+                "barrier", "release", t, sm=self.sm_id, warps=released
+            )
 
     def _execute_exit(self, gpu, warp: Warp, t: float) -> None:
         warp.exited = True
@@ -795,21 +797,4 @@ class StreamingMultiprocessor:
             gpu.cta_finished(self, cta.grid, t, cta)
         elif cta.barrier_arrived and cta.barrier_ready():
             # An exiting warp can satisfy a barrier its peers wait on.
-            rc = self._reason_counts
-            nr = t + 1
-            released = 0
-            for peer in cta.warps:
-                if not peer.exited and peer.block_reason is _R_SYNC:
-                    released += 1
-                    peer.next_ready = nr
-                    peer.block_reason = None
-                    rc[_R_SYNC] -= 1
-                    rc[None] += 1
-                    if not peer.in_ready:
-                        peer.in_ready = True
-                        insort(ready, peer, key=_AGE)
-            cta.barrier_arrived = 0
-            if self._tel is not None:
-                self._tel.event(
-                    "barrier", "release", t, sm=self.sm_id, warps=released
-                )
+            self._release_barrier(cta, t)

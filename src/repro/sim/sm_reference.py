@@ -105,7 +105,6 @@ class ReferenceSM(StreamingMultiprocessor):
                 "without an EXIT instruction"
             ) from None
         self._execute(gpu, warp, instr, t)
-        self.scheduler.issued(warp)
 
     def _account_stall(self, t: float) -> None:
         """No warp ready: attribute the gap and jump to the next wake."""

@@ -58,6 +58,7 @@ from repro.isa.instructions import (
     MemSpace,
     OpClass,
     WarpInstruction,
+    instruction_kind,
     popcount,
 )
 from repro.sim.kernel import KernelProgram, WarpContext
@@ -464,6 +465,7 @@ def decode_bytes(data: bytes) -> StoredApplication:
             object.__setattr__(mem, "transactions", max(1, n))
             instr.mem = mem
         instr.active_lanes = popcount(mask)
+        instr.kind = instruction_kind(instr.op, instr.mem)
         pool.append(instr)
     if line_pos != len(lines_a):
         raise ValueError("inconsistent line table")

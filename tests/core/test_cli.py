@@ -63,6 +63,23 @@ class TestDataset:
         assert (tmp_path / "pairhmm_reads.fasta").exists()
         assert (tmp_path / "pairhmm_haplotypes.fasta").exists()
 
+    @pytest.mark.parametrize("kind", ["regular-file", "uncreatable"])
+    def test_rejects_an_unusable_out(self, tmp_path, capsys, kind):
+        """An ``--out`` that is a file, or whose parent is one, exits 2
+        naming the flag and the path, without a traceback."""
+        if kind == "regular-file":
+            out = tmp_path / "out"
+            out.write_text("")
+        else:
+            (tmp_path / "file").write_text("")
+            out = tmp_path / "file" / "out"
+        assert main(["dataset", "SW", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"--out: cannot use {out}: " in captured.err
+        assert "not a directory" in captured.err.lower()
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestAlign:
     def test_global(self, capsys):

@@ -75,3 +75,20 @@ def test_small_suite_identical_per_scheduler(abbr, cdp, scheduler):
         for event_core in (True, False)
     )
     assert fast == ref
+
+
+@pytest.mark.parametrize("scheduler", ["gto", "2lv"])
+@pytest.mark.parametrize("cdp", [False, True], ids=["plain", "cdp"])
+@pytest.mark.parametrize("abbr", ["PairHMM", "NW"])
+def test_medium_identical_per_scheduler(abbr, cdp, scheduler):
+    """gto reads the scheduler's own record of its last pick and 2lv
+    the ready flags; both meet the run-ahead heap fusion and the gated
+    loop at a size where warps interleave for longer."""
+    fast, ref = (
+        dataclasses.asdict(run_benchmark(
+            abbr, cdp=cdp, size=DatasetSize.MEDIUM,
+            config=GPUConfig(event_core=event_core, scheduler=scheduler),
+        ))
+        for event_core in (True, False)
+    )
+    assert fast == ref

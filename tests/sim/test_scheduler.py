@@ -62,23 +62,36 @@ class TestLRR:
 
 
 class TestGTO:
+    """GTO's last pick is its last issued warp: the SM issues every
+    pick before it selects again, so the policy records its own picks
+    (there is no per-issue hook)."""
+
     def test_greedy_sticks_with_last(self, warps):
         sched = GreedyThenOldest()
         first = sched.select(warps)
-        sched.issued(first)
         assert sched.select(warps) is first
 
     def test_falls_back_to_oldest(self, warps):
         sched = GreedyThenOldest()
-        sched.issued(warps[3])
+        sched.select_sole(warps[3])
         ready = warps[:3]  # last-issued warp not ready
         assert sched.select(ready) is warps[0]
 
     def test_retired_warp_not_chased(self, warps):
         sched = GreedyThenOldest()
-        sched.issued(warps[2])
+        sched.select_sole(warps[2])
         sched.retired(warps[2])
         assert sched.select(warps) is warps[0]
+
+    def test_last_pick_sticks(self, warps):
+        """A fallback pick becomes the warp GTO sticks with, whether it
+        came from ``select`` or ``select_sole``."""
+        sched = GreedyThenOldest()
+        sched.select_sole(warps[3])
+        assert sched.select(warps[1:3]) is warps[1]
+        assert sched.select(warps) is warps[1]
+        sched.select_sole(warps[2])
+        assert sched.select(warps) is warps[2]
 
 
 class TestOldestFirst:
@@ -162,8 +175,7 @@ class TestSelectSole:
         a, b = build_scheduler(name), build_scheduler(name)
         # Put both policies in a non-trivial state first.
         for sched in (a, b):
-            pick = sched.select(warps)
-            sched.issued(pick)
+            sched.select(warps)
         sole = mark_ready(warps, [warps[2]])[0]
         assert a.select([sole]) is b.select_sole(sole)
         assert a.__dict__ == b.__dict__
