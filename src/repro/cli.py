@@ -38,6 +38,10 @@ profile ABBR
     per-interval time series (``--trace``/``--jsonl`` export files).
 dataset ABBR
     Write a benchmark's synthetic input dataset to FASTA/FASTQ files.
+trace ABBR
+    Capture a benchmark's first host launch to an RTRX trace file.
+replay FILE
+    Re-simulate an RTRX file: ``repro trace`` output or a store entry.
 align QUERY TARGET
     Align two sequences from the command line.
 serve
@@ -63,6 +67,7 @@ from repro.core import (
 )
 from repro.data.datasets import DatasetSize
 from repro.kernels import benchmark_names
+from repro.sim.launch import Application, HostLaunch
 
 
 def _size(value: str) -> DatasetSize:
@@ -468,10 +473,8 @@ def cmd_warm(args) -> int:
         hits, builds = store.hits, store.builds
         point = sweep_point(name, abbr, config, cdp=cdp,
                             size=args.size)
-        entry = cache.get(point)
-        if entry is None:
-            state = "not replayable, skipped"
-        elif store.hits > hits:
+        cache.get(point)
+        if store.hits > hits:
             state = "already stored"
         elif store.builds > builds:
             state = "materialized"
@@ -494,6 +497,11 @@ def cmd_store(args) -> int:
         return 2
     store = TraceStore(root)
     if args.action == "pack":
+        reason = _unwritable(args.archive)
+        if reason is not None:
+            print(f"archive: cannot write {args.archive}: {reason}",
+                  file=sys.stderr)
+            return 2
         count = store.pack(args.archive)
         print(f"packed {count} entr{'y' if count == 1 else 'ies'} "
               f"from {store.root} into {args.archive}")
@@ -660,39 +668,71 @@ def cmd_dataset(args) -> int:
     return 0
 
 
+class _FirstLaunch(Application):
+    """An application cut down to one host launch (``repro trace``)."""
+
+    def __init__(self, app: Application, op: HostLaunch):
+        self.name = app.name
+        self.may_device_launch = app.may_device_launch
+        self.op = op
+
+    def host_program(self):
+        yield self.op
+
+
+def _first_launch(app) -> HostLaunch | None:
+    return next(
+        (op for op in app.host_program() if isinstance(op, HostLaunch)),
+        None,
+    )
+
+
 def cmd_trace(args) -> int:
     """Capture a benchmark's first kernel launch to a trace file."""
     from repro.kernels import build_application
-    from repro.sim.launch import HostLaunch as HostLaunchOp
-    from repro.sim.tracefile import capture_trace
+    from repro.sim.replay import CachedApplication
+    from repro.sim.trace_store import encode_bytes
 
+    # Check the output path up front: a bad one must fail before the
+    # application is built, not after it.
+    reason = _unwritable(args.out)
+    if reason is not None:
+        print(f"--out: cannot write {args.out}: {reason}", file=sys.stderr)
+        return 2
     app = build_application(args.benchmark, size=args.size)
-    for op in app.host_program():
-        if isinstance(op, HostLaunchOp):
-            capture_trace(op.launch, args.out)
-            print(f"captured {op.launch.kernel.name} "
-                  f"({op.launch.num_ctas} CTAs) -> {args.out}")
-            return 0
-    print("application never launched a kernel", file=sys.stderr)
-    return 1
+    op = _first_launch(app)
+    if op is None:
+        print("application never launched a kernel", file=sys.stderr)
+        return 1
+    entry = CachedApplication(_FirstLaunch(app, op))
+    Path(args.out).write_bytes(encode_bytes(entry))
+    print(f"captured {op.launch.kernel.name} "
+          f"({op.launch.num_ctas} CTAs) -> {args.out}")
+    return 0
 
 
 def cmd_replay(args) -> int:
-    """Re-simulate a captured trace file."""
+    """Re-simulate a trace file (``repro trace`` or a store entry)."""
     from repro.sim import GPUSimulator
-    from repro.sim.launch import Application as AppBase, HostLaunch as HL
-    from repro.sim.tracefile import load_trace
+    from repro.sim.replay import replay_application
+    from repro.sim.trace_store import decode_bytes
 
-    launch = load_trace(Path(args.trace))
-
-    class ReplayApp(AppBase):
-        name = f"replay:{launch.kernel.name}"
-
-        def host_program(self):
-            yield HL(launch)
-
-    stats = GPUSimulator(_config(args)).run_application(ReplayApp())
-    print(f"replayed {launch.kernel.name}: {stats.instructions} "
+    try:
+        entry = decode_bytes(Path(args.trace).read_bytes())
+    except OSError as exc:
+        print(f"cannot read trace file {args.trace}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"bad trace file {args.trace}: {exc}", file=sys.stderr)
+        return 2
+    op = _first_launch(entry)
+    if op is None:
+        print(f"bad trace file {args.trace}: no kernel launch",
+              file=sys.stderr)
+        return 2
+    stats = replay_application(entry, GPUSimulator(_config(args)))
+    print(f"replayed {op.launch.kernel.name}: {stats.instructions} "
           f"instructions, {stats.kernel_cycles} cycles "
           f"(IPC {stats.ipc:.3f})")
     print(format_breakdown(stats.stall_breakdown()))

@@ -6,7 +6,6 @@ from repro.data.datasets import DatasetSize
 from repro.kernels import benchmark_names, build_application
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPUSimulator
-from repro.sim.launch import Application
 from repro.sim.replay import CachedApplication, replay_application
 from repro.sim.stats import RunStats
 
@@ -22,27 +21,16 @@ def load_benchmark(
     size: DatasetSize = DatasetSize.SMALL,
     workload=None,
     **options,
-) -> Application:
+) -> CachedApplication:
     """Build one benchmark's application, materialized for replay.
 
     Warp traces are instantiated from per-class templates and their
     instruction totals precounted (:class:`CachedApplication`), which
     is much cheaper than resuming a generator per warp during the run.
-    Applications declaring ``replayable = False`` (see
-    ``repro.kernels.base``) come back unwrapped and run live.
     """
-    app = build_application(abbr, cdp=cdp, size=size, workload=workload,
-                            **options)
-    if not getattr(app, "replayable", True):
-        return app
-    return CachedApplication(app)
-
-
-def simulate(app: Application, simulator: GPUSimulator) -> RunStats:
-    """Run a :func:`load_benchmark` result on ``simulator``."""
-    if isinstance(app, CachedApplication):
-        return replay_application(app, simulator)
-    return simulator.run_application(app)
+    return CachedApplication(build_application(
+        abbr, cdp=cdp, size=size, workload=workload, **options
+    ))
 
 
 def run_benchmark(
@@ -62,7 +50,7 @@ def run_benchmark(
     """
     app = load_benchmark(abbr, cdp=cdp, size=size, workload=workload,
                          **options)
-    return simulate(app, GPUSimulator(config or GPUConfig()))
+    return replay_application(app, GPUSimulator(config or GPUConfig()))
 
 
 def estimate_benchmark(
@@ -87,9 +75,9 @@ def estimate_benchmark(
     config = config or GPUConfig()
     if config.sample_fraction == 0.0:
         config = config.with_(sample_fraction=0.1)
-    app = build_application(abbr, cdp=cdp, size=size, workload=workload,
-                            **options)
-    return estimate_application(CachedApplication(app), config)
+    app = load_benchmark(abbr, cdp=cdp, size=size, workload=workload,
+                         **options)
+    return estimate_application(app, config)
 
 
 def run_suite(

@@ -40,7 +40,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field, replace
 
-from repro.core.runner import load_benchmark, run_benchmark
+from repro.core.runner import load_benchmark
 from repro.data.datasets import DatasetSize
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPUSimulator
@@ -229,22 +229,16 @@ class TraceCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _build(self, point: SweepPoint) -> CachedApplication | None:
-        app = load_benchmark(
+    def _build(self, point: SweepPoint) -> CachedApplication:
+        return load_benchmark(
             point.abbr,
             cdp=point.cdp,
             size=point.size,
             **dict(point.options),
         )
-        return app if isinstance(app, CachedApplication) else None
 
-    def get(self, point: SweepPoint) -> CachedApplication | None:
-        """The cached application for ``point``, building it on miss.
-
-        Returns ``None`` when the application declares
-        ``replayable = False`` (see ``repro.kernels.base``) — such
-        points must be simulated fresh.
-        """
+    def get(self, point: SweepPoint) -> CachedApplication:
+        """The cached application for ``point``, building it on miss."""
         key = app_key(point)
         entry = self._entries.get(key)
         if entry is not None:
@@ -260,8 +254,7 @@ class TraceCache:
             )
             if self.store.hits > before:
                 self.store_hits += 1
-        if entry is not None:
-            self._entries[key] = entry
+        self._entries[key] = entry
         return entry
 
     def invalidate(self, abbr: str | None = None) -> int:
@@ -284,29 +277,15 @@ def run_point(point: SweepPoint, cache: TraceCache | None = None) -> RunStats:
     :class:`~repro.sim.sampled.EstimatedRunStats`.  Sample knobs are
     deliberately absent from :func:`trace_signature`, so exact and
     estimated points of the same application share materialized
-    traces.  Applications that opt out of trace replay cannot be
-    sampled (estimation is built on the replay equivalence classes);
-    they fall back to an exact fresh simulation.
+    traces, whether built here or loaded from the trace store.
     """
+    if cache is None:
+        cache = TraceCache()
+    entry = cache.get(point)
     if point.config.sample_fraction > 0.0:
         from repro.sim.sampled import estimate_application
 
-        entry = (cache or TraceCache()).get(point)
-        if entry is not None:
-            return estimate_application(entry, point.config)
-        # Not replayable -> not estimable; run the exact core instead.
-        point = replace(point, config=point.config.with_(sample_fraction=0.0))
-    if cache is None:
-        return run_benchmark(
-            point.abbr,
-            cdp=point.cdp,
-            size=point.size,
-            config=point.config,
-            **dict(point.options),
-        )
-    entry = cache.get(point)
-    if entry is None:  # application opted out of trace replay
-        return run_point(point)
+        return estimate_application(entry, point.config)
     return replay_application(entry, GPUSimulator(point.config))
 
 

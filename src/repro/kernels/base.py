@@ -93,14 +93,6 @@ class GenomicsApplication(Application):
 
     abbr: str = ""
 
-    #: The sweep-engine contract (``repro.core.sweep``): warp traces are
-    #: a deterministic function of (workload, launch geometry, args), so
-    #: the engine may materialize them once and replay them across the
-    #: timing configs of a sweep.  All ten benchmarks satisfy this; an
-    #: application whose traces depend on simulated timing must set
-    #: ``replayable = False`` and will be run fresh at every point.
-    replayable: bool = True
-
     def __init__(self, workload, cdp: bool = False):
         self.workload = workload
         self.cdp = cdp

@@ -18,10 +18,10 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.runner import load_benchmark, simulate, variant_name
+from repro.core.runner import load_benchmark, variant_name
 from repro.data.datasets import DatasetSize
-from repro.kernels import build_application
 from repro.sim.gpu import GPUSimulator
+from repro.sim.replay import replay_application
 
 #: Executors rewrite ``progress.json`` at most this often (the file is
 #: re-read on every job-status poll, so finer granularity buys nothing).
@@ -98,7 +98,7 @@ def _run_exact(request, artifact_dir, timings: dict):
     t = _stamp(timings, "trace_load_s", t)
     sim = GPUSimulator(config)
     _attach_progress(sim, artifact_dir)
-    stats = simulate(app, sim)
+    stats = replay_application(app, sim)
     return stats, _stamp(timings, "sim_s", t)
 
 
@@ -117,16 +117,13 @@ def execute_simulate(request, artifact_dir: str | None):
 
 def execute_estimate(request, artifact_dir: str | None):
     """Warp-sampled estimation (stats carry confidence intervals)."""
-    from repro.sim.replay import CachedApplication
     from repro.sim.sampled import estimate_application
 
     config = request.resolved_config()
     timings: dict = {}
     t = time.monotonic()
-    cached = CachedApplication(
-        build_application(
-            request.benchmark, cdp=request.cdp, size=DatasetSize(request.size)
-        )
+    cached = load_benchmark(
+        request.benchmark, cdp=request.cdp, size=DatasetSize(request.size)
     )
     t = _stamp(timings, "trace_load_s", t)
     stats = estimate_application(cached, config)

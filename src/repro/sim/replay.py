@@ -156,6 +156,9 @@ class ReplayKernel(KernelProgram):
         #: parameters share one materialized instruction list outright.
         self._instances: dict = {}
         self._classes: dict = {}
+        #: warp key -> class key (see :meth:`class_key`); a decoded
+        #: store entry arrives with this table and ``_traces`` full.
+        self._class_keys: dict = {}
 
     def _generate(self, ctx: WarpContext) -> tuple[list, "TraceCounts"]:
         """Run the live generator and count one warp's trace."""
@@ -261,21 +264,50 @@ class ReplayKernel(KernelProgram):
         # and list iterators resume faster than a generator would.
         return self.entry_for(ctx)[0]
 
-    def class_key(self, ctx: WarpContext) -> tuple:
+    def class_key(self, ctx: WarpContext):
         """The equivalence-class identity of one warp, for sampling.
 
         Template-declaring kernels use their template key (structural
         equivalence); everything else falls back to the canonical
         :meth:`TraceCounts.signature` of the materialized trace, which
         still groups same-work warps even when relocation equivalence
-        was never declared.
+        was never declared.  Keys are only ever compared for equality;
+        a decoded store entry carries them as app-wide class ids.
         """
-        spec = (
-            self.base.trace_template(ctx) if self._owner.template else None
+        key = (
+            ctx.cta_id,
+            ctx.warp_id,
+            ctx.num_ctas,
+            self._owner.args_token(ctx.args),
         )
-        if spec is not None:
-            return ("tpl", self.name, spec[0])
-        return ("mix", self.name) + self.entry_for(ctx)[1].signature()
+        cls = self._class_keys.get(key)
+        if cls is None:
+            spec = (
+                self.base.trace_template(ctx)
+                if self._owner.template
+                else None
+            )
+            if spec is not None:
+                cls = ("tpl", self.name, spec[0])
+            else:
+                cls = ("mix", self.name) + self.entry_for(ctx)[1].signature()
+            self._class_keys[key] = cls
+        return cls
+
+    def preload(self, launch: KernelLaunch, entries: list, classes: list
+                ) -> None:
+        """Install every warp of ``launch`` from a decoded store entry.
+
+        ``entries[i]`` and ``classes[i]`` belong to the warp at flat
+        grid position ``i``.  A preloaded kernel needs no live
+        generator: :meth:`entry_for` and :meth:`class_key` always hit.
+        """
+        token = self._owner.args_token(launch.args)
+        warps = self.warps_per_cta
+        for index, (entry, cls) in enumerate(zip(entries, classes)):
+            key = (index // warps, index % warps, launch.num_ctas, token)
+            self._traces[key] = entry
+            self._class_keys[key] = cls
 
 
 class CachedApplication(Application):
@@ -287,7 +319,8 @@ class CachedApplication(Application):
     execute, and sums their :class:`TraceCounts` into ``total_counts``.
     Each replay then runs the simulator against the same instruction
     objects and credits ``total_counts`` to the run's stats (see
-    :func:`replay_application`).
+    :func:`replay_application`).  A trace-store hit is the same type,
+    rebuilt by :meth:`decoded` without a generator run.
     """
 
     def __init__(
@@ -296,11 +329,43 @@ class CachedApplication(Application):
         template: bool = True,
         verify: bool | None = None,
     ):
-        self.name = app.name
-        self.base = app
         # Replay preserves the base application's launch behaviour, so
         # its run-ahead eligibility carries over verbatim.
-        self.may_device_launch = getattr(app, "may_device_launch", True)
+        self._start(app.name, getattr(app, "may_device_launch", True),
+                    template, verify)
+        self.base = app
+        self.ops = [
+            HostLaunch(self.wrap_launch(op.launch))
+            if isinstance(op, HostLaunch)
+            else op
+            for op in app.host_program()
+        ]
+        self._materialize_all()
+
+    @classmethod
+    def decoded(cls, name: str, may_device_launch: bool, load_ops
+                ) -> "CachedApplication":
+        """An application rebuilt from a trace-store entry.
+
+        ``load_ops(entry)`` returns the host program, whose launches
+        run :class:`ReplayKernel` instances owned by ``entry`` and
+        :meth:`~ReplayKernel.preload`-ed with every warp (see
+        :func:`repro.sim.trace_store.decode_bytes`).  There is no base
+        application and no live generator behind it; the totals and
+        launch profiles come from the same walk a cold build runs.
+        """
+        entry = cls.__new__(cls)
+        entry._start(name, may_device_launch, template=True, verify=False)
+        entry.base = None
+        entry.ops = load_ops(entry)
+        entry._materialize_all()
+        return entry
+
+    # -- construction ------------------------------------------------------
+    def _start(self, name: str, may_device_launch: bool, template: bool,
+               verify: bool | None) -> None:
+        self.name = name
+        self.may_device_launch = may_device_launch
         #: Layer-1 switch: instantiate warp traces from per-class
         #: templates where kernels declare them (``template=False``
         #: forces the live generator for every warp — the baseline arm
@@ -319,16 +384,7 @@ class CachedApplication(Application):
         # id(args-dict) -> (args, token): the strong reference keeps the
         # id stable for the lifetime of the cache entry.
         self._args_tokens: dict[int, tuple] = {}
-        self.ops = [
-            HostLaunch(self.wrap_launch(op.launch))
-            if isinstance(op, HostLaunch)
-            else op
-            for op in app.host_program()
-        ]
-        self.total_counts = TraceCounts()
-        self._materialize_all()
 
-    # -- construction ------------------------------------------------------
     def wrap_launch(self, launch: KernelLaunch) -> KernelLaunch:
         kernel = launch.kernel
         if isinstance(kernel, ReplayKernel):  # pragma: no cover - defensive
@@ -370,6 +426,7 @@ class CachedApplication(Application):
         (:mod:`repro.sim.sampled`) reads these instead of re-walking
         every warp of every launch.
         """
+        self.total_counts = TraceCounts()
         self.launch_profiles: dict[tuple, tuple] = {}
 
         def visit(launch: KernelLaunch) -> tuple:

@@ -2,15 +2,25 @@
 
 Trace materialization (:mod:`repro.sim.replay`) already amortizes
 generator cost *within* a process; this module extends the reuse
-across processes and sessions.  A materialized application — every
-warp's instruction list plus the pre-counted
-:class:`~repro.sim.replay.TraceCounts` totals — is serialized to a
-compact binary file keyed by the same identity the in-memory cache
-uses (:func:`repro.core.sweep.app_key`, which embeds
+across processes and sessions.  A materialized
+:class:`~repro.sim.replay.CachedApplication` is serialized to a
+compact binary file (RTRX) keyed by the same identity the in-memory
+cache uses (:func:`repro.core.sweep.app_key`, which embeds
 ``trace_signature``) plus a fingerprint of the trace-producing source
-trees.  Loading a stored application skips generator execution
-entirely and replays bit-identically (the golden suite in
-``tests/sim/test_trace_golden.py`` locks this in).
+trees.  ``repro trace`` writes the same format for one host launch.
+
+RTRX version 2 stores the kernels, launches and host ops, an
+``id()``-deduplicated instruction pool, a deduplicated table of warp
+*entries* and one entry index per warp of each launch.  An entry is
+an instruction list, its :class:`~repro.sim.replay.TraceCounts` and
+an app-wide id of the warp's equivalence class
+(:meth:`~repro.sim.replay.ReplayKernel.class_key`, computed at encode
+time).  :func:`decode_bytes` rebuilds a ``CachedApplication`` whose
+kernels have those tables preloaded and no generator behind them;
+its totals and launch profiles come from the same walk a cold build
+runs.  A store hit thus replays bit-identically and estimates like a
+cold build (the golden suite in ``tests/sim/test_trace_golden.py``
+locks both in).  Version-1 files retire like corrupt ones.
 
 Key policy
 ----------
@@ -62,11 +72,12 @@ from repro.isa.instructions import (
     popcount,
 )
 from repro.sim.kernel import KernelProgram, WarpContext
-from repro.sim.launch import Application, HostLaunch, HostMemcpy, KernelLaunch
-from repro.sim.replay import CachedApplication, TraceCounts
+from repro.sim.launch import HostLaunch, HostMemcpy, KernelLaunch
+from repro.sim.replay import CachedApplication, ReplayKernel, TraceCounts
+from repro.sim.stats import OCCUPANCY_BUCKETS
 
 MAGIC = b"RTRX"
-VERSION = 1
+VERSION = 2
 
 #: Archive format of :meth:`TraceStore.pack` / :meth:`TraceStore.unpack`.
 PACK_MAGIC = b"RPAK"
@@ -98,63 +109,6 @@ _SPACES = list(MemSpace)
 _NO_SPACE = 255
 
 
-# -- stored application -----------------------------------------------------
-
-
-class StoredKernel(KernelProgram):
-    """A kernel shell replaying decoded per-warp instruction lists.
-
-    One instance per stored *launch*: traces are indexed by the warp's
-    flat grid position, so the launch geometry is baked in.  Like
-    :class:`~repro.sim.replay.ReplayKernel` it clears ``counts_inline``
-    — the totals were stored alongside the traces.
-    """
-
-    counts_inline = False
-
-    def __init__(
-        self,
-        name: str,
-        cta_threads: int,
-        regs_per_thread: int,
-        smem_per_cta: int,
-        const_bytes: int,
-    ):
-        super().__init__(
-            name,
-            cta_threads,
-            regs_per_thread=regs_per_thread,
-            smem_per_cta=smem_per_cta,
-            const_bytes=const_bytes,
-        )
-        self.traces: list[list[WarpInstruction]] = []
-
-    def warp_trace(self, ctx: WarpContext):
-        return self.traces[ctx.cta_id * self.warps_per_cta + ctx.warp_id]
-
-
-class StoredApplication(Application):
-    """A decoded store entry; replayable like a cached application."""
-
-    def __init__(
-        self,
-        name: str,
-        may_device_launch: bool,
-        ops: list,
-        total_counts: TraceCounts,
-    ):
-        self.name = name
-        self.may_device_launch = may_device_launch
-        self.ops = ops
-        self.total_counts = total_counts
-
-    def host_program(self):
-        yield from self.ops
-
-    def describe(self) -> str:
-        return f"stored:{self.name}"
-
-
 # -- binary encoding --------------------------------------------------------
 
 
@@ -167,9 +121,6 @@ class _Writer:
 
     def u32(self, v: int) -> None:
         self.parts.append(struct.pack("<I", v))
-
-    def i64(self, v: int) -> None:
-        self.parts.append(struct.pack("<q", v))
 
     def u64(self, v: int) -> None:
         self.parts.append(struct.pack("<Q", v))
@@ -207,9 +158,6 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self._take(4))[0]
 
-    def i64(self) -> int:
-        return struct.unpack("<q", self._take(8))[0]
-
     def u64(self) -> int:
         return struct.unpack("<Q", self._take(8))[0]
 
@@ -225,32 +173,46 @@ class _Reader:
         return a
 
 
-def _counts_to(w: _Writer, counts: TraceCounts) -> None:
-    w.u64(counts.instructions)
-    for mapping in (counts.op_mix, counts.mem_mix, counts.warp_occupancy):
-        w.u32(len(mapping))
+#: Key vocabularies of the three :class:`TraceCounts` mappings; the
+#: counts table stores each key as its index here.
+_COUNT_KEYS = (
+    [op._value_ for op in _OPS],
+    [space._value_ for space in _SPACES],
+    list(OCCUPANCY_BUCKETS),
+)
+
+
+def _counts_to(flat: array, counts: TraceCounts) -> None:
+    """Append ``counts`` to the flat counts table, in dict order."""
+    flat.append(counts.instructions)
+    mappings = (counts.op_mix, counts.mem_mix, counts.warp_occupancy)
+    for keys, mapping in zip(_COUNT_KEYS, mappings):
+        flat.append(len(mapping))
         for key, value in mapping.items():
-            w.text(key)
-            w.u64(value)
+            flat.append(keys.index(key))
+            flat.append(value)
 
 
-def _counts_from(r: _Reader) -> TraceCounts:
+def _counts_from(flat: array, pos: int) -> tuple[TraceCounts, int]:
     counts = TraceCounts()
-    counts.instructions = r.u64()
-    for mapping in (counts.op_mix, counts.mem_mix, counts.warp_occupancy):
-        for _ in range(r.u32()):
-            key = r.text()
-            mapping[key] = r.u64()
-    return counts
+    counts.instructions = flat[pos]
+    pos += 1
+    mappings = (counts.op_mix, counts.mem_mix, counts.warp_occupancy)
+    for keys, mapping in zip(_COUNT_KEYS, mappings):
+        n = flat[pos]
+        for k in range(pos + 1, pos + 1 + 2 * n, 2):
+            mapping[keys[flat[k]]] = flat[k + 1]
+        pos += 1 + 2 * n
+    return counts, pos
 
 
 def encode_bytes(entry: CachedApplication) -> bytes:
     """Serialize a materialized application to the store payload."""
     # Launch discovery: host launches first, then CDP children in the
-    # order their LAUNCH instructions are encountered.  Launch objects
-    # are deduplicated by identity (a spec shared between two sites is
-    # stored once), instructions by identity as well — warps that
-    # share template-instantiated lists share their pool entries.
+    # order their LAUNCH instructions are encountered.  Launches,
+    # kernels, argument sets, warp entries, counts and instructions
+    # are each deduplicated by identity: warps that share a
+    # template-instantiated entry share one entry-table row.
     launches: list[KernelLaunch] = []
     launch_ids: dict[int, int] = {}
 
@@ -270,20 +232,36 @@ def encode_bytes(entry: CachedApplication) -> bytes:
 
     pool: list[WarpInstruction] = []
     pool_ids: dict[int, int] = {}
+    counts_flat = array("Q")
+    counts_ids: dict[int, int] = {}
+    class_ids: dict = {}
+    entry_ids: dict[tuple, int] = {}
+    entry_lens = array("I")
+    entry_flat = array("I")
+    entry_counts = array("I")
+    entry_classes = array("I")
+    kernels: list = []
+    kernel_ids: dict[int, int] = {}
+    args_ids: dict[str, int] = {}
+    # Per launch: kernel id, grid size, argument-set id; per warp of
+    # every launch in turn: its entry id.
+    launch_kernels = array("I")
+    launch_ctas = array("I")
+    launch_args = array("I")
+    warp_entries = array("I")
 
-    def pool_id(instr: WarpInstruction) -> int:
-        pid = pool_ids.get(id(instr))
-        if pid is None:
-            pid = pool_ids[id(instr)] = len(pool)
-            pool.append(instr)
-        return pid
-
-    launch_traces: list[list[array]] = []
     index = 0
     while index < len(launches):
         launch = launches[index]
         kernel = launch.kernel
-        warp_traces = []
+        kid = kernel_ids.get(id(kernel))
+        if kid is None:
+            kid = kernel_ids[id(kernel)] = len(kernels)
+            kernels.append(kernel)
+        launch_kernels.append(kid)
+        launch_ctas.append(launch.num_ctas)
+        token = entry.args_token(launch.args)
+        launch_args.append(args_ids.setdefault(token, len(args_ids)))
         for cta_id in range(launch.num_ctas):
             for warp_id in range(kernel.warps_per_cta):
                 ctx = WarpContext(
@@ -293,29 +271,47 @@ def encode_bytes(entry: CachedApplication) -> bytes:
                     num_ctas=launch.num_ctas,
                     args=launch.args,
                 )
-                instrs, _ = kernel.entry_for(ctx)
-                for instr in instrs:
-                    if instr.op is OpClass.LAUNCH:
-                        launch_id(instr.child)
-                warp_traces.append(
-                    array("I", [pool_id(i) for i in instrs])
+                item = kernel.entry_for(ctx)
+                cid = class_ids.setdefault(
+                    kernel.class_key(ctx), len(class_ids)
                 )
-        launch_traces.append(warp_traces)
+                eid = entry_ids.get((id(item), cid))
+                if eid is None:
+                    eid = entry_ids[(id(item), cid)] = len(entry_lens)
+                    instrs, counts = item
+                    for instr in instrs:
+                        pid = pool_ids.get(id(instr))
+                        if pid is None:
+                            pid = pool_ids[id(instr)] = len(pool)
+                            pool.append(instr)
+                        entry_flat.append(pid)
+                        if instr.op is OpClass.LAUNCH:
+                            launch_id(instr.child)
+                    entry_lens.append(len(instrs))
+                    sid = counts_ids.get(id(counts))
+                    if sid is None:
+                        sid = counts_ids[id(counts)] = len(counts_ids)
+                        _counts_to(counts_flat, counts)
+                    entry_counts.append(sid)
+                    entry_classes.append(cid)
+                warp_entries.append(eid)
         index += 1
 
     w = _Writer()
     w.text(entry.name)
     w.u8(1 if entry.may_device_launch else 0)
 
-    w.u32(len(launches))
-    for launch in launches:
-        kernel = launch.kernel
+    w.u32(len(kernels))
+    for kernel in kernels:
         w.text(kernel.name)
         w.u32(kernel.cta_threads)
         w.u32(kernel.regs_per_thread)
         w.u32(kernel.smem_per_cta)
         w.u32(kernel.const_bytes)
-        w.u32(launch.num_ctas)
+
+    w.u32(len(args_ids))
+    for a in (launch_kernels, launch_ctas, launch_args):
+        w.arr(a)
 
     w.u32(len(host_ops))
     for op in host_ops:
@@ -361,17 +357,11 @@ def encode_bytes(entry: CachedApplication) -> bytes:
     ):
         w.arr(a)
 
-    for warp_traces in launch_traces:
-        w.u32(len(warp_traces))
-        flat = array("I")
-        counts = array("I")
-        for trace in warp_traces:
-            counts.append(len(trace))
-            flat.extend(trace)
-        w.arr(counts)
-        w.arr(flat)
-
-    _counts_to(w, entry.total_counts)
+    w.u32(len(counts_ids))
+    w.arr(counts_flat)
+    for a in (entry_lens, entry_flat, entry_counts, entry_classes):
+        w.arr(a)
+    w.arr(warp_entries)
 
     payload = w.payload()
     header = MAGIC + struct.pack(
@@ -385,7 +375,7 @@ def encode_bytes(entry: CachedApplication) -> bytes:
     return header + payload
 
 
-def decode_bytes(data: bytes) -> StoredApplication:
+def decode_bytes(data: bytes) -> CachedApplication:
     """Decode a store payload; raises ``ValueError`` on any corruption."""
     if len(data) < 20 or data[:4] != MAGIC:
         raise ValueError("not a trace-store file")
@@ -404,16 +394,39 @@ def decode_bytes(data: bytes) -> StoredApplication:
     r = _Reader(payload)
     name = r.text()
     may_device_launch = bool(r.u8())
-
-    num_launches = r.u32()
-    kernels: list[StoredKernel] = []
-    launches: list[KernelLaunch] = []
-    for _ in range(num_launches):
-        kernel = StoredKernel(
-            r.text(), r.u32(), r.u32(), r.u32(), r.u32()
+    try:
+        entry = CachedApplication.decoded(
+            name, may_device_launch, lambda owner: _decode_ops(r, swap, owner)
         )
-        kernels.append(kernel)
-        launches.append(KernelLaunch(kernel, num_ctas=r.u32()))
+    except (IndexError, KeyError) as exc:
+        raise ValueError(f"inconsistent trace-store tables ({exc})") from exc
+    if r.pos != len(payload):
+        raise ValueError("trailing bytes after the trace-store tables")
+    return entry
+
+
+def _decode_ops(r: _Reader, swap: bool, owner: CachedApplication) -> list:
+    """The host program of a store payload, its kernels preloaded."""
+    kernels = [
+        ReplayKernel(
+            KernelProgram(r.text(), r.u32(), regs_per_thread=r.u32(),
+                          smem_per_cta=r.u32(), const_bytes=r.u32()),
+            owner,
+        )
+        for _ in range(r.u32())
+    ]
+    # Distinct argument sets only need distinct identities: decoded
+    # kernels key their tables on the argument token, never read it.
+    args = [{"args": i} for i in range(r.u32())]
+    launch_kernels = r.arr("I", swap)
+    launch_ctas = r.arr("I", swap)
+    launch_args = r.arr("I", swap)
+    if not len(launch_kernels) == len(launch_ctas) == len(launch_args):
+        raise ValueError("inconsistent launch table")
+    launches = [
+        KernelLaunch(kernels[k], num_ctas=n, args=args[a])
+        for k, n, a in zip(launch_kernels, launch_ctas, launch_args)
+    ]
 
     ops = []
     for _ in range(r.u32()):
@@ -470,24 +483,46 @@ def decode_bytes(data: bytes) -> StoredApplication:
     if line_pos != len(lines_a):
         raise ValueError("inconsistent line table")
 
-    for kernel in kernels:
-        num_warps = r.u32()
-        counts = r.arr("I", swap)
-        flat = r.arr("I", swap)
-        if len(counts) != num_warps:
-            raise ValueError("inconsistent warp table")
-        pos = 0
-        traces = []
-        for count in counts:
-            traces.append([pool[j] for j in flat[pos : pos + count]])
-            pos += count
-        if pos != len(flat):
-            raise ValueError("inconsistent trace table")
-        kernel.traces = traces
+    num_counts = r.u32()
+    counts_flat = r.arr("Q", swap)
+    counts_table = []
+    pos = 0
+    for _ in range(num_counts):
+        counts, pos = _counts_from(counts_flat, pos)
+        counts_table.append(counts)
+    if pos != len(counts_flat):
+        raise ValueError("inconsistent counts table")
 
-    return StoredApplication(
-        name, may_device_launch, ops, _counts_from(r)
-    )
+    entry_lens = r.arr("I", swap)
+    entry_flat = r.arr("I", swap)
+    entry_counts = r.arr("I", swap)
+    entry_classes = r.arr("I", swap)
+    if not len(entry_lens) == len(entry_counts) == len(entry_classes):
+        raise ValueError("inconsistent entry table")
+    entries = []
+    pos = 0
+    for n, sid in zip(entry_lens, entry_counts):
+        entries.append(
+            ([pool[j] for j in entry_flat[pos : pos + n]], counts_table[sid])
+        )
+        pos += n
+    if pos != len(entry_flat):
+        raise ValueError("inconsistent entry table")
+
+    warp_entries = r.arr("I", swap)
+    pos = 0
+    for launch in launches:
+        end = pos + launch.num_ctas * launch.kernel.warps_per_cta
+        warps = warp_entries[pos:end]
+        launch.kernel.preload(
+            launch,
+            [entries[e] for e in warps],
+            [entry_classes[e] for e in warps],
+        )
+        pos = end
+    if pos != len(warp_entries):
+        raise ValueError("inconsistent warp table")
+    return ops
 
 
 # -- source fingerprint -----------------------------------------------------
@@ -542,11 +577,11 @@ class TraceStore:
         return self.root / f"{name}.trace"
 
     # -- load / save -------------------------------------------------------
-    def load(self, key) -> StoredApplication | None:
+    def load(self, key) -> CachedApplication | None:
         """The stored application for ``key``; None on miss/corruption."""
         return self._load_path(self.path_for(key))
 
-    def _load_path(self, path: Path) -> StoredApplication | None:
+    def _load_path(self, path: Path) -> CachedApplication | None:
         try:
             data = path.read_bytes()
         except OSError:
@@ -577,11 +612,10 @@ class TraceStore:
     def get_or_build(self, key, build):
         """The entry for ``key``, building (exactly once) on a cold miss.
 
-        ``build`` must return a materialized :class:`CachedApplication`
-        (stored and returned) or None (nothing stored — the application
-        opted out of replay).  Concurrent callers with the same key
-        serialize on a lockfile: one builds, the rest wait for the
-        published file.
+        ``build`` returns the materialized :class:`CachedApplication`,
+        which is stored and returned.  Concurrent callers with the
+        same key serialize on a lockfile: one builds, the rest wait for
+        the published file.
         """
         path = self.path_for(key)
         stored = self._load_path(path)
@@ -610,9 +644,8 @@ class TraceStore:
                     return stored
                 entry = build()
                 self.builds += 1
-                if entry is not None:
-                    self._save_path(path, entry)
-                    self._log_build(path)
+                self._save_path(path, entry)
+                self._log_build(path)
                 return entry
             finally:
                 try:
@@ -667,7 +700,6 @@ class TraceStore:
         """
         selected = self.entry_names() if names is None else list(names)
         dest = Path(dest)
-        dest.parent.mkdir(parents=True, exist_ok=True)
         tmp = dest.with_name(f"{dest.name}.{os.getpid()}.tmp")
         count = 0
         with open(tmp, "wb") as fh:

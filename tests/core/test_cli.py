@@ -129,6 +129,67 @@ class TestTraceReplay:
         assert "replayed" in out
         assert "IPC" in out
 
+    def test_replays_a_cdp_store_entry(self, tmp_path, capsys):
+        """RTRX holds CDP launch graphs: a whole CDP application written
+        by the store replays like the live run."""
+        from repro.core.runner import load_benchmark, run_benchmark
+        from repro.sim.config import GPUConfig
+        from repro.sim.trace_store import TraceStore
+
+        path = TraceStore(tmp_path).save(
+            ("STAR-CDP",), load_benchmark("STAR", cdp=True))
+        assert main(["replay", str(path), "--sms", "4"]) == 0
+        stats = run_benchmark("STAR", cdp=True, config=GPUConfig(num_sms=4))
+        assert f"{stats.instructions} instructions" in (
+            capsys.readouterr().out)
+
+    @pytest.mark.parametrize("kind", ["missing", "foreign", "truncated"])
+    def test_replay_rejects_a_bad_file(self, tmp_path, capsys, kind):
+        """A missing, non-RTRX or truncated file exits 2 naming the file
+        and the reason, without a traceback."""
+        trace = tmp_path / "nw.trace"
+        if kind == "foreign":
+            trace.write_text('{"kernel": "nw_diag"}\n')
+            reason = "not a trace-store file"
+        elif kind == "truncated":
+            assert main(["trace", "NW", "--out", str(trace)]) == 0
+            trace.write_bytes(trace.read_bytes()[:-7])
+            reason = "truncated"
+        else:
+            reason = "No such file or directory"
+        capsys.readouterr()
+        assert main(["replay", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert str(trace) in captured.err
+        assert reason in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_trace_rejects_an_unusable_out_before_building(
+            self, tmp_path, capsys, monkeypatch):
+        import repro.kernels
+
+        monkeypatch.setattr(
+            repro.kernels, "build_application",
+            lambda *a, **k: pytest.fail("built before checking --out"))
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "nw.trace"
+        assert main(["trace", "NW", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"--out: cannot write {out}: " in captured.err
+        assert "not a directory" in captured.err.lower()
+        assert "Traceback" not in captured.err
+
+    def test_store_pack_rejects_an_unusable_archive(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        archive = tmp_path / "file" / "traces.rpak"
+        assert main(["store", "pack", str(archive),
+                     "--store", str(tmp_path / "store")]) == 2
+        captured = capsys.readouterr()
+        assert f"archive: cannot write {archive}: " in captured.err
+        assert "not a directory" in captured.err.lower()
+        assert "Traceback" not in captured.err
+
 
 class TestProfile:
     def test_profile_prints_interval_table(self, capsys):

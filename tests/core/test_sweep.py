@@ -129,16 +129,6 @@ class TestCacheKeying:
             sweep_point("e", "NW", config, use_shared=False)
         )
 
-    def test_non_replayable_app_runs_fresh(self, config, points, serial,
-                                           monkeypatch):
-        app_cls = type(build_application("NW"))
-        monkeypatch.setattr(app_cls, "replayable", False)
-        cache = TraceCache()
-        nw_points = [p for p in points if p.abbr == "NW"]
-        results = run_sweep(nw_points, jobs=0, cache=cache)
-        assert results == {p.label: serial[p.label] for p in nw_points}
-        assert len(cache) == 0
-
     def test_invalidate(self, config):
         cache = TraceCache()
         cache.get(sweep_point("a", "NW", config))

@@ -29,10 +29,11 @@ from repro.core.config_presets import (
     with_controller,
     with_topology,
 )
-from repro.core.runner import load_benchmark, simulate
+from repro.core.runner import load_benchmark
 from repro.data.datasets import DatasetSize
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPUSimulator
+from repro.sim.replay import replay_application
 
 APPS = ("GKSW", "NvB")
 
@@ -112,7 +113,7 @@ def app_digests(request):
     """Every preset's digest for one application (traces built once)."""
     app = load_benchmark(request.param, size=DatasetSize.SMALL)
     return request.param, {
-        label: digest(simulate(app, GPUSimulator(config)))
+        label: digest(replay_application(app, GPUSimulator(config)))
         for label, config in memory_configs().items()
     }
 
@@ -136,4 +137,4 @@ if __name__ == "__main__":
         app = load_benchmark(abbr, size=DatasetSize.SMALL)
         for label, config in memory_configs().items():
             print(f'    "{abbr}/{label}": '
-                  f'"{digest(simulate(app, GPUSimulator(config)))}",')
+                  f'"{digest(replay_application(app, GPUSimulator(config)))}",')

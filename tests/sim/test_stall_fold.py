@@ -17,12 +17,12 @@ import json
 
 import pytest
 
-from repro.core.runner import load_benchmark, simulate
+from repro.core.runner import load_benchmark
 from repro.data.datasets import DatasetSize
 from repro.kernels import build_application
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPUSimulator
-from repro.sim.replay import CachedApplication
+from repro.sim.replay import CachedApplication, replay_application
 from repro.sim.sampled import estimate_application
 
 
@@ -32,7 +32,7 @@ def _launch_boundary_stalls(abbr, cdp, event_core):
     sim.launch_observer = lambda _launch, _grid: seen.append(
         dict(sim.stats.stalls)
     )
-    stats = simulate(load_benchmark(abbr, cdp=cdp), sim)
+    stats = replay_application(load_benchmark(abbr, cdp=cdp), sim)
     assert len(seen) == stats.kernel_launches
     return seen, stats.stalls
 

@@ -14,6 +14,10 @@ resulting :class:`RunStats` must match field for field:
 3. stored: the templated application through an encode/decode round
    trip.
 
+The sampled estimate of the stored application must also equal the
+templated one's: the store carries the equivalence classes the
+estimator stratifies by.
+
 The heaviest template user (PairHMM) and the heaviest opt-out user
 (NvB, whose FM-index stages are data-dependent) get an extra
 medium-size lock.
@@ -28,9 +32,11 @@ from repro.kernels import benchmark_names, build_application
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPUSimulator
 from repro.sim.replay import CachedApplication, replay_application
+from repro.sim.sampled import estimate_application
 from repro.sim.trace_store import decode_bytes, encode_bytes
 
 CONFIG = GPUConfig(num_sms=4)
+ESTIMATE = CONFIG.with_(sample_fraction=0.1, sample_seed=0)
 
 
 def _replay(entry):
@@ -51,6 +57,8 @@ def _assert_all_paths_identical(abbr, cdp, size, monkeypatch):
     assert stored.total_counts.instructions == \
         templated.total_counts.instructions
     assert _replay(stored) == live
+    assert estimate_application(stored, ESTIMATE).to_dict() == \
+        estimate_application(templated, ESTIMATE).to_dict()
 
 
 @pytest.mark.parametrize("cdp", [False, True], ids=["plain", "cdp"])

@@ -1,4 +1,5 @@
-"""Persistent trace store: round trips, corruption, and coordination."""
+"""Persistent trace store: round trips, corruption, coordination, and
+the sweep paths (exact and estimated) that read it."""
 
 import dataclasses
 import os
@@ -121,6 +122,33 @@ def test_load_tolerates_truncated_file(tmp_path):
     assert store.load(key) is None
 
 
+def test_load_retires_a_version_1_entry(tmp_path):
+    """Entries of the retired v1 layout go through the corrupt-file
+    path: unlinked, then rebuilt in the current layout."""
+    import struct as _struct
+
+    store = TraceStore(tmp_path)
+    key = app_key(_point())
+    store.save(key, _cached())
+    path = store.path_for(key)
+    raw = bytearray(path.read_bytes())
+    raw[4:6] = _struct.pack("<H", 1)
+    path.write_bytes(bytes(raw))
+    assert store.load(key) is None
+    assert not path.exists()
+
+
+def test_decoded_entry_is_a_cached_application():
+    """A store hit is the same replayable type a cold build returns,
+    with the launch profiles and class keys the estimator reads."""
+    entry = _cached("NW", cdp=True)
+    stored = decode_bytes(encode_bytes(entry))
+    assert isinstance(stored, CachedApplication)
+    assert stored.base is None
+    assert sorted(p[1:] for p in stored.launch_profiles.values()) == \
+        sorted(p[1:] for p in entry.launch_profiles.values())
+
+
 def test_load_misses_on_absent_entry(tmp_path):
     assert TraceStore(tmp_path).load(("no", "such", "key")) is None
 
@@ -169,14 +197,6 @@ def test_get_or_build_builds_once_then_hits(tmp_path):
     assert store.builds == 1
     assert store.hits == 1
     assert _stats(first) == _stats(second)
-
-
-def test_get_or_build_passes_through_none(tmp_path):
-    store = TraceStore(tmp_path)
-    key = ("opted", "out")
-    assert store.get_or_build(key, lambda: None) is None
-    assert not store.path_for(key).exists()
-    assert not (tmp_path / "builds.log").exists()
 
 
 def test_stale_lock_is_broken(tmp_path, monkeypatch):
@@ -351,6 +371,54 @@ def test_warm_sweep_builds_nothing(tmp_path):
     warm = run_sweep(points, jobs=0, store=str(tmp_path))
     assert (tmp_path / "builds.log").read_text() == log_before
     assert warm == run_sweep(points, jobs=0, store=None)
+
+
+def _estimated(points):
+    return [
+        dataclasses.replace(
+            point, config=point.config.with_(sample_fraction=0.1)
+        )
+        for point in points
+    ]
+
+
+def _dicts(results):
+    return {label: stats.to_dict() for label, stats in results.items()}
+
+
+def test_estimated_sweep_builds_into_the_store_once(tmp_path):
+    """An in-process estimated sweep reads and fills the store: a cold
+    one builds each application once into it, a warm one appends
+    nothing to ``builds.log``, and both give the store-less results."""
+    points = _estimated(_sweep_points())
+    distinct = {app_key(point) for point in points}
+    cold_cache = TraceCache(store=TraceStore(tmp_path))
+    cold = run_sweep(points, jobs=0, cache=cold_cache)
+    assert cold_cache.misses == len(distinct)
+    log = tmp_path / "builds.log"
+    assert len(log.read_text().splitlines()) == len(distinct)
+
+    log_before = log.read_text()
+    warm_cache = TraceCache(store=TraceStore(tmp_path))
+    warm = run_sweep(points, jobs=0, cache=warm_cache)
+    assert log.read_text() == log_before
+    assert warm_cache.store_hits == len(distinct)
+    plain = run_sweep(points, jobs=0, store=None)
+    assert _dicts(warm) == _dicts(cold) == _dicts(plain)
+
+
+def test_store_hit_feeds_the_estimator(tmp_path):
+    """A store hit reaching ``run_point`` through a non-empty cache
+    estimates exactly like a cold build."""
+    from repro.core.sweep import run_point
+
+    point = _estimated([_point("NW")])[0]
+    TraceCache(store=TraceStore(tmp_path)).get(point)  # warm the store
+    cache = TraceCache(store=TraceStore(tmp_path))
+    cache.get(_point("GL"))
+    estimate = run_point(point, cache)
+    assert cache.store_hits == 1
+    assert estimate.to_dict() == run_point(point).to_dict()
 
 
 def test_store_from_env(tmp_path, monkeypatch):
