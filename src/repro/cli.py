@@ -16,14 +16,16 @@ sweep AXIS
     DIR`` persists materialized traces across invocations;
     ``--estimate`` routes every point through the sampled estimator
     for 10x+ config-space exploration; the ``benchmark`` axis runs
-    the whole suite at one config with per-variant rank columns).
+    the whole suite at one config with per-variant rank columns, and
+    ``--journal FILE`` makes it resumable).
 dsweep
     Run the benchmark sweep through the distributed coordinator:
     chunked dispatch over local subprocess workers (``--dist-workers``)
     or remote ``repro serve`` instances (``--endpoints``), with
-    straggler re-dispatch, bounded retry, a resumable completion
-    journal (``--journal``) and a merge bit-identical to ``sweep
-    benchmark``.
+    straggler re-dispatch, bounded retry and a merge bit-identical to
+    ``sweep benchmark``.  Both commands share one sweep journal
+    format (``--journal FILE``, keyed by point identity), so either
+    resumes what the other finished, at any ``--chunk-size``.
 warm
     Materialize benchmark traces into the persistent trace store so
     later runs (sweeps, CI jobs, other processes) start warm
@@ -243,6 +245,28 @@ def _unwritable(path: str) -> str | None:
     return None
 
 
+def _journal_error(path: str | None) -> str | None:
+    """Why ``--journal PATH`` cannot be used, or None once it is started.
+
+    Runs before any point: a bad path, or a file that is not a sweep
+    journal, must fail with the flag named, not mid-sweep.
+    """
+    if path is None:
+        return None
+    from repro.dist.journal import SweepJournal
+
+    reason = _unwritable(path)
+    if reason is None:
+        try:
+            SweepJournal(path).open()
+            return None
+        except OSError as exc:
+            reason = exc.strerror
+        except ValueError as exc:
+            return f"--journal: {exc}"
+    return f"--journal: cannot use {path}: {reason}"
+
+
 def cmd_profile(args) -> int:
     """Run one benchmark with telemetry on; print/export the series."""
     from repro.core.report import format_interval_profile
@@ -344,8 +368,8 @@ def cmd_sweep(args) -> int:
     jobs = default_jobs() if args.jobs is None else args.jobs
     if args.axis == "benchmark":
         return _sweep_benchmark(args, config, jobs)
-    if args.resume or args.results:
-        print("--resume/--results only apply to the benchmark axis",
+    if args.journal:
+        print("--journal only applies to the benchmark axis",
               file=sys.stderr)
         return 2
     func = getattr(bench, SWEEP_AXES[args.axis])
@@ -379,34 +403,24 @@ def _print_benchmark_table(results) -> None:
     print(format_table(rows))
 
 
-def _load_resume(path: str | None):
-    """``--resume FILE`` into a ``{point_key: RunStats}`` mapping."""
-    if not path:
-        return None
-    from repro.dist.journal import load_results_file
-
-    return load_results_file(path)
-
-
 def _sweep_benchmark(args, config, jobs: int) -> int:
     """The ``benchmark`` axis: the whole suite at one config.
 
     The table is the view the CI ``sampled-smoke`` job diffs against
     the committed exact baseline (estimation must preserve the exact
-    mode's ranking).  ``--resume FILE`` skips points already present
-    in a partial results file (matched by content identity, the
-    coordinator's point keys); ``--results FILE`` writes one.
+    mode's ranking).  ``--journal FILE`` records each finished point
+    and skips those the journal already holds (matched by content
+    identity, so a ``dsweep`` journal resumes it too).
     """
     from repro.core.sweep import run_sweep, suite_points
 
+    error = _journal_error(args.journal)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     points = suite_points(cdp_variants=not args.no_cdp, size=args.size,
                           config=config)
-    results = run_sweep(points, jobs=jobs,
-                        resume=_load_resume(getattr(args, "resume", None)))
-    if getattr(args, "results", None):
-        from repro.dist.journal import write_results_file
-
-        write_results_file(args.results, points, results)
+    results = run_sweep(points, jobs=jobs, journal=args.journal)
     _print_benchmark_table(results)
     return 0
 
@@ -521,6 +535,10 @@ def cmd_dsweep(args) -> int:
     from repro.core.sweep import suite_points
     from repro.dist import LocalProcessLauncher, ServiceLauncher, run_dsweep
 
+    error = _journal_error(args.journal)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     if args.store:
         os.environ["REPRO_TRACE_STORE"] = args.store
     config = _config(args)
@@ -545,19 +563,14 @@ def cmd_dsweep(args) -> int:
             chunk_timeout=args.chunk_timeout,
             max_retries=args.max_retries,
             journal=args.journal,
-            resume=_load_resume(args.resume),
         )
     finally:
         launcher.close()
-    if args.results:
-        from repro.dist.journal import write_results_file
-
-        write_results_file(args.results, points, results)
     _print_benchmark_table(results)
     stats = run_dsweep.last_stats
     print(
-        f"# dsweep: {stats['chunks']} chunk(s), "
-        f"{stats['replayed']} replayed from journal, "
+        f"# dsweep: {stats['chunks']} chunk(s) dispatched, "
+        f"{stats['resumed']} point(s) resumed from journal, "
         f"{stats['retries']} retried, "
         f"{stats['redispatches']} straggler re-dispatches",
         file=sys.stderr,
@@ -863,13 +876,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="benchmark axis: skip the CDP variants",
     )
     p_sweep.add_argument(
-        "--resume", default=None, metavar="FILE",
-        help="benchmark axis: skip points already present in a results "
-             "file (matched by content identity)",
-    )
-    p_sweep.add_argument(
-        "--results", default=None, metavar="FILE",
-        help="benchmark axis: write a results file usable by --resume",
+        "--journal", default=None, metavar="FILE",
+        help="benchmark axis: sweep journal; finished points are "
+             "recorded, and a rerun (or dsweep) skips them",
     )
     _add_machine_args(p_sweep)
     _add_estimate_args(p_sweep)
@@ -904,16 +913,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dsweep.add_argument(
         "--journal", default=None, metavar="FILE",
-        help="chunk-completion journal; rerunning with the same grid "
-             "replays finished chunks instead of re-simulating",
-    )
-    p_dsweep.add_argument(
-        "--resume", default=None, metavar="FILE",
-        help="skip points already present in a results file",
-    )
-    p_dsweep.add_argument(
-        "--results", default=None, metavar="FILE",
-        help="write a results file usable by --resume",
+        help="sweep journal; finished chunks are recorded, and a rerun "
+             "(or sweep benchmark) skips their points",
     )
     p_dsweep.add_argument(
         "--store", default=None, metavar="DIR",

@@ -38,7 +38,7 @@ import hashlib
 import json
 import multiprocessing
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.runner import load_benchmark
 from repro.data.datasets import DatasetSize
@@ -152,9 +152,10 @@ def point_key(point: SweepPoint) -> str:
     Hashes everything that determines the point's ``RunStats`` — the
     benchmark identity plus the *full* serialized config — and nothing
     that doesn't (the display label).  This is the shared identity key
-    of the distributed coordinator's chunk journal, ``repro sweep
-    --resume`` partial-results files, and the dsweep wire protocol:
-    a result computed anywhere can be matched to its point everywhere.
+    of the sweep journal (:mod:`repro.dist.journal`, which ``repro
+    sweep`` and ``repro dsweep`` both resume from), the merge check and
+    the dsweep wire protocol: a result computed anywhere can be matched
+    to its point everywhere.
     """
     from repro.sim.configfile import save_config
 
@@ -336,9 +337,8 @@ def run_sweep(
     points: list[SweepPoint],
     jobs: int | None = 0,
     cache: TraceCache | None = None,
-    telemetry_interval: int | None = None,
     store="env",
-    resume=None,
+    journal=None,
 ) -> dict[str, RunStats]:
     """Run every point; returns ``{point.label: RunStats}`` in input order.
 
@@ -355,31 +355,12 @@ def run_sweep(
     ``REPRO_TRACE_STORE`` environment variable.  When a ``cache`` is
     passed for the in-process path, its own store setting wins.
 
-    ``telemetry_interval`` opts every point into time-resolved sampling
-    (overriding each point's config): the resulting
-    ``RunStats.telemetry`` summaries are plain dicts, so they survive
-    the worker wire unchanged.  Sampling never alters a point's
-    trace-cache key — the interval is not part of
-    :func:`trace_signature` — so sweeps keep full trace reuse.
-
-    ``resume`` is a ``{point_key: RunStats}`` mapping of already-known
-    results (a partial results file, a dsweep journal replay): matching
-    points are filled from it without simulating, the rest run normally
-    (:func:`resume_merge`; ``repro.dist.journal`` loads the file
-    format).  Keys are matched on each point's *final* config — after
-    the ``telemetry_interval`` override — so a resumed result always
-    carries the payload the live run would have produced.
+    ``journal`` (a path or :class:`~repro.dist.journal.SweepJournal`)
+    makes the sweep resumable: points the journal already holds are
+    filled from it without simulating (:func:`resume_merge`), and each
+    newly finished point — each chunk, with ``jobs>=1`` — is appended
+    as it completes, so an interrupted sweep keeps its finished points.
     """
-    if telemetry_interval is not None:
-        points = [
-            replace(
-                point,
-                config=point.config.with_(
-                    telemetry_interval=telemetry_interval
-                ),
-            )
-            for point in points
-        ]
     if jobs is None:
         jobs = default_jobs()
     if jobs < 0:
@@ -388,18 +369,31 @@ def run_sweep(
     resolved = _resolve_store(store)
     if jobs == 0 or "fork" not in multiprocessing.get_all_start_methods():
         local = cache if cache is not None else TraceCache(store=resolved)
-        return resume_merge(
-            points, resume, lambda todo: [run_point(p, local) for p in todo]
-        )
+        known = None
+        if journal is not None:
+            # ``repro.dist`` imports this module, so it loads only here.
+            from repro.dist.journal import SweepJournal
 
-    # ``repro.dist`` imports this module, so it loads only here.
+            if not isinstance(journal, SweepJournal):
+                journal = SweepJournal(journal)
+            known = journal.open()
+
+        def run(todo):
+            for point in todo:
+                stats = run_point(point, local)
+                if journal is not None:
+                    journal.record([point_key(point)], [stats])
+                yield stats
+
+        return resume_merge(points, known, run)
+
     from repro.dist import LocalProcessLauncher, run_dsweep
 
     store_root = str(resolved.root) if resolved is not None else None
     with LocalProcessLauncher(workers=jobs, store=store_root) as launcher:
         # A chunk as large as the grid is a whole application group.
         return run_dsweep(points, launcher, chunk_size=max(1, len(points)),
-                          resume=resume)
+                          journal=journal)
 
 
 def suite_points(

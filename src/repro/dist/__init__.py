@@ -11,13 +11,13 @@ results back in input order, bit-identical to a local
 :func:`~repro.core.sweep.run_sweep` of the same grid.  Robustness is
 structural: per-chunk timeouts with bounded retry, straggler
 re-dispatch, worker-death detection that only fails the sweep after
-the work could not be re-run elsewhere, and an on-disk journal
-(:mod:`repro.dist.journal`) so an interrupted sweep resumes without
-recomputation.
+the work could not be re-run elsewhere, and a point-keyed sweep
+journal (:mod:`repro.dist.journal`, shared with ``run_sweep``) so an
+interrupted sweep resumes without recomputation.
 """
 
 from repro.dist.coordinator import DistSweepError, make_chunks, run_dsweep
-from repro.dist.journal import ChunkJournal, load_results_file, write_results_file
+from repro.dist.journal import SweepJournal
 from repro.dist.launchers import (
     ChunkFailed,
     ChunkTimeout,
@@ -28,14 +28,12 @@ from repro.dist.launchers import (
 
 __all__ = [
     "ChunkFailed",
-    "ChunkJournal",
     "ChunkTimeout",
     "DistSweepError",
     "LocalProcessLauncher",
     "ServiceLauncher",
+    "SweepJournal",
     "WorkerDied",
-    "load_results_file",
     "make_chunks",
     "run_dsweep",
-    "write_results_file",
 ]

@@ -29,8 +29,9 @@ pending chunk is taken, idle workers re-dispatch the slowest in-flight
 straggler (elapsed > ``straggler_factor`` x the median completed-chunk
 duration); whichever copy finishes first wins and the duplicate result
 is dropped.  With a ``journal``, completed chunks are persisted as
-they land, so an interrupted sweep re-run with the same grid resumes
-instead of recomputing (:mod:`repro.dist.journal`).
+they land, so an interrupted sweep re-run against the same journal
+resumes every finished point instead of recomputing it
+(:mod:`repro.dist.journal`).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.sweep import SweepPoint, app_key, point_key, resume_merge
-from repro.dist.journal import ChunkJournal
+from repro.dist.journal import SweepJournal
 from repro.dist.launchers import ChunkFailed, ChunkTimeout, WorkerDied
 
 #: Default ceiling on points per chunk: small enough that retries and
@@ -273,7 +274,7 @@ def _worker_loop(worker_id: int, launcher, state: _State,
             continue
         consecutive_deaths = 0
         if state.complete(chunk, stats) and journal is not None:
-            journal.record(chunk.id, chunk.keys, stats)
+            journal.record(chunk.keys, stats)
 
 
 def run_dsweep(
@@ -285,19 +286,16 @@ def run_dsweep(
     worker_failure_limit: int = 2,
     straggler_factor: float | None = 4.0,
     journal=None,
-    resume=None,
 ):
     """Run every point across ``launcher``'s workers; returns
     ``{point.label: RunStats}`` in input order, bit-identical to
     ``run_sweep(points)``.
 
-    ``journal`` (a path or :class:`~repro.dist.journal.ChunkJournal`)
-    persists completed chunks and replays them on a re-run of the same
-    grid.  ``resume`` is a ``{point_key: RunStats}`` mapping (e.g. from
-    :func:`~repro.dist.journal.load_results_file`) applied before
-    chunking by the same :func:`~repro.core.sweep.resume_merge`
-    ``run_sweep`` uses.  ``straggler_factor=None`` disables tail
-    re-dispatch.
+    ``journal`` (a path or :class:`~repro.dist.journal.SweepJournal`)
+    records each completed chunk, and every point it already holds is
+    filled from it by :func:`~repro.core.sweep.resume_merge` before
+    chunking — whichever sweep or chunk size wrote it.
+    ``straggler_factor=None`` disables tail re-dispatch.
 
     Failure budgets compose: each chunk survives ``max_retries``
     failed dispatches, and each worker slot survives
@@ -309,12 +307,15 @@ def run_dsweep(
     """
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
-    if journal is not None and not isinstance(journal, ChunkJournal):
-        journal = ChunkJournal(journal)
+    if journal is not None and not isinstance(journal, SweepJournal):
+        journal = SweepJournal(journal)
+    known = journal.open() if journal is not None else None
     run_dsweep.last_stats = dict.fromkeys(
-        ("chunks", "replayed", "retries", "redispatches",
-         "duplicates_dropped", "workers_retired"), 0,
+        ("chunks", "retries", "redispatches", "duplicates_dropped",
+         "workers_retired"), 0,
     )
+    # Everything is resumed unless ``dispatch`` is handed work.
+    run_dsweep.last_stats["resumed"] = len(points)
 
     def dispatch(todo: list[SweepPoint]) -> list:
         chunks = [
@@ -322,18 +323,13 @@ def run_dsweep(
                    points=[todo[j] for j in indices])
             for i, indices in enumerate(make_chunks(todo, chunk_size))
         ]
-        replayed: dict[int, list] = {}
-        if journal is not None:
-            replayed = journal.open([chunk.keys for chunk in chunks])
-
         workers = max(1, getattr(launcher, "workers", 1))
         state = _State(
-            [c for c in chunks if c.id not in replayed],
+            chunks,
             max_retries=max_retries,
             straggler_factor=straggler_factor,
             workers=workers,
         )
-        state.results.update(replayed)
         threads = [
             threading.Thread(
                 target=_worker_loop,
@@ -359,7 +355,7 @@ def run_dsweep(
                 merged[position] = one
         run_dsweep.last_stats.update(  # introspection for tests/benchmarks
             chunks=len(chunks),
-            replayed=len(replayed),
+            resumed=len(points) - len(todo),
             retries=state.retries,
             redispatches=state.redispatches,
             duplicates_dropped=state.duplicates,
@@ -367,7 +363,7 @@ def run_dsweep(
         )
         return merged
 
-    return resume_merge(points, resume, dispatch)
+    return resume_merge(points, known, dispatch)
 
 
 #: Stats of the most recent ``run_dsweep`` call (single-threaded use).

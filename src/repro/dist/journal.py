@@ -1,193 +1,111 @@
-"""On-disk progress records: the chunk journal and results files.
+"""The sweep journal: one append-only resume record for any sweep.
 
-Chunk journal
--------------
-The coordinator appends one JSON line per *completed* chunk (its
-point-identity keys plus the serialized stats), headed by a line that
-fingerprints the whole sweep — the ordered chunk/key structure.  An
-interrupted sweep re-opened against the same grid replays the journal
-and only re-runs what is missing; a journal written for a *different*
-grid (or chunking) fails loudly instead of resuming into a mismatched
-merge.  Appends are single ``write`` calls of whole lines, so a crash
-mid-append leaves at most one truncated tail line, which replay
-skips — a journaled chunk is either fully trusted or ignored.
+A journal is a JSONL file.  Its first line is the header
+``{"kind": "repro-sweep-journal", "version": 2}``; every later line
+records one completed unit of work — a point of an in-process sweep,
+or a chunk of a distributed one — as ``{"keys": [...], "stats":
+[...]}``: the units' :func:`repro.core.sweep.point_key` identities and
+their serialized ``RunStats``.  :meth:`SweepJournal.open` reads it
+back as the ``{point_key: RunStats}`` mapping
+:func:`~repro.core.sweep.resume_merge` consumes.  The key hashes every
+result-defining field, so a journal resumes exactly the points it
+shares with the grid at hand, whatever grid or chunking wrote it.
 
-Results files
--------------
-``write_results_file`` / ``load_results_file`` persist a (possibly
-partial) ``{label: RunStats}`` mapping keyed by
-:func:`repro.core.sweep.point_key` — the same identity keys the
-journal uses — which is what ``repro sweep --resume`` and ``repro
-dsweep --resume/--results`` exchange.
+Appends are single ``write`` calls of whole lines, fsynced, so a crash
+mid-append leaves at most one truncated tail line; that line, and any
+other record that does not decode, is skipped and its points simply
+run again.  A file whose first line is not a journal header is refused
+rather than appended to.  Version-1 journals (``repro-dsweep-journal``,
+one record per chunk) carry the same ``keys``/``stats`` fields and
+load unchanged.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
 
-from repro.core.sweep import SweepPoint, point_key
 from repro.sim.stats import RunStats, stats_from_dict
 
-JOURNAL_KIND = "repro-dsweep-journal"
-JOURNAL_VERSION = 1
-RESULTS_KIND = "repro-sweep-results"
-RESULTS_VERSION = 1
+JOURNAL_KIND = "repro-sweep-journal"
+JOURNAL_VERSION = 2
+#: Header kinds that load: this format and the version-1 chunk journal.
+_KINDS = (JOURNAL_KIND, "repro-dsweep-journal")
 
 
-class JournalMismatch(RuntimeError):
-    """An existing journal belongs to a different sweep or chunking."""
+def _parse(line: str) -> dict:
+    """One journal line as a dict; ``{}`` for anything else."""
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return {}  # truncated tail line from an interrupt
+    return record if isinstance(record, dict) else {}
 
 
-def sweep_fingerprint(chunk_keys: list[list[str]]) -> str:
-    """Identity of one (grid, chunking) pair: ordered chunk key lists."""
-    material = json.dumps(chunk_keys, sort_keys=True)
-    return hashlib.sha256(material.encode()).hexdigest()[:16]
-
-
-class ChunkJournal:
-    """Append-only record of completed chunks for one sweep."""
+class SweepJournal:
+    """Append-only record of completed sweep points."""
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
-        self._fingerprint: str | None = None
 
-    def open(self, chunk_keys: list[list[str]]) -> dict[int, list[RunStats]]:
-        """Bind the journal to a sweep; returns the replayed results.
+    def open(self) -> dict[str, RunStats]:
+        """Start or reopen the journal; returns ``{point_key: RunStats}``.
 
-        A fresh path writes the header and returns ``{}``.  An existing
-        journal for the same fingerprint replays its completed chunks
-        as ``{chunk_id: [RunStats, ...]}``; one for a different sweep
-        raises :class:`JournalMismatch` (delete the file or pick
-        another path to start over).
+        A missing or empty file gets the header and resumes nothing.
+        Raises ``ValueError`` naming the path when the file exists but
+        does not start with a journal header.
         """
-        self._fingerprint = sweep_fingerprint(chunk_keys)
-        if not self.path.exists():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._append({
-                "kind": JOURNAL_KIND,
-                "version": JOURNAL_VERSION,
-                "sweep": self._fingerprint,
-                "chunks": len(chunk_keys),
-            })
+        try:
+            text = self.path.read_text(encoding="utf-8", errors="replace")
+        except FileNotFoundError:
+            text = ""
+        if not text:
+            self._append({"kind": JOURNAL_KIND, "version": JOURNAL_VERSION})
             return {}
-        return self._replay(chunk_keys)
+        lines = text.splitlines()
+        if _parse(lines[0]).get("kind") not in _KINDS:
+            raise ValueError(
+                f"{self.path} is not a sweep journal "
+                f"(no {JOURNAL_KIND!r} header line)"
+            )
+        if not text.endswith("\n"):
+            # End a truncated tail line, so the next record starts a
+            # line of its own instead of being lost inside it.
+            self._write("\n")
+        known: dict[str, RunStats] = {}
+        for line in lines[1:]:
+            record = _parse(line)
+            keys, stats = record.get("keys"), record.get("stats")
+            if (
+                not isinstance(keys, list)
+                or not isinstance(stats, list)
+                or len(keys) != len(stats)
+                or not all(isinstance(key, str) for key in keys)
+            ):
+                continue
+            try:
+                decoded = [stats_from_dict(entry) for entry in stats]
+            except (AttributeError, KeyError, TypeError, ValueError):
+                continue  # corrupt stats: those points run again
+            known.update(zip(keys, decoded))
+        return known
 
-    def record(self, chunk_id: int, keys: list[str], stats: list) -> None:
-        """Journal one completed chunk (stats: ``RunStats`` list)."""
+    def record(self, keys: list[str], stats: list[RunStats]) -> None:
+        """Journal one completed unit: its point keys and their stats."""
         self._append({
-            "chunk": chunk_id,
             "keys": list(keys),
-            "stats": [s.to_dict() for s in stats],
+            "stats": [one.to_dict() for one in stats],
         })
 
-    # -- internals -----------------------------------------------------------
     def _append(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"
+        self._write(json.dumps(record, sort_keys=True) + "\n")
+
+    def _write(self, text: str) -> None:
         # O_APPEND + one write: concurrent/interrupted appends never
         # interleave inside a line, and a crash truncates at most the
-        # tail line, which _replay skips.
+        # tail line, which open() skips.
         with open(self.path, "a", encoding="utf-8") as fp:
-            fp.write(line)
+            fp.write(text)
             fp.flush()
             os.fsync(fp.fileno())
-
-    def _replay(self, chunk_keys: list[list[str]]) -> dict[int, list[RunStats]]:
-        completed: dict[int, list[RunStats]] = {}
-        header_seen = False
-        for raw in self.path.read_text(encoding="utf-8").splitlines():
-            try:
-                record = json.loads(raw)
-            except ValueError:
-                continue  # truncated tail line from an interrupt
-            if not isinstance(record, dict):
-                continue
-            if record.get("kind") == JOURNAL_KIND:
-                if record.get("sweep") != self._fingerprint:
-                    raise JournalMismatch(
-                        f"{self.path} was written for sweep "
-                        f"{record.get('sweep')!r}, this grid/chunking is "
-                        f"{self._fingerprint!r}; delete the journal or "
-                        "pass a fresh path"
-                    )
-                header_seen = True
-                continue
-            chunk_id = record.get("chunk")
-            if (
-                not header_seen
-                or not isinstance(chunk_id, int)
-                or not 0 <= chunk_id < len(chunk_keys)
-                or record.get("keys") != chunk_keys[chunk_id]
-            ):
-                continue  # corrupt or stale record: re-run that chunk
-            try:
-                stats = [stats_from_dict(d) for d in record["stats"]]
-            except Exception:
-                continue
-            if len(stats) != len(chunk_keys[chunk_id]):
-                continue
-            completed[chunk_id] = stats
-        if not header_seen:
-            raise JournalMismatch(
-                f"{self.path} exists but carries no journal header; "
-                "refusing to resume from an unrelated file"
-            )
-        return completed
-
-
-# -- results files -----------------------------------------------------------
-
-
-def write_results_file(
-    path: str | os.PathLike,
-    points: list[SweepPoint],
-    results: dict[str, RunStats],
-) -> None:
-    """Persist ``{label: RunStats}`` keyed by point identity (atomic)."""
-    payload = {
-        "kind": RESULTS_KIND,
-        "version": RESULTS_VERSION,
-        "results": {
-            point_key(point): {
-                "label": point.label,
-                "stats": results[point.label].to_dict(),
-            }
-            for point in points
-            if point.label in results
-        },
-    }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-
-
-def load_results_file(path: str | os.PathLike) -> dict[str, RunStats]:
-    """A results file back into ``{point_key: RunStats}``.
-
-    The mapping plugs straight into ``run_sweep(..., resume=...)`` and
-    ``run_dsweep(..., resume=...)``.  Raises ``ValueError`` for files
-    that are not results files; individual corrupt entries are dropped
-    (they simply re-run).
-    """
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path} is not a results file: {exc}") from exc
-    if (
-        not isinstance(payload, dict)
-        or payload.get("kind") != RESULTS_KIND
-    ):
-        raise ValueError(
-            f"{path} is not a sweep results file (kind != {RESULTS_KIND!r})"
-        )
-    out: dict[str, RunStats] = {}
-    for key, entry in payload.get("results", {}).items():
-        try:
-            out[key] = stats_from_dict(entry["stats"])
-        except Exception:
-            continue
-    return out

@@ -153,7 +153,7 @@ def execute_sweep(request, artifact_dir: str | None):
     are published as job progress — exact percent, which is also what
     the distributed coordinator's straggler detection reads.
     """
-    from repro.core.sweep import TraceCache, run_point, suite_points
+    from repro.core.sweep import TraceCache, resume_merge, run_point, suite_points
     from repro.sim.trace_store import TraceStore
 
     config = request.resolved_config()
@@ -170,23 +170,23 @@ def execute_sweep(request, artifact_dir: str | None):
             size=DatasetSize(request.size),
             config=config,
         )
-    labels = [point.label for point in points]
-    if len(set(labels)) != len(labels):
-        raise ValueError("sweep point labels must be unique")
     cache = TraceCache(store=TraceStore.from_env())
     total = len(points)
-    results = {}
-    write_progress(artifact_dir, {
-        "unit": "points", "done": 0, "total": total, "percent": 0.0,
-    })
-    for done, point in enumerate(points, start=1):
-        results[point.label] = run_point(point, cache)
+
+    def run(todo):
         write_progress(artifact_dir, {
-            "unit": "points",
-            "done": done,
-            "total": total,
-            "percent": round(100.0 * done / total, 2),
+            "unit": "points", "done": 0, "total": total, "percent": 0.0,
         })
+        for done, point in enumerate(todo, start=1):
+            yield run_point(point, cache)
+            write_progress(artifact_dir, {
+                "unit": "points",
+                "done": done,
+                "total": total,
+                "percent": round(100.0 * done / total, 2),
+            })
+
+    results = resume_merge(points, None, run)
     t = _stamp(timings, "sim_s", t)
     payload = {
         "kind": request.KIND,

@@ -245,6 +245,76 @@ class TestProfile:
         assert captured.out == ""
 
 
+class TestSweepJournal:
+    """``sweep benchmark`` and ``dsweep`` share one point-keyed journal."""
+
+    GRID = ["--no-cdp", "--size", "small", "--sms", "4"]
+
+    def _run(self, capsys, argv, journal, table) -> str:
+        """Run one sweep command over the grid; returns its stderr."""
+        assert main([*argv, *self.GRID, "--journal", str(journal)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == table
+        return captured.err
+
+    def test_journal_resumes_across_commands(self, tmp_path, capsys):
+        """Either command's journal fully resumes the other, at any
+        chunking, with nothing re-simulated (nothing appended)."""
+        assert main(["sweep", "benchmark", "--jobs", "0", *self.GRID]) == 0
+        table = capsys.readouterr().out
+        seq, dist = tmp_path / "seq.jsonl", tmp_path / "dist.jsonl"
+
+        self._run(capsys, ["sweep", "benchmark", "--jobs", "0"], seq, table)
+        written = seq.read_text()
+        err = self._run(capsys, ["dsweep", "--dist-workers", "2",
+                                 "--chunk-size", "1"], seq, table)
+        assert "0 chunk(s) dispatched, 10 point(s) resumed" in err
+        assert seq.read_text() == written
+
+        self._run(capsys, ["dsweep", "--dist-workers", "2",
+                           "--chunk-size", "4"], dist, table)
+        written = dist.read_text()
+        self._run(capsys, ["sweep", "benchmark", "--jobs", "2"], dist, table)
+        assert dist.read_text() == written
+
+    @pytest.mark.parametrize("command", [["sweep", "benchmark"], ["dsweep"]])
+    @pytest.mark.parametrize("kind",
+                             ["missing-dir", "file-as-dir", "dir", "foreign"])
+    def test_rejects_an_unusable_journal(self, tmp_path, capsys, command,
+                                         kind):
+        """A bad ``--journal`` exits 2 naming the flag before any point
+        runs, and never creates directories or touches a foreign file."""
+        if kind == "missing-dir":
+            path = tmp_path / "missing" / "j.jsonl"
+            message = f"--journal: cannot use {path}: No such file"
+        elif kind == "file-as-dir":
+            (tmp_path / "file").write_text("")
+            path = tmp_path / "file" / "j.jsonl"
+            message = f"--journal: cannot use {path}: Not a directory"
+        elif kind == "dir":
+            path = tmp_path
+            message = f"--journal: cannot use {path}: Is a directory"
+        else:
+            path = tmp_path / "notes.txt"
+            path.write_text("not a journal\n")
+            message = f"--journal: {path} is not a sweep journal"
+        assert main([*command, *self.GRID, "--journal", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "missing").exists()
+        if kind == "foreign":
+            assert path.read_text() == "not a journal\n"
+
+    def test_journal_is_benchmark_axis_only(self, tmp_path, capsys):
+        journal = tmp_path / "j.jsonl"
+        assert main(["sweep", "cache", "--journal", str(journal)]) == 2
+        assert "--journal only applies to the benchmark axis" in (
+            capsys.readouterr().err)
+        assert not journal.exists()
+
+
 class TestErrorPaths:
     """Malformed invocations must exit 2 with a pointed stderr message
     (never a traceback, never silent misbehaviour)."""

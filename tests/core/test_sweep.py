@@ -194,14 +194,15 @@ class TestPicklability:
 
 
 class TestTelemetryOptIn:
-    """``run_sweep(..., telemetry_interval=N)`` samples every point."""
+    """A point whose config sets ``telemetry_interval`` is sampled."""
 
     def test_every_point_carries_a_summary(self, config):
+        sampled = config.with_(telemetry_interval=2_000)
         pts = [
-            sweep_point(variant_name(a, c), a, config, cdp=c)
+            sweep_point(variant_name(a, c), a, sampled, cdp=c)
             for a, c in (("NW", False), ("STAR", True))
         ]
-        results = run_sweep(pts, jobs=0, telemetry_interval=2_000)
+        results = run_sweep(pts, jobs=0)
         for label, stats in results.items():
             summary = stats.telemetry
             assert summary is not None, label
@@ -209,9 +210,11 @@ class TestTelemetryOptIn:
             assert summary["rows"]
 
     def test_sampling_does_not_change_aggregates(self, config):
-        pts = [sweep_point("NW", "NW", config)]
-        plain = run_sweep(pts, jobs=0)["NW"]
-        sampled = run_sweep(pts, jobs=0, telemetry_interval=2_000)["NW"]
+        plain = run_sweep([sweep_point("NW", "NW", config)], jobs=0)["NW"]
+        sampled = run_sweep(
+            [sweep_point("NW", "NW",
+                         config.with_(telemetry_interval=2_000))], jobs=0,
+        )["NW"]
         import dataclasses
 
         a = dataclasses.asdict(plain)
@@ -225,9 +228,10 @@ class TestTelemetryOptIn:
         assert trace_signature(config) == trace_signature(sampled)
 
     def test_summary_survives_process_pool(self, config):
-        pts = [sweep_point("NW", "NW", config)]
-        serial_run = run_sweep(pts, jobs=0, telemetry_interval=2_000)["NW"]
-        pooled = run_sweep(pts, jobs=2, telemetry_interval=2_000)["NW"]
+        pts = [sweep_point("NW", "NW",
+                           config.with_(telemetry_interval=2_000))]
+        serial_run = run_sweep(pts, jobs=0)["NW"]
+        pooled = run_sweep(pts, jobs=2)["NW"]
         assert pooled.telemetry == serial_run.telemetry
 
 
@@ -286,46 +290,71 @@ class TestPointIdentityAndMerge:
             assert_merge_complete(pts, [])
 
 
-class TestResume:
-    def test_resume_fills_known_points_without_running(self, config):
-        from repro.core.sweep import point_key
+def _journal(path, entries):
+    """A sweep journal at ``path`` holding ``{point: RunStats}``."""
+    from repro.core.sweep import point_key
+    from repro.dist.journal import SweepJournal
 
+    journal = SweepJournal(path)
+    journal.open()
+    for point, stats in entries.items():
+        journal.record([point_key(point)], [stats])
+    return journal
+
+
+class TestResume:
+    def test_resume_fills_known_points_without_running(self, config,
+                                                       tmp_path):
         pts = [sweep_point("NW|a", "NW", config),
                sweep_point("NW|b", "NW", config.with_(num_sms=8))]
-        sentinel = object()
+        # A result the point itself would never produce: seeing it back
+        # proves the point was filled from the journal, not simulated.
+        marker = run_point(sweep_point("x", "NW", config.with_(num_sms=2)))
         cache = TraceCache()
         results = run_sweep(
             pts, jobs=0, cache=cache,
-            resume={point_key(pts[0]): sentinel},
+            journal=_journal(tmp_path / "j.jsonl", {pts[0]: marker}),
         )
-        assert results["NW|a"] is sentinel
-        assert results["NW|b"] is not sentinel
-        assert cache.misses == 1  # only the unknown point simulated
+        assert results["NW|a"] == marker
+        assert results["NW|b"] != marker
+        assert cache.hits + cache.misses == 1  # only the unknown point ran
 
-    def test_resume_preserves_input_order(self, config):
-        from repro.core.sweep import point_key
-
+    def test_resume_preserves_input_order(self, config, tmp_path):
         pts = [sweep_point(f"NW|{i}", "NW", config.with_(num_sms=2 + i))
                for i in range(3)]
         full = run_sweep(pts, jobs=0)
         resumed = run_sweep(
-            pts, jobs=0, resume={point_key(pts[1]): full["NW|1"]},
+            pts, jobs=0,
+            journal=_journal(tmp_path / "j.jsonl", {pts[1]: full["NW|1"]}),
         )
         assert resumed == full
         assert list(resumed) == ["NW|0", "NW|1", "NW|2"]
 
-    def test_resume_keys_match_final_config(self, config):
-        """Resume identity is computed after the telemetry override."""
-        from repro.core.sweep import point_key
-        from dataclasses import replace as dc_replace
-
-        pts = [sweep_point("NW", "NW", config)]
-        overridden = dc_replace(
-            pts[0], config=config.with_(telemetry_interval=2_000)
-        )
-        sentinel = object()
+    def test_resume_keys_match_final_config(self, config, tmp_path):
+        """Resume identity covers the whole config, telemetry included."""
+        plain = sweep_point("NW", "NW", config)
+        sampled = sweep_point("NW", "NW",
+                              config.with_(telemetry_interval=2_000))
+        marker = run_point(sweep_point("x", "NW", config.with_(num_sms=2)))
         results = run_sweep(
-            pts, jobs=0, telemetry_interval=2_000,
-            resume={point_key(overridden): sentinel},
+            [sampled], jobs=0,
+            journal=_journal(tmp_path / "plain.jsonl", {plain: marker}),
         )
-        assert results["NW"] is sentinel
+        assert results["NW"] != marker
+        assert results["NW"].telemetry is not None
+        results = run_sweep(
+            [sampled], jobs=0,
+            journal=_journal(tmp_path / "sampled.jsonl", {sampled: marker}),
+        )
+        assert results["NW"] == marker
+
+    def test_sequential_sweep_journals_every_point(self, config, tmp_path):
+        """An interrupted ``jobs=0`` sweep keeps its finished points."""
+        pts = [sweep_point(f"NW|{i}", "NW", config.with_(num_sms=2 + i))
+               for i in range(3)]
+        full = run_sweep(pts, jobs=0)
+        path = tmp_path / "j.jsonl"
+        run_sweep(pts[:2], jobs=0, journal=path)  # "interrupted" early
+        cache = TraceCache()
+        assert run_sweep(pts, jobs=0, cache=cache, journal=path) == full
+        assert cache.hits + cache.misses == 1  # only NW|2 ran

@@ -14,12 +14,11 @@ import pytest
 from repro.core.config_presets import baseline_config, with_cache_sizes
 from repro.core.sweep import TraceCache, point_key, run_point, run_sweep, sweep_point
 from repro.dist import (
-    ChunkJournal,
     DistSweepError,
+    SweepJournal,
     run_dsweep,
 )
 from repro.dist.coordinator import make_chunks
-from repro.dist.journal import JournalMismatch
 from repro.dist.launchers import ChunkFailed, ChunkTimeout, WorkerDied
 
 CONFIG = baseline_config(num_sms=4)
@@ -54,6 +53,7 @@ class ScriptedLauncher:
         self.workers = workers
         self.plan = {k: list(v) for k, v in (plan or {}).items()}
         self.calls = []
+        self.points = []  # the points of each dispatch, in call order
         self.cache = TraceCache()
         self.lock = threading.Lock()
 
@@ -63,6 +63,7 @@ class ScriptedLauncher:
     def run_chunk(self, worker_id, chunk_id, points, timeout=None):
         with self.lock:
             self.calls.append((worker_id, chunk_id))
+            self.points.append(list(points))
             failures = self.plan.get(chunk_id)
             if failures:
                 raise failures.pop(0)
@@ -210,13 +211,14 @@ class TestJournalResume:
         with pytest.raises(DistSweepError):
             run_dsweep(points, bad, chunk_size=2, journal=path,
                        max_retries=1)
-        # Second attempt with a healthy pool: chunk 0 replays from the
-        # journal, only chunk 1 is dispatched.
+        # Second attempt with a healthy pool: chunk 0's points resume
+        # from the journal, only the other chunk's points are dispatched.
         good = ScriptedLauncher(workers=1)
         results = run_dsweep(points, good, chunk_size=2, journal=path)
         assert results == serial
-        assert run_dsweep.last_stats["replayed"] == 1
-        assert [chunk for _, chunk in good.calls] == [1]
+        assert run_dsweep.last_stats["resumed"] == 2
+        assert good.calls == [(0, 0)]
+        assert good.points == [points[2:]]
 
     def test_completed_sweep_replays_fully(self, tmp_path, points, serial):
         path = tmp_path / "sweep.journal"
@@ -225,38 +227,65 @@ class TestJournalResume:
         assert run_dsweep(points, idle, chunk_size=2,
                           journal=path) == serial
         assert idle.calls == []
-        assert run_dsweep.last_stats["replayed"] == 2
+        assert run_dsweep.last_stats["resumed"] == 4
 
-    def test_foreign_journal_refused(self, tmp_path, points):
+    def test_rechunked_journal_resumes(self, tmp_path, points, serial):
         path = tmp_path / "sweep.journal"
         run_dsweep(points, ScriptedLauncher(), chunk_size=2, journal=path)
-        with pytest.raises(JournalMismatch):
-            # Same grid, different chunking -> different fingerprint.
-            run_dsweep(points, ScriptedLauncher(), chunk_size=1,
-                       journal=path)
+        idle = ScriptedLauncher()
+        assert run_dsweep(points, idle, chunk_size=1,
+                          journal=path) == serial
+        assert idle.calls == []
+        assert run_dsweep.last_stats["chunks"] == 0
 
     def test_journal_instance_accepted(self, tmp_path, points, serial):
-        journal = ChunkJournal(tmp_path / "sweep.journal")
+        journal = SweepJournal(tmp_path / "sweep.journal")
         assert run_dsweep(points, ScriptedLauncher(), chunk_size=2,
                           journal=journal) == serial
 
+    def test_truncated_sequential_journal_resumes(
+        self, tmp_path, points, serial
+    ):
+        """A crash mid-append in a ``run_sweep(jobs=0)`` journal costs
+        only the torn point: ``run_dsweep`` re-runs just the missing
+        ones and merges to the serial result."""
+        path = tmp_path / "sweep.journal"
+        run_sweep(points[:3], jobs=0, store=None, journal=path)
+        whole = path.read_text()
+        path.write_text(whole[: len(whole) - len(whole.splitlines()[-1]) // 2])
+        launcher = ScriptedLauncher(workers=1)
+        assert run_dsweep(points, launcher, chunk_size=1,
+                          journal=path) == serial
+        assert launcher.points == [[points[2]], [points[3]]]
+        assert run_dsweep.last_stats["resumed"] == 2
+
+
+def _journal_of(tmp_path, points, serial, labels):
+    """A journal holding the serial results of ``labels``' points."""
+    journal = SweepJournal(tmp_path / "sweep.journal")
+    journal.open()
+    chosen = [p for p in points if p.label in labels]
+    journal.record([point_key(p) for p in chosen],
+                   [serial[p.label] for p in chosen])
+    return journal
+
 
 class TestResume:
-    def test_resume_skips_known_points(self, points, serial):
-        resume = {
-            point_key(points[0]): serial[points[0].label],
-            point_key(points[3]): serial[points[3].label],
-        }
+    def test_resume_skips_known_points(self, tmp_path, points, serial):
+        journal = _journal_of(tmp_path, points, serial,
+                              {points[0].label, points[3].label})
         launcher = ScriptedLauncher(workers=1)
-        results = run_dsweep(points, launcher, chunk_size=1, resume=resume)
+        results = run_dsweep(points, launcher, chunk_size=1,
+                             journal=journal)
         assert results == serial
         assert len(launcher.calls) == 2  # only the two unknown points
 
     def test_resume_covering_everything_dispatches_nothing(
-        self, points, serial
+        self, tmp_path, points, serial
     ):
-        resume = {point_key(p): serial[p.label] for p in points}
+        journal = _journal_of(tmp_path, points, serial,
+                              {p.label for p in points})
         launcher = ScriptedLauncher()
-        assert run_dsweep(points, launcher, resume=resume) == serial
+        assert run_dsweep(points, launcher, journal=journal) == serial
         assert launcher.calls == []
         assert run_dsweep.last_stats["chunks"] == 0
