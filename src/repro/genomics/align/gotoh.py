@@ -251,8 +251,3 @@ def smith_waterman(query, target, scheme=None) -> AlignmentResult:
 def semi_global(query, target, scheme=None) -> AlignmentResult:
     """Semi-global alignment (GASAL2 ``GSG``): full query, free target ends."""
     return align(query, target, scheme, AlignmentMode.SEMI_GLOBAL)
-
-
-def score_matrix_cells(query_len: int, target_len: int) -> int:
-    """Number of DP cells an aligner touches — used by kernel trace models."""
-    return query_len * target_len

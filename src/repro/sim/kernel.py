@@ -69,10 +69,6 @@ class KernelProgram:
     def uses_shared_memory(self) -> bool:
         return self.smem_per_cta > 0
 
-    @property
-    def uses_constant_memory(self) -> bool:
-        return self.const_bytes > 0
-
     def warp_trace(self, ctx: WarpContext) -> Iterator[WarpInstruction]:
         """Yield the dynamic instructions of one warp.
 

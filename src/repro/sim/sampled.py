@@ -1463,15 +1463,3 @@ def spearman(xs, ys) -> float:
     if vx == 0 or vy == 0:
         return 1.0  # a constant ranking cannot be contradicted
     return cov / math.sqrt(vx * vy)
-
-
-def ranking_inversions(exact_order, estimated_order) -> int:
-    """Pairs ordered differently by the two rankings (Kendall distance)."""
-    position = {label: i for i, label in enumerate(estimated_order)}
-    seq = [position[label] for label in exact_order]
-    inversions = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inversions += 1
-    return inversions

@@ -4,13 +4,14 @@
 :class:`~repro.sim.sm.StreamingMultiprocessor` algorithms verbatim:
 every scheduling decision rescans all resident warps for readiness, and
 every stall rescans them for attribution and the next wake time.  It is
-selected with ``GPUConfig(event_core=False)`` and exists for two jobs:
+selected with ``GPUConfig(event_core=False)`` and exists as the oracle
+the event core is checked against:
 
 - the golden bit-identity regression test runs every benchmark through
   both cores and requires field-for-field identical :class:`RunStats`
   (``tests/sim/test_event_core_golden.py``);
-- ``benchmarks/bench_perf.py`` measures the event core's single-run
-  speedup against this implementation.
+- the telemetry differential suite requires identical interval series
+  (``tests/sim/test_telemetry_differential.py``).
 
 Keep this file frozen unless the *timing model* changes — performance
 work belongs in :mod:`repro.sim.sm`.

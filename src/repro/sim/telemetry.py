@@ -33,8 +33,9 @@ run-ahead paths) and the scan-per-decision reference
 ``(cycle, value)`` samples, so the interval series are bit-identical
 between them; ``tests/sim/test_telemetry_differential.py`` locks this.
 Hooks are guarded by a single ``is not None`` check so the
-telemetry-off hot paths stay untouched (overhead budget: <2%, measured
-by ``benchmarks/bench_perf.py``).
+telemetry-off hot paths stay untouched (overhead budget: <2%; every
+workload of the end-to-end benchmark in ``benchmarks/e2e`` runs with
+telemetry off).
 
 Exports: :func:`write_jsonl` / :func:`load_jsonl` (one JSON object per
 line: a header, then interval rows, then events) and

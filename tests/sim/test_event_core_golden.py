@@ -8,7 +8,8 @@ is only allowed to change wall-clock, never the timing model.
 
 The full suite runs at the small dataset; the heaviest benchmarks get
 an extra medium-size lock so the identity holds beyond the default
-size's trace shapes.
+size's trace shapes, and PairHMM, the slowest single run, a
+``slow``-marked large-size lock.
 
 ``run_benchmark`` replays template-instantiated traces with precounted
 totals, so each case also has a live arm: the event core driving the
@@ -59,6 +60,13 @@ def test_small_suite_identical(abbr, cdp):
 @pytest.mark.parametrize("abbr", ["GKSW", "PairHMM", "NvB"])
 def test_medium_heavyweights_identical(abbr, cdp):
     fast, ref, live = _stats_triple(abbr, cdp, DatasetSize.MEDIUM)
+    assert fast == ref
+    assert fast == live
+
+
+@pytest.mark.slow
+def test_large_pairhmm_identical():
+    fast, ref, live = _stats_triple("PairHMM", False, DatasetSize.LARGE)
     assert fast == ref
     assert fast == live
 

@@ -36,7 +36,6 @@ from repro.sim.sampled import (
     _Measured,
     _plan,
     estimate_application,
-    ranking_inversions,
     spearman,
 )
 from repro.sim.stats import RunStats
@@ -308,9 +307,3 @@ def test_spearman_perfect_and_reversed():
 def test_spearman_handles_ties():
     rho = spearman([1.0, 2.0, 2.0, 3.0], [1.0, 2.0, 2.0, 3.0])
     assert rho == pytest.approx(1.0)
-
-
-def test_ranking_inversions_counts_swaps():
-    assert ranking_inversions(["a", "b", "c"], ["a", "b", "c"]) == 0
-    assert ranking_inversions(["a", "b", "c"], ["b", "a", "c"]) == 1
-    assert ranking_inversions(["a", "b", "c"], ["c", "b", "a"]) == 3

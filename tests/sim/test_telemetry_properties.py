@@ -6,13 +6,19 @@ over all intervals has to reproduce the corresponding aggregate
 integer cycles of an integer-cycle simulation).  Within a row, the
 occupancy buckets partition the issued instructions and the stall
 fractions partition the interval's stall cycles.
+
+Sampling must also never perturb what it observes: on every variant
+and both cores, a telemetry-on run equals the telemetry-off run in
+every ``RunStats`` field but ``telemetry`` itself.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.core.runner import run_benchmark
 from repro.data.datasets import DatasetSize
-from repro.kernels import build_application
+from repro.kernels import benchmark_names, build_application
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPUSimulator
 from repro.sim.replay import CachedApplication, replay_application
@@ -119,3 +125,24 @@ def test_event_rows_cover_every_interval_with_work():
     for row in rows:
         assert row["end"] - row["start"] == INTERVAL
         assert row["start"] == row["index"] * INTERVAL
+
+
+@pytest.mark.parametrize("event_core", [True, False],
+                         ids=["event", "reference"])
+@pytest.mark.parametrize("cdp", [False, True], ids=["plain", "cdp"])
+@pytest.mark.parametrize("abbr", benchmark_names())
+def test_telemetry_leaves_stats_unchanged(abbr, cdp, event_core):
+    """At ``repro profile``'s default interval, sampling only observes
+    the timing model: a hook that charged a cycle, reordered an issue
+    or touched a cache would show up as a differing field here."""
+    on, off = (
+        dataclasses.asdict(run_benchmark(
+            abbr, cdp=cdp, size=DatasetSize.SMALL,
+            config=GPUConfig(event_core=event_core,
+                             telemetry_interval=interval),
+        ))
+        for interval in (10_000, 0)
+    )
+    assert on.pop("telemetry") is not None
+    assert off.pop("telemetry") is None
+    assert on == off

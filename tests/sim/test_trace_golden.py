@@ -20,7 +20,7 @@ estimator stratifies by.
 
 The heaviest template user (PairHMM) and the heaviest opt-out user
 (NvB, whose FM-index stages are data-dependent) get an extra
-medium-size lock.
+medium-size lock, and PairHMM a ``slow``-marked large-size one.
 """
 
 import dataclasses
@@ -71,6 +71,12 @@ def test_small_suite_identical(abbr, cdp, monkeypatch):
 @pytest.mark.parametrize("abbr", ["PairHMM", "NvB"])
 def test_medium_heavyweights_identical(abbr, cdp, monkeypatch):
     _assert_all_paths_identical(abbr, cdp, DatasetSize.MEDIUM, monkeypatch)
+
+
+@pytest.mark.slow
+def test_large_pairhmm_identical(monkeypatch):
+    _assert_all_paths_identical("PairHMM", False, DatasetSize.LARGE,
+                                monkeypatch)
 
 
 @pytest.mark.parametrize(
