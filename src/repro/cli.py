@@ -151,6 +151,19 @@ def _port(text: str) -> int:
     return value
 
 
+def _endpoints(text: str) -> list[str]:
+    """``HOST:PORT[,HOST:PORT...]``, every port in [1, 65535]."""
+    entries = text.split(",")
+    for entry in entries:
+        host, _, port = entry.rpartition(":")
+        if not (host and port.isdigit() and 1 <= int(port) <= 65535):
+            raise argparse.ArgumentTypeError(
+                f"invalid endpoint {entry!r}: expected HOST:PORT with a "
+                "port in [1, 65535]"
+            )
+    return entries
+
+
 def _fraction(text: str) -> float:
     value = _number(text, float)
     if not 0.0 < value <= 1.0:
@@ -378,6 +391,7 @@ def _nonneg_int(text: str) -> int:
 def cmd_sweep(args) -> int:
     from repro import bench
     from repro.core.sweep import default_jobs
+    from repro.dist import DistSweepError
 
     if args.store:
         # The sweep engine's default store resolution reads the
@@ -391,14 +405,18 @@ def cmd_sweep(args) -> int:
         # not part of the trace signature).
         config = _estimate_config(args, config)
     jobs = default_jobs() if args.jobs is None else args.jobs
-    if args.axis == "benchmark":
-        return _sweep_benchmark(args, config, jobs)
-    if args.journal:
+    if args.axis != "benchmark" and args.journal:
         print("--journal only applies to the benchmark axis",
               file=sys.stderr)
         return 2
-    func = getattr(bench, SWEEP_AXES[args.axis])
-    rows = func(config=config, size=args.size, jobs=jobs)
+    try:
+        if args.axis == "benchmark":
+            return _sweep_benchmark(args, config, jobs)
+        func = getattr(bench, SWEEP_AXES[args.axis])
+        rows = func(config=config, size=args.size, jobs=jobs)
+    except DistSweepError as exc:
+        print(f"sweep failed: {exc}", file=sys.stderr)
+        return 1
     print(format_table(rows))
     return 0
 
@@ -553,7 +571,12 @@ def cmd_store(args) -> int:
 def cmd_dsweep(args) -> int:
     """The benchmark axis through the distributed sweep coordinator."""
     from repro.core.sweep import suite_points
-    from repro.dist import LocalProcessLauncher, ServiceLauncher, run_dsweep
+    from repro.dist import (
+        DistSweepError,
+        LocalProcessLauncher,
+        ServiceLauncher,
+        run_dsweep,
+    )
 
     error = _journal_error(args.journal)
     if error is not None:
@@ -567,9 +590,7 @@ def cmd_dsweep(args) -> int:
     points = suite_points(cdp_variants=not args.no_cdp, size=args.size,
                           config=config)
     if args.endpoints:
-        launcher = ServiceLauncher(
-            [e for e in args.endpoints.split(",") if e]
-        )
+        launcher = ServiceLauncher(args.endpoints)
     else:
         launcher = LocalProcessLauncher(
             workers=args.dist_workers,
@@ -584,6 +605,9 @@ def cmd_dsweep(args) -> int:
             max_retries=args.max_retries,
             journal=args.journal,
         )
+    except DistSweepError as exc:
+        print(f"sweep failed: {exc}", file=sys.stderr)
+        return 1
     finally:
         launcher.close()
     _print_benchmark_table(results)
@@ -918,7 +942,8 @@ def build_parser() -> argparse.ArgumentParser:
              "--endpoints)",
     )
     p_dsweep.add_argument(
-        "--endpoints", default=None, metavar="HOST:PORT,...",
+        "--endpoints", type=_endpoints, default=None,
+        metavar="HOST:PORT,...",
         help="dispatch chunks to remote `repro serve` instances "
              "instead of local subprocesses",
     )

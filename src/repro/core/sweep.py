@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 
@@ -70,7 +69,7 @@ def default_jobs() -> int:
 class SweepPoint:
     """One independent simulation point of a sweep.
 
-    Everything here crosses the worker wire (:mod:`repro.dist.wire`),
+    Everything here crosses the HTTP point codec (:func:`encode_point`),
     so every field must encode as JSON: plain benchmark identity plus a
     :class:`GPUConfig` (a frozen dataclass tree).  ``options`` are the
     extra :func:`repro.kernels.build_application` keyword arguments as
@@ -146,6 +145,22 @@ def _wire_value(name: str, value):
     )
 
 
+def _identity(point: SweepPoint) -> dict:
+    """The result-defining fields of ``point``, JSON-safe."""
+    from repro.sim.configfile import save_config
+
+    return {
+        "abbr": point.abbr,
+        "cdp": point.cdp,
+        "size": point.size.value,
+        "options": [
+            [name, _wire_value(name, value)]
+            for name, value in point.options
+        ],
+        "config": save_config(point.config),
+    }
+
+
 def point_key(point: SweepPoint) -> str:
     """A stable content identity for one sweep point.
 
@@ -154,25 +169,53 @@ def point_key(point: SweepPoint) -> str:
     that doesn't (the display label).  This is the shared identity key
     of the sweep journal (:mod:`repro.dist.journal`, which ``repro
     sweep`` and ``repro dsweep`` both resume from), the merge check and
-    the dsweep wire protocol: a result computed anywhere can be matched
-    to its point everywhere.
+    every chunk reply: a result computed anywhere can be matched to its
+    point everywhere.
     """
-    from repro.sim.configfile import save_config
-
-    material = json.dumps(
-        {
-            "abbr": point.abbr,
-            "cdp": point.cdp,
-            "size": point.size.value,
-            "options": [
-                [name, _wire_value(name, value)]
-                for name, value in point.options
-            ],
-            "config": save_config(point.config),
-        },
-        sort_keys=True,
-    )
+    material = json.dumps(_identity(point), sort_keys=True)
     return hashlib.sha256(material.encode()).hexdigest()[:16]
+
+
+def encode_point(point: SweepPoint) -> dict:
+    """One sweep point as a JSON-safe dict (see :func:`decode_point`).
+
+    The HTTP point codec: ``repro dsweep --endpoints`` posts chunks in
+    this form, and the service's sweep endpoint decodes them.  The
+    config travels as config-file text, which round-trips every
+    ``GPUConfig`` knob exactly.
+    """
+    return {"label": point.label, **_identity(point),
+            "key": point_key(point)}
+
+
+def decode_point(data: dict) -> SweepPoint:
+    """Rebuild a :class:`SweepPoint` from :func:`encode_point` output.
+
+    Raises ``ValueError`` on malformed payloads — including a ``key``
+    that does not match the decoded point, which catches any
+    encode/decode asymmetry before it can corrupt a result merge.
+    """
+    from repro.sim.configfile import parse_config
+
+    try:
+        point = sweep_point(
+            str(data["label"]),
+            str(data["abbr"]),
+            parse_config(data["config"]),
+            cdp=bool(data["cdp"]),
+            size=DatasetSize(data["size"]),
+            **{str(name): value for name, value in data.get("options", [])},
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed sweep point payload: {exc}") from exc
+    expected = data.get("key")
+    if expected is not None and point_key(point) != expected:
+        raise ValueError(
+            f"point {point.label!r} decoded to a different identity "
+            f"({point_key(point)} != {expected}); wire corruption or "
+            "version skew"
+        )
+    return point
 
 
 def assert_merge_complete(points: list[SweepPoint], results: list) -> None:
@@ -366,8 +409,10 @@ def run_sweep(
     if jobs < 0:
         raise ValueError("jobs must be >= 0")
 
+    from repro.core.forked import CAN_FORK
+
     resolved = _resolve_store(store)
-    if jobs == 0 or "fork" not in multiprocessing.get_all_start_methods():
+    if jobs == 0 or not CAN_FORK:
         local = cache if cache is not None else TraceCache(store=resolved)
         known = None
         if journal is not None:

@@ -3,11 +3,13 @@
 The coordinator (:mod:`repro.dist.coordinator`) chunks a
 ``(benchmark, cdp, size, config)`` point grid into work units,
 dispatches them to a launcher-managed worker pool — forked local
-workers (:class:`~repro.dist.launchers.LocalProcessLauncher`, also the
-engine behind ``run_sweep(jobs>=1)``) or remote
-``repro serve`` instances
-(:class:`~repro.dist.launchers.ServiceLauncher`) — and merges the
-results back in input order, bit-identical to a local
+workers (:class:`~repro.dist.launchers.LocalProcessLauncher`, one
+:class:`~repro.core.forked.ForkedChild` per slot exchanging pickled
+points and ``RunStats``; also the engine behind ``run_sweep(jobs>=1)``)
+or remote ``repro serve`` instances
+(:class:`~repro.dist.launchers.ServiceLauncher`, which posts points in
+the HTTP point codec, :func:`~repro.core.sweep.encode_point`) — and
+merges the results back in input order, bit-identical to a local
 :func:`~repro.core.sweep.run_sweep` of the same grid.  Robustness is
 structural: per-chunk timeouts with bounded retry, straggler
 re-dispatch, worker-death detection that only fails the sweep after

@@ -12,9 +12,9 @@ Results are merged by *input position*, never arrival order, and the
 merge is checked against the full grid
 (:func:`~repro.core.sweep.resume_merge`) before anything is
 returned.  Workers run points through the exact ``run_point`` path a
-local sweep uses and stats cross the wire through the bit-exact
-``to_dict``/``stats_from_dict`` round trip, so where a point ran can
-never change what it returned.
+local sweep uses, and stats come back either pickled (local workers)
+or through the bit-exact ``to_dict``/``stats_from_dict`` round trip
+(HTTP), so where a point ran can never change what it returned.
 
 Robustness
 ----------

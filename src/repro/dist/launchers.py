@@ -14,35 +14,25 @@ decision lives in one place.
 
 Two implementations:
 
-- :class:`LocalProcessLauncher` — persistent forked workers running
-  :func:`repro.dist.worker.serve`, speaking the length-prefixed frame
-  protocol of :mod:`repro.dist.wire` over a pipe pair each.
+- :class:`LocalProcessLauncher` — one persistent
+  :class:`~repro.core.forked.ForkedChild` per slot running
+  :func:`repro.dist.worker.serve`; points go out and ``RunStats`` come
+  back as pickled objects over the child's pipe.
 - :class:`ServiceLauncher` — one remote ``repro serve`` instance per
   slot, driven through :class:`repro.service.client.ServiceClient`
-  using the sweep endpoint's explicit-points mode.
+  using the sweep endpoint's explicit-points mode; points travel in
+  the HTTP point codec (:func:`repro.core.sweep.encode_point`).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import select
-import struct
-import threading
 import time
 
-from repro.core.sweep import SweepPoint, point_key
-from repro.dist.wire import (
-    MAX_FRAME_BYTES,
-    WIRE_VERSION,
-    decode_stats,
-    encode_point,
-    write_frame,
-)
+from repro.core.forked import ChildDied, ChildTimeout, ForkedChild
+from repro.core.sweep import SweepPoint, encode_point, point_key
 from repro.dist.worker import serve
-
-#: How long a freshly forked worker gets to answer the hello exchange.
-SPAWN_TIMEOUT_S = 60.0
+from repro.sim.stats import stats_from_dict
 
 
 class WorkerDied(RuntimeError):
@@ -57,34 +47,15 @@ class ChunkFailed(RuntimeError):
     """The worker is fine but the chunk's simulation raised."""
 
 
-class _Worker:
-    """One forked worker: its process, pipe ends and read buffer."""
-
-    def __init__(self, proc, request_fd: int, result_fd: int):
-        self.proc = proc
-        self.fds = (request_fd, result_fd)  # the parent's pipe ends
-        self.to_child = os.fdopen(request_fd, "wb")
-        self.from_child = result_fd
-        self.buffer = b""
-
-
-def _child_main(request_fd: int, result_fd: int, foreign_fds: list,
-                env: dict) -> None:
-    """Forked worker body: keep one pipe pair, set the env, serve.
-
-    Every other pipe end is closed first — the parent's ends of this
-    worker's pair and every sibling's — so the parent still sees EOF
-    the moment any one worker dies.
-    """
-    for fd in foreign_fds:
-        os.close(fd)
+def _child_main(conn, env: dict) -> None:
+    """Forked worker body: set the env, then serve."""
     for name, value in env.items():
         if value is None:
             os.environ.pop(name, None)
         else:
             os.environ[name] = value
     try:
-        serve(os.fdopen(request_fd, "rb"), os.fdopen(result_fd, "wb"))
+        serve(conn)
     except (BrokenPipeError, KeyboardInterrupt):
         pass
 
@@ -117,104 +88,48 @@ class LocalProcessLauncher:
         self.store = store
         self.extra_env = dict(extra_env or {})
         self.worker_env = {k: dict(v) for k, v in (worker_env or {}).items()}
-        self._live: dict[int, _Worker] = {}
-        # Coordinator threads spawn and drop workers concurrently; this
-        # lock guards ``_live`` and its pipe ends, so every fork sees
-        # exactly the sibling ends it must close.
-        self._lock = threading.Lock()
+        self._live: dict[int, ForkedChild] = {}
         self.spawns = 0
 
     # -- lifecycle -----------------------------------------------------------
-    def _spawn(self, worker_id: int) -> _Worker:
+    def _ensure(self, worker_id: int) -> ForkedChild:
+        child = self._live.get(worker_id)
+        if child is not None and child.proc.is_alive():
+            return child
+        if child is not None:
+            self._drop(worker_id)
         env = {"REPRO_TRACE_STORE": None if self.store is None
                else str(self.store)}
         for extra in (self.extra_env, self.worker_env.get(worker_id, {})):
             env.update({k: str(v) for k, v in extra.items()})
-        with self._lock:
-            request_r, request_w = os.pipe()
-            result_r, result_w = os.pipe()
-            foreign = [request_w, result_r] + [
-                fd for worker in self._live.values() for fd in worker.fds
-            ]
-            proc = multiprocessing.get_context("fork").Process(
-                target=_child_main,
-                args=(request_r, result_w, foreign, env),
-                daemon=True,
-            )
-            try:
-                proc.start()
-            except OSError as exc:
-                for fd in (request_r, request_w, result_r, result_w):
-                    os.close(fd)
-                raise WorkerDied(
-                    f"worker {worker_id} could not fork: {exc}"
-                ) from exc
-            os.close(request_r)
-            os.close(result_w)
-            worker = _Worker(proc, request_w, result_r)
-            self.spawns += 1
-            try:
-                write_frame(worker.to_child,
-                            {"type": "hello", "wire": WIRE_VERSION})
-                reply = self._read_frame(
-                    worker, time.monotonic() + SPAWN_TIMEOUT_S,
-                    chunk_id=None,
-                )
-            except (WorkerDied, ChunkTimeout, OSError) as exc:
-                self._kill(worker)
-                raise WorkerDied(
-                    f"worker {worker_id} died during startup: {exc}"
-                ) from exc
-            if reply.get("type") != "hello" or reply.get("wire") != WIRE_VERSION:
-                self._kill(worker)
-                raise WorkerDied(
-                    f"worker {worker_id} spoke wire version "
-                    f"{reply.get('wire')!r}, expected {WIRE_VERSION}"
-                )
-            self._live[worker_id] = worker
-        return worker
-
-    def _ensure(self, worker_id: int) -> _Worker:
-        worker = self._live.get(worker_id)
-        if worker is not None and worker.proc.is_alive():
-            return worker
-        if worker is not None:
-            self._drop(worker_id)
-        return self._spawn(worker_id)
-
-    def _kill(self, worker: _Worker) -> None:
-        worker.proc.kill()
-        worker.proc.join()
         try:
-            worker.to_child.close()
-        except OSError:
-            pass
-        os.close(worker.from_child)
+            child = ForkedChild(_child_main, env)
+        except OSError as exc:
+            raise WorkerDied(
+                f"worker {worker_id} could not fork: {exc}"
+            ) from exc
+        self.spawns += 1
+        self._live[worker_id] = child
+        return child
 
     def _drop(self, worker_id: int) -> None:
-        with self._lock:
-            worker = self._live.pop(worker_id, None)
-            if worker is not None:
-                self._kill(worker)
+        child = self._live.pop(worker_id, None)
+        if child is not None:
+            child.kill()
 
     def pids(self) -> dict[int, int]:
         """Live worker pids (the SIGKILL tests aim at these)."""
         return {
-            worker_id: worker.proc.pid
-            for worker_id, worker in self._live.items()
-            if worker.proc.is_alive()
+            worker_id: child.proc.pid
+            for worker_id, child in list(self._live.items())
+            if child.proc.is_alive()
         }
 
     def close(self) -> None:
-        """Politely stop every worker (kill the ones that won't)."""
-        for worker_id in list(self._live):
-            worker = self._live[worker_id]
-            try:
-                write_frame(worker.to_child, {"type": "exit"})
-            except (OSError, ValueError):
-                pass
-            worker.proc.join(timeout=5)
-            self._drop(worker_id)
+        """Stop every worker: EOF on its pipe, a kill if it lingers."""
+        while self._live:
+            _, child = self._live.popitem()
+            child.close()
 
     def __enter__(self) -> "LocalProcessLauncher":
         return self
@@ -232,92 +147,36 @@ class LocalProcessLauncher:
     ) -> list:
         """Run one chunk on one worker; blocking.  See module docstring
         for the failure contract."""
-        worker = self._ensure(worker_id)
+        child = self._ensure(worker_id)
         deadline = None if timeout is None else time.monotonic() + timeout
         try:
-            write_frame(worker.to_child, {
-                "type": "chunk",
-                "chunk": chunk_id,
-                "points": [encode_point(point) for point in points],
-            })
-        except (OSError, ValueError) as exc:
-            self._drop(worker_id)
-            raise WorkerDied(
-                f"worker {worker_id} unreachable: {exc}"
-            ) from exc
-        try:
-            frame = self._read_frame(worker, deadline, chunk_id)
-        except ChunkTimeout:
-            # The worker is wedged on this chunk; kill it so the slot
-            # comes back clean for the retry (wherever that lands).
-            self._drop(worker_id)
+            child.send(points)
+            reply = child.recv(deadline=deadline)
+        except ChildTimeout:
+            # The worker was wedged on this chunk and is now killed, so
+            # the slot comes back clean for the retry.
+            self._live.pop(worker_id, None)
             raise ChunkTimeout(
                 f"chunk {chunk_id} exceeded {timeout}s on worker "
                 f"{worker_id}; worker killed"
             ) from None
-        except WorkerDied as exc:
-            self._drop(worker_id)
+        except ChildDied as exc:
+            self._live.pop(worker_id, None)
             raise WorkerDied(
                 f"worker {worker_id} died running chunk {chunk_id}: {exc}"
             ) from exc
-        if frame.get("type") == "error":
+        if reply[0] == "error":
             raise ChunkFailed(
-                f"chunk {chunk_id} failed on worker {worker_id}: "
-                f"{frame.get('error')}"
+                f"chunk {chunk_id} failed on worker {worker_id}: {reply[1]}"
             )
-        expected = [point_key(point) for point in points]
-        if (
-            frame.get("type") != "result"
-            or frame.get("chunk") != chunk_id
-            or frame.get("keys") != expected
-        ):
+        _, keys, stats = reply
+        if keys != [point_key(point) for point in points]:
             self._drop(worker_id)
             raise WorkerDied(
-                f"worker {worker_id} answered chunk {chunk_id} with a "
-                f"mismatched frame ({frame.get('type')!r} for chunk "
-                f"{frame.get('chunk')!r}); protocol desync"
+                f"worker {worker_id} answered chunk {chunk_id} for other "
+                "points; protocol desync"
             )
-        return [decode_stats(payload) for payload in frame["stats"]]
-
-    # -- frame IO with a deadline --------------------------------------------
-    def _read_frame(self, worker: _Worker, deadline, chunk_id) -> dict:
-        fd = worker.from_child
-        while True:
-            frame, worker.buffer = _try_parse(worker.buffer)
-            if frame is not None:
-                return frame
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise ChunkTimeout(f"chunk {chunk_id}")
-            ready, _, _ = select.select([fd], [], [], remaining)
-            if not ready:
-                raise ChunkTimeout(f"chunk {chunk_id}")
-            data = os.read(fd, 1 << 16)
-            if not data:
-                raise WorkerDied("EOF on the worker's result stream")
-            worker.buffer += data
-
-
-def _try_parse(buffer: bytes):
-    """One complete frame off ``buffer``: ``(payload|None, rest)``."""
-    import json
-
-    if len(buffer) < 4:
-        return None, buffer
-    (length,) = struct.unpack("<I", buffer[:4])
-    if length > MAX_FRAME_BYTES:
-        raise WorkerDied(f"frame of {length} bytes exceeds the wire limit")
-    if len(buffer) < 4 + length:
-        return None, buffer
-    try:
-        payload = json.loads(buffer[4:4 + length])
-    except ValueError as exc:
-        raise WorkerDied(f"undecodable frame: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise WorkerDied(f"frame must be an object, got {payload!r}")
-    return payload, buffer[4 + length:]
+        return stats
 
 
 class ServiceLauncher:
@@ -393,7 +252,7 @@ class ServiceLauncher:
                                    worker_id, deadline)
         try:
             results = envelope["results"]
-            return [decode_stats(results[point.label]) for point in points]
+            return [stats_from_dict(results[point.label]) for point in points]
         except (KeyError, TypeError, ValueError) as exc:
             raise ChunkFailed(
                 f"chunk {chunk_id}: service worker {worker_id} returned "

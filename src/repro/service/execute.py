@@ -153,15 +153,19 @@ def execute_sweep(request, artifact_dir: str | None):
     are published as job progress — exact percent, which is also what
     the distributed coordinator's straggler detection reads.
     """
-    from repro.core.sweep import TraceCache, resume_merge, run_point, suite_points
+    from repro.core.sweep import (
+        TraceCache,
+        decode_point,
+        resume_merge,
+        run_point,
+        suite_points,
+    )
     from repro.sim.trace_store import TraceStore
 
     config = request.resolved_config()
     timings: dict = {}
     t = time.monotonic()
     if request.points:
-        from repro.dist.wire import decode_point
-
         points = [decode_point(entry) for entry in request.points]
     else:
         points = suite_points(

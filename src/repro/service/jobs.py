@@ -5,13 +5,14 @@ defaults to the repo-wide core budget
 (:func:`repro.core.sweep.default_jobs`), so one server never
 oversubscribes the host even when sweeps and single runs mix.  Every
 simulation is one sequential process, so each running job holds
-exactly one slot.  Each worker runs its job's executor in a forked
-child *process* (when the platform offers ``fork``): a blocking
-simulation can then be genuinely killed — cancellation of a running
-job and per-job timeouts both ``terminate()`` the child rather than
-waiting politely for code that never checks a flag.  Hosts without ``fork`` degrade to inline
-execution (documented: running jobs become uncancellable there;
-queued jobs still cancel).
+exactly one slot.  Each worker runs its job's executor in a
+:class:`~repro.core.forked.ForkedChild` (when the platform offers
+``fork``): a blocking simulation can then be genuinely killed —
+cancellation of a running job and per-job timeouts both SIGKILL the
+child rather than waiting politely for code that never checks a flag,
+and a child that dies without answering fails its job.  Hosts without
+``fork`` degrade to inline execution (documented: running jobs become
+uncancellable there; queued jobs still cancel).
 
 State machine::
 
@@ -29,7 +30,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-import multiprocessing
 import shutil
 import tempfile
 import threading
@@ -38,11 +38,15 @@ import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core.forked import (
+    CAN_FORK,
+    ChildCancelled,
+    ChildDied,
+    ChildTimeout,
+    ForkedChild,
+)
 from repro.core.sweep import default_jobs
 from repro.service.schemas import SCHEMA_VERSION, JobView
-
-#: How often a worker re-checks cancellation/timeout while its child runs.
-_POLL_S = 0.02
 
 #: Terminal job states.
 _FINAL = ("done", "failed", "cancelled", "timeout")
@@ -124,7 +128,7 @@ class Job:
         )
 
 
-def _child_entry(executor, request, artifact_dir, conn) -> None:
+def _child_entry(conn, executor, request, artifact_dir) -> None:
     """Forked child: run the executor, ship (status, payload, stages)."""
     try:
         result, stages = executor(request, artifact_dir)
@@ -170,9 +174,7 @@ class JobQueue:
             if artifact_root is not None
             else tempfile.mkdtemp(prefix="repro-service-")
         )
-        self._ctx = None
-        if use_processes and "fork" in multiprocessing.get_all_start_methods():
-            self._ctx = multiprocessing.get_context("fork")
+        self._forked = use_processes and CAN_FORK
         self.jobs: dict[str, Job] = {}
         self._heap: list = []
         self._seq = itertools.count()
@@ -375,10 +377,10 @@ class JobQueue:
         artifact_dir.mkdir(parents=True, exist_ok=True)
         job.artifact_dir = artifact_dir
         started = time.monotonic()
-        if self._ctx is None:
-            self._run_inline(job, executor, artifact_dir, started)
-        else:
+        if self._forked:
             self._run_forked(job, executor, artifact_dir, started)
+        else:
+            self._run_inline(job, executor, artifact_dir, started)
 
     def _run_inline(self, job, executor, artifact_dir, started) -> None:
         """No-fork fallback: run in the worker thread (unkillable)."""
@@ -396,55 +398,30 @@ class JobQueue:
                      stages=stages)
 
     def _run_forked(self, job, executor, artifact_dir, started) -> None:
-        recv, send = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_child_entry,
-            args=(executor, job.request, str(artifact_dir), send),
-            daemon=True,
-        )
-        proc.start()
-        send.close()
         deadline = (
             started + job.timeout_s if job.timeout_s is not None else None
         )
-        message = None
-        outcome = None
-        while True:
-            if job._cancel:
-                outcome = JobState.CANCELLED
-                break
-            now = time.monotonic()
-            if deadline is not None and now >= deadline:
-                outcome = JobState.TIMEOUT
-                break
-            if recv.poll(_POLL_S):
-                try:
-                    message = recv.recv()
-                except EOFError:
-                    message = ("error", "worker process died mid-result", {})
-                break
-            if not proc.is_alive() and not recv.poll(0):
-                message = (
-                    "error",
-                    f"worker process exited (code {proc.exitcode}) "
-                    "without a result",
-                    {},
-                )
-                break
-        if outcome is not None:
-            proc.terminate()
-            proc.join(timeout=10)
-            recv.close()
-            error = (
-                "cancelled while running"
-                if outcome == JobState.CANCELLED
-                else f"killed after exceeding timeout_s={job.timeout_s}"
+        child = ForkedChild(_child_entry, executor, job.request,
+                            str(artifact_dir))
+        try:
+            status, payload, stages = child.recv(
+                deadline=deadline, cancelled=lambda: job._cancel
             )
-            self._settle(job, outcome, started, error=error)
+        except ChildCancelled:
+            self._settle(job, JobState.CANCELLED, started,
+                         error="cancelled while running")
             return
-        proc.join(timeout=10)
-        recv.close()
-        status, payload, stages = message
+        except ChildTimeout:
+            self._settle(job, JobState.TIMEOUT, started,
+                         error=f"killed after exceeding "
+                               f"timeout_s={job.timeout_s}")
+            return
+        except ChildDied as exc:
+            self._settle(job, JobState.FAILED, started,
+                         error=f"worker process {exc}")
+            return
+        finally:
+            child.close(timeout=10)
         if status == "ok":
             self._settle(job, JobState.DONE, started, result=payload,
                          stages=stages)

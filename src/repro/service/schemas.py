@@ -247,13 +247,13 @@ class EstimateRequest:
 def _points(name: str, value) -> tuple:
     """Validate and canonicalize explicit sweep points.
 
-    Each element must round-trip through the dsweep wire codec
-    (:mod:`repro.dist.wire`); the stored form is the canonical
+    Each element must round-trip through the HTTP point codec
+    (:func:`repro.core.sweep.decode_point`); the stored form is the canonical
     re-encoding, so the ``key`` fields are always present and correct.
     """
     if not isinstance(value, (list, tuple)):
         raise SchemaError(name, f"expected a list, got {value!r}")
-    from repro.dist.wire import decode_point, encode_point
+    from repro.core.sweep import decode_point, encode_point
 
     canonical = []
     for index, entry in enumerate(value):

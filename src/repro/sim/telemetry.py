@@ -33,9 +33,11 @@ run-ahead paths) and the scan-per-decision reference
 ``(cycle, value)`` samples, so the interval series are bit-identical
 between them; ``tests/sim/test_telemetry_differential.py`` locks this.
 Hooks are guarded by a single ``is not None`` check so the
-telemetry-off hot paths stay untouched (overhead budget: <2%; every
-workload of the end-to-end benchmark in ``benchmarks/e2e`` runs with
-telemetry off).
+telemetry-off hot paths stay untouched.  Every workload of the
+end-to-end benchmark in ``benchmarks/e2e`` runs with telemetry off;
+against a copy with the checks deleted, ``cli-run`` measured about
+0-2% slower on a 2-vCPU Intel Xeon host, within that host's noise
+(DESIGN.md "Overhead contract" has the A/B).
 
 Exports: :func:`write_jsonl` / :func:`load_jsonl` (one JSON object per
 line: a header, then interval rows, then events) and

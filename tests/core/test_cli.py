@@ -398,6 +398,38 @@ class TestErrorPaths:
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("endpoints", [
+        "foo", "127.0.0.1:notaport", ",", "127.0.0.1:99999",
+    ])
+    def test_malformed_endpoints_are_usage_errors(self, endpoints, capsys):
+        """``--endpoints`` must be HOST:PORT entries with ports in
+        [1, 65535], checked before any launcher or retry runs."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["dsweep", "--no-cdp", "--endpoints", endpoints])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --endpoints: invalid endpoint" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,env", [
+        pytest.param(["sweep", "benchmark", "--jobs", "2"],
+                     {"REPRO_DIST_DIE_AFTER": "1"}, id="sweep-workers-die"),
+        pytest.param(["dsweep", "--endpoints", "127.0.0.1:1"], {},
+                     id="dsweep-unreachable"),
+    ])
+    def test_lost_points_end_without_traceback(self, argv, env, capsys,
+                                               monkeypatch):
+        """A sweep that loses points exits 1 with the error's message —
+        every lost ``label [point_key]`` and the last cause."""
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main([*argv, "--no-cdp", "--sms", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sweep failed: lost 10 point(s)" in captured.err
+        assert "NW [" in captured.err and "last failure:" in captured.err
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("argv,arg", [
         pytest.param(["warm", "NW", "NOPE"], "benchmarks", id="warm"),
         pytest.param(["dataset", "NOPE"], "benchmark", id="dataset"),

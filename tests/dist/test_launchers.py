@@ -128,12 +128,12 @@ def test_direct_run_chunk_worker_death_raises(points):
 
 def test_worker_sees_eof_despite_siblings(points):
     """Later forks close the pipe ends of earlier workers, so closing a
-    worker's request pipe still ends it while its siblings live."""
+    worker's parent-side pipe end still ends it while its siblings live."""
     with LocalProcessLauncher(workers=3) as launcher:
         for worker_id in range(3):
             launcher.run_chunk(worker_id, worker_id, points[:1])
         first = launcher._live[0]
-        first.to_child.close()
+        first.conn.close()
         first.proc.join(timeout=10)
         assert not first.proc.is_alive()
         assert set(launcher.pids()) == {1, 2}

@@ -1,24 +1,12 @@
-"""Wire format: point/stats round trips and frame IO."""
-
-import io
-import json
-import struct
+"""The HTTP point codec and stats payloads: bit-exact round trips."""
 
 import pytest
 
 from repro.core.config_presets import baseline_config, with_cache_sizes
 from repro.core.runner import run_benchmark
-from repro.core.sweep import point_key, sweep_point
+from repro.core.sweep import decode_point, encode_point, point_key, sweep_point
 from repro.data.datasets import DatasetSize
-from repro.dist.launchers import WorkerDied, _try_parse
-from repro.dist.wire import (
-    MAX_FRAME_BYTES,
-    decode_point,
-    decode_stats,
-    encode_point,
-    read_frame,
-    write_frame,
-)
+from repro.sim.stats import stats_from_dict
 
 CONFIG = baseline_config(num_sms=4)
 
@@ -59,59 +47,4 @@ class TestPointCodec:
 
     def test_stats_round_trip_bit_exact(self):
         stats = run_benchmark("NW", config=CONFIG)
-        assert decode_stats(stats.to_dict()) == stats
-
-
-class TestFrames:
-    def test_write_read_round_trip(self):
-        buf = io.BytesIO()
-        write_frame(buf, {"type": "chunk", "points": [1, 2]})
-        buf.seek(0)
-        assert read_frame(buf) == {"type": "chunk", "points": [1, 2]}
-
-    def test_eof_returns_none(self):
-        assert read_frame(io.BytesIO(b"")) is None
-
-    def test_mid_frame_eof_returns_none(self):
-        buf = io.BytesIO()
-        write_frame(buf, {"type": "chunk"})
-        truncated = io.BytesIO(buf.getvalue()[:-2])
-        assert read_frame(truncated) is None
-
-    def test_oversize_frame_rejected(self):
-        header = struct.pack("<I", MAX_FRAME_BYTES + 1)
-        with pytest.raises(ValueError, match="wire limit"):
-            read_frame(io.BytesIO(header))
-
-    def test_non_object_frame_rejected(self):
-        raw = json.dumps([1, 2]).encode()
-        buf = io.BytesIO(struct.pack("<I", len(raw)) + raw)
-        with pytest.raises(ValueError, match="must be an object"):
-            read_frame(buf)
-
-
-class TestBufferedParse:
-    """The launcher-side incremental parser (select-loop reads)."""
-
-    def _frame_bytes(self, payload):
-        raw = json.dumps(payload).encode()
-        return struct.pack("<I", len(raw)) + raw
-
-    def test_partial_then_complete(self):
-        data = self._frame_bytes({"type": "result"})
-        frame, rest = _try_parse(data[:3])
-        assert frame is None and rest == data[:3]
-        frame, rest = _try_parse(data)
-        assert frame == {"type": "result"} and rest == b""
-
-    def test_two_frames_parse_in_order(self):
-        data = self._frame_bytes({"n": 1}) + self._frame_bytes({"n": 2})
-        first, rest = _try_parse(data)
-        second, rest = _try_parse(rest)
-        assert (first, second, rest) == ({"n": 1}, {"n": 2}, b"")
-
-    def test_garbage_raises_worker_died(self):
-        raw = b"not json"
-        data = struct.pack("<I", len(raw)) + raw
-        with pytest.raises(WorkerDied, match="undecodable"):
-            _try_parse(data)
+        assert stats_from_dict(stats.to_dict()) == stats

@@ -8,6 +8,8 @@ fully loaded.
 """
 
 import multiprocessing
+import os
+import signal
 import time
 
 import pytest
@@ -230,6 +232,41 @@ class TestTimeouts:
         done = forked_queue.wait(job.id, timeout=10)
         assert done.state == JobState.DONE
         assert done.result == {"slept": "0"}
+
+
+class TestChildDeath:
+    """A forked job whose child dies without answering fails, and its
+    worker thread lives on to run the next job."""
+
+    @needs_fork
+    def test_exit_without_result_fails_the_job(self):
+        def exits(request, artifact_dir):
+            os._exit(3)
+
+        jobs = JobQueue({"exit": exits}, workers=1, use_processes=True)
+        try:
+            done = jobs.wait(jobs.submit("exit", None).id, timeout=30)
+        finally:
+            jobs.shutdown()
+        assert done.state == JobState.FAILED
+        assert "exited (code 3)" in done.error
+
+    @needs_fork
+    def test_sigkilled_child_fails_and_the_worker_runs_on(self):
+        def suicide(request, artifact_dir):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        jobs = JobQueue({"kill": suicide, "quick": quick}, workers=1,
+                        use_processes=True)
+        try:
+            killed = jobs.wait(jobs.submit("kill", None).id, timeout=30)
+            after = jobs.wait(jobs.submit("quick", "next").id, timeout=30)
+        finally:
+            jobs.shutdown()
+        assert killed.state == JobState.FAILED
+        assert f"exited (code -{signal.SIGKILL.value})" in killed.error
+        assert after.state == JobState.DONE
+        assert after.result == {"echo": "next"}
 
 
 class TestConcurrencyBounds:

@@ -233,8 +233,7 @@ class TestSweepPointsMode:
     """Explicit wire-encoded points (the dsweep ServiceLauncher path)."""
 
     def _points(self):
-        from repro.core.sweep import sweep_point
-        from repro.dist.wire import encode_point
+        from repro.core.sweep import encode_point, sweep_point
         from repro.sim.config import GPUConfig
 
         config = GPUConfig(num_sms=4)
