@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import inspect
 import os
 import sys
 from pathlib import Path
@@ -72,8 +73,16 @@ from repro.kernels import benchmark_names
 from repro.sim.launch import Application, HostLaunch
 
 
+_SIZES = tuple(size.value for size in DatasetSize)
+
+
 def _size(value: str) -> DatasetSize:
-    return DatasetSize(value)
+    try:
+        return DatasetSize(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid value {value!r}: choose from {', '.join(_SIZES)}"
+        ) from None
 
 
 def _add_machine_args(parser: argparse.ArgumentParser) -> None:
@@ -83,7 +92,7 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--size", type=_size, default=DatasetSize.SMALL,
-        choices=list(DatasetSize), help="dataset scale",
+        metavar="{" + ",".join(_SIZES) + "}", help="dataset scale",
     )
     parser.add_argument(
         "--config", type=_config_file, default=None, metavar="FILE",
@@ -653,9 +662,27 @@ def cmd_figure(args) -> int:
               file=sys.stderr)
         return 2
     func = getattr(bench, exact[0])
+    params = inspect.signature(func).parameters
+    if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+        takes = {"config", "size"}  # forwarded to the sweep it runs
+    else:
+        takes = set(params)
+    # A machine flag the table cannot take is refused, never dropped:
+    # a right-looking table at the wrong size is a wrong number.
+    for flag, value, param, noun in (
+        ("--sms", args.sms, "config", "machine config"),
+        ("--config", args.config, "config", "machine config"),
+        ("--size", args.size, "size", "dataset size"),
+    ):
+        if value is not None and param not in takes:
+            print(f"repro figure {args.name}: argument {flag}: "
+                  f"{exact[0]} takes no {noun}", file=sys.stderr)
+            return 2
     kwargs = {}
-    if name.startswith("fig"):
+    if "config" in takes:
         kwargs["config"] = _config(args)
+    if args.size is not None:
+        kwargs["size"] = args.size
     rows = func(**kwargs)
     if args.chart:
         from repro.core.report import format_bar_chart
@@ -1020,7 +1047,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--chart", action="store_true",
                        help="render as grouped bars instead of a table")
     _add_machine_args(p_fig)
-    p_fig.set_defaults(func=cmd_figure)
+    # None: the table's own default size, and a size it cannot take is
+    # refused only when asked for.
+    p_fig.set_defaults(func=cmd_figure, size=None)
 
     p_data = sub.add_parser("dataset", help="export a synthetic dataset")
     p_data.add_argument("benchmark", type=_benchmark)

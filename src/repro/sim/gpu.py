@@ -14,11 +14,12 @@ import itertools
 import math
 
 from repro.sim.config import GPUConfig
+from repro.sim.horizon import Horizon
 from repro.sim.launch import Application, HostLaunch, HostMemcpy, KernelLaunch
 from repro.sim.memory import MemorySubsystem
 from repro.sim.sm import _STALL_KEYS, StreamingMultiprocessor
 from repro.sim.stats import RunStats, StallReason
-from repro.sim.warp import CTA, Grid, Warp
+from repro.sim.warp import CTA, NEVER, Grid, Warp
 
 
 class SimulationDeadlock(RuntimeError):
@@ -72,13 +73,17 @@ class GPUSimulator:
         #: callbacks run at the top of ``finalize`` (trace replay
         #: publishes its counters here).
         self._finalize_hooks: list = []
-        #: SM-local run-ahead (see StreamingMultiprocessor.step):
-        #: enabled in ``run_application`` for applications that declare
-        #: they can never device-launch.  Off by default so direct
-        #: ``run_grid`` or ``_drive_grid`` callers get the gated issue
-        #: loop — the one-decision-per-pop schedule — without needing
-        #: any declaration.
-        self._runahead = False
+        #: The lookahead horizon H: a lower bound on the simulated time
+        #: of the next event that can change another SM's state or end
+        #: the drive (``repro.sim.horizon``).  Below it the issue loop
+        #: runs SM-locally; at or above it each decision is gated on
+        #: the global heap (see StreamingMultiprocessor.step).
+        self._horizon = -NEVER
+        #: the terms H is recomputed from; None pins H — at ``inf`` for
+        #: applications that declare they can never device-launch (set
+        #: in ``run_application``), at ``-inf`` on the reference core,
+        #: which has no run-ahead
+        self._lookahead = Horizon() if self.config.event_core else None
         #: optional ``(cta, t)`` callback fired as each CTA retires —
         #: the sampled-estimation mode records per-CTA durations here.
         #: ``None`` (the default) costs one attribute check per CTA.
@@ -96,6 +101,8 @@ class GPUSimulator:
         """Queue a grid and place as many CTAs as currently fit."""
         self._pending_grids.append(grid)
         self._active_grids += 1
+        if self._lookahead is not None:
+            self._lookahead.grid_submitted(grid)
         self._dispatch_pending()
 
     def _dispatch_pending(self) -> None:
@@ -118,6 +125,8 @@ class GPUSimulator:
                 sm = min(candidates, key=lambda s: (s.used_threads, s.sm_id))
                 cta = sm.admit_cta(grid, grid.available_time)
                 cta.sm = sm
+                if self._lookahead is not None:
+                    self._lookahead.cta_admitted(cta)
                 self._wake_sm(sm, max(sm.time, grid.available_time))
             if not grid.dispatch_done:
                 remaining.append(grid)
@@ -142,6 +151,8 @@ class GPUSimulator:
                 start = max(t, grid.available_time)
                 cta = sm.admit_cta(grid, start)
                 cta.sm = sm
+                if self._lookahead is not None:
+                    self._lookahead.cta_admitted(cta)
                 sm.wake_accounting(start)
                 if wake is None or start < wake:
                     wake = start
@@ -165,8 +176,12 @@ class GPUSimulator:
         Grid bookkeeping lives here (not in the SM): it touches other
         grids and the pending-dispatch queue.
         """
-        if cta is not None and self.cta_observer is not None:
-            self.cta_observer(cta, t)
+        if cta is not None:
+            if self.cta_observer is not None:
+                self.cta_observer(cta, t)
+            # Break the warp <-> CTA cycle: a retired CTA then goes
+            # with its last reference, not at a gen-2 collection.
+            cta.warps = []
         grid.remaining_ctas -= 1
         if grid.finished:
             grid.completion_time = t
@@ -181,15 +196,20 @@ class GPUSimulator:
         t: float,
     ) -> None:
         """CDP: a warp on ``sm`` launches ``spec`` as a child grid."""
-        if self._runahead:
-            # Run-ahead is only sound when no kernel can ever device-
-            # launch (child dispatch and parent wake-ups mutate other
-            # SMs at arbitrary times).  Fail loudly rather than let a
-            # mismarked application diverge silently.
+        if t < self._horizon:
+            # Run-ahead is only sound below the next device launch
+            # (child dispatch mutates other SMs).  Fail loudly rather
+            # than let a mismarked application or a wrong bound diverge
+            # silently.
+            if self._lookahead is None:
+                raise RuntimeError(
+                    f"application declared may_device_launch=False but "
+                    f"kernel {spec.kernel.name!r} issued a device launch; "
+                    "fix the application's may_device_launch flag"
+                )
             raise RuntimeError(
-                f"application declared may_device_launch=False but "
-                f"kernel {spec.kernel.name!r} issued a device launch; "
-                "fix the application's may_device_launch flag"
+                f"device LAUNCH of kernel {spec.kernel.name!r} at cycle "
+                f"{t} is below the lookahead horizon {self._horizon}"
             )
         config = self.config
         available = t + config.cdp_launch_cycles + config.cdp_dispatch_cycles
@@ -217,6 +237,14 @@ class GPUSimulator:
 
     def on_grid_finished(self, grid: Grid, t: float) -> None:
         """Completion hook: wake a CDP parent waiting on this child."""
+        if self._lookahead is not None:
+            if t < self._horizon:
+                raise RuntimeError(
+                    f"grid of kernel {grid.kernel.name!r} completed at "
+                    f"cycle {t}, below the lookahead horizon "
+                    f"{self._horizon}"
+                )
+            self._lookahead.grid_finished(grid)
         self._active_grids -= 1
         self.stats.kernel_timeline.append({
             "kernel": grid.kernel.name,
@@ -237,6 +265,8 @@ class GPUSimulator:
                 # The SM keeps its ready/wake structures consistent.
                 parent_sm.wake_warp(parent, t)
                 self._wake_sm(parent_sm, max(parent_sm.time, t))
+                if self._lookahead is not None:
+                    self._lookahead.parent_woken(parent, t)
             else:  # pragma: no cover - CTAs always record their SM
                 parent.next_ready = t
                 parent.block_reason = None
@@ -267,9 +297,18 @@ class GPUSimulator:
                 # Drop by index: ``list.remove`` rescans from the front
                 # and turned deep CDP backlogs quadratic.
                 del self._pending_grids[index]
+            if self._lookahead is not None:
+                self._lookahead.cta_admitted(cta)
+                self._lookahead.pending_changed()
             self._wake_sm(sm, start)
             return True
         return False
+
+    def refresh_horizon(self) -> float:
+        """Recompute the lookahead horizon; the issue loop calls this
+        where a decision at or above the current one would be gated."""
+        self._horizon = horizon = self._lookahead.bound(self._pending_grids)
+        return horizon
 
     def _drive_grid(self, grid: Grid) -> None:
         """Run the event loop until ``grid`` completes.
@@ -361,12 +400,15 @@ class GPUSimulator:
                 "repro.sim.sampled.estimate_application, not "
                 "run_application"
             )
-        # SM-local run-ahead is only sound when no kernel can ever
+        # Unbounded run-ahead is only sound when no kernel can ever
         # device-launch; applications opt in by declaring it (the
-        # Application default is the conservative True).
-        self._runahead = self.config.event_core and not getattr(
+        # Application default is the conservative True).  Everything
+        # else runs ahead up to the recomputed horizon.
+        if self.config.event_core and not getattr(
             app, "may_device_launch", True
-        )
+        ):
+            self._lookahead = None
+            self._horizon = NEVER
         config = self.config
         tel = self.telemetry
         for op in app.host_program():
@@ -414,6 +456,17 @@ class GPUSimulator:
                 raise TypeError(f"unknown host op {op!r}")
         return self.finalize()
 
+    def _release_cycles(self) -> None:
+        """Break the reference cycles a finished run still holds — the
+        finalize hooks and each L1's writeback sink point back at the
+        simulator, CTAs left resident at their warps — so the run is
+        freed as soon as its last reference goes."""
+        self._finalize_hooks = []
+        for sm in self.sms:
+            sm.l1.writeback_sink = None
+            for cta in sm.ctas:
+                cta.warps = []
+
     def finalize(self) -> RunStats:
         """Aggregate per-component counters into the run stats."""
         if not self._finalized:
@@ -421,6 +474,7 @@ class GPUSimulator:
             self._fold_stalls()
             for hook in self._finalize_hooks:
                 hook()
+            self._release_cycles()
             for sm in self.sms:
                 self.stats.l1.merge(sm.l1.stats)
                 self.stats.const_cache.merge(sm.const_cache.stats)

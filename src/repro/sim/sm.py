@@ -21,13 +21,15 @@ per decision, the SM maintains
 Both structures are updated at the points where ``next_ready`` /
 ``block_reason`` change: ``_execute``, barrier release, CDP child
 completion (``wake_warp``), and exit.  There is one issue loop for
-every application, in one of two modes: *run-ahead* (no device
-launches possible) defers the first decision that touches shared state
-to its global heap slot; *gated* (CDP) executes every decision inline
-but stops before any decision the global heap would order elsewhere,
-and after any EXIT.  Either way a burst makes exactly the choices the
-one-decision-per-pop schedule would — ALU repeat blocks in closed
-form, one heap call per blocked warp.  See DESIGN.md ("event core")
+every application, with two rules split by the GPU's lookahead
+horizon (the earliest time a device launch or a grid completion can
+happen, from the warps' positions in their traces): below it,
+*run-ahead* defers the first decision that touches shared state to its
+global heap slot; at or above it, *gated* executes every decision
+inline but stops before any decision the global heap would order
+elsewhere, and after any EXIT.  Either way a burst makes exactly the
+choices the one-decision-per-pop schedule would — ALU repeat blocks in
+closed form, one heap call per blocked warp.  See DESIGN.md ("event core")
 for the invariants and per-decision costs; the scan-per-decision
 original lives on as :class:`repro.sim.sm_reference.ReferenceSM` and
 the two are locked bit-identical by
@@ -145,7 +147,7 @@ class StreamingMultiprocessor:
             self._ready, self._wakes, self._reason_counts, self.scheduler,
             stats.count_instruction, stats.count_memory,
             self.const_cache, self.tex_cache, self.l1, self._alu_latency,
-            config.shared_latency, config.perfect_memory, self._stall,
+            config.shared_latency, config.perfect_memory,
         )
 
     # -- CTA admission ------------------------------------------------------
@@ -207,40 +209,51 @@ class StreamingMultiprocessor:
         pops (stale wake entries are no-ops until then), and the loop
         follows it.
 
-        Which decisions a burst may take depends on the application,
-        not on a knob (``gpu._runahead`` is derived from
-        ``may_device_launch``):
+        Which rule a decision at time ``t`` follows depends on the GPU's
+        lookahead horizon ``H`` (``gpu._horizon``), a lower bound on
+        the next event that can change another SM's state or end the
+        drive: a device launch or a grid completion.  It is ``inf``
+        for applications that can never device-launch, recomputed from
+        the materialized traces for the others
+        (:meth:`~repro.sim.gpu.GPUSimulator.refresh_horizon`), and
+        ``-inf`` for live generator traces:
 
-        - **Run-ahead** (applications that can never device-launch).
-          The only state shared between SMs is the memory subsystem
-          (NoC/L2/DRAM) plus grid dispatch bookkeeping.  ALU, control,
-          CTA barriers, shared/param accesses, perfect-memory accesses,
-          and cache accesses whose lines are all resident touch none of
-          it, so their interleaving with other SMs is unobservable and
-          this SM retires them regardless of the global heap.  The
-          first *nonlocal* decision — a cache access that would miss
-          (probed side-effect-free via ``contains_all``), or an
+        - **Run-ahead** (``t < H``).  Below the horizon the only state
+          shared between SMs is the memory subsystem (NoC/L2/DRAM)
+          plus grid dispatch bookkeeping.  ALU, control, CTA barriers,
+          shared/param accesses, perfect-memory accesses, and cache
+          accesses whose lines are all resident touch none of it, so
+          their interleaving with other SMs is unobservable and this
+          SM retires them regardless of the global heap.  The first
+          *nonlocal* decision — a cache access that would miss (probed
+          side-effect-free via ``contains_all``), or an
           EXIT/LAUNCH/DEVSYNC whose grid bookkeeping must stay globally
           ordered — is left selected-but-unexecuted in ``_deferred``
           and this SM re-queues itself at the decision time; it
           executes when that exact entry pops, giving the same (time,
-          seq) order the one-decision-per-pop schedule produces.
-        - **Gated** (CDP applications: child dispatch and parent
-          wake-ups mutate other SMs at arbitrary times).  Every
-          decision executes inline, but after the first one the burst
-          stops before any decision at time ``t`` while the GPU's heap
-          holds an entry due at ``t`` — exactly where the driver's
-          "strictly next" loop would hand control elsewhere.  It also
-          returns after any EXIT, so the driver's grid-completion check
-          runs after the same decision it always did.
+          seq) order the one-decision-per-pop schedule produces.  With
+          a finite horizon a nonlocal decision that no global entry
+          precedes is already at its heap slot and executes inline.
+        - **Gated** (``t >= H``).  Every decision executes inline, but
+          after the first one the burst stops before any decision at
+          time ``t`` while the GPU's heap holds an entry due at ``t`` —
+          exactly where the driver's "strictly next" loop would hand
+          control elsewhere.  Before stopping it recomputes ``H``, and
+          runs ahead again if ``t`` is now below it.  It also returns
+          after any EXIT, so the driver's grid-completion check runs
+          after the same decision it always did.
 
-        Stopping is identity-safe in both modes: the driver resumes
+        Stopping is identity-safe under both rules: the driver resumes
         from the same state.  An ALU repeat block issues in closed
         form; a warp that blocks with no ready peer pushes its wake and
         pops the next pick in one heap call.
         """
         if now > self.time:
             self.time = now
+        # The gate reads the GPU heap's head; under an infinite
+        # horizon (launch-free applications) an empty tuple makes every
+        # gate check false.
+        gheap = () if gpu._lookahead is None else gpu._heap
         deferred = self._deferred
         if deferred is not None:
             if seq != self._deferred_seq:
@@ -253,15 +266,19 @@ class StreamingMultiprocessor:
             self._execute(gpu, warp, instr, self.time)
             if not warp.exited:
                 self._settle(warp)
+            # The deferred decision was this burst's first; the next
+            # one is gated if it lies at or above the horizon.
+            t = self.time
+            if gheap and gheap[0][0] <= t and t >= gpu._horizon \
+                    and t >= gpu.refresh_horizon():
+                return
         if not self.warps:
             return
-        runahead = gpu._runahead
-        # The gate reads the GPU heap's head; under run-ahead an empty
-        # tuple makes every gate check false.
-        gheap = () if runahead else gpu._heap
+        horizon = gpu._horizon
         (ready, wakes, rc, scheduler, count_instruction, count_memory,
-         const_cache, tex_cache, l1, alu_latency, shared_latency, perfect,
-         stall) = self._loop
+         const_cache, tex_cache, l1, alu_latency, shared_latency,
+         perfect) = self._loop
+        stall = self._stall
         tel = self._tel
         issued = 0
         warp = None
@@ -306,7 +323,10 @@ class StreamingMultiprocessor:
                         break
                     stall(t, wk)
                     # Parked dormant, or gated at the post-jump time.
-                    if wk == NEVER or (gheap and gheap[0][0] <= wk):
+                    if wk == NEVER or (
+                        gheap and gheap[0][0] <= wk and wk >= horizon
+                        and wk >= (horizon := gpu.refresh_horizon())
+                    ):
                         break
                     t = wk
                     heappop(wakes)
@@ -365,7 +385,7 @@ class StreamingMultiprocessor:
             else:
                 if kind == K_LDST:
                     nonlocal_op = False
-                    if runahead:
+                    if t < horizon:
                         mem = instr.mem
                         space = mem.space
                         if not (space is _PARAM or perfect):
@@ -388,11 +408,12 @@ class StreamingMultiprocessor:
                         warp.in_ready = True
                         insort(ready, warp, key=_AGE)
                         in_list = True
-                    if runahead:
+                    if t < horizon and not (gheap and gheap[0][0] > t):
                         self._defer(gpu, warp, instr, t)
                         break
-                    # Gated: execute inline, as the one-decision loop
-                    # would at this heap slot.
+                    # Gated, or below the horizon with every global
+                    # entry later: this is the heap slot, so execute
+                    # inline, as the one-decision loop would.
                 self._execute(gpu, warp, instr, t)
                 if kind == K_EXIT:
                     break
@@ -408,7 +429,7 @@ class StreamingMultiprocessor:
                 if nr != NEVER:
                     if ready:
                         heappush(wakes, (nr, warp.age, warp))
-                    elif runahead:
+                    elif nr < horizon:
                         # No ready peer: the next decision belongs to
                         # the earliest live wake, this warp's included.
                         # Push and pop it in one call, attribute the
@@ -430,12 +451,15 @@ class StreamingMultiprocessor:
                                 warp = scheduler.select_sole(w)
                             in_list = False
                         continue
-                    elif not (wakes and wakes[0][0] <= nr) \
-                            and not (gheap and gheap[0][0] <= nr):
-                        # Gated, and the warp is provably the next
-                        # decision: every queued wake is later and no
-                        # global entry gates it.  Fuse the stall the
-                        # next pick would attribute and reissue.
+                    elif not (wakes and wakes[0][0] <= nr) and not (
+                        gheap and gheap[0][0] <= nr
+                        and nr >= (horizon := gpu.refresh_horizon())
+                    ):
+                        # At or above the horizon, and the warp is
+                        # provably the next decision: every queued wake
+                        # is later and no global entry gates it.  Fuse
+                        # the stall the next pick would attribute and
+                        # reissue.
                         stall(now, nr)
                         in_list = False
                         continue
@@ -445,9 +469,10 @@ class StreamingMultiprocessor:
                 warp.in_ready = True
                 insort(ready, warp, key=_AGE)
             warp = None
-            # Gated: the next decision, at ``now``, belongs to the
-            # driver while a global entry is due.
-            if gheap and gheap[0][0] <= now:
+            # At or above the horizon the next decision, at ``now``,
+            # belongs to the driver while a global entry is due.
+            if gheap and gheap[0][0] <= now and now >= horizon \
+                    and now >= (horizon := gpu.refresh_horizon()):
                 break
         self.issued_instructions += issued
 

@@ -20,6 +20,7 @@ class Warp:
 
     __slots__ = (
         "trace",
+        "ops",
         "cta",
         "warp_id",
         "age",
@@ -36,6 +37,10 @@ class Warp:
         # ``iter`` admits both live generators and materialized lists
         # (trace replay hands the same list to every sweep point).
         self.trace = iter(trace)
+        #: the materialized instruction list behind ``trace`` (None for
+        #: a live generator); the GPU's lookahead horizon reads the
+        #: warp's position in it (``repro.sim.horizon``)
+        self.ops = trace if trace.__class__ is list else None
         self.cta = cta
         self.warp_id = warp_id
         self.age = next(_warp_counter)  # global issue-order age for GTO/OLD
@@ -115,6 +120,16 @@ class Grid:
     def finished(self) -> bool:
         return self.remaining_ctas == 0
 
+    def context(self, cta_id: int, warp_id: int) -> WarpContext:
+        """The trace generator's identity of one warp of this grid."""
+        return WarpContext(
+            cta_id=cta_id,
+            warp_id=warp_id,
+            warps_per_cta=self.kernel.warps_per_cta,
+            num_ctas=self.num_ctas,
+            args=self.args,
+        )
+
     def make_cta(self, sm_time: float) -> CTA:
         """Instantiate the next CTA with its warps' trace generators."""
         if self.dispatch_done:
@@ -127,14 +142,10 @@ class Grid:
         kernel = self.kernel
         precounted = not kernel.counts_inline
         for warp_id in range(kernel.warps_per_cta):
-            ctx = WarpContext(
-                cta_id=cta.cta_id,
-                warp_id=warp_id,
-                warps_per_cta=kernel.warps_per_cta,
-                num_ctas=self.num_ctas,
-                args=self.args,
+            warp = Warp(
+                kernel.warp_trace(self.context(cta.cta_id, warp_id)),
+                cta, warp_id,
             )
-            warp = Warp(kernel.warp_trace(ctx), cta, warp_id)
             warp.next_ready = sm_time
             warp.precounted = precounted
             cta.warps.append(warp)

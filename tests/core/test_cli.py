@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro import bench
 from repro.cli import main
+from repro.data.datasets import DatasetSize
 
 
 class TestList:
@@ -46,6 +48,36 @@ class TestFigure:
     def test_unknown_figure(self, capsys):
         assert main(["figure", "fig99", "--sms", "4"]) == 2
         assert "unknown figure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,size", [
+        (["--size", "medium"], DatasetSize.MEDIUM),
+        ([], None),
+    ], ids=["medium", "default"])
+    def test_size_reaches_the_figure(self, monkeypatch, capsys, argv, size):
+        """``--size`` is honoured (it was once dropped silently); without
+        it the figure keeps its own default."""
+        seen = []
+
+        def fig21_noc_latency(config=None, size=DatasetSize.SMALL):
+            seen.append(dict(config=config, size=size))
+            return [{"benchmark": "SW", "cycles": 1}]
+
+        monkeypatch.setattr(bench, "fig21_noc_latency", fig21_noc_latency)
+        assert main(["figure", "fig21", *argv]) == 0
+        assert seen[0]["size"] == (size or DatasetSize.SMALL)
+        assert seen[0]["config"] is not None
+        assert "cycles" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name,flags,flag", [
+        ("table1", ["--size", "medium"], "--size"),
+        ("table3", ["--size", "small"], "--size"),
+        ("fig6", ["--size", "large"], "--size"),
+        ("table2", ["--sms", "4"], "--sms"),
+    ])
+    def test_flag_the_table_cannot_take_exits_2(self, capsys, name, flags,
+                                                 flag):
+        assert main(["figure", name, *flags]) == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
 
 
 class TestDataset:
@@ -389,6 +421,9 @@ class TestErrorPaths:
         (["dsweep", "--chunk-timeout", "soon"],
          "argument --chunk-timeout: invalid value 'soon': "
          "expected a number"),
+        (["run", "NW", "--size", "huge"],
+         "argument --size: invalid value 'huge': "
+         "choose from small, medium, large"),
     ])
     def test_non_numeric_flag_message(self, argv, message, capsys):
         """The usage error says what was expected, not which internal
@@ -397,6 +432,11 @@ class TestErrorPaths:
             main(argv)
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_size_usage_lists_the_values(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        assert "--size {small,medium,large}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("endpoints", [
         "foo", "127.0.0.1:notaport", ",", "127.0.0.1:99999",

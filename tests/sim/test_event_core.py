@@ -3,13 +3,16 @@
 These exercise the paths the golden suite (`test_event_core_golden`)
 only crosses incidentally: the deadlock detector, dormant-SM stall
 attribution through ``wake_accounting``, barrier release by an exiting
-warp, and the SM-local run-ahead gate (``may_device_launch``).
+warp, the SM-local run-ahead gate (``may_device_launch``), and the
+lookahead horizon CDP replays run ahead to.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.core.runner import load_benchmark
+from repro.data.datasets import DatasetSize
 from repro.isa import TraceBuilder
 from repro.sim import (
     Application,
@@ -20,6 +23,8 @@ from repro.sim import (
     KernelProgram,
 )
 from repro.sim.gpu import SimulationDeadlock
+from repro.sim.replay import CachedApplication, replay_application
+from repro.sim.sm import StreamingMultiprocessor
 from repro.sim.stats import StallReason
 
 BOTH_CORES = pytest.mark.parametrize(
@@ -201,3 +206,153 @@ class TestRunAhead:
         app = ScriptApp(ScriptKernel(parent, 32), launch_free=True)
         with pytest.raises(RuntimeError, match="may_device_launch"):
             run_app(app)
+
+
+#: ALU blocks of the boundary application's child and of its late
+#: parent: with ``int_latency=1`` a warp's ALU block ends exactly at
+#: its horizon bound, so the second launch lands on the first child's
+#: completion cycle.
+CHILD_INTS = 300
+LATE_PARENT_INTS = CHILD_INTS + 1011
+
+
+def _boundary_app():
+    """Parent CTA 0 launches a child early and waits on it; CTA 1
+    launches one on the cycle that child completes; CTAs 2-3 issue
+    every cycle around both, missing in the L1 as they go."""
+    child = ScriptKernel(
+        lambda ctx: iter([TraceBuilder().ints(CHILD_INTS),
+                          TraceBuilder().exit()]),
+        32,
+    )
+
+    def parent(ctx):
+        b = TraceBuilder()
+        if ctx.cta_id < 2:
+            yield b.ints(10 if ctx.cta_id == 0 else LATE_PARENT_INTS)
+            yield b.launch(KernelLaunch(child, num_ctas=1))
+            yield b.device_sync()
+        else:
+            for i in range(600):
+                yield b.ints(1)
+                yield b.ld_global([1000 * ctx.cta_id + i])
+                yield b.ints(2)
+        yield b.exit()
+
+    return CachedApplication(ScriptApp(ScriptKernel(parent, 32), num_ctas=4))
+
+
+def _boundary_config(event_core=True):
+    return GPUConfig(event_core=event_core, num_sms=4,
+                     num_mem_partitions=2, int_latency=1)
+
+
+class TestLookaheadHorizon:
+    def test_events_exactly_at_the_horizon_match_reference(
+        self, monkeypatch
+    ):
+        """A child completion and a parent LAUNCH on the same cycle,
+        both exactly at the horizon, while other SMs issue on that
+        cycle too: the replay runs ahead up to it and must still match
+        the reference core field for field."""
+        from repro.sim.gpu import GPUSimulator as Sim
+
+        events = []
+        launch, finished = Sim.device_launch, Sim.on_grid_finished
+
+        def record_launch(self, sm, warp, spec, t):
+            events.append(("launch", t, self._horizon))
+            return launch(self, sm, warp, spec, t)
+
+        def record_finished(self, grid, t):
+            events.append((grid.kernel.name, t, self._horizon))
+            return finished(self, grid, t)
+
+        monkeypatch.setattr(Sim, "device_launch", record_launch)
+        monkeypatch.setattr(Sim, "on_grid_finished", record_finished)
+        app = _boundary_app()
+        fast = replay_application(app, GPUSimulator(_boundary_config()))
+        at_horizon = {(kind, t) for kind, t, horizon in events
+                      if t == horizon}
+        boundary = 2000 + 10 + 1000 + CHILD_INTS + 1
+        assert {("launch", boundary), ("script", boundary)} <= at_horizon
+        ref = replay_application(
+            app, GPUSimulator(_boundary_config(event_core=False))
+        )
+        assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
+
+    @pytest.mark.parametrize("kind", ["launch", "completion"])
+    def test_a_horizon_too_high_raises(self, monkeypatch, kind):
+        """A bound above the next LAUNCH or grid completion would let
+        other SMs run past it; the run must fail naming the event."""
+        from repro.sim.gpu import GPUSimulator as Sim
+
+        def too_high(self):
+            self._horizon = 10 ** 9
+            return self._horizon
+
+        monkeypatch.setattr(Sim, "refresh_horizon", too_high)
+        if kind == "launch":
+            app = _boundary_app()
+            match = "device LAUNCH of kernel 'script' at cycle .* below"
+        else:
+            def busy(ctx):
+                b = TraceBuilder()
+                for i in range(50):
+                    yield b.ld_global([100 * ctx.cta_id + i])
+                yield b.exit()
+
+            app = CachedApplication(ScriptApp(ScriptKernel(busy), num_ctas=4))
+            match = "grid of kernel 'script' completed at cycle .* below"
+        sim = GPUSimulator(_boundary_config())
+        sim._horizon = 10 ** 9
+        with pytest.raises(RuntimeError, match=match + " the lookahead horizon"):
+            replay_application(app, sim)
+
+    def test_pending_launching_grid_gates(self):
+        """A parent grid larger than the machine: while CTAs that can
+        launch wait for a slot, any CTA finish may admit one whose
+        launch no bound yet covers, so the horizon must hold the loop
+        gated.  Without that, parent CTA 2 launches below the bound
+        the resident warps give, and the run raises."""
+        child = ScriptKernel(
+            lambda ctx: iter([TraceBuilder().ints(3000),
+                              TraceBuilder().exit()]),
+            32,
+        )
+
+        def parent(ctx):
+            b = TraceBuilder()
+            yield b.ints(5)
+            yield b.launch(KernelLaunch(child, num_ctas=1))
+            yield b.ints((20, 2000, 5)[ctx.cta_id])
+            yield b.exit()
+
+        app = CachedApplication(ScriptApp(ScriptKernel(parent, 32), 3))
+        fast, ref = (
+            dataclasses.asdict(replay_application(app, GPUSimulator(
+                GPUConfig(event_core=event_core, num_sms=2,
+                          num_mem_partitions=2, max_ctas_per_sm=1)
+            )))
+            for event_core in (True, False)
+        )
+        assert fast == ref
+
+    def test_pairhmm_cdp_runs_ahead(self, monkeypatch):
+        """The gated loop returned to the driver after about one
+        decision: PairHMM-CDP small took 39,265 ``step`` calls.  Below
+        the horizon it runs ahead like its plain twin (2,043 measured
+        when the horizon landed)."""
+        calls = []
+        step = StreamingMultiprocessor.step
+
+        def counted(self, *args):
+            calls.append(None)
+            return step(self, *args)
+
+        monkeypatch.setattr(StreamingMultiprocessor, "step", counted)
+        replay_application(
+            load_benchmark("PairHMM", cdp=True, size=DatasetSize.SMALL),
+            GPUSimulator(GPUConfig()),
+        )
+        assert len(calls) < 4000

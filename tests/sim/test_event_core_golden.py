@@ -9,7 +9,11 @@ is only allowed to change wall-clock, never the timing model.
 The full suite runs at the small dataset; the heaviest benchmarks get
 an extra medium-size lock so the identity holds beyond the default
 size's trace shapes, and PairHMM, the slowest single run, a
-``slow``-marked large-size lock.
+``slow``-marked large-size lock.  Every other CDP variant with a
+medium-size input (NW, SW, STAR, CLUSTER) has a medium lock as well:
+CDP replays run ahead up to the trace-lookahead horizon, whose bound
+terms (launches, child completions, parent wake-ups, admissions) only
+interleave densely at that size.
 
 ``run_benchmark`` replays template-instantiated traces with precounted
 totals, so each case also has a live arm: the event core driving the
@@ -60,6 +64,13 @@ def test_small_suite_identical(abbr, cdp):
 @pytest.mark.parametrize("abbr", ["GKSW", "PairHMM", "NvB"])
 def test_medium_heavyweights_identical(abbr, cdp):
     fast, ref, live = _stats_triple(abbr, cdp, DatasetSize.MEDIUM)
+    assert fast == ref
+    assert fast == live
+
+
+@pytest.mark.parametrize("abbr", ["NW", "SW", "STAR", "CLUSTER"])
+def test_medium_cdp_identical(abbr):
+    fast, ref, live = _stats_triple(abbr, True, DatasetSize.MEDIUM)
     assert fast == ref
     assert fast == live
 

@@ -1,7 +1,12 @@
 """Integration tests for the SM issue loop and the GPU simulator."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.core.runner import load_benchmark
+from repro.data.datasets import DatasetSize
 from repro.isa import TraceBuilder
 from repro.sim import (
     Application,
@@ -13,6 +18,7 @@ from repro.sim import (
     KernelProgram,
 )
 from repro.sim.gpu import SimulationDeadlock
+from repro.sim.replay import replay_application
 from repro.sim.stats import StallReason
 
 
@@ -406,3 +412,30 @@ class TestManyTinyGrids:
         assert not sim._pending_grids
         total_ctas = sum(g.num_ctas for g in grids)
         assert sim.finalize().instructions == total_ctas * 3
+
+
+@pytest.mark.parametrize(
+    "abbr,cdp,config",
+    [
+        ("NW", False, GPUConfig()),
+        ("PairHMM", True, GPUConfig()),
+        ("STAR", True, GPUConfig(event_core=False)),
+        ("SW", True, GPUConfig(telemetry_interval=5000)),
+    ],
+    ids=["NW", "PairHMM-CDP", "STAR-CDP-reference", "SW-CDP-telemetry"],
+)
+def test_finished_run_is_freed_without_gc(abbr, cdp, config):
+    """A finished run holds no reference cycles (SM <-> L1 writeback
+    sink, warp <-> CTA, the finalize hooks): its simulator goes with
+    the last reference, not at a gen-2 collection."""
+    app = load_benchmark(abbr, cdp=cdp, size=DatasetSize.SMALL)
+    gc.collect()
+    gc.disable()
+    try:
+        sim = GPUSimulator(config)
+        ref = weakref.ref(sim)
+        replay_application(app, sim)
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()
