@@ -21,6 +21,12 @@ estimator stratifies by.
 The heaviest template user (PairHMM) and the heaviest opt-out user
 (NvB, whose FM-index stages are data-dependent) get an extra
 medium-size lock, and PairHMM a ``slow``-marked large-size one.
+
+The instruction, memory and occupancy mixes (Figs 8-10) are properties
+of the traces alone, credited from :class:`TraceCounts` after the run.
+So the counts get a lock of their own that needs no simulation: the
+application totals and every launch profile are equal across the
+three builds, on the small suite and four medium applications.
 """
 
 import dataclasses
@@ -43,6 +49,43 @@ def _replay(entry):
     return dataclasses.asdict(
         replay_application(entry, GPUSimulator(CONFIG))
     )
+
+
+def _counts(counts):
+    return (counts.instructions, counts.op_mix, counts.mem_mix,
+            counts.warp_occupancy)
+
+
+def _trace_counts(entry):
+    """The application totals and every launch profile, in visit
+    order.  Profile keys hold ``id(kernel)`` and a decoded entry's own
+    argument tokens, so only the grid size is compared from them."""
+    profiles = [
+        (key[1], _counts(agg), total, max_cta, descendants)
+        for key, (agg, total, max_cta, descendants)
+        in entry.launch_profiles.items()
+    ]
+    return _counts(entry.total_counts), profiles
+
+
+def _assert_counts_identical(abbr, cdp, size):
+    app = build_application(abbr, cdp=cdp, size=size)
+    live = _trace_counts(CachedApplication(app, template=False))
+    templated = CachedApplication(app)
+    assert _trace_counts(templated) == live
+    assert _trace_counts(decode_bytes(encode_bytes(templated))) == live
+
+
+@pytest.mark.parametrize("cdp", [False, True], ids=["plain", "cdp"])
+@pytest.mark.parametrize("abbr", benchmark_names())
+def test_small_suite_counts_identical(abbr, cdp):
+    _assert_counts_identical(abbr, cdp, DatasetSize.SMALL)
+
+
+@pytest.mark.parametrize("cdp", [False, True], ids=["plain", "cdp"])
+@pytest.mark.parametrize("abbr", ["PairHMM", "NvB", "GKSW", "NW"])
+def test_medium_counts_identical(abbr, cdp):
+    _assert_counts_identical(abbr, cdp, DatasetSize.MEDIUM)
 
 
 def _assert_all_paths_identical(abbr, cdp, size, monkeypatch):
