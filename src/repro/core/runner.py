@@ -25,8 +25,8 @@ def load_benchmark(
     """Build one benchmark's application, materialized for replay.
 
     Warp traces are instantiated from per-class templates and their
-    instruction totals precounted (:class:`CachedApplication`), which
-    is much cheaper than resuming a generator per warp during the run.
+    instruction totals counted once (:class:`CachedApplication`), which
+    is much cheaper than running a generator per warp.
     """
     return CachedApplication(build_application(
         abbr, cdp=cdp, size=size, workload=workload, **options
@@ -46,7 +46,8 @@ def run_benchmark(
     A fresh simulator is built per call, so results are independent
     and deterministic for fixed inputs.  The run replays the
     application's materialized traces (:func:`load_benchmark`); the
-    statistics are bit-identical to driving the live generators.
+    statistics are bit-identical to materializing every warp through
+    its generator.
     """
     app = load_benchmark(abbr, cdp=cdp, size=size, workload=workload,
                          **options)

@@ -17,6 +17,7 @@ from repro.sim.config import GPUConfig
 from repro.sim.horizon import Horizon
 from repro.sim.launch import Application, HostLaunch, HostMemcpy, KernelLaunch
 from repro.sim.memory import MemorySubsystem
+from repro.sim.replay import CachedApplication
 from repro.sim.sm import _STALL_KEYS, StreamingMultiprocessor
 from repro.sim.stats import RunStats, StallReason
 from repro.sim.warp import CTA, NEVER, Grid, Warp
@@ -70,9 +71,10 @@ class GPUSimulator:
         self._active_grids = 0
         self.host_time = 0.0
         self._finalized = False
-        #: callbacks run at the top of ``finalize`` (trace replay
-        #: publishes its counters here).
-        self._finalize_hooks: list = []
+        #: the running application's trace totals (``TraceCounts``),
+        #: credited to the stats in ``finalize`` — the one place
+        #: instructions are counted
+        self._counts = None
         #: The lookahead horizon H: a lower bound on the simulated time
         #: of the next event that can change another SM's state or end
         #: the drive (``repro.sim.horizon``).  Below it the issue loop
@@ -390,7 +392,14 @@ class GPUSimulator:
         return pci.latency_cycles + math.ceil(nbytes / pci.bytes_per_cycle)
 
     def run_application(self, app: Application) -> RunStats:
-        """Execute an application's host program to completion."""
+        """Execute an application's host program to completion.
+
+        Every warp replays a materialized trace, and the application's
+        ``total_counts`` are the run's instruction, memory and
+        occupancy mixes.  An application without them (a plain
+        ``build_application`` result) runs as ``CachedApplication(app,
+        template=False)``: every warp through its generator, once.
+        """
         if self._finalized:
             raise RuntimeError("simulator instances are single use")
         if self.config.sample_fraction > 0:
@@ -400,6 +409,9 @@ class GPUSimulator:
                 "repro.sim.sampled.estimate_application, not "
                 "run_application"
             )
+        if getattr(app, "total_counts", None) is None:
+            app = CachedApplication(app, template=False)
+        self._counts = app.total_counts
         # Unbounded run-ahead is only sound when no kernel can ever
         # device-launch; applications opt in by declaring it (the
         # Application default is the conservative True).  Everything
@@ -457,11 +469,10 @@ class GPUSimulator:
         return self.finalize()
 
     def _release_cycles(self) -> None:
-        """Break the reference cycles a finished run still holds — the
-        finalize hooks and each L1's writeback sink point back at the
-        simulator, CTAs left resident at their warps — so the run is
-        freed as soon as its last reference goes."""
-        self._finalize_hooks = []
+        """Break the reference cycles a finished run still holds — each
+        L1's writeback sink points back at the simulator, CTAs left
+        resident at their warps — so the run is freed as soon as its
+        last reference goes."""
         for sm in self.sms:
             sm.l1.writeback_sink = None
             for cta in sm.ctas:
@@ -472,8 +483,10 @@ class GPUSimulator:
         if not self._finalized:
             self._finalized = True
             self._fold_stalls()
-            for hook in self._finalize_hooks:
-                hook()
+            # Ahead of everything derived from the stats (the telemetry
+            # metadata), so the run reports its true counts.
+            if self._counts is not None:
+                self._counts.merge_into(self.stats)
             self._release_cycles()
             for sm in self.sms:
                 self.stats.l1.merge(sm.l1.stats)

@@ -32,7 +32,6 @@ from repro.sim.warp import CTA, NEVER, Grid, Warp
 _KIND = attrgetter("kind")
 _REPEAT = attrgetter("repeat")
 _LAUNCH_KIND = bytes([K_LAUNCH])
-_LIST_ITER = type(iter([]))
 
 
 class Horizon:
@@ -57,14 +56,11 @@ class Horizon:
     after their own time, which is at or above ``H``, so nothing is
     ever invalidated.
 
-    Two states pin ``H`` at ``-inf`` (the gated loop): a live generator
-    trace, whose position is unknown, and a pending grid that can
-    launch, whose CTAs any CTA finish may admit.
+    One state pins ``H`` at ``-inf`` (the gated loop): a pending grid
+    that can launch, whose CTAs any CTA finish may admit.
     """
 
     def __init__(self) -> None:
-        #: a warp without a readable trace position was admitted
-        self.live = False
         #: ``(bound, seq, warp, grid)``: a warp's next LAUNCH (``grid``
         #: None) or a grid's completion, tracked through the warp with
         #: the latest EXIT bound at its last scan
@@ -88,22 +84,14 @@ class Horizon:
         self._push(grid.available_time, None, grid)
 
     def cta_admitted(self, cta: CTA) -> None:
-        if self.live:
-            return
         self._grid_warps.setdefault(cta.grid, []).extend(cta.warps)
         for warp in cta.warps:
-            if warp.ops is None or warp.trace.__class__ is not _LIST_ITER:
-                # No position to read: a generator, or a list whose
-                # iterator was wrapped after the warp was made.
-                self.live = True
-                return
             self._push_launch(warp)
 
     def parent_woken(self, warp: Warp, t: float) -> None:
         """``warp`` left DEVSYNC at ``t``: its terms count again."""
-        if not self.live:
-            self._push(t, None, warp.cta.grid)
-            self._push_launch(warp)
+        self._push(t, None, warp.cta.grid)
+        self._push_launch(warp)
 
     def grid_finished(self, grid: Grid) -> None:
         self._grid_warps.pop(grid, None)
@@ -123,7 +111,7 @@ class Horizon:
             # to look again.
             self._pending_seen = pending
             self._pending_launch = any(map(self._grid_may_launch, pending))
-        if self.live or self._pending_launch:
+        if self._pending_launch:
             return -NEVER
         terms = self._terms
         while terms:
@@ -261,9 +249,7 @@ class Horizon:
             for cta_id in range(grid.next_cta, grid.num_ctas):
                 for warp_id in range(kernel.warps_per_cta):
                     ops = kernel.warp_trace(grid.context(cta_id, warp_id))
-                    # a generator: assume it can
-                    known = ops.__class__ is not list \
-                        or bool(self._table(ops)[1])
+                    known = bool(self._table(ops)[1])
                     if known:
                         break
                 if known:

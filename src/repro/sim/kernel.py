@@ -37,12 +37,6 @@ class KernelProgram:
     per-CTA shared memory the occupancy calculator needs.
     """
 
-    #: When False, instruction/memory-mix totals for this kernel's warps
-    #: were already credited at trace-materialization time and the SM
-    #: must not count them again at issue.  Only
-    #: :class:`repro.sim.replay.ReplayKernel` clears this.
-    counts_inline = True
-
     def __init__(
         self,
         name: str,

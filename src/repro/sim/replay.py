@@ -6,18 +6,18 @@ benchmark, CDP variant, dataset, workload options — never on the
 timing knobs being swept (cache sizes, schedulers, NoC parameters, CTA
 limits).  This module materializes every warp trace of an application
 once and replays the same :class:`WarpInstruction` objects at every
-subsequent sweep point, eliminating the dominant re-done work:
+subsequent sweep point, so generator resumption and instruction
+construction happen once per application, not once per point.
 
-- generator resumption and instruction construction per point, and
-- the per-issue instruction/memory-mix accounting, whose totals are
-  config-independent and are pre-credited here at materialization
-  time (``RunStats.merge_trace_counts`` equivalents, see
-  :class:`TraceCounts`).
-
-Replay is bit-identical to generation: the simulator consumes the same
-instruction sequence, and the pre-credited totals are exactly the sums
-live counting would have produced (``tests/core/test_sweep.py`` locks
-this in).
+The simulator runs nothing else: every warp replays a materialized
+list, and an application's instruction, memory and occupancy mixes are
+config-independent properties of its traces.  They are summed here,
+once per application, into :class:`TraceCounts`, and
+:meth:`GPUSimulator.finalize <repro.sim.gpu.GPUSimulator.finalize>`
+credits them to each run's stats (``TraceCounts.merge_into``); the
+issue loop does timing only.  ``CachedApplication(app,
+template=False)`` is the live arm: every warp through its generator,
+counted by the same walk.
 
 The cache *key* policy — which config knobs invalidate a materialized
 application — lives with the sweep engine in
@@ -37,12 +37,9 @@ from repro.sim.stats import OCCUPANCY_BUCKETS, RunStats
 
 
 class TraceCounts:
-    """Config-independent instruction totals of one or more warp traces.
-
-    Mirrors exactly what :meth:`RunStats.count_instruction` and
-    :meth:`RunStats.count_memory` would accumulate if the trace were
-    executed with live counting.
-    """
+    """Config-independent instruction totals of one or more warp traces:
+    dynamic instructions, the op and memory-space mixes, and the lane
+    occupancy buckets, as the paper's Figs 8-10 report them."""
 
     __slots__ = ("instructions", "op_mix", "mem_mix", "warp_occupancy")
 
@@ -53,7 +50,8 @@ class TraceCounts:
         self.warp_occupancy: dict[str, int] = {}
 
     def count(self, instr: WarpInstruction) -> None:
-        """Credit one trace instruction (mirrors the SM's accounting)."""
+        """Credit one trace instruction (an ALU block ``repeat`` times,
+        a memory access once per transaction)."""
         repeat = instr.repeat
         self.instructions += repeat
         key = instr.op._value_
@@ -128,18 +126,14 @@ class ReplayKernel(KernelProgram):
     """A kernel whose warp traces are materialized once and replayed.
 
     Wraps a base :class:`KernelProgram` with identical static resources
-    so occupancy and admission behave the same.  ``counts_inline`` is
-    cleared: warps created from this kernel are marked ``precounted``
-    and the SM skips per-issue mix accounting for them (the totals were
-    credited at materialization, see :class:`CachedApplication`).
+    so occupancy and admission behave the same.  Each warp's totals are
+    counted as its trace materializes (see :class:`CachedApplication`).
 
     Materialization itself takes the cheapest of three paths: a memo
     hit on the warp's identity, a template instantiation (array-backed
     address relocation over one generator run per equivalence class,
     see :mod:`repro.isa.template`), or the live generator.
     """
-
-    counts_inline = False
 
     def __init__(self, base: KernelProgram, owner: "CachedApplication"):
         super().__init__(
@@ -161,7 +155,12 @@ class ReplayKernel(KernelProgram):
         self._class_keys: dict = {}
 
     def _generate(self, ctx: WarpContext) -> tuple[list, "TraceCounts"]:
-        """Run the live generator and count one warp's trace."""
+        """Run the live generator and count one warp's trace.
+
+        The trace must end in its only EXIT: an instruction after it
+        would be counted but never issued, and a trace without one
+        would run off its end mid-simulation.
+        """
         self._owner.template_live += 1
         counts = TraceCounts()
         instrs: list[WarpInstruction] = []
@@ -176,6 +175,13 @@ class ReplayKernel(KernelProgram):
                 )
             counts.count(instr)
             instrs.append(instr)
+        exits = counts.op_mix.get("exit", 0)
+        if exits != 1 or instrs[-1].op is not OpClass.EXIT:
+            raise ValueError(
+                f"trace of kernel {self.name!r} (cta={ctx.cta_id}, "
+                f"warp={ctx.warp_id}) must end in its only EXIT "
+                f"({exits} EXIT(s) in {len(instrs)} instructions)"
+            )
         return (instrs, counts)
 
     def _verify_instantiation(self, ctx: WarpContext, instrs: list) -> None:
@@ -317,9 +323,9 @@ class CachedApplication(Application):
     kernel (host-launched and CDP children, shared per base kernel) in a
     :class:`ReplayKernel`, materializes every warp trace it will ever
     execute, and sums their :class:`TraceCounts` into ``total_counts``.
-    Each replay then runs the simulator against the same instruction
-    objects and credits ``total_counts`` to the run's stats (see
-    :func:`replay_application`).  A trace-store hit is the same type,
+    Each run then drives the simulator through the same instruction
+    objects, and the simulator credits ``total_counts`` to the run's
+    stats when it finalizes.  A trace-store hit is the same type,
     rebuilt by :meth:`decoded` without a generator run.
     """
 
@@ -481,13 +487,5 @@ class CachedApplication(Application):
 
 
 def replay_application(entry: CachedApplication, simulator) -> RunStats:
-    """Run a cached application and credit its pre-counted totals.
-
-    The totals are credited from a finalize hook, ahead of everything
-    finalize derives from the stats (the telemetry metadata), so a
-    replayed run reports exactly what a live one does.
-    """
-    simulator._finalize_hooks.append(
-        lambda: entry.total_counts.merge_into(simulator.stats)
-    )
+    """Run a cached application; the simulator credits its totals."""
     return simulator.run_application(entry)

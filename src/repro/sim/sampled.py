@@ -374,8 +374,6 @@ class _SampledKernel(KernelProgram):
     instruction streams, just fewer of them.
     """
 
-    counts_inline = False  # totals come from the replay layer
-
     def __init__(self, base, slot_to_orig: list[int], orig_num_ctas: int):
         super().__init__(
             base.name,
@@ -400,12 +398,17 @@ class _SampledKernel(KernelProgram):
 
 
 class _SampledApplication(Application):
-    """The cached application with each host grid shrunk to its sample."""
+    """The cached application with each host grid shrunk to its sample.
+
+    Its runs are timing-only: the totals come from the cached
+    application (``_Plan.total_counts``), so its own are empty.
+    """
 
     def __init__(self, cached: CachedApplication, ops: list):
         self.name = cached.name
         self.may_device_launch = cached.may_device_launch
         self.ops = ops
+        self.total_counts = TraceCounts()
 
     def host_program(self):
         yield from self.ops

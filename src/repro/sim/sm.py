@@ -145,7 +145,6 @@ class StreamingMultiprocessor:
         #: the issue loop's per-SM constants, unpacked once per ``step``
         self._loop = (
             self._ready, self._wakes, self._reason_counts, self.scheduler,
-            stats.count_instruction, stats.count_memory,
             self.const_cache, self.tex_cache, self.l1, self._alu_latency,
             config.shared_latency, config.perfect_memory,
         )
@@ -216,7 +215,7 @@ class StreamingMultiprocessor:
         for applications that can never device-launch, recomputed from
         the materialized traces for the others
         (:meth:`~repro.sim.gpu.GPUSimulator.refresh_horizon`), and
-        ``-inf`` for live generator traces:
+        ``-inf`` while a pending grid that can launch waits for a slot:
 
         - **Run-ahead** (``t < H``).  Below the horizon the only state
           shared between SMs is the memory subsystem (NoC/L2/DRAM)
@@ -275,9 +274,8 @@ class StreamingMultiprocessor:
         if not self.warps:
             return
         horizon = gpu._horizon
-        (ready, wakes, rc, scheduler, count_instruction, count_memory,
-         const_cache, tex_cache, l1, alu_latency, shared_latency,
-         perfect) = self._loop
+        (ready, wakes, rc, scheduler, const_cache, tex_cache, l1,
+         alu_latency, shared_latency, perfect) = self._loop
         stall = self._stall
         tel = self._tel
         issued = 0
@@ -350,8 +348,6 @@ class StreamingMultiprocessor:
             if kind < K_SHARED:
                 # ALU: closed-form macro-issue of the whole repeat block.
                 repeat = instr.repeat
-                if not warp.precounted:
-                    count_instruction(instr.op, instr.active_lanes, repeat)
                 issued += repeat
                 if tel is not None:
                     tel.issue(t, instr.active_lanes, repeat)
@@ -367,9 +363,6 @@ class StreamingMultiprocessor:
             elif kind == K_SHARED:
                 # Scratchpad: inlined (hot in the shared-tiled kernels),
                 # identical to _execute_memory's path.
-                if not warp.precounted:
-                    count_instruction(_LDST, instr.active_lanes, 1)
-                    count_memory(_SHARED, instr.mem.transactions)
                 issued += 1
                 if tel is not None:
                     tel.issue(t, instr.active_lanes, 1)
@@ -586,14 +579,10 @@ class StreamingMultiprocessor:
     def _execute(self, gpu, warp: Warp, instr, t: float) -> None:
         config = self.config
         repeat = instr.repeat
-        if not warp.precounted:
-            self.stats.count_instruction(instr.op, instr.active_lanes, repeat)
         self.issued_instructions += repeat
         tel = self._tel
         if tel is not None:
             # Issue decision at t; repeat blocks occupy [t, t+repeat).
-            # Deliberately outside the precounted guard: replayed runs
-            # pre-credit aggregates but still need time-resolved samples.
             tel.issue(t, instr.active_lanes, repeat)
         rc = self._reason_counts
         old = warp.block_reason
@@ -648,8 +637,6 @@ class StreamingMultiprocessor:
         config = self.config
         mem = instr.mem
         space = mem.space
-        if not warp.precounted:
-            self.stats.count_memory(space, mem.transactions)
 
         if space is _SHARED:
             # On-chip scratchpad: unaffected by the Fig 15 perfect

@@ -99,7 +99,7 @@ class ReferenceSM(StreamingMultiprocessor):
 
         warp = self.scheduler.select(ready)
         try:
-            instr = warp.fetch()
+            instr = next(warp.trace)
         except StopIteration:  # pragma: no cover - traces must end with EXIT
             raise RuntimeError(
                 f"trace of kernel {warp.cta.grid.kernel.name} ended "
@@ -159,13 +159,10 @@ class ReferenceSM(StreamingMultiprocessor):
         config = self.config
         op = instr.op
         repeat = instr.repeat
-        if not warp.precounted:
-            self.stats.count_instruction(op, instr.active_lanes, repeat)
         self.issued_instructions += repeat
         if self._tel is not None:
             # Same attribution contract as the event core: the issue
-            # decision lands at t and repeat blocks cover [t, t+repeat),
-            # recorded even for precounted (replayed) warps.
+            # decision lands at t and repeat blocks cover [t, t+repeat).
             self._tel.issue(t, instr.active_lanes, repeat)
         warp.block_reason = None
 
@@ -213,8 +210,6 @@ class ReferenceSM(StreamingMultiprocessor):
         config = self.config
         mem = instr.mem
         space = mem.space
-        if not warp.precounted:
-            self.stats.count_memory(space, mem.transactions)
 
         if space is _SHARED:
             # On-chip scratchpad: unaffected by the Fig 15 perfect

@@ -5,7 +5,6 @@ from __future__ import annotations
 import enum
 from dataclasses import asdict, dataclass, field
 
-from repro.isa.instructions import MemSpace, OpClass
 from repro.sim.cache import CacheStats
 from repro.sim.dram import DRAMStats
 from repro.sim.interconnect.network import NetworkStats
@@ -88,23 +87,6 @@ class RunStats:
     telemetry: dict | None = None
 
     # -- recording helpers -------------------------------------------------
-    # These run once per dynamic instruction; ``_value_`` skips the
-    # DynamicClassAttribute descriptor behind ``Enum.value``, which is
-    # measurable at this call volume.
-    def count_instruction(self, op: OpClass, lanes: int, repeat: int = 1) -> None:
-        self.instructions += repeat
-        key = op._value_
-        op_mix = self.op_mix
-        op_mix[key] = op_mix.get(key, 0) + repeat
-        if lanes < 1:
-            raise ValueError("active lanes must be in [1, 32]")
-        self.warp_occupancy[OCCUPANCY_BUCKETS[(lanes - 1) // 4]] += repeat
-
-    def count_memory(self, space: MemSpace, transactions: int = 1) -> None:
-        key = space._value_
-        mem_mix = self.mem_mix
-        mem_mix[key] = mem_mix.get(key, 0) + transactions
-
     def add_stall(self, reason: StallReason, cycles: int) -> None:
         if cycles <= 0:
             return

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.isa.instructions import WarpInstruction
 from repro.sim.kernel import KernelProgram, WarpContext
@@ -16,7 +16,7 @@ _warp_counter = itertools.count()
 
 
 class Warp:
-    """One resident warp: its trace iterator plus scheduling state."""
+    """One resident warp: its materialized trace plus scheduling state."""
 
     __slots__ = (
         "trace",
@@ -29,18 +29,16 @@ class Warp:
         "exited",
         "pending_children",
         "waiting_device_sync",
-        "precounted",
         "in_ready",
     )
 
-    def __init__(self, trace: Iterator[WarpInstruction], cta: "CTA", warp_id: int):
-        # ``iter`` admits both live generators and materialized lists
-        # (trace replay hands the same list to every sweep point).
-        self.trace = iter(trace)
-        #: the materialized instruction list behind ``trace`` (None for
-        #: a live generator); the GPU's lookahead horizon reads the
-        #: warp's position in it (``repro.sim.horizon``)
-        self.ops = trace if trace.__class__ is list else None
+    def __init__(self, ops: list[WarpInstruction], cta: "CTA", warp_id: int):
+        #: the materialized instruction list (trace replay hands the
+        #: same list to every sweep point) and the issue loop's iterator
+        #: over it; the GPU's lookahead horizon reads the warp's
+        #: position from the two (``repro.sim.horizon``)
+        self.ops = ops
+        self.trace = iter(ops)
         self.cta = cta
         self.warp_id = warp_id
         self.age = next(_warp_counter)  # global issue-order age for GTO/OLD
@@ -49,17 +47,9 @@ class Warp:
         self.exited = False
         self.pending_children = 0
         self.waiting_device_sync = False
-        #: instruction/memory-mix totals were pre-credited at trace
-        #: materialization (repro.sim.replay) — the SM skips per-issue
-        #: counting for this warp
-        self.precounted = False
         #: membership flag for the owning SM's ready list (see
         #: repro.sim.sm); schedulers read it for O(1) ready checks
         self.in_ready = False
-
-    def fetch(self) -> WarpInstruction:
-        """Next instruction; EXIT semantics are handled by the SM."""
-        return next(self.trace)
 
 
 class CTA:
@@ -131,7 +121,13 @@ class Grid:
         )
 
     def make_cta(self, sm_time: float) -> CTA:
-        """Instantiate the next CTA with its warps' trace generators."""
+        """Instantiate the next CTA with its warps' materialized traces.
+
+        A kernel whose ``warp_trace`` is not a list (a live generator)
+        raises ``TypeError``: the simulator runs only materialized
+        traces, which :class:`repro.sim.replay.CachedApplication`
+        builds.
+        """
         if self.dispatch_done:
             raise RuntimeError("all CTAs already dispatched")
         cta = CTA(self.next_cta, self)
@@ -140,13 +136,16 @@ class Grid:
         if self.start_time is None:
             self.start_time = sm_time
         kernel = self.kernel
-        precounted = not kernel.counts_inline
         for warp_id in range(kernel.warps_per_cta):
-            warp = Warp(
-                kernel.warp_trace(self.context(cta.cta_id, warp_id)),
-                cta, warp_id,
-            )
+            ops = kernel.warp_trace(self.context(cta.cta_id, warp_id))
+            if ops.__class__ is not list:
+                raise TypeError(
+                    f"kernel {kernel.name!r} (cta={cta.cta_id}, "
+                    f"warp={warp_id}) gave a {type(ops).__name__} trace; "
+                    "the simulator runs materialized instruction lists "
+                    "(wrap the application in CachedApplication)"
+                )
+            warp = Warp(ops, cta, warp_id)
             warp.next_ready = sm_time
-            warp.precounted = precounted
             cta.warps.append(warp)
         return cta

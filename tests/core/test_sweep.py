@@ -42,7 +42,8 @@ def points(config):
 
 @pytest.fixture(scope="module")
 def serial(points):
-    """The live oracle: every point drives the generators directly."""
+    """The live oracle: every point materializes its application afresh,
+    every warp through its generator (templates off)."""
     return {
         p.label: GPUSimulator(p.config).run_application(
             build_application(p.abbr, cdp=p.cdp, size=p.size)

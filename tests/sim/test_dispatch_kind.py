@@ -2,8 +2,9 @@
 
 The SM branches on ``WarpInstruction.kind`` alone, so every route that
 builds instructions must set it exactly as the constructor does: the
-live trace builder, template relocation (``relocate_ldst``) on the
-replay path, and the RTRX decode of a trace store.  A wrong code would
+live trace builder (a plain application, materialized with templates
+off), template relocation (``relocate_ldst``) on the replay path, and
+the RTRX decode of a trace store.  A wrong code would
 send an instruction down another op's path without any other check
 noticing.
 """
@@ -46,19 +47,16 @@ def constructed_kind(instr) -> int:
 
 @pytest.fixture
 def issued(monkeypatch):
-    """Every instruction fetched by a warp, wrapped in at CTA creation."""
+    """Every instruction a warp issues, recorded at CTA creation: a run
+    ends only after every warp's EXIT, so each warp issues its whole
+    materialized trace."""
     seen: list = []
     make_cta = Grid.make_cta
-
-    def checked(trace):
-        for instr in trace:
-            seen.append(instr)
-            yield instr
 
     def make_checked_cta(grid, sm_time):
         cta = make_cta(grid, sm_time)
         for warp in cta.warps:
-            warp.trace = checked(warp.trace)
+            seen.extend(warp.ops)
         return cta
 
     monkeypatch.setattr(Grid, "make_cta", make_checked_cta)

@@ -15,10 +15,10 @@ CDP replays run ahead up to the trace-lookahead horizon, whose bound
 terms (launches, child completions, parent wake-ups, admissions) only
 interleave densely at that size.
 
-``run_benchmark`` replays template-instantiated traces with precounted
-totals, so each case also has a live arm: the event core driving the
-generators directly, which keeps the SM's live-counting branch locked
-to the replay path.
+``run_benchmark`` replays template-instantiated traces, so each case
+also has a live arm: the event core running the plain application,
+which ``run_application`` materializes with templates off (every warp
+through its generator, counted by the same ``TraceCounts`` walk).
 
 The default ``lrr`` policy runs every cell; the other three Fig 19
 policies get a small-suite lock of their own, since each reads

@@ -9,7 +9,12 @@ from repro.sim.warp import Grid
 
 class _NullTraceKernel(KernelProgram):
     def warp_trace(self, ctx):
-        return iter(())
+        return []
+
+
+class _GeneratorKernel(KernelProgram):
+    def warp_trace(self, ctx):
+        yield from ()
 
 
 def kernel():
@@ -81,3 +86,9 @@ class TestGrid:
         cta = grid.make_cta(0.0)
         assert len(cta.warps) == 4
         assert [w.warp_id for w in cta.warps] == [0, 1, 2, 3]
+
+    def test_rejects_an_unmaterialized_trace(self):
+        """A generator trace fails by name at dispatch, not mid-run."""
+        grid = Grid(_GeneratorKernel("gen", 64), num_ctas=2)
+        with pytest.raises(TypeError, match=r"'gen' \(cta=0, warp=0\)"):
+            grid.make_cta(0.0)

@@ -1,12 +1,15 @@
 """Trace materialization/replay must be invisible in the results."""
 
+import dataclasses
+
 import pytest
 
+from repro.isa import TraceBuilder
 from repro.isa.instructions import OpClass
 from repro.kernels import build_application
 from repro.sim import GPUConfig, GPUSimulator
-from repro.sim.kernel import WarpContext
-from repro.sim.launch import HostLaunch
+from repro.sim.kernel import KernelProgram, WarpContext
+from repro.sim.launch import Application, HostLaunch, KernelLaunch
 from repro.sim.replay import (
     CachedApplication,
     ReplayKernel,
@@ -22,7 +25,8 @@ def fresh_run(abbr, cdp, config):
 
 class TestTraceCounts:
     def test_mirrors_live_counting(self, tiny_gpu):
-        """Pre-credited totals equal what live counting accumulates."""
+        """The templated totals equal those a plain application's run
+        reports (every warp through its generator)."""
         app = build_application("NW")
         cached = CachedApplication(app)
         live = fresh_run("NW", False, tiny_gpu)
@@ -54,7 +58,6 @@ class TestReplayKernel:
         )
         kernel = launch.kernel
         assert isinstance(kernel, ReplayKernel)
-        assert kernel.counts_inline is False
         # Static resources must match or occupancy/admission changes.
         base = kernel.base
         assert kernel.cta_threads == base.cta_threads
@@ -141,6 +144,17 @@ class TestReplayIdentity:
         assert first == fresh
         assert second == fresh
 
+    def test_run_application_credits_the_totals(self, tiny_gpu):
+        """``run_application`` on a cached application is the replay:
+        the totals are credited by the simulator itself, never left at
+        zero for a caller to add."""
+        cached = CachedApplication(build_application("NW"))
+        direct = GPUSimulator(tiny_gpu).run_application(cached)
+        replayed = replay_application(cached, GPUSimulator(tiny_gpu))
+        assert dataclasses.asdict(direct) == dataclasses.asdict(replayed)
+        assert direct.instructions == cached.total_counts.instructions > 0
+        assert direct.op_mix == cached.total_counts.op_mix
+
     def test_replay_across_configs(self, tiny_gpu):
         """One materialization serves different timing configs."""
         other = GPUConfig(num_sms=3, num_mem_partitions=2)
@@ -153,3 +167,57 @@ class TestReplayIdentity:
             replay_application(cached, GPUSimulator(other))
             == fresh_run("STAR", True, other)
         )
+
+
+class _TailKernel(KernelProgram):
+    """Warp (cta=1, warp=1) ends its trace with ``tail``; every other
+    warp issues three INTs and exits."""
+
+    def __init__(self, tail):
+        super().__init__("tail", 64)
+        self.tail = tail
+
+    def warp_trace(self, ctx):
+        b = TraceBuilder()
+        yield b.ints(3)
+        if (ctx.cta_id, ctx.warp_id) == (1, 1):
+            yield from self.tail(b)
+        else:
+            yield b.exit()
+
+
+class _TailApp(Application):
+    name = "tail"
+
+    def __init__(self, tail):
+        self.kernel = _TailKernel(tail)
+
+    def host_program(self):
+        yield HostLaunch(KernelLaunch(self.kernel, num_ctas=2))
+
+
+class TestMalformedTraces:
+    """A trace must end in its only EXIT.  One that does not fails at
+    materialization, naming the warp, before any cycle is simulated:
+    without an EXIT the warp would run off its trace mid-run, and
+    instructions after it would be counted but never issued."""
+
+    TAILS = {
+        "no-exit": lambda b: [b.fps(2)],
+        "after-exit": lambda b: [b.exit(), b.ints(1)],
+        "two-exits": lambda b: [b.exit(), b.exit()],
+    }
+
+    @pytest.mark.parametrize("tail", TAILS.values(), ids=TAILS.keys())
+    def test_materialization_names_the_warp(self, tail):
+        with pytest.raises(ValueError,
+                           match=r"'tail' \(cta=1, warp=1\) must end in "
+                                 r"its only EXIT"):
+            CachedApplication(_TailApp(tail), template=False)
+
+    @pytest.mark.parametrize("tail", TAILS.values(), ids=TAILS.keys())
+    def test_run_fails_before_simulating(self, tail, tiny_gpu):
+        sim = GPUSimulator(tiny_gpu)
+        with pytest.raises(ValueError, match=r"\(cta=1, warp=1\)"):
+            sim.run_application(_TailApp(tail))
+        assert sim.stats.kernel_launches == 0

@@ -2,13 +2,38 @@
 
 import pytest
 
-from repro.isa.instructions import MemSpace, OpClass
+from repro.isa.instructions import (
+    MemAccess,
+    MemSpace,
+    OpClass,
+    WarpInstruction,
+)
+from repro.sim.replay import TraceCounts
 from repro.sim.stats import (
     OCCUPANCY_BUCKETS,
     RunStats,
     StallReason,
     occupancy_bucket,
 )
+
+
+def credit(stats, *instrs):
+    """Count ``instrs`` as trace instructions and credit the totals to
+    ``stats``, as a finished run does."""
+    counts = TraceCounts()
+    for instr in instrs:
+        counts.count(instr)
+    counts.merge_into(stats)
+    return stats
+
+
+def fp8():
+    """One FP instruction with 8 active lanes."""
+    return WarpInstruction(OpClass.FP, mask=0xFF)
+
+
+def load(space, lines):
+    return WarpInstruction(OpClass.LDST, mem=MemAccess(space, lines))
 
 
 class TestOccupancyBucket:
@@ -31,16 +56,14 @@ class TestOccupancyBucket:
 
 class TestCounting:
     def test_count_instruction_with_repeat(self):
-        stats = RunStats()
-        stats.count_instruction(OpClass.INT, 32, repeat=5)
+        stats = credit(RunStats(), WarpInstruction(OpClass.INT, repeat=5))
         assert stats.instructions == 5
         assert stats.op_mix["int"] == 5
         assert stats.warp_occupancy["W29-32"] == 5
 
     def test_count_memory(self):
-        stats = RunStats()
-        stats.count_memory(MemSpace.GLOBAL, 3)
-        stats.count_memory(MemSpace.SHARED, 1)
+        stats = credit(RunStats(), load(MemSpace.GLOBAL, (1, 2, 3)),
+                       load(MemSpace.SHARED, (0,)))
         assert stats.mem_fractions() == {"global": 0.75, "shared": 0.25}
 
     def test_add_stall_ignores_nonpositive(self):
@@ -88,13 +111,11 @@ class TestDerivedMetrics:
 
 class TestMerge:
     def test_merge_accumulates_everything(self):
-        a = RunStats(cycles=10, instructions=5)
-        a.count_instruction(OpClass.FP, 8)
+        a = credit(RunStats(cycles=10, instructions=5), fp8())
         a.add_stall(StallReason.SYNC, 3)
         a.kernel_timeline.append({"kernel": "k", "start": 0, "end": 5,
                                   "ctas": 1, "origin": "host"})
-        b = RunStats(cycles=20, instructions=7)
-        b.count_instruction(OpClass.FP, 8)
+        b = credit(RunStats(cycles=20, instructions=7), fp8())
         b.add_stall(StallReason.SYNC, 7)
         a.merge(b)
         assert a.cycles == 30

@@ -10,9 +10,11 @@ variants) runs through both cores with sampling on, and the interval
 time series, the canonically-sorted event streams, and the metadata
 must be bit-identical.
 
-``run_benchmark`` replays precounted traces, so a live arm (the
-reference core driving the generators directly) must also reproduce
-the reference core's replayed stats, telemetry included.
+``run_benchmark`` replays template-instantiated traces, so a live arm
+(the reference core running a plain application, which
+``run_application`` materializes with templates off, every warp
+through its generator) must also reproduce the reference core's
+replayed stats, telemetry included.
 """
 
 import dataclasses
