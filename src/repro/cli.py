@@ -180,6 +180,10 @@ def _fraction(text: str) -> float:
     return value
 
 
+#: ``--estimate``'s sampling flags and their defaults
+_SAMPLE_DEFAULTS = {"sample_fraction": 0.1, "sample_seed": 0}
+
+
 def _add_estimate_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--estimate", action="store_true",
@@ -187,23 +191,37 @@ def _add_estimate_args(parser: argparse.ArgumentParser) -> None:
              "sample and report estimates with confidence intervals "
              "(exact simulation stays the default)",
     )
+    # Defaults are applied in ``_estimate_config``: None marks a flag
+    # the command line did not give, which ``main`` needs to see.
     parser.add_argument(
-        "--sample-fraction", type=_fraction, default=0.1, metavar="F",
+        "--sample-fraction", type=_fraction, default=None, metavar="F",
         help="fraction of work to simulate under --estimate "
-             "(default: 0.1)",
+             f"(default: {_SAMPLE_DEFAULTS['sample_fraction']})",
     )
     parser.add_argument(
-        "--sample-seed", type=int, default=0, metavar="S",
-        help="deterministic sampling seed (default: 0)",
+        "--sample-seed", type=int, default=None, metavar="S",
+        help="deterministic sampling seed under --estimate "
+             f"(default: {_SAMPLE_DEFAULTS['sample_seed']})",
     )
 
 
 def _estimate_config(args, config):
     """Apply the ``--estimate`` sampling knobs to ``config``."""
-    return config.with_(
-        sample_fraction=args.sample_fraction,
-        sample_seed=args.sample_seed,
-    )
+    return config.with_(**{
+        name: default if getattr(args, name) is None else getattr(args, name)
+        for name, default in _SAMPLE_DEFAULTS.items()
+    })
+
+
+def _sampling_without_estimate(args) -> str | None:
+    """The first sampling flag given without ``--estimate``, if any
+    (it would otherwise be ignored while the exact table prints)."""
+    if getattr(args, "estimate", True):
+        return None
+    for name in _SAMPLE_DEFAULTS:
+        if getattr(args, name) is not None:
+            return "--" + name.replace("_", "-")
+    return None
 
 
 def _config(args):
@@ -1114,6 +1132,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    flag = _sampling_without_estimate(args)
+    if flag is not None:
+        print(f"{flag} requires --estimate", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

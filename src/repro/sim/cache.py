@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from repro.sim.config import CacheConfig
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheStats:
     """Hit/miss counters (loads and stores tracked separately)."""
 

@@ -103,13 +103,17 @@ class DRAMChannel:
         # Per-access constants hoisted out of the per-line path.
         self._fifo = config.controller == "fifo"
         self._activation = config.row_miss_latency - config.row_hit_latency
+        self._row_bytes = config.row_bytes
+        self._num_banks = config.banks
+        self._row_hit_latency = config.row_hit_latency
+        self._row_miss_latency = config.row_miss_latency
+        self._burst = config.burst_cycles
 
     def access(self, line: int, now: int) -> int:
         """Service one line request arriving at ``now``; returns completion."""
-        config = self.config
         stats = self.stats
-        row = line * self.line_bytes // config.row_bytes
-        bank = self._banks[row % config.banks]
+        row = line * self.line_bytes // self._row_bytes
+        bank = self._banks[row % self._num_banks]
         recent = bank.recent_rows
         busy = bank.busy_until
 
@@ -122,12 +126,12 @@ class DRAMChannel:
             # to drain (no CAS pipelining).  Otherwise column commands
             # pipeline, so back-to-back hits stream at bus rate.
             start = busy if fifo and busy > now else now
-            ready = start + config.row_hit_latency
+            ready = start + self._row_hit_latency
             stats.row_hits += 1
         else:
             # Activate/precharge occupies the bank until the transfer.
             start = busy if busy > now else now
-            ready = start + config.row_miss_latency
+            ready = start + self._row_miss_latency
             stats.row_misses += 1
             stats.activation_cycles += self._activation
         bank.open_row = row
@@ -136,7 +140,8 @@ class DRAMChannel:
 
         bus = self._bus_busy_until
         transfer_start = bus if bus > ready else ready
-        completion = transfer_start + config.burst_cycles
+        burst = self._burst
+        completion = transfer_start + burst
         # Bus idle time while this request was pending: the gap between
         # the previous transfer's end (or this request's arrival, if
         # later) and this transfer's start.
@@ -144,10 +149,10 @@ class DRAMChannel:
         self._bus_busy_until = bank.busy_until = completion
         if self.telemetry is not None:
             # Data-pin occupancy, attributed to the transfer window.
-            self.telemetry.dram(transfer_start, config.burst_cycles)
+            self.telemetry.dram(transfer_start, burst)
 
         stats.requests += 1
-        stats.data_cycles += config.burst_cycles
+        stats.data_cycles += burst
         # Queue wait: time lost to ordering, bank conflicts, and bus
         # contention beyond the intrinsic service latency.
         stats.queue_cycles += (start - now) + (transfer_start - ready)

@@ -56,13 +56,14 @@ class GPUSimulator:
         #: reason in ``_STALL_KEYS`` order; one list shared by every SM,
         #: so a fold is one pass however many SMs there are
         self._stall_cycles = [0] * len(_STALL_KEYS)
+        writeback = self.memory.writeback
         for sm in self.sms:
             sm._tel = telemetry
             sm._stall_cycles = self._stall_cycles
             # Dirty L1 evictions flow to L2/DRAM at the SM's local time.
             sm.l1.writeback_sink = (
-                lambda line, _sm=sm: self.memory.writeback(
-                    _sm.sm_id, line, _sm.time
+                lambda line, _sm=sm, _id=sm.sm_id: writeback(
+                    _id, line, _sm.time
                 )
             )
         self._heap: list = []
@@ -470,7 +471,7 @@ class GPUSimulator:
 
     def _release_cycles(self) -> None:
         """Break the reference cycles a finished run still holds — each
-        L1's writeback sink points back at the simulator, CTAs left
+        L1's writeback sink points back at its SM, CTAs left
         resident at their warps — so the run is freed as soon as its
         last reference goes."""
         for sm in self.sms:

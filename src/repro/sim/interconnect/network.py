@@ -66,6 +66,8 @@ class Network:
         self._eject_busy = [0] * self.topology.total_nodes
         #: payload bytes -> (message bytes, serialization, cycles per hop)
         self._costs: dict[int, tuple[int, int, int]] = {}
+        #: the fixed latency every message pays, read once
+        self._base_latency = config.base_latency
 
     def _cost(self, payload_bytes: int) -> tuple[int, int, int]:
         config = self.config
@@ -81,21 +83,24 @@ class Network:
         self._costs[payload_bytes] = cost
         return cost
 
-    def _transfer(
-        self, src: int, dst: int, hops: int, payload_bytes: int, now: int
-    ) -> int:
+    def request(self, sm: int, partition: int, now: int, store_bytes: int = 0) -> int:
+        """Send a memory request; returns arrival time at the partition.
+
+        ``store_bytes`` carries write data (reads send only a header).
+        """
         bytes_total, ser, per_hop = (
-            self._costs.get(payload_bytes) or self._cost(payload_bytes)
+            self._costs.get(store_bytes) or self._cost(store_bytes)
         )
+        dst = self.num_sms + partition
         inject = self._inject_busy
         eject = self._eject_busy
         start = now
-        if inject[src] > start:
-            start = inject[src]
+        if inject[sm] > start:
+            start = inject[sm]
         if eject[dst] > start:
             start = eject[dst]
-        inject[src] = eject[dst] = start + ser
-        arrival = start + hops * per_hop + self.config.base_latency
+        inject[sm] = eject[dst] = start + ser
+        arrival = start + self._up[sm][partition] * per_hop + self._base_latency
 
         stats = self.stats
         stats.messages += 1
@@ -107,15 +112,31 @@ class Network:
             self.telemetry.noc(start, ser, bytes_total)
         return arrival
 
-    def request(self, sm: int, partition: int, now: int, store_bytes: int = 0) -> int:
-        """Send a memory request; returns arrival time at the partition.
-
-        ``store_bytes`` carries write data (reads send only a header).
-        """
-        return self._transfer(sm, self.num_sms + partition,
-                              self._up[sm][partition], store_bytes, now)
-
     def response(self, partition: int, sm: int, now: int, data_bytes: int = 128) -> int:
-        """Send a reply; returns arrival time at the SM."""
-        return self._transfer(self.num_sms + partition, sm,
-                              self._down[partition][sm], data_bytes, now)
+        """Send a reply; returns arrival time at the SM.
+
+        The same transfer as :meth:`request` in the other direction
+        (kept as two bodies: each message is one call).
+        """
+        bytes_total, ser, per_hop = (
+            self._costs.get(data_bytes) or self._cost(data_bytes)
+        )
+        src = self.num_sms + partition
+        inject = self._inject_busy
+        eject = self._eject_busy
+        start = now
+        if inject[src] > start:
+            start = inject[src]
+        if eject[sm] > start:
+            start = eject[sm]
+        inject[src] = eject[sm] = start + ser
+        arrival = start + self._down[partition][sm] * per_hop + self._base_latency
+
+        stats = self.stats
+        stats.messages += 1
+        stats.bytes += bytes_total
+        stats.latency_cycles += arrival - now
+        stats.contention_cycles += start - now
+        if self.telemetry is not None:
+            self.telemetry.noc(start, ser, bytes_total)
+        return arrival

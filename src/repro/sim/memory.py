@@ -55,38 +55,42 @@ class MemorySubsystem:
         self._num_partitions = config.num_mem_partitions
         self._line_bytes = config.l2.line_bytes
         self._l2_latency = slice_config.hit_latency
+        # The walk's hops, bound once: each is still the component's
+        # own counted method (resolved when the subsystem is built).
+        self._noc_request = self.network.request
+        self._noc_response = self.network.response
+        self._l2_access = [bank.access for bank in self.l2_banks]
+        self._dram_access = [channel.access for channel in self.dram]
 
     def partition_of(self, line: int) -> int:
         """Address interleaving: consecutive lines hit consecutive partitions."""
         return line % self._num_partitions
 
-    def _leg(self, sm_id: int, line: int, store: bool, now: int) -> int:
-        """The one per-line path: NoC request -> L2 bank -> DRAM on a
-        miss -> NoC response (loads only); returns completion.
+    def line_request(self, sm_id: int, line: int, store: bool, now: float) -> float:
+        """Service one line that missed the SM-side cache; returns completion.
 
-        Stores carry the line as write data and are accepted at the
-        partition, so they complete without a response leg.
+        The one per-line walk: NoC request -> L2 bank -> DRAM on a miss
+        -> NoC response (loads only).  Stores carry the line as write
+        data and are accepted at the partition, so they complete
+        without a response leg.  Every hop is a call on the component
+        that counts it (``Network.request``/``response``,
+        ``Cache.access``, ``DRAMChannel.access``) and nothing else.
         """
         partition = line % self._num_partitions
-        line_bytes = self._line_bytes
-        at_l2 = self.network.request(
-            sm_id, partition, now, line_bytes if store else 0
+        at_l2 = self._noc_request(
+            sm_id, partition, int(now), self._line_bytes if store else 0
         )
-        hit = self.l2_banks[partition].access(line, store)
+        hit = self._l2_access[partition](line, store)
         tel = self.telemetry
         if tel is not None:
             tel.cache("l2", at_l2, 1, 0 if hit else 1,
                       0 if store else 1, 0 if (store or hit) else 1)
         served = at_l2 + self._l2_latency
         if not hit:
-            served = self.dram[partition].access(line, served)
+            served = self._dram_access[partition](line, served)
         if store:
             return served
-        return self.network.response(partition, sm_id, served, line_bytes)
-
-    def line_request(self, sm_id: int, line: int, store: bool, now: float) -> float:
-        """Service one line that missed the SM-side cache; returns completion."""
-        return self._leg(sm_id, line, store, int(now))
+        return self._noc_response(partition, sm_id, served, self._line_bytes)
 
     def line_requests(self, sm_id: int, entries, store: bool) -> float:
         """Service an ordered batch of SM-cache misses in one call.
@@ -99,10 +103,10 @@ class MemorySubsystem:
         cache has no ``writeback_sink`` (const/tex), so no writeback
         traffic can interleave between the entries.
         """
-        leg = self._leg
+        line_request = self.line_request
         latest = 0.0
         for now, line in entries:
-            done = leg(sm_id, line, store, int(now))
+            done = line_request(sm_id, line, store, now)
             if done > latest:
                 latest = done
         return latest
@@ -112,9 +116,18 @@ class MemorySubsystem:
 
         Fire-and-forget from the warp's perspective, but it consumes
         NoC and DRAM bandwidth, which is where the write-heavy kernels'
-        DRAM utilization comes from.
+        DRAM utilization comes from.  The store half of
+        :meth:`line_request`'s walk (request -> L2 -> DRAM on a miss),
+        folded in so an eviction costs no extra call.
         """
-        self._leg(sm_id, line, True, int(now))
+        partition = line % self._num_partitions
+        at_l2 = self._noc_request(sm_id, partition, int(now), self._line_bytes)
+        hit = self._l2_access[partition](line, True)
+        tel = self.telemetry
+        if tel is not None:
+            tel.cache("l2", at_l2, 1, 0 if hit else 1, 0, 0)
+        if not hit:
+            self._dram_access[partition](line, at_l2 + self._l2_latency)
 
     def flush(self) -> None:
         """Invalidate all L2 banks (host memcpy clobbers device data)."""

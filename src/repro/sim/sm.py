@@ -25,7 +25,8 @@ every application, with two rules split by the GPU's lookahead
 horizon (the earliest time a device launch or a grid completion can
 happen, from the warps' positions in their traces): below it,
 *run-ahead* defers the first decision that touches shared state to its
-global heap slot; at or above it, *gated* executes every decision
+global heap slot (or executes it inline once that slot has come); at
+or above it, *gated* executes every decision
 inline but stops before any decision the global heap would order
 elsewhere, and after any EXIT.  Either way a burst makes exactly the
 choices the one-decision-per-pop schedule would — ALU repeat blocks in
@@ -230,9 +231,12 @@ class StreamingMultiprocessor:
           ordered — is left selected-but-unexecuted in ``_deferred``
           and this SM re-queues itself at the decision time; it
           executes when that exact entry pops, giving the same (time,
-          seq) order the one-decision-per-pop schedule produces.  With
-          a finite horizon a nonlocal decision that no global entry
-          precedes is already at its heap slot and executes inline.
+          seq) order the one-decision-per-pop schedule produces.  Under
+          either horizon (finite, or ``inf`` for launch-free
+          applications) a nonlocal decision whose slot has come — the
+          global heap is empty or its head is strictly later than
+          ``t`` — executes inline instead, and an access is probed
+          only when an entry is due.
         - **Gated** (``t >= H``).  Every decision executes inline, but
           after the first one the burst stops before any decision at
           time ``t`` while the GPU's heap holds an entry due at ``t`` —
@@ -251,8 +255,10 @@ class StreamingMultiprocessor:
             self.time = now
         # The gate reads the GPU heap's head; under an infinite
         # horizon (launch-free applications) an empty tuple makes every
-        # gate check false.
-        gheap = () if gpu._lookahead is None else gpu._heap
+        # gate check false.  The heap-slot test for a nonlocal decision
+        # reads the real heap under either horizon.
+        heap = gpu._heap
+        gheap = () if gpu._lookahead is None else heap
         deferred = self._deferred
         if deferred is not None:
             if seq != self._deferred_seq:
@@ -376,9 +382,15 @@ class StreamingMultiprocessor:
                     rc[_R_MEMORY] += 1
                     warp.block_reason = _R_MEMORY
             else:
+                # Below the horizon with a global entry due at ``t``, a
+                # nonlocal decision must wait for its heap slot; gated,
+                # or with the heap empty or its head strictly later,
+                # this is the slot and it executes inline, as the
+                # one-decision loop would.  (The test is spelled out
+                # twice so CTRL/SYNC decisions never pay for it.)
                 if kind == K_LDST:
                     nonlocal_op = False
-                    if t < horizon:
+                    if t < horizon and heap and heap[0][0] <= t:
                         mem = instr.mem
                         space = mem.space
                         if not (space is _PARAM or perfect):
@@ -401,12 +413,9 @@ class StreamingMultiprocessor:
                         warp.in_ready = True
                         insort(ready, warp, key=_AGE)
                         in_list = True
-                    if t < horizon and not (gheap and gheap[0][0] > t):
+                    if t < horizon and heap and heap[0][0] <= t:
                         self._defer(gpu, warp, instr, t)
                         break
-                    # Gated, or below the horizon with every global
-                    # entry later: this is the heap slot, so execute
-                    # inline, as the one-decision loop would.
                 self._execute(gpu, warp, instr, t)
                 if kind == K_EXIT:
                     break
@@ -668,7 +677,7 @@ class StreamingMultiprocessor:
             # all-hit prefix is probed in one call; const/tex caches
             # have no writeback sink, so the misses' L2/DRAM traffic
             # can be batched too (order preserved — see line_requests).
-            k = cache.probe_hits(lines, store=store)
+            k = cache.probe_hits(lines, store)
             if k == n:
                 completion = t + (n - 1) * port + hit_latency
             else:
@@ -677,7 +686,7 @@ class StreamingMultiprocessor:
                 misses: list = []
                 for i in range(k, n):
                     line = lines[i]
-                    if access(line, store=store):
+                    if access(line, store):
                         done = t + i * port + hit_latency
                         if done > completion:
                             completion = done
@@ -711,7 +720,7 @@ class StreamingMultiprocessor:
         if n == 1:
             # Fast path: coalesced accesses dominate every benchmark.
             line = lines[0]
-            hit = l1.access(line, store=store)
+            hit = l1.access(line, store)
             if store or hit:
                 completion = t + hit_latency
             else:
@@ -721,7 +730,7 @@ class StreamingMultiprocessor:
             # calls, so only the leading all-hit prefix may batch —
             # the tail must interleave accesses and line requests in
             # the original order.
-            k = l1.probe_hits(lines, store=store)
+            k = l1.probe_hits(lines, store)
             if k == n:
                 completion = t + (n - 1) * port + hit_latency
             else:
@@ -732,7 +741,7 @@ class StreamingMultiprocessor:
                 for i in range(k, n):
                     line = lines[i]
                     issue = t + i * port
-                    hit = l1_access(line, store=store)
+                    hit = l1_access(line, store)
                     if store or hit:
                         done = issue + hit_latency
                     else:

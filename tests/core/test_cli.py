@@ -364,6 +364,39 @@ class TestErrorPaths:
         assert "--sample-fraction" in err
         assert "in (0, 1]" in err or "invalid" in err
 
+    @pytest.mark.parametrize("argv,flag", [
+        pytest.param(["run", "NW", "--sample-fraction", "0.5"],
+                     "--sample-fraction", id="run-fraction"),
+        pytest.param(["run", "NW", "--sample-seed", "4"],
+                     "--sample-seed", id="run-seed"),
+        pytest.param(["sweep", "cache", "--sample-seed", "4"],
+                     "--sample-seed", id="sweep-seed"),
+        pytest.param(["sweep", "cache", "--sample-fraction", "0.2"],
+                     "--sample-fraction", id="sweep-fraction"),
+        pytest.param(["dsweep", "--sample-fraction", "0.2"],
+                     "--sample-fraction", id="dsweep-fraction"),
+        pytest.param(["dsweep", "--sample-seed", "0"],
+                     "--sample-seed", id="dsweep-seed-default-value"),
+    ])
+    def test_sampling_flags_require_estimate(self, argv, flag, capsys):
+        """Without ``--estimate`` a sampling flag would be ignored
+        while the exact table prints; it must exit 2 naming the flag
+        before anything runs."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} requires --estimate" in captured.err
+        assert captured.out == ""
+
+    def test_estimate_defaults_still_apply(self, capsys):
+        """Under ``--estimate`` the flags keep their documented
+        defaults (fraction 0.1, seed 0)."""
+        assert main(["run", "SW", "--sms", "4", "--estimate"]) == 0
+        implicit = capsys.readouterr().out
+        assert main(["run", "SW", "--sms", "4", "--estimate",
+                     "--sample-fraction", "0.1", "--sample-seed", "0"]) == 0
+        assert capsys.readouterr().out == implicit
+        assert "estimated" in implicit
+
     @pytest.mark.parametrize("flags", [
         ["--profile"],
     ])

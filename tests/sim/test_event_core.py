@@ -66,6 +66,23 @@ def run_app(app, event_core=True, num_sms=2):
     return sim.run_application(app)
 
 
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Patch ``owner.name`` to record each call; returns the record."""
+    calls = []
+    original = owner.__dict__[name]
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _two_sm_config(event_core=True):
+    return GPUConfig(event_core=event_core, num_sms=2, num_mem_partitions=2)
+
+
 class TestDeadlock:
     @BOTH_CORES
     def test_undispatchable_grid_raises(self, event_core):
@@ -189,6 +206,53 @@ class TestRunAhead:
             for free in (True, False)
         ]
         assert dataclasses.asdict(results[0]) == dataclasses.asdict(results[1])
+
+    def test_same_cycle_misses_on_two_sms_defer(self, monkeypatch):
+        """Two SMs miss in the L1 on the same cycle, into one memory
+        partition.  SM 1 runs ahead to its miss while SM 0's miss is
+        queued at that very cycle: the heap head is due, not strictly
+        later, so SM 1 must defer and go second, as the ``(time,
+        sm_id)`` order says.  SM 0 works on after its load, so the
+        order shows in the cycle count; the run matches the reference
+        core."""
+        defers = _count_calls(monkeypatch, StreamingMultiprocessor, "_defer")
+
+        def script(ctx):
+            b = TraceBuilder()
+            yield b.ints(5)
+            yield b.ld_global([2 * ctx.cta_id])  # both in partition 0
+            if ctx.cta_id == 0:
+                yield b.ints(50)
+            yield b.exit()
+
+        app = CachedApplication(
+            ScriptApp(ScriptKernel(script, 32), num_ctas=2, launch_free=True)
+        )
+        fast = replay_application(app, GPUSimulator(_two_sm_config()))
+        assert defers
+        ref = replay_application(
+            app, GPUSimulator(_two_sm_config(event_core=False))
+        )
+        assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
+
+    @pytest.mark.parametrize("abbr,cdp,most", [
+        pytest.param("NvB", False, 0, id="NvB"),
+        pytest.param("GKSW", False, 2107, id="GKSW"),
+        pytest.param("GKSW", True, 2084, id="GKSW-CDP"),
+    ])
+    def test_deferrals_per_replay(self, monkeypatch, abbr, cdp, most):
+        """A would-miss access executes inline when the global heap is
+        empty or its head is strictly later (it is at its slot already)
+        and is deferred only otherwise.  Launch-free replays deferred
+        every such access before (NvB small 1,792 times, GKSW small
+        4,217); GKSW-CDP, whose rule this is, stays where it was."""
+        app = load_benchmark(abbr, cdp=cdp, size=DatasetSize.SMALL)
+        defers = _count_calls(monkeypatch, StreamingMultiprocessor, "_defer")
+        replay_application(app, GPUSimulator(GPUConfig()))
+        if cdp:
+            assert len(defers) == most
+        else:
+            assert len(defers) <= most
 
     def test_false_declaration_raises(self):
         """An application that declares itself launch-free but then
