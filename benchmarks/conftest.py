@@ -1,46 +1,6 @@
-"""Shared fixtures for the figure-regeneration benchmarks.
-
-Every benchmark runs on the paper's baseline configuration (the bolded
-Table I column: 78 SMs, 128KB L1 / 4MB L2, FR-FCFS, LRR, local
-crossbar) and the SMALL synthetic datasets.  Results are printed and
-also written to ``benchmarks/results/<name>.txt`` so the regenerated
-rows survive pytest's output capturing.
-"""
-
-from pathlib import Path
+"""Rewrite the asserts in the registry's claim checks, so a claim that
+fails shows the measured values it compared."""
 
 import pytest
 
-from repro.bench import cache_sweep_results
-from repro.core.config_presets import baseline_config
-
-RESULTS_DIR = Path(__file__).parent / "results"
-
-
-@pytest.fixture(scope="session")
-def paper_config():
-    """The RTX 3070 baseline the paper measures against."""
-    return baseline_config()
-
-
-@pytest.fixture(scope="session")
-def cache_sweep(paper_config):
-    """The six-point L1/L2 sweep shared by Figs 12, 13 and 14."""
-    return cache_sweep_results(paper_config)
-
-
-@pytest.fixture(scope="session")
-def emit():
-    """Print a result table and persist it under benchmarks/results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-
-    def _emit(name: str, text: str) -> None:
-        print(f"\n=== {name} ===\n{text}")
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-
-    return _emit
-
-
-def once(benchmark, func):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(func, rounds=1, iterations=1)
+pytest.register_assert_rewrite("repro.bench.registry")

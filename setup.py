@@ -16,7 +16,7 @@ setup(
     ),
     python_requires=">=3.9",
     install_requires=["numpy"],
-    extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
+    extras_require={"dev": ["pytest", "hypothesis"]},
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     entry_points={

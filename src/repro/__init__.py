@@ -13,7 +13,8 @@ Layers:
   timing model (SMs, schedulers, caches, DRAM, interconnect, CDP).
 - :mod:`repro.kernels` — the ten benchmarks binding both layers.
 - :mod:`repro.core` — the public run/characterize API.
-- :mod:`repro.bench` — one experiment per table/figure of the paper.
+- :mod:`repro.bench` — one experiment per table/figure of the paper,
+  each defined once in its registry (``repro.bench.EXPERIMENTS``).
 
 Quick start::
 

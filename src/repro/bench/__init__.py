@@ -1,9 +1,15 @@
-"""Experiment harnesses: one function per table/figure of the paper.
+"""Experiments: one function per table and figure of the paper, plus
+the ablations and the cross-GPU extension, and the registry that
+defines each of them once.
 
-Each ``figNN_*`` / ``tableN_*`` function runs the relevant benchmarks
-on the simulator and returns the rows/series the paper's figure
-reports.  The pytest-benchmark wrappers in ``benchmarks/`` time these
-and print their output; EXPERIMENTS.md records paper-vs-measured.
+Each ``figN_*`` / ``tableN_*`` function runs the relevant benchmarks
+on the simulator and returns the rows the paper's figure reports.
+:data:`EXPERIMENTS` (see :mod:`repro.bench.registry`) maps each
+experiment's key to its function, its committed table in
+``benchmarks/results/``, its ``repro sweep`` axis, its CI group and its
+paper claims.  ``repro figure KEY`` prints a table, and
+``benchmarks/test_figures.py`` checks every committed table and claim;
+EXPERIMENTS.md records paper-vs-measured.
 """
 
 from repro.bench.experiments import (
@@ -34,6 +40,7 @@ from repro.bench.experiments import (
     cache_sweep_results,
     suite_variants,
 )
+from repro.bench.registry import EXPERIMENTS, Claim, Experiment, sweep_axes
 
 __all__ = [
     "table1_configs",
@@ -62,4 +69,8 @@ __all__ = [
     "fig22_noc_bandwidth",
     "cache_sweep_results",
     "suite_variants",
+    "EXPERIMENTS",
+    "Claim",
+    "Experiment",
+    "sweep_axes",
 ]

@@ -1,10 +1,12 @@
-"""Every table and figure of the paper as a runnable experiment.
+"""Every table and figure of the paper, plus the ablations and the
+cross-GPU extension, as a runnable experiment.
 
 Conventions:
 
-- Each function accepts a ``config`` (default: the RTX 3070 baseline)
-  and returns a list of row dicts ready for
-  :func:`repro.core.report.format_table`.
+- Each function returns a list of row dicts ready for
+  :func:`repro.core.report.format_table`.  Most accept a ``config``
+  (default: the RTX 3070 baseline); which of ``config``/``size`` each
+  accepts is declared in :mod:`repro.bench.registry`.
 - Benchmarks default to the SMALL datasets so a full figure finishes
   in seconds; pass ``size=DatasetSize.MEDIUM``/``LARGE`` to scale up.
 - Per-figure benchmark subsets match the paper (Fig 2 uses SW/NW/STAR;
@@ -15,6 +17,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import asdict
+from functools import lru_cache
 
 from repro.core.config_presets import (
     CACHE_SWEEP,
@@ -36,23 +39,18 @@ from repro.core.sweep import run_sweep, sweep_point
 from repro.cpu.timing import cpu_cycles
 from repro.data.datasets import DatasetSize, dataset_for
 from repro.kernels import benchmark_names
-from repro.sim.config import GPUConfig
+from repro.sim.config import (
+    GPUConfig,
+    a100_config,
+    rtx3070_baseline,
+    rtx3090_config,
+)
 from repro.sim.stats import RunStats
 
 
 def suite_variants() -> list[tuple[str, bool]]:
     """All 20 (benchmark, cdp) variants in Table III order."""
     return [(abbr, cdp) for abbr in benchmark_names() for cdp in (False, True)]
-
-
-def _sweep_variants(
-    benchmarks: list[str] | None = None,
-) -> list[tuple[str, bool]]:
-    """``suite_variants`` filtered to an optional benchmark subset."""
-    return [
-        (abbr, cdp) for abbr, cdp in suite_variants()
-        if not benchmarks or abbr in benchmarks
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +289,6 @@ def fig10_warp_occupancy(
 def fig11_cta_sweep(
     config: GPUConfig | None = None,
     size: DatasetSize = DatasetSize.SMALL,
-    benchmarks: list[str] | None = None,
     num_sms: int = 4,
     jobs: int | None = 0,
 ) -> list[dict]:
@@ -305,7 +302,7 @@ def fig11_cta_sweep(
     the paper's PairHMM-CDP scaling trend to be visible.
     """
     config = (config or baseline_config()).with_(num_sms=num_sms)
-    variants = _sweep_variants(benchmarks)
+    variants = suite_variants()
     points = [
         sweep_point(
             f"{variant_name(abbr, cdp)}|x{factor}",
@@ -331,16 +328,13 @@ def fig11_cta_sweep(
     return rows
 
 
-def cache_sweep_results(
-    config: GPUConfig | None = None,
-    size: DatasetSize = DatasetSize.SMALL,
-    benchmarks: list[str] | None = None,
-    jobs: int | None = 0,
-) -> list[dict]:
-    """Shared sweep behind Figs 12-14: one row per (variant, cache pair)."""
-    config = config or baseline_config()
-    variants = _sweep_variants(benchmarks)
-    points = [
+@lru_cache(maxsize=1)
+def _cache_sweep(
+    config: GPUConfig, size: DatasetSize, jobs: int | None
+) -> dict[str, RunStats]:
+    """The Figs 12-14 grid, variant x cache pair; memoized, so the three
+    figures run it once per process."""
+    return run_sweep([
         sweep_point(
             f"{variant_name(abbr, cdp)}|l1={l1_bytes}|l2={l2_bytes}",
             abbr,
@@ -348,12 +342,20 @@ def cache_sweep_results(
             cdp=cdp,
             size=size,
         )
-        for abbr, cdp in variants
+        for abbr, cdp in suite_variants()
         for l1_bytes, l2_bytes in CACHE_SWEEP
-    ]
-    results = run_sweep(points, jobs=jobs)
+    ], jobs=jobs)
+
+
+def cache_sweep_results(
+    config: GPUConfig | None = None,
+    size: DatasetSize = DatasetSize.SMALL,
+    jobs: int | None = 0,
+) -> list[dict]:
+    """Shared sweep behind Figs 12-14: one row per (variant, cache pair)."""
+    results = _cache_sweep(config or baseline_config(), size, jobs)
     rows = []
-    for abbr, cdp in variants:
+    for abbr, cdp in suite_variants():
         name = variant_name(abbr, cdp)
         for l1_bytes, l2_bytes in CACHE_SWEEP:
             stats = results[f"{name}|l1={l1_bytes}|l2={l2_bytes}"]
@@ -373,9 +375,13 @@ def _baseline_key(row: dict) -> bool:
     return row["l1_bytes"] == 128 * 1024 and row["l2_bytes"] == 4 * 1024 * 1024
 
 
-def fig12_cache_speedup(sweep: list[dict] | None = None, **kwargs) -> list[dict]:
+def fig12_cache_speedup(
+    config: GPUConfig | None = None,
+    size: DatasetSize = DatasetSize.SMALL,
+    jobs: int | None = 0,
+) -> list[dict]:
     """Fig 12: IPC speedup per cache configuration vs the baseline."""
-    sweep = sweep or cache_sweep_results(**kwargs)
+    sweep = cache_sweep_results(config, size, jobs)
     baselines = {
         row["benchmark"]: row["ipc"] for row in sweep if _baseline_key(row)
     }
@@ -392,21 +398,27 @@ def fig12_cache_speedup(sweep: list[dict] | None = None, **kwargs) -> list[dict]
     ]
 
 
-def fig13_l1_miss(sweep: list[dict] | None = None, **kwargs) -> list[dict]:
+def fig13_l1_miss(
+    config: GPUConfig | None = None,
+    size: DatasetSize = DatasetSize.SMALL,
+    jobs: int | None = 0,
+) -> list[dict]:
     """Fig 13: L1 miss rate per cache configuration."""
-    sweep = sweep or cache_sweep_results(**kwargs)
     return [
         {k: row[k] for k in ("benchmark", "l1_bytes", "l2_bytes", "l1_miss_rate")}
-        for row in sweep
+        for row in cache_sweep_results(config, size, jobs)
     ]
 
 
-def fig14_l2_miss(sweep: list[dict] | None = None, **kwargs) -> list[dict]:
+def fig14_l2_miss(
+    config: GPUConfig | None = None,
+    size: DatasetSize = DatasetSize.SMALL,
+    jobs: int | None = 0,
+) -> list[dict]:
     """Fig 14: L2 miss rate per cache configuration."""
-    sweep = sweep or cache_sweep_results(**kwargs)
     return [
         {k: row[k] for k in ("benchmark", "l1_bytes", "l2_bytes", "l2_miss_rate")}
-        for row in sweep
+        for row in cache_sweep_results(config, size, jobs)
     ]
 
 
@@ -418,7 +430,7 @@ def fig15_perfect_memory(
     """Fig 15: speedup with a zero-latency memory system."""
     config = config or baseline_config()
     perfect_config = config.with_(perfect_memory=True)
-    variants = _sweep_variants()
+    variants = suite_variants()
     points = []
     for abbr, cdp in variants:
         name = variant_name(abbr, cdp)
@@ -441,10 +453,12 @@ def fig15_perfect_memory(
     return rows
 
 
+@lru_cache(maxsize=1)
 def _controller_sweep(
     config: GPUConfig, size: DatasetSize, jobs: int | None
 ) -> dict[str, RunStats]:
-    """Shared Figs 16/17 sweep: variant x controller, one run each."""
+    """Shared Figs 16/17 sweep: variant x controller, one run each;
+    memoized, so the two figures run it once per process."""
     points = [
         sweep_point(
             f"{variant_name(abbr, cdp)}|{controller}",
@@ -453,7 +467,7 @@ def _controller_sweep(
             cdp=cdp,
             size=size,
         )
-        for abbr, cdp in _sweep_variants()
+        for abbr, cdp in suite_variants()
         for controller in MEM_CONTROLLERS
     ]
     return run_sweep(points, jobs=jobs)
@@ -468,7 +482,7 @@ def fig16_mem_controller(
     config = config or baseline_config()
     results = _controller_sweep(config, size, jobs)
     rows = []
-    for abbr, cdp in _sweep_variants():
+    for abbr, cdp in suite_variants():
         name = variant_name(abbr, cdp)
         row = {"benchmark": name}
         times = {
@@ -491,7 +505,7 @@ def fig17_dram_efficiency(
     config = config or baseline_config()
     results = _controller_sweep(config, size, jobs)
     rows = []
-    for abbr, cdp in _sweep_variants():
+    for abbr, cdp in suite_variants():
         name = variant_name(abbr, cdp)
         row = {"benchmark": name}
         for controller in MEM_CONTROLLERS:
@@ -530,7 +544,7 @@ def _axis_sweep(
     ``key(value)`` names its column, and ``norm_value`` is the axis
     value every other one is normalized against.
     """
-    variants = _sweep_variants()
+    variants = suite_variants()
     points = [
         sweep_point(
             f"{variant_name(abbr, cdp)}|{key(value)}",
@@ -617,3 +631,109 @@ def fig22_noc_bandwidth(
         lambda width: f"bw{width}",
         40,
     )
+
+
+# ---------------------------------------------------------------------------
+# Ablations and extensions (beyond the paper's figures)
+# ---------------------------------------------------------------------------
+
+#: The ablations run on a 16-SM machine: each isolates one mechanism,
+#: and the small machine keeps every table to about a second.
+ABLATION_CONFIG = GPUConfig(num_sms=16)
+
+
+def ablation_memcpy_flush() -> list[dict]:
+    """Inter-kernel cache flushing on vs off: the locality loss the paper
+    blames for cache-capacity insensitivity (Sec IV-G)."""
+    # STAR's host program interleaves memcpys with its per-chunk
+    # kernels, so its constant-memory scoring tables are the clearest
+    # victim of the flush-per-copy behaviour.
+    rows = []
+    for flush in (True, False):
+        cfg = ABLATION_CONFIG.with_(flush_on_memcpy=flush)
+        stats = run_benchmark("STAR", config=cfg)
+        rows.append({
+            "flush_on_memcpy": flush,
+            "const_miss_rate": round(stats.const_cache.miss_rate, 3),
+            "l2_miss_rate": round(stats.l2.miss_rate, 3),
+            "device_time": stats.device_time(),
+        })
+    return rows
+
+
+def ablation_port_serialization() -> list[dict]:
+    """L1 port serialization on vs off: the Fig 7 no-shared-memory
+    penalty depends on paying per transaction."""
+    # NW's naive port issues 32-transaction column-strided accesses
+    # that *hit* the L1 after first touch, so its Fig 7 factor is a
+    # direct read-out of the per-transaction port cost.  (PairHMM's
+    # factor is DRAM-bound and insensitive to this knob.)
+    rows = []
+    for serialize in (True, False):
+        cfg = ABLATION_CONFIG.with_(l1_port_serialization=serialize)
+        with_smem = run_benchmark(
+            "NW", config=cfg, use_shared=True
+        ).device_time()
+        without = run_benchmark(
+            "NW", config=cfg, use_shared=False
+        ).device_time()
+        rows.append({
+            "port_serialization": serialize,
+            "fig7_factor": round(without / with_smem, 2),
+        })
+    return rows
+
+
+def ablation_launch_overheads() -> list[dict]:
+    """SW's CDP gain over host x device launch-overhead magnitudes: the
+    two calibration constants the Fig 3 CDP results hinge on."""
+    rows = []
+    for host_cycles in (500, 2000, 8000):
+        for cdp_cycles in (300, 600, 2400):
+            cfg = ABLATION_CONFIG.with_(
+                host_launch_cycles=host_cycles,
+                cdp_launch_cycles=cdp_cycles,
+            )
+            base = run_benchmark("SW", config=cfg).device_time()
+            cdp = run_benchmark("SW", cdp=True, config=cfg).device_time()
+            rows.append({
+                "host_launch": host_cycles,
+                "cdp_launch": cdp_cycles,
+                "noncdp": base,
+                "cdp": cdp,
+                "cdp_gain": round(1 - cdp / base, 3),
+            })
+    return rows
+
+
+def ablation_cdp_input_scaling() -> list[dict]:
+    """SW's CDP gain at small vs medium input with expensive device
+    launches: bigger inputs amortize the CDP overheads (Sec II-B)."""
+    rows = []
+    cfg = ABLATION_CONFIG.with_(cdp_launch_cycles=2400)
+    for size in (DatasetSize.SMALL, DatasetSize.MEDIUM):
+        base = run_benchmark("SW", size=size, config=cfg).device_time()
+        cdp = run_benchmark("SW", cdp=True, size=size, config=cfg).device_time()
+        rows.append({
+            "input": size.value,
+            "cdp_gain": round(1 - cdp / base, 3),
+        })
+    return rows
+
+
+def extension_cross_gpu() -> list[dict]:
+    """A benchmark subset on the RTX 3070 baseline, an RTX 3090-class
+    and an A100-class preset (the architecture-research use case)."""
+    presets = [
+        ("rtx3070", rtx3070_baseline()),
+        ("rtx3090", rtx3090_config()),
+        ("a100", a100_config()),
+    ]
+    rows = []
+    for abbr in ("SW", "GKSW", "PairHMM", "NvB"):
+        row = {"benchmark": abbr}
+        for name, config in presets:
+            row[name] = run_benchmark(abbr, config=config).device_time()
+        row["a100_speedup"] = round(row["rtx3070"] / row["a100"], 3)
+        rows.append(row)
+    return rows

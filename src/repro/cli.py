@@ -33,8 +33,10 @@ warm
 store
     Pack the trace store into a CRC-checked archive, or unpack one
     produced on another host (fingerprint-validated).
-figure NAME
-    Regenerate one of the paper's tables/figures (e.g. ``fig3``).
+figure KEY
+    Print one registered table: a table or figure of the paper, an
+    ablation or the extension (e.g. ``fig3``; see
+    :data:`repro.bench.EXPERIMENTS`).
 profile ABBR
     Run one benchmark with the interval sampler on and print the
     per-interval time series (``--trace``/``--jsonl`` export files).
@@ -56,11 +58,11 @@ from __future__ import annotations
 
 import argparse
 import errno
-import inspect
 import os
 import sys
 from pathlib import Path
 
+from repro.bench import EXPERIMENTS, sweep_axes
 from repro.core import (
     BenchmarkSuite,
     baseline_config,
@@ -395,19 +397,6 @@ def cmd_suite(args) -> int:
     return 0
 
 
-#: ``repro sweep`` axes -> the figure harness that runs them.
-SWEEP_AXES = {
-    "cache": "cache_sweep_results",
-    "cta": "fig11_cta_sweep",
-    "memory": "fig15_perfect_memory",
-    "controller": "fig16_mem_controller",
-    "scheduler": "fig19_scheduler",
-    "topology": "fig20_topology",
-    "noc-latency": "fig21_noc_latency",
-    "noc-bandwidth": "fig22_noc_bandwidth",
-}
-
-
 def _nonneg_int(text: str) -> int:
     value = _number(text, int)
     if value < 0:
@@ -416,7 +405,6 @@ def _nonneg_int(text: str) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from repro import bench
     from repro.core.sweep import default_jobs
     from repro.dist import DistSweepError
 
@@ -439,8 +427,9 @@ def cmd_sweep(args) -> int:
     try:
         if args.axis == "benchmark":
             return _sweep_benchmark(args, config, jobs)
-        func = getattr(bench, SWEEP_AXES[args.axis])
-        rows = func(config=config, size=args.size, jobs=jobs)
+        rows = sweep_axes()[args.axis](
+            config=config, size=args.size, jobs=jobs
+        )
     except DistSweepError as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 1
@@ -664,27 +653,11 @@ def cmd_roofline(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    from repro import bench
-
-    name = args.name.lower()
-    candidates = [
-        attr for attr in dir(bench)
-        if attr.startswith((f"{name}_", name)) and not attr.endswith("_")
-    ]
-    exact = [c for c in candidates if c == name or c.startswith(f"{name}_")]
-    if not exact:
-        known = sorted(
-            a for a in dir(bench) if a.startswith(("fig", "table"))
-        )
-        print(f"unknown figure {args.name!r}; known: {known}",
-              file=sys.stderr)
+    entry = EXPERIMENTS.get(args.name.lower())
+    if entry is None:
+        print(f"unknown figure {args.name!r}; known: "
+              f"{', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
-    func = getattr(bench, exact[0])
-    params = inspect.signature(func).parameters
-    if any(p.kind is p.VAR_KEYWORD for p in params.values()):
-        takes = {"config", "size"}  # forwarded to the sweep it runs
-    else:
-        takes = set(params)
     # A machine flag the table cannot take is refused, never dropped:
     # a right-looking table at the wrong size is a wrong number.
     for flag, value, param, noun in (
@@ -692,16 +665,16 @@ def cmd_figure(args) -> int:
         ("--config", args.config, "config", "machine config"),
         ("--size", args.size, "size", "dataset size"),
     ):
-        if value is not None and param not in takes:
+        if value is not None and param not in entry.takes:
             print(f"repro figure {args.name}: argument {flag}: "
-                  f"{exact[0]} takes no {noun}", file=sys.stderr)
+                  f"{entry.key} takes no {noun}", file=sys.stderr)
             return 2
     kwargs = {}
-    if "config" in takes:
+    if "config" in entry.takes:
         kwargs["config"] = _config(args)
     if args.size is not None:
         kwargs["size"] = args.size
-    rows = func(**kwargs)
+    rows = entry.run(**kwargs)
     if args.chart:
         from repro.core.report import format_bar_chart
 
@@ -951,7 +924,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="run a config sweep through the sweep engine"
     )
     p_sweep.add_argument(
-        "axis", choices=sorted(SWEEP_AXES) + ["benchmark"],
+        "axis", choices=sorted(sweep_axes()) + ["benchmark"],
         help="which config axis to sweep ('benchmark' runs the whole "
              "suite at one config, with per-variant rank columns)",
     )
@@ -1061,7 +1034,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_roof.set_defaults(func=cmd_roofline)
 
     p_fig = sub.add_parser("figure", help="regenerate a table/figure")
-    p_fig.add_argument("name", help="e.g. fig3, fig12, table3")
+    p_fig.add_argument("name", help="an experiment key, e.g. fig3, table3, "
+                       "ablation_memcpy_flush (a wrong one lists them all)")
     p_fig.add_argument("--chart", action="store_true",
                        help="render as grouped bars instead of a table")
     _add_machine_args(p_fig)

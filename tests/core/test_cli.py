@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+
 import pytest
 
 from repro import bench
@@ -49,6 +51,16 @@ class TestFigure:
         assert main(["figure", "fig99", "--sms", "4"]) == 2
         assert "unknown figure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["suite", "cache", "fig02"])
+    def test_only_registry_keys_resolve(self, capsys, name):
+        """Helpers of ``repro.bench`` (``suite_variants``, the raw cache
+        sweep) and result-file spellings are not figures: exit 2 with
+        the key list."""
+        assert main(["figure", name]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown figure {name!r}; known: table1, table2" in err
+        assert "extension_cross_gpu" in err
+
     @pytest.mark.parametrize("argv,size", [
         (["--size", "medium"], DatasetSize.MEDIUM),
         ([], None),
@@ -62,7 +74,8 @@ class TestFigure:
             seen.append(dict(config=config, size=size))
             return [{"benchmark": "SW", "cycles": 1}]
 
-        monkeypatch.setattr(bench, "fig21_noc_latency", fig21_noc_latency)
+        monkeypatch.setitem(bench.EXPERIMENTS, "fig21", dataclasses.replace(
+            bench.EXPERIMENTS["fig21"], run=fig21_noc_latency))
         assert main(["figure", "fig21", *argv]) == 0
         assert seen[0]["size"] == (size or DatasetSize.SMALL)
         assert seen[0]["config"] is not None
