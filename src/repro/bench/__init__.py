@@ -9,7 +9,9 @@ experiment's key to its function, its committed table in
 ``benchmarks/results/``, its ``repro sweep`` axis, its CI group and its
 paper claims.  ``repro figure KEY`` prints a table, and
 ``benchmarks/test_figures.py`` checks every committed table and claim;
-EXPERIMENTS.md records paper-vs-measured.
+EXPERIMENTS.md records paper-vs-measured.  Every harness gets its
+simulations from :func:`repro.bench.experiments.run_points`, so each
+distinct point runs once per process.
 """
 
 from repro.bench.experiments import (

@@ -12,12 +12,15 @@ Conventions:
 - Per-figure benchmark subsets match the paper (Fig 2 uses SW/NW/STAR;
   Fig 7 uses NW/PairHMM; everything else runs the full suite with CDP
   variants).
+- Every simulation is a :class:`~repro.core.sweep.SweepPoint` obtained
+  through :func:`run_points`, which runs each distinct point once per
+  process: the baseline suite that most figures read, or normalize
+  against, is simulated once however many tables ask for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
-from functools import lru_cache
 
 from repro.core.config_presets import (
     CACHE_SWEEP,
@@ -33,11 +36,18 @@ from repro.core.config_presets import (
     with_controller,
     with_topology,
 )
-from repro.core.runner import run_benchmark, variant_name
+from repro.core.runner import variant_name
 from repro.core.suite import BenchmarkSuite
-from repro.core.sweep import run_sweep, sweep_point
+from repro.core.sweep import (
+    SweepPoint,
+    point_key,
+    run_sweep,
+    suite_points,
+    sweep_point,
+)
 from repro.cpu.timing import cpu_cycles
 from repro.data.datasets import DatasetSize, dataset_for
+from repro.isa.instructions import WARP_SIZE
 from repro.kernels import benchmark_names
 from repro.sim.config import (
     GPUConfig,
@@ -47,10 +57,62 @@ from repro.sim.config import (
 )
 from repro.sim.stats import RunStats
 
+#: Every statistic a harness has read in this process, by
+#: :func:`~repro.core.sweep.point_key`.  The key is the point's identity
+#: only, so code that patches the simulator or the datasets must clear
+#: it; and since one object serves every table sharing the point, no
+#: harness may mutate a :class:`RunStats` it reads.
+memo: dict[str, RunStats] = {}
+
+
+def run_points(
+    points: list[SweepPoint], jobs: int | None = 0
+) -> dict[str, RunStats]:
+    """``{point.label: RunStats}`` for ``points``, in input order.
+
+    Points the memo lacks go to one :func:`~repro.core.sweep.run_sweep`
+    call (``jobs`` as there); each distinct point runs once.
+    """
+    keys = [point_key(point) for point in points]
+    todo: dict[str, SweepPoint] = {}
+    for key, point in zip(keys, points):
+        if key not in memo:
+            todo.setdefault(key, point)
+    if todo:
+        fresh = run_sweep(list(todo.values()), jobs=jobs)
+        memo.update(zip(todo, fresh.values()))
+    return {point.label: memo[key] for point, key in zip(points, keys)}
+
 
 def suite_variants() -> list[tuple[str, bool]]:
     """All 20 (benchmark, cdp) variants in Table III order."""
     return [(abbr, cdp) for abbr in benchmark_names() for cdp in (False, True)]
+
+
+def _suite(config: GPUConfig, size: DatasetSize) -> dict[str, RunStats]:
+    """The 20-variant suite at ``config``, keyed by variant name."""
+    return run_points(suite_points(size=size, config=config))
+
+
+def _per_variant(config, size, columns) -> list[dict]:
+    """One row per suite variant: its name, then ``columns(stats)``."""
+    return [
+        {"benchmark": name, **columns(stats)}
+        for name, stats in _suite(config or baseline_config(), size).items()
+    ]
+
+
+def _variant_grid(
+    axis, make_config, key, size: DatasetSize, jobs: int | None
+) -> dict[str, RunStats]:
+    """Every suite variant at every ``axis`` value; labels are
+    ``"NAME|key(value)"`` and ``make_config(value)`` is the machine."""
+    return run_points([
+        sweep_point(f"{variant_name(abbr, cdp)}|{key(value)}", abbr,
+                    make_config(value), cdp=cdp, size=size)
+        for abbr, cdp in suite_variants()
+        for value in axis
+    ], jobs=jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +127,8 @@ def table1_configs() -> list[dict]:
     return [
         {"configuration": "Shader Cores", "baseline": base.num_sms,
          "sweep": [base.num_sms]},
-        {"configuration": "Warp Size", "baseline": base.warp_size,
-         "sweep": [base.warp_size]},
+        {"configuration": "Warp Size", "baseline": WARP_SIZE,
+         "sweep": [WARP_SIZE]},
         {"configuration": "Registers / Core",
          "baseline": base.registers_per_sm, "sweep": presets.REGISTER_SWEEP},
         {"configuration": "CTAs / Core", "baseline": base.max_ctas_per_sm,
@@ -117,17 +179,15 @@ def fig2_cpu_gpu(
     config: GPUConfig | None = None, size: DatasetSize = DatasetSize.SMALL
 ) -> list[dict]:
     """Fig 2: CPU vs GPU vs GPU+CDP for SW, NW, STAR (normalized to CPU)."""
-    config = config or baseline_config()
+    benchmarks = ["SW", "NW", "STAR"]
+    stats = run_points(suite_points(
+        benchmarks, size=size, config=config or baseline_config()
+    ))
     rows = []
-    for abbr in ("SW", "NW", "STAR"):
-        workload = dataset_for(abbr, size)
-        cpu = cpu_cycles(abbr, workload)
-        gpu = run_benchmark(
-            abbr, cdp=False, size=size, config=config, workload=workload
-        ).device_time()
-        gpu_cdp = run_benchmark(
-            abbr, cdp=True, size=size, config=config, workload=workload
-        ).device_time()
+    for abbr in benchmarks:
+        cpu = cpu_cycles(abbr, dataset_for(abbr, size))
+        gpu = stats[abbr].device_time()
+        gpu_cdp = stats[variant_name(abbr, True)].device_time()
         rows.append({
             "benchmark": abbr,
             "cpu_cycles": cpu,
@@ -145,72 +205,52 @@ def fig3_cdp(
     config: GPUConfig | None = None, size: DatasetSize = DatasetSize.SMALL
 ) -> list[dict]:
     """Fig 3: kernel execution time, CDP vs non-CDP, per benchmark."""
-    config = config or baseline_config()
+    stats = _suite(config or baseline_config(), size)
     rows = []
     for abbr in benchmark_names():
-        base = run_benchmark(abbr, cdp=False, size=size, config=config)
-        cdp = run_benchmark(abbr, cdp=True, size=size, config=config)
+        base = stats[abbr].device_time()
+        cdp = stats[variant_name(abbr, True)].device_time()
         rows.append({
             "benchmark": abbr,
-            "noncdp_cycles": base.device_time(),
-            "cdp_cycles": cdp.device_time(),
-            "improvement": 1.0 - cdp.device_time() / base.device_time(),
+            "noncdp_cycles": base,
+            "cdp_cycles": cdp,
+            "improvement": 1.0 - cdp / base,
         })
     return rows
+
+
+def _kernel_pci(stats: RunStats) -> dict:
+    launches = stats.kernel_launches + stats.device_launches
+    return {
+        "kernel_count": launches,
+        "pci_count": stats.memcpy_calls,
+        "kernel_cycles": stats.kernel_cycles,
+        "pci_cycles": stats.pci_cycles,
+        "avg_kernel_cycles": stats.kernel_cycles / max(1, launches),
+        "avg_pci_cycles": stats.pci_cycles / max(1, stats.memcpy_calls),
+    }
 
 
 def fig4_kernel_pci(
     config: GPUConfig | None = None, size: DatasetSize = DatasetSize.SMALL
 ) -> list[dict]:
     """Fig 4: kernel/PCI call counts and total/average times."""
-    config = config or baseline_config()
-    rows = []
-    for abbr, cdp in suite_variants():
-        stats = run_benchmark(abbr, cdp=cdp, size=size, config=config)
-        launches = stats.kernel_launches + stats.device_launches
-        rows.append({
-            "benchmark": variant_name(abbr, cdp),
-            "kernel_count": launches,
-            "pci_count": stats.memcpy_calls,
-            "kernel_cycles": stats.kernel_cycles,
-            "pci_cycles": stats.pci_cycles,
-            "avg_kernel_cycles": stats.kernel_cycles / max(1, launches),
-            "avg_pci_cycles": stats.pci_cycles / max(1, stats.memcpy_calls),
-        })
-    return rows
+    return _per_variant(config, size, _kernel_pci)
 
 
 def fig5_stalls(
     config: GPUConfig | None = None, size: DatasetSize = DatasetSize.SMALL
 ) -> list[dict]:
     """Fig 5: pipeline-stall breakdown per benchmark."""
-    config = config or baseline_config()
-    rows = []
-    for abbr, cdp in suite_variants():
-        stats = run_benchmark(abbr, cdp=cdp, size=size, config=config)
-        row = {"benchmark": variant_name(abbr, cdp)}
-        row.update(stats.stall_breakdown())
-        rows.append(row)
-    return rows
+    return _per_variant(config, size, RunStats.stall_breakdown)
 
 
 def fig6_sram(config: GPUConfig | None = None) -> list[dict]:
     """Fig 6: register / shared / constant utilization per benchmark."""
-    config = config or baseline_config()
-    suite = BenchmarkSuite(config)
-    from repro.kernels import build_application
-    from repro.sim.occupancy import occupancy_report
-
+    suite = BenchmarkSuite(config or baseline_config())
     rows = []
     for abbr in suite.names():
-        app = build_application(abbr)
-        kernel = getattr(app, "kernel", None)
-        if kernel is None:
-            for op in app.host_program():
-                if hasattr(op, "launch"):
-                    kernel = op.launch.kernel
-                    break
-        report = occupancy_report(config, kernel)
+        report = suite.occupancy(abbr)
         rows.append({
             "benchmark": abbr,
             "registers": report.register_utilization,
@@ -222,19 +262,26 @@ def fig6_sram(config: GPUConfig | None = None) -> list[dict]:
     return rows
 
 
+#: The Fig 7 arms: each application as built (shared memory on) and its
+#: no-shared-memory ablation.
+_SMEM_ARMS = (("with", {}), ("without", {"use_shared": False}))
+
+
 def fig7_shared_memory(
     config: GPUConfig | None = None, size: DatasetSize = DatasetSize.SMALL
 ) -> list[dict]:
     """Fig 7: NW and PairHMM with vs without shared memory."""
     config = config or baseline_config()
+    benchmarks = ("NW", "PairHMM")
+    stats = run_points([
+        sweep_point(f"{abbr}|{arm}", abbr, config, size=size, **options)
+        for abbr in benchmarks
+        for arm, options in _SMEM_ARMS
+    ])
     rows = []
-    for abbr in ("NW", "PairHMM"):
-        with_smem = run_benchmark(
-            abbr, size=size, config=config, use_shared=True
-        ).device_time()
-        without = run_benchmark(
-            abbr, size=size, config=config, use_shared=False
-        ).device_time()
+    for abbr in benchmarks:
+        with_smem = stats[f"{abbr}|with"].device_time()
+        without = stats[f"{abbr}|without"].device_time()
         rows.append({
             "benchmark": abbr,
             "with_shared_cycles": with_smem,
@@ -248,42 +295,21 @@ def fig8_instruction_mix(
     config: GPUConfig | None = None, size: DatasetSize = DatasetSize.SMALL
 ) -> list[dict]:
     """Fig 8: dynamic instruction-class distribution."""
-    config = config or baseline_config()
-    rows = []
-    for abbr, cdp in suite_variants():
-        stats = run_benchmark(abbr, cdp=cdp, size=size, config=config)
-        row = {"benchmark": variant_name(abbr, cdp)}
-        row.update(stats.op_fractions())
-        rows.append(row)
-    return rows
+    return _per_variant(config, size, RunStats.op_fractions)
 
 
 def fig9_memory_mix(
     config: GPUConfig | None = None, size: DatasetSize = DatasetSize.SMALL
 ) -> list[dict]:
     """Fig 9: memory-space distribution of memory instructions."""
-    config = config or baseline_config()
-    rows = []
-    for abbr, cdp in suite_variants():
-        stats = run_benchmark(abbr, cdp=cdp, size=size, config=config)
-        row = {"benchmark": variant_name(abbr, cdp)}
-        row.update(stats.mem_fractions())
-        rows.append(row)
-    return rows
+    return _per_variant(config, size, RunStats.mem_fractions)
 
 
 def fig10_warp_occupancy(
     config: GPUConfig | None = None, size: DatasetSize = DatasetSize.SMALL
 ) -> list[dict]:
     """Fig 10: warp-occupancy histogram (W1-4 .. W29-32)."""
-    config = config or baseline_config()
-    rows = []
-    for abbr, cdp in suite_variants():
-        stats = run_benchmark(abbr, cdp=cdp, size=size, config=config)
-        row = {"benchmark": variant_name(abbr, cdp)}
-        row.update(stats.occupancy_fractions())
-        rows.append(row)
-    return rows
+    return _per_variant(config, size, RunStats.occupancy_fractions)
 
 
 def fig11_cta_sweep(
@@ -302,8 +328,7 @@ def fig11_cta_sweep(
     the paper's PairHMM-CDP scaling trend to be visible.
     """
     config = (config or baseline_config()).with_(num_sms=num_sms)
-    variants = suite_variants()
-    points = [
+    stats = run_points([
         sweep_point(
             f"{variant_name(abbr, cdp)}|x{factor}",
             abbr,
@@ -311,12 +336,11 @@ def fig11_cta_sweep(
             cdp=cdp,
             size=DatasetSize.MEDIUM if abbr == "PairHMM" else size,
         )
-        for abbr, cdp in variants
+        for abbr, cdp in suite_variants()
         for factor in CTA_SCALING
-    ]
-    stats = run_sweep(points, jobs=jobs)
+    ], jobs=jobs)
     rows = []
-    for abbr, cdp in variants:
+    for abbr, cdp in suite_variants():
         name = variant_name(abbr, cdp)
         row = {"benchmark": name}
         for factor in CTA_SCALING:
@@ -328,32 +352,19 @@ def fig11_cta_sweep(
     return rows
 
 
-@lru_cache(maxsize=1)
-def _cache_sweep(
-    config: GPUConfig, size: DatasetSize, jobs: int | None
-) -> dict[str, RunStats]:
-    """The Figs 12-14 grid, variant x cache pair; memoized, so the three
-    figures run it once per process."""
-    return run_sweep([
-        sweep_point(
-            f"{variant_name(abbr, cdp)}|l1={l1_bytes}|l2={l2_bytes}",
-            abbr,
-            with_cache_sizes(config, l1_bytes, l2_bytes),
-            cdp=cdp,
-            size=size,
-        )
-        for abbr, cdp in suite_variants()
-        for l1_bytes, l2_bytes in CACHE_SWEEP
-    ], jobs=jobs)
-
-
 def cache_sweep_results(
     config: GPUConfig | None = None,
     size: DatasetSize = DatasetSize.SMALL,
     jobs: int | None = 0,
 ) -> list[dict]:
     """Shared sweep behind Figs 12-14: one row per (variant, cache pair)."""
-    results = _cache_sweep(config or baseline_config(), size, jobs)
+    config = config or baseline_config()
+    results = _variant_grid(
+        CACHE_SWEEP,
+        lambda pair: with_cache_sizes(config, *pair),
+        lambda pair: f"l1={pair[0]}|l2={pair[1]}",
+        size, jobs,
+    )
     rows = []
     for abbr, cdp in suite_variants():
         name = variant_name(abbr, cdp)
@@ -429,18 +440,11 @@ def fig15_perfect_memory(
 ) -> list[dict]:
     """Fig 15: speedup with a zero-latency memory system."""
     config = config or baseline_config()
-    perfect_config = config.with_(perfect_memory=True)
-    variants = suite_variants()
-    points = []
-    for abbr, cdp in variants:
-        name = variant_name(abbr, cdp)
-        points.append(sweep_point(f"{name}|base", abbr, config,
-                                  cdp=cdp, size=size))
-        points.append(sweep_point(f"{name}|perfect", abbr, perfect_config,
-                                  cdp=cdp, size=size))
-    results = run_sweep(points, jobs=jobs)
+    machines = {"base": config,
+                "perfect": config.with_(perfect_memory=True)}
+    results = _variant_grid(machines, machines.get, str, size, jobs)
     rows = []
-    for abbr, cdp in variants:
+    for abbr, cdp in suite_variants():
         name = variant_name(abbr, cdp)
         base = results[f"{name}|base"].device_time()
         perfect = results[f"{name}|perfect"].device_time()
@@ -453,24 +457,14 @@ def fig15_perfect_memory(
     return rows
 
 
-@lru_cache(maxsize=1)
-def _controller_sweep(
-    config: GPUConfig, size: DatasetSize, jobs: int | None
-) -> dict[str, RunStats]:
-    """Shared Figs 16/17 sweep: variant x controller, one run each;
-    memoized, so the two figures run it once per process."""
-    points = [
-        sweep_point(
-            f"{variant_name(abbr, cdp)}|{controller}",
-            abbr,
-            with_controller(config, controller),
-            cdp=cdp,
-            size=size,
-        )
-        for abbr, cdp in suite_variants()
-        for controller in MEM_CONTROLLERS
-    ]
-    return run_sweep(points, jobs=jobs)
+def _controller_sweep(config, size, jobs) -> dict[str, RunStats]:
+    """The Figs 16/17 grid: every variant under every controller."""
+    config = config or baseline_config()
+    return _variant_grid(
+        MEM_CONTROLLERS,
+        lambda controller: with_controller(config, controller),
+        str, size, jobs,
+    )
 
 
 def fig16_mem_controller(
@@ -479,7 +473,6 @@ def fig16_mem_controller(
     jobs: int | None = 0,
 ) -> list[dict]:
     """Fig 16: FR-FCFS vs FIFO vs OoO-128 memory controllers."""
-    config = config or baseline_config()
     results = _controller_sweep(config, size, jobs)
     rows = []
     for abbr, cdp in suite_variants():
@@ -502,7 +495,6 @@ def fig17_dram_efficiency(
     jobs: int | None = 0,
 ) -> list[dict]:
     """Fig 17: DRAM efficiency per benchmark and controller."""
-    config = config or baseline_config()
     results = _controller_sweep(config, size, jobs)
     rows = []
     for abbr, cdp in suite_variants():
@@ -518,19 +510,12 @@ def fig18_dram_utilization(
     config: GPUConfig | None = None, size: DatasetSize = DatasetSize.SMALL
 ) -> list[dict]:
     """Fig 18: fraction of execution time the DRAM pins move data."""
-    config = config or baseline_config()
-    rows = []
-    for abbr, cdp in suite_variants():
-        stats = run_benchmark(abbr, cdp=cdp, size=size, config=config)
-        rows.append({
-            "benchmark": variant_name(abbr, cdp),
-            "utilization": stats.dram_utilization(),
-        })
-    return rows
+    return _per_variant(
+        config, size, lambda stats: {"utilization": stats.dram_utilization()}
+    )
 
 
 def _axis_sweep(
-    config: GPUConfig,
     size: DatasetSize,
     jobs: int | None,
     axis: list,
@@ -544,21 +529,9 @@ def _axis_sweep(
     ``key(value)`` names its column, and ``norm_value`` is the axis
     value every other one is normalized against.
     """
-    variants = suite_variants()
-    points = [
-        sweep_point(
-            f"{variant_name(abbr, cdp)}|{key(value)}",
-            abbr,
-            make_config(value),
-            cdp=cdp,
-            size=size,
-        )
-        for abbr, cdp in variants
-        for value in axis
-    ]
-    results = run_sweep(points, jobs=jobs)
+    results = _variant_grid(axis, make_config, key, size, jobs)
     rows = []
-    for abbr, cdp in variants:
+    for abbr, cdp in suite_variants():
         name = variant_name(abbr, cdp)
         row = {"benchmark": name}
         times = {
@@ -581,7 +554,7 @@ def fig19_scheduler(
     """Fig 19: warp-scheduler sensitivity (normalized to LRR)."""
     config = config or baseline_config()
     return _axis_sweep(
-        config, size, jobs, SCHEDULERS,
+        size, jobs, SCHEDULERS,
         lambda sched: config.with_(scheduler=sched),
         lambda sched: sched,
         "lrr",
@@ -596,7 +569,7 @@ def fig20_topology(
     """Fig 20: interconnect topology (normalized to the local crossbar)."""
     config = config or baseline_config()
     return _axis_sweep(
-        config, size, jobs, TOPOLOGIES,
+        size, jobs, TOPOLOGIES,
         lambda topology: with_topology(config, topology),
         lambda topology: topology,
         "xbar",
@@ -611,7 +584,7 @@ def fig21_noc_latency(
     """Fig 21: router latency +0/4/8/16 cycles on a mesh."""
     config = config or baseline_config()
     return _axis_sweep(
-        config, size, jobs, NOC_LATENCY_SWEEP,
+        size, jobs, NOC_LATENCY_SWEEP,
         lambda delay: with_topology(config, "mesh", router_delay=delay),
         lambda delay: f"delay{delay}",
         0,
@@ -626,7 +599,7 @@ def fig22_noc_bandwidth(
     """Fig 22: channel width 8/16/32/40B on a mesh (normalized to 40B)."""
     config = config or baseline_config()
     return _axis_sweep(
-        config, size, jobs, NOC_BANDWIDTH_SWEEP,
+        size, jobs, NOC_BANDWIDTH_SWEEP,
         lambda width: with_topology(config, "mesh", channel_bytes=width),
         lambda width: f"bw{width}",
         40,
@@ -648,17 +621,21 @@ def ablation_memcpy_flush() -> list[dict]:
     # STAR's host program interleaves memcpys with its per-chunk
     # kernels, so its constant-memory scoring tables are the clearest
     # victim of the flush-per-copy behaviour.
-    rows = []
-    for flush in (True, False):
-        cfg = ABLATION_CONFIG.with_(flush_on_memcpy=flush)
-        stats = run_benchmark("STAR", config=cfg)
-        rows.append({
+    flushes = (True, False)
+    stats = run_points([
+        sweep_point(str(flush), "STAR",
+                    ABLATION_CONFIG.with_(flush_on_memcpy=flush))
+        for flush in flushes
+    ])
+    return [
+        {
             "flush_on_memcpy": flush,
-            "const_miss_rate": round(stats.const_cache.miss_rate, 3),
-            "l2_miss_rate": round(stats.l2.miss_rate, 3),
-            "device_time": stats.device_time(),
-        })
-    return rows
+            "const_miss_rate": round(stats[str(flush)].const_cache.miss_rate, 3),
+            "l2_miss_rate": round(stats[str(flush)].l2.miss_rate, 3),
+            "device_time": stats[str(flush)].device_time(),
+        }
+        for flush in flushes
+    ]
 
 
 def ablation_port_serialization() -> list[dict]:
@@ -668,72 +645,91 @@ def ablation_port_serialization() -> list[dict]:
     # that *hit* the L1 after first touch, so its Fig 7 factor is a
     # direct read-out of the per-transaction port cost.  (PairHMM's
     # factor is DRAM-bound and insensitive to this knob.)
-    rows = []
-    for serialize in (True, False):
-        cfg = ABLATION_CONFIG.with_(l1_port_serialization=serialize)
-        with_smem = run_benchmark(
-            "NW", config=cfg, use_shared=True
-        ).device_time()
-        without = run_benchmark(
-            "NW", config=cfg, use_shared=False
-        ).device_time()
-        rows.append({
+    modes = (True, False)
+    stats = run_points([
+        sweep_point(f"{serialize}|{arm}", "NW",
+                    ABLATION_CONFIG.with_(l1_port_serialization=serialize),
+                    **options)
+        for serialize in modes
+        for arm, options in _SMEM_ARMS
+    ])
+    return [
+        {
             "port_serialization": serialize,
-            "fig7_factor": round(without / with_smem, 2),
-        })
-    return rows
+            "fig7_factor": round(
+                stats[f"{serialize}|without"].device_time()
+                / stats[f"{serialize}|with"].device_time(), 2
+            ),
+        }
+        for serialize in modes
+    ]
 
 
 def ablation_launch_overheads() -> list[dict]:
     """SW's CDP gain over host x device launch-overhead magnitudes: the
     two calibration constants the Fig 3 CDP results hinge on."""
+    grid = [(host, cdp) for host in (500, 2000, 8000)
+            for cdp in (300, 600, 2400)]
+    stats = run_points([
+        sweep_point(f"{host}|{cdp_cycles}|{cdp}", "SW",
+                    ABLATION_CONFIG.with_(host_launch_cycles=host,
+                                          cdp_launch_cycles=cdp_cycles),
+                    cdp=cdp)
+        for host, cdp_cycles in grid
+        for cdp in (False, True)
+    ])
     rows = []
-    for host_cycles in (500, 2000, 8000):
-        for cdp_cycles in (300, 600, 2400):
-            cfg = ABLATION_CONFIG.with_(
-                host_launch_cycles=host_cycles,
-                cdp_launch_cycles=cdp_cycles,
-            )
-            base = run_benchmark("SW", config=cfg).device_time()
-            cdp = run_benchmark("SW", cdp=True, config=cfg).device_time()
-            rows.append({
-                "host_launch": host_cycles,
-                "cdp_launch": cdp_cycles,
-                "noncdp": base,
-                "cdp": cdp,
-                "cdp_gain": round(1 - cdp / base, 3),
-            })
+    for host, cdp_cycles in grid:
+        base = stats[f"{host}|{cdp_cycles}|False"].device_time()
+        cdp = stats[f"{host}|{cdp_cycles}|True"].device_time()
+        rows.append({
+            "host_launch": host,
+            "cdp_launch": cdp_cycles,
+            "noncdp": base,
+            "cdp": cdp,
+            "cdp_gain": round(1 - cdp / base, 3),
+        })
     return rows
 
 
 def ablation_cdp_input_scaling() -> list[dict]:
     """SW's CDP gain at small vs medium input with expensive device
     launches: bigger inputs amortize the CDP overheads (Sec II-B)."""
-    rows = []
+    sizes = (DatasetSize.SMALL, DatasetSize.MEDIUM)
     cfg = ABLATION_CONFIG.with_(cdp_launch_cycles=2400)
-    for size in (DatasetSize.SMALL, DatasetSize.MEDIUM):
-        base = run_benchmark("SW", size=size, config=cfg).device_time()
-        cdp = run_benchmark("SW", cdp=True, size=size, config=cfg).device_time()
-        rows.append({
+    stats = {
+        size: run_points(suite_points(["SW"], size=size, config=cfg))
+        for size in sizes
+    }
+    return [
+        {
             "input": size.value,
-            "cdp_gain": round(1 - cdp / base, 3),
-        })
-    return rows
+            "cdp_gain": round(1 - stats[size]["SW-CDP"].device_time()
+                              / stats[size]["SW"].device_time(), 3),
+        }
+        for size in sizes
+    ]
 
 
 def extension_cross_gpu() -> list[dict]:
     """A benchmark subset on the RTX 3070 baseline, an RTX 3090-class
     and an A100-class preset (the architecture-research use case)."""
-    presets = [
-        ("rtx3070", rtx3070_baseline()),
-        ("rtx3090", rtx3090_config()),
-        ("a100", a100_config()),
-    ]
+    presets = {
+        "rtx3070": rtx3070_baseline(),
+        "rtx3090": rtx3090_config(),
+        "a100": a100_config(),
+    }
+    benchmarks = ("SW", "GKSW", "PairHMM", "NvB")
+    stats = run_points([
+        sweep_point(f"{abbr}|{name}", abbr, config)
+        for abbr in benchmarks
+        for name, config in presets.items()
+    ])
     rows = []
-    for abbr in ("SW", "GKSW", "PairHMM", "NvB"):
+    for abbr in benchmarks:
         row = {"benchmark": abbr}
-        for name, config in presets:
-            row[name] = run_benchmark(abbr, config=config).device_time()
+        for name in presets:
+            row[name] = stats[f"{abbr}|{name}"].device_time()
         row["a100_speedup"] = round(row["rtx3070"] / row["a100"], 3)
         rows.append(row)
     return rows

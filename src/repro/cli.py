@@ -87,19 +87,27 @@ def _size(value: str) -> DatasetSize:
         ) from None
 
 
-def _add_machine_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--sms", type=_positive_int, default=None,
-        help="number of SMs (default: the paper's 78)",
-    )
-    parser.add_argument(
-        "--size", type=_size, default=DatasetSize.SMALL,
-        metavar="{" + ",".join(_SIZES) + "}", help="dataset scale",
-    )
-    parser.add_argument(
-        "--config", type=_config_file, default=None, metavar="FILE",
-        help="simulator config file (see repro.sim.configfile)",
-    )
+def _add_machine_args(parser: argparse.ArgumentParser, machine: bool = True,
+                      size: bool = True) -> None:
+    """``--sms``/``--config`` (``machine``) and ``--size``.
+
+    Each command takes only the flags it reads, so argparse refuses
+    the others rather than accept and ignore them.
+    """
+    if machine:
+        parser.add_argument(
+            "--sms", type=_positive_int, default=None,
+            help="number of SMs (default: the paper's 78)",
+        )
+        parser.add_argument(
+            "--config", type=_config_file, default=None, metavar="FILE",
+            help="simulator config file (see repro.sim.configfile)",
+        )
+    if size:
+        parser.add_argument(
+            "--size", type=_size, default=DatasetSize.SMALL,
+            metavar="{" + ",".join(_SIZES) + "}", help="dataset scale",
+        )
 
 
 def _config_file(path: str):
@@ -408,6 +416,12 @@ def cmd_sweep(args) -> int:
     from repro.core.sweep import default_jobs
     from repro.dist import DistSweepError
 
+    for flag, given in (("--journal", args.journal),
+                        ("--no-cdp", args.no_cdp)):
+        if args.axis != "benchmark" and given:
+            print(f"{flag} only applies to the benchmark axis",
+                  file=sys.stderr)
+            return 2
     if args.store:
         # The sweep engine's default store resolution reads the
         # environment, so one assignment threads the store through
@@ -416,14 +430,10 @@ def cmd_sweep(args) -> int:
     config = _config(args)
     if args.estimate:
         # run_point routes every sampled point through the estimator;
-        # traces are still shared with exact sweeps (sample knobs are
-        # not part of the trace signature).
+        # traces are still shared with exact sweeps (no config knob is
+        # part of the trace-cache key).
         config = _estimate_config(args, config)
     jobs = default_jobs() if args.jobs is None else args.jobs
-    if args.axis != "benchmark" and args.journal:
-        print("--journal only applies to the benchmark axis",
-              file=sys.stderr)
-        return 2
     try:
         if args.axis == "benchmark":
             return _sweep_benchmark(args, config, jobs)
@@ -520,7 +530,6 @@ def cmd_warm(args) -> int:
         print(f"{source}: cannot use trace store {root}: {reason}",
               file=sys.stderr)
         return 2
-    config = _config(args)
     benchmarks = args.benchmarks or benchmark_names()
     variants = [
         (abbr, cdp)
@@ -539,9 +548,9 @@ def cmd_warm(args) -> int:
     for abbr, cdp in variants:
         name = variant_name(abbr, cdp)
         hits, builds = store.hits, store.builds
-        point = sweep_point(name, abbr, config, cdp=cdp,
-                            size=args.size)
-        cache.get(point)
+        # The trace-cache key reads no config knob: any machine will do.
+        cache.get(sweep_point(name, abbr, baseline_config(), cdp=cdp,
+                              size=args.size))
         if store.hits > hits:
             state = "already stored"
         elif store.builds > builds:
@@ -876,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_list = sub.add_parser("list", help="Table III benchmark properties")
-    _add_machine_args(p_list)
+    _add_machine_args(p_list, size=False)
     p_list.set_defaults(func=cmd_list)
 
     p_run = sub.add_parser("run", help="run one benchmark")
@@ -939,7 +948,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--no-cdp", action="store_true",
-        help="benchmark axis: skip the CDP variants",
+        help="benchmark axis: skip the CDP variants (other axes refuse "
+             "it)",
     )
     p_sweep.add_argument(
         "--journal", default=None, metavar="FILE",
@@ -1012,7 +1022,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="warm only this host's deterministic slice of the variant "
              "list (N hosts run shards 0/N..N-1/N)",
     )
-    _add_machine_args(p_warm)
+    _add_machine_args(p_warm, machine=False)
     p_warm.set_defaults(func=cmd_warm)
 
     p_store = sub.add_parser(
@@ -1046,18 +1056,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_data = sub.add_parser("dataset", help="export a synthetic dataset")
     p_data.add_argument("benchmark", type=_benchmark)
     p_data.add_argument("--out", default="datasets")
-    _add_machine_args(p_data)
+    _add_machine_args(p_data, machine=False)
     p_data.set_defaults(func=cmd_dataset)
 
     p_trace = sub.add_parser("trace", help="capture a kernel trace file")
     p_trace.add_argument("benchmark", type=_benchmark)
     p_trace.add_argument("--out", default="kernel.trace")
-    _add_machine_args(p_trace)
+    _add_machine_args(p_trace, machine=False)
     p_trace.set_defaults(func=cmd_trace)
 
     p_replay = sub.add_parser("replay", help="re-simulate a trace file")
     p_replay.add_argument("trace")
-    _add_machine_args(p_replay)
+    _add_machine_args(p_replay, size=False)
     p_replay.set_defaults(func=cmd_replay)
 
     p_serve = sub.add_parser(

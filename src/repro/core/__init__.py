@@ -28,7 +28,6 @@ from repro.core.sweep import (
     run_sweep,
     suite_points,
     sweep_point,
-    trace_signature,
 )
 from repro.core.config_presets import (
     CACHE_SWEEP,
@@ -71,7 +70,6 @@ __all__ = [
     "run_sweep",
     "suite_points",
     "sweep_point",
-    "trace_signature",
     "CACHE_SWEEP",
     "CTA_SCALING",
     "MEM_CONTROLLERS",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.data.datasets import DatasetSize
-from repro.kernels import benchmark_names, build_application
+from repro.kernels import build_application
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPUSimulator
 from repro.sim.replay import CachedApplication, replay_application
@@ -86,29 +86,17 @@ def run_suite(
     cdp_variants: bool = True,
     size: DatasetSize = DatasetSize.SMALL,
     config: GPUConfig | None = None,
-    jobs: int | None = None,
+    jobs: int | None = 0,
 ) -> dict[str, RunStats]:
     """Run the whole suite; keys are variant names (``NW``, ``NW-CDP``...).
 
-    ``jobs`` routes the runs through the sweep engine: ``0`` in-process
-    with trace reuse, ``N`` across N worker processes (see
-    :func:`repro.core.sweep.run_sweep`).  ``None`` (the default) keeps
-    the direct serial path; all three produce identical results.
+    The runs go through the sweep engine
+    (:func:`repro.core.sweep.run_sweep`): ``jobs=0`` (the default)
+    in-process with trace reuse, ``N`` across ``N`` worker processes,
+    ``None`` one per CPU; all give identical results.
     """
-    if jobs is not None:
-        from repro.core.sweep import run_sweep, suite_points
+    # ``repro.core.sweep`` imports this module, so it loads only here.
+    from repro.core.sweep import run_sweep, suite_points
 
-        return run_sweep(
-            suite_points(benchmarks, cdp_variants, size, config),
-            jobs=jobs,
-        )
-    results: dict[str, RunStats] = {}
-    for abbr in benchmarks or benchmark_names():
-        results[variant_name(abbr, False)] = run_benchmark(
-            abbr, cdp=False, size=size, config=config
-        )
-        if cdp_variants:
-            results[variant_name(abbr, True)] = run_benchmark(
-                abbr, cdp=True, size=size, config=config
-            )
-    return results
+    return run_sweep(suite_points(benchmarks, cdp_variants, size, config),
+                     jobs=jobs)

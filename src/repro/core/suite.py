@@ -45,23 +45,26 @@ class BenchmarkSuite:
         """Benchmark abbreviations in Table III order."""
         return benchmark_names()
 
-    def properties(self, abbr: str) -> BenchmarkProperties:
-        """Table III properties + occupancy for one benchmark.
-
-        Occupancy is analysed on the *main* (non-CDP) kernel of the
-        application.
-        """
-        info = BENCHMARKS[abbr]
+    def occupancy(self, abbr: str) -> OccupancyReport:
+        """Occupancy of the application's *main* (non-CDP) kernel on
+        the suite's config."""
         app = build_application(abbr, size=self.size)
         kernel = getattr(app, "kernel", None)
         if kernel is None:
             # Applications building kernels per launch expose the main
             # kernel through a probe launch of the host program.
-            for op in app.host_program():
-                if hasattr(op, "launch"):
-                    kernel = op.launch.kernel
-                    break
-        report: OccupancyReport = occupancy_report(self.config, kernel)
+            kernel = next(
+                (op.launch.kernel for op in app.host_program()
+                 if hasattr(op, "launch")),
+                None,
+            )
+        return occupancy_report(self.config, kernel)
+
+    def properties(self, abbr: str) -> BenchmarkProperties:
+        """Table III properties + occupancy (:meth:`occupancy`) for one
+        benchmark."""
+        info = BENCHMARKS[abbr]
+        report = self.occupancy(abbr)
         return BenchmarkProperties(
             abbr=info.abbr,
             full_name=info.full_name,
@@ -85,13 +88,13 @@ class BenchmarkSuite:
         self,
         benchmarks: list[str] | None = None,
         cdp_variants: bool = True,
-        jobs: int | None = None,
+        jobs: int | None = 0,
     ) -> dict[str, RunStats]:
         """Run every benchmark (and CDP variant); keys are variant names.
 
         ``jobs`` is forwarded to :func:`repro.core.runner.run_suite`:
-        ``0`` reuses traces in-process, ``N`` fans out over worker
-        processes, ``None`` keeps the direct serial path.
+        ``0`` (the default) runs in-process, ``N`` fans out over ``N``
+        worker processes, ``None`` over one per CPU.
         """
         return run_suite(
             benchmarks=benchmarks,

@@ -20,16 +20,16 @@ simulation per point (``tests/core/test_sweep.py``).
 Cache keying
 ------------
 A materialized application is reused across points whose
-:func:`app_key` matches: ``(abbr, cdp, size, options, trace_signature(config))``.
-``trace_signature`` is the explicit invalidation path: any config knob
-that changes *trace shape* (not timing) must be listed there, so two
-configs differing in such a knob never share traces.  Today that is
-only ``warp_size``; timing knobs (cache geometry, schedulers, DRAM,
-NoC, CTA limits, ``perfect_memory``...) deliberately do not invalidate.
-The sampled-estimation knobs (``sample_fraction``, ``sample_seed``)
-are timing-side too: an ``--estimate`` sweep replays the very traces
-an exact sweep materialized, and :func:`run_point` routes such points
-through :mod:`repro.sim.sampled` instead of the cycle-exact replay.
+:func:`app_key` matches: ``(abbr, cdp, size, options)``.  No config
+knob enters it, because applications are built without a config
+(:func:`repro.kernels.build_application`): every knob (cache
+geometry, schedulers, DRAM, NoC, CTA limits, ``perfect_memory``...)
+is timing-side.  So are the sampled-estimation knobs
+(``sample_fraction``, ``sample_seed``): an ``--estimate`` sweep
+replays the very traces an exact sweep materialized, and
+:func:`run_point` routes such points through :mod:`repro.sim.sampled`
+instead of the cycle-exact replay.  A knob that one day changes trace
+*shape* must join the key.
 """
 
 from __future__ import annotations
@@ -102,17 +102,6 @@ def sweep_point(
         config=config,
         options=tuple(sorted(options.items())),
     )
-
-
-def trace_signature(config: GPUConfig) -> tuple:
-    """The config knobs that change *trace shape* (not timing).
-
-    This is the cache-invalidation contract: a materialized trace is
-    shared between two configs iff their signatures match.  Add any new
-    knob here the moment a kernel's ``warp_trace`` starts reading it —
-    timing-only knobs must stay out, or sweeps lose all trace reuse.
-    """
-    return (("warp_size", config.warp_size),)
 
 
 class SweepMergeError(RuntimeError):
@@ -245,13 +234,7 @@ def assert_merge_complete(points: list[SweepPoint], results: list) -> None:
 
 def app_key(point: SweepPoint) -> tuple:
     """The trace-cache key of a point's application."""
-    return (
-        point.abbr,
-        point.cdp,
-        point.size,
-        point.options,
-        trace_signature(point.config),
-    )
+    return (point.abbr, point.cdp, point.size, point.options)
 
 
 class TraceCache:
@@ -301,6 +284,10 @@ class TraceCache:
         self._entries[key] = entry
         return entry
 
+    def release(self, point: SweepPoint) -> None:
+        """Drop ``point``'s application, if cached."""
+        self._entries.pop(app_key(point), None)
+
     def invalidate(self, abbr: str | None = None) -> int:
         """Drop entries (all, or one benchmark's); returns the count."""
         if abbr is None:
@@ -318,9 +305,9 @@ def run_point(point: SweepPoint, cache: TraceCache | None = None) -> RunStats:
 
     A point whose config sets ``sample_fraction > 0`` is routed to the
     sampled estimator (:mod:`repro.sim.sampled`) and returns an
-    :class:`~repro.sim.sampled.EstimatedRunStats`.  Sample knobs are
-    deliberately absent from :func:`trace_signature`, so exact and
-    estimated points of the same application share materialized
+    :class:`~repro.sim.sampled.EstimatedRunStats`.  Like every config
+    knob, the sample knobs are absent from :func:`app_key`, so exact
+    and estimated points of the same application share materialized
     traces, whether built here or loaded from the trace store.
     """
     if cache is None:
@@ -424,8 +411,14 @@ def run_sweep(
             known = journal.open()
 
         def run(todo):
+            # A private cache drops each application after its last
+            # point, so a sweep holds one application at a time when
+            # its points come grouped by application.
+            last = {app_key(point): point for point in todo}
             for point in todo:
                 stats = run_point(point, local)
+                if cache is None and last[app_key(point)] is point:
+                    local.release(point)
                 if journal is not None:
                     journal.record([point_key(point)], [stats])
                 yield stats

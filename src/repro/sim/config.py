@@ -98,7 +98,6 @@ class GPUConfig:
     """Full device configuration (Table I bolded values by default)."""
 
     num_sms: int = 78
-    warp_size: int = 32
     max_ctas_per_sm: int = 32
     max_threads_per_sm: int = 1536
     registers_per_sm: int = 65536

@@ -19,9 +19,9 @@ issue loop does timing only.  ``CachedApplication(app,
 template=False)`` is the live arm: every warp through its generator,
 counted by the same walk.
 
-The cache *key* policy — which config knobs invalidate a materialized
-application — lives with the sweep engine in
-:mod:`repro.core.sweep` (``trace_signature``).
+The cache *key* policy lives with the sweep engine in
+:mod:`repro.core.sweep` (``app_key``): no config knob invalidates a
+materialized application.
 """
 
 from __future__ import annotations

@@ -5,9 +5,8 @@ generator cost *within* a process; this module extends the reuse
 across processes and sessions.  A materialized
 :class:`~repro.sim.replay.CachedApplication` is serialized to a
 compact binary file (RTRX) keyed by the same identity the in-memory
-cache uses (:func:`repro.core.sweep.app_key`, which embeds
-``trace_signature``) plus a fingerprint of the trace-producing source
-trees.  ``repro trace`` writes the same format for one host launch.
+cache uses (:func:`repro.core.sweep.app_key`) plus a fingerprint of
+the trace-producing source trees.  ``repro trace`` writes the same format for one host launch.
 
 RTRX version 2 stores the kernels, launches and host ops, an
 ``id()``-deduplicated instruction pool, a deduplicated table of warp
@@ -26,8 +25,8 @@ Key policy
 ----------
 A store entry is addressed by ``sha256(repr(key) + source
 fingerprint)``.  The caller's ``key`` carries the application identity
-(benchmark, CDP, dataset size, options) and the config trace
-signature; the fingerprint hashes every ``.py`` file under
+(benchmark, CDP, dataset size, options), which no config knob enters;
+the fingerprint hashes every ``.py`` file under
 ``repro/kernels``, ``repro/isa``, ``repro/data`` and
 ``repro/genomics`` — the four trees that can change trace *content*
 without changing the key.  Editing any of them silently retires every

@@ -620,3 +620,50 @@ class TestErrorPaths:
             main(["serve", "--port", "not-a-port"])
         assert exit_info.value.code == 2
         assert "--port" in capsys.readouterr().err
+
+
+class TestUnreadFlags:
+    """A command takes only the machine flags it reads: a flag it would
+    accept and then ignore is a usage error instead."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        config = tmp_path / "four.cfg"
+        config.write_text("num_sms = 4\n")
+        trace = tmp_path / "nw.trace"
+        assert main(["trace", "NW", "--out", str(trace)]) == 0
+        return {"tmp": str(tmp_path), "config": str(config),
+                "trace": str(trace)}
+
+    @pytest.mark.parametrize("argv,flag", [
+        pytest.param(["list", "--size", "medium"], "--size", id="list-size"),
+        pytest.param(["dataset", "NW", "--out", "{tmp}", "--sms", "4"],
+                     "--sms", id="dataset-sms"),
+        pytest.param(["dataset", "NW", "--out", "{tmp}",
+                      "--config", "{config}"], "--config",
+                     id="dataset-config"),
+        pytest.param(["trace", "NW", "--out", "{tmp}/t", "--sms", "4"],
+                     "--sms", id="trace-sms"),
+        pytest.param(["trace", "NW", "--out", "{tmp}/t",
+                      "--config", "{config}"], "--config",
+                     id="trace-config"),
+        pytest.param(["replay", "{trace}", "--size", "medium"], "--size",
+                     id="replay-size"),
+        pytest.param(["warm", "NW", "--no-cdp", "--store", "{tmp}/s",
+                      "--sms", "4"], "--sms", id="warm-sms"),
+        pytest.param(["warm", "NW", "--no-cdp", "--store", "{tmp}/s",
+                      "--config", "{config}"], "--config",
+                     id="warm-config"),
+    ])
+    def test_unread_flag_is_refused(self, files, argv, flag, capsys):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main([arg.format(**files) for arg in argv])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_no_cdp_is_benchmark_axis_only(self, capsys):
+        assert main(["sweep", "scheduler", "--no-cdp", "--sms", "4"]) == 2
+        captured = capsys.readouterr()
+        assert "--no-cdp only applies to the benchmark axis" in captured.err
+        assert captured.out == ""

@@ -16,13 +16,14 @@ from repro.core.config_presets import (
     with_controller,
     with_topology,
 )
+from repro.isa.instructions import WARP_SIZE
 
 
 class TestBaseline:
     def test_table1_bolded_values(self):
         cfg = baseline_config()
         assert cfg.num_sms == 78
-        assert cfg.warp_size == 32
+        assert WARP_SIZE == 32
         assert cfg.registers_per_sm == 65536
         assert cfg.max_ctas_per_sm == 32
         assert cfg.max_threads_per_sm == 1536

@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.core.config_presets import baseline_config, with_cache_sizes
-from repro.core.runner import run_suite, variant_name
+from repro.core.runner import run_benchmark, run_suite, variant_name
 from repro.core.sweep import (
     SweepPoint,
     TraceCache,
@@ -15,7 +15,6 @@ from repro.core.sweep import (
     run_sweep,
     suite_points,
     sweep_point,
-    trace_signature,
 )
 from repro.data.datasets import DatasetSize
 from repro.kernels import build_application
@@ -113,12 +112,6 @@ class TestCacheKeying:
         )
         assert app_key(a) == app_key(b)
 
-    def test_trace_shape_knobs_invalidate(self, config):
-        a = sweep_point("a", "NW", config)
-        b = sweep_point("b", "NW", config.with_(warp_size=16))
-        assert trace_signature(a.config) != trace_signature(b.config)
-        assert app_key(a) != app_key(b)
-
     def test_identity_fields_invalidate(self, config):
         base = sweep_point("a", "NW", config)
         assert app_key(base) != app_key(sweep_point("b", "NW", config, cdp=True))
@@ -140,6 +133,16 @@ class TestCacheKeying:
         assert cache.invalidate() == 1
         assert len(cache) == 0
 
+    def test_release_drops_one_application(self, config):
+        cache = TraceCache()
+        nw = sweep_point("a", "NW", config)
+        cache.get(nw)
+        cache.get(sweep_point("b", "STAR", config))
+        cache.release(sweep_point("c", "NW", with_cache_sizes(config, 0, 1024)))
+        assert len(cache) == 1
+        cache.release(nw)
+        assert len(cache) == 1
+
 
 class TestValidation:
     def test_duplicate_labels_rejected(self, config):
@@ -158,7 +161,13 @@ class TestValidation:
 class TestSuiteIntegration:
     def test_run_suite_jobs_matches_serial(self, config):
         benchmarks = ["NW", "STAR"]
-        plain = run_suite(benchmarks, size=DatasetSize.SMALL, config=config)
+        plain = {
+            variant_name(abbr, cdp): run_benchmark(
+                abbr, cdp=cdp, size=DatasetSize.SMALL, config=config
+            )
+            for abbr in benchmarks
+            for cdp in (False, True)
+        }
         cached = run_suite(
             benchmarks, size=DatasetSize.SMALL, config=config, jobs=0
         )
@@ -224,9 +233,11 @@ class TestTelemetryOptIn:
         assert a == b
         assert plain.telemetry is None
 
-    def test_interval_not_in_trace_signature(self, config):
+    def test_interval_not_in_app_key(self, config):
         sampled = config.with_(telemetry_interval=2_000)
-        assert trace_signature(config) == trace_signature(sampled)
+        assert app_key(sweep_point("a", "NW", config)) == app_key(
+            sweep_point("b", "NW", sampled)
+        )
 
     def test_summary_survives_process_pool(self, config):
         pts = [sweep_point("NW", "NW",

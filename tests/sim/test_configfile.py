@@ -88,6 +88,15 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=match):
             apply_overrides(GPUConfig(), {"dram.queue_entries": 64})
 
+    def test_removed_warp_size_rejected(self):
+        """Kernels issue 32-lane warps (``repro.isa.instructions.
+        WARP_SIZE``) whatever the config says: the former ``warp_size``
+        knob must fail naming the key, never be silently ignored."""
+        with pytest.raises(ValueError, match="line 1: unknown key 'warp_size'"):
+            parse_config("warp_size = 16\n")
+        with pytest.raises(ValueError, match="unknown key 'warp_size'"):
+            apply_overrides(GPUConfig(), {"warp_size": 16})
+
     def test_removed_sample_knobs_rejected(self):
         """The per-class sampling minimum and launch cap are estimator
         constants: setting them must fail naming the key."""

@@ -17,10 +17,10 @@ import pytest
 from repro.core.runner import estimate_benchmark
 from repro.core.sweep import (
     TraceCache,
+    app_key,
     run_point,
     run_sweep,
     sweep_point,
-    trace_signature,
 )
 from repro.data.datasets import DatasetSize
 from repro.kernels import build_application
@@ -207,9 +207,9 @@ def test_exact_and_estimated_points_share_traces():
     assert isinstance(stats, EstimatedRunStats)
 
 
-def test_trace_signature_excludes_sample_knobs():
-    assert trace_signature(GPUConfig()) == trace_signature(
-        est_config(sample_seed=7)
+def test_app_key_excludes_sample_knobs():
+    assert app_key(sweep_point("NW", "NW", GPUConfig())) == app_key(
+        sweep_point("NW-est", "NW", est_config(sample_seed=7))
     )
 
 

@@ -163,11 +163,9 @@ def test_distinct_app_keys_get_distinct_paths(tmp_path):
             _point("SW"),
             _point("SW", cdp=True, label="SW:cdp"),
             _point("NW", label="NW"),
-            _point("SW", label="SW:ws16",
-                   config=CONFIG.with_(warp_size=16)),
         )
     }
-    assert len(paths) == 4
+    assert len(paths) == 3
 
 
 def test_timing_knobs_share_one_path(tmp_path):
