@@ -8,7 +8,8 @@ Pipeline per read, matching the structure of Bowtie2/NvBowtie:
    ``max_seed_hits`` occurrences (multi-seed heuristic);
 3. convert seed hits to candidate alignment positions, deduplicate;
 4. extend each candidate with semi-global DP of the full read against a
-   reference window;
+   reference window (steps 1-3 and the windowing run alone as the
+   seeding stage, :meth:`ReadAligner.seed_reads`);
 5. report the best alignment with a Bowtie2-style mapping quality
    derived from the best/second-best score gap.
 """
@@ -108,10 +109,12 @@ class ReadAligner:
                     positions.add(max(0, start))
         return positions
 
-    def _extend(
-        self, residues: str, start: int
-    ) -> tuple[int, AlignmentResult] | None:
-        """Semi-global extension of the read around ``start``."""
+    def _window(self, residues: str, start: int) -> tuple[int, str] | None:
+        """The reference window a candidate at ``start`` extends into.
+
+        ``None`` when the window is empty or the pre-alignment filter
+        rejects it; otherwise the candidate counts as extended.
+        """
         pad = self.extension_padding
         window_lo = max(0, start - pad)
         window_hi = min(len(self.reference), start + len(residues) + pad)
@@ -126,8 +129,39 @@ class ReadAligner:
                 self.stats.candidates_filtered += 1
                 return None
         self.stats.candidates_extended += 1
-        aln = semi_global(residues, window, self.scheme)
-        return window_lo + aln.target_start, aln
+        return window_lo, window
+
+    def _seed_read(self, read: Sequence) -> list[tuple[str, str, list]]:
+        """Seeding stage of :meth:`map_read`: seed, search, locate, window.
+
+        Returns ``(strand, residues, windows)`` per strand, where
+        ``windows`` lists the ``(window_lo, window)`` of every candidate
+        left to extend, in start order.
+        """
+        self.stats.reads += 1
+        strands = []
+        for strand, residues in (
+            ("+", read.residues),
+            ("-", read.reverse_complement().residues),
+        ):
+            windows = []
+            for start in sorted(self._candidates(residues)):
+                window = self._window(residues, start)
+                if window is not None:
+                    windows.append(window)
+            strands.append((strand, residues, windows))
+        return strands
+
+    def seed_reads(self, reads: list[Sequence]) -> AlignerStats:
+        """The seeding stage alone over a batch, without extension.
+
+        Leaves the work counters (``stats`` except ``mapped``, and the
+        index's ``occ_lookups``/``lf_steps``) exactly as
+        :meth:`map_reads` would, at the cost of the FM-index walk only.
+        """
+        for read in reads:
+            self._seed_read(read)
+        return self.stats
 
     def map_read(self, read: Sequence, min_score: int | None = None) -> ReadMapping | None:
         """Best mapping of ``read``, or ``None`` if nothing clears ``min_score``.
@@ -135,22 +169,17 @@ class ReadAligner:
         ``min_score`` defaults to a Bowtie2-like length-scaled threshold
         (60% of the maximum possible match score).
         """
-        self.stats.reads += 1
+        strands = self._seed_read(read)
         if min_score is None:
             max_match = self.scheme.score("A", "A")
             min_score = int(0.6 * max_match * len(read))
 
         best: ReadMapping | None = None
         second_score: int | None = None
-        for strand, residues in (
-            ("+", read.residues),
-            ("-", read.reverse_complement().residues),
-        ):
-            for start in sorted(self._candidates(residues)):
-                extended = self._extend(residues, start)
-                if extended is None:
-                    continue
-                position, aln = extended
+        for strand, residues, windows in strands:
+            for window_lo, window in windows:
+                aln = semi_global(residues, window, self.scheme)
+                position = window_lo + aln.target_start
                 if best is None or aln.score > best.score or (
                     aln.score == best.score
                     and (position, strand) < (best.position, best.strand)

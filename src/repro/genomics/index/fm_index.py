@@ -5,12 +5,23 @@ layout mirrors the GPU implementation: occurrence (rank) checkpoints
 every ``occ_rate`` rows and suffix-array samples every ``sa_rate`` rows,
 so a ``locate`` walks LF steps until it hits a sampled row — exactly
 the irregular, cache-hostile access pattern the paper observes for NvB.
+
+The index is built with numpy and kept in compact arrays: the BWT as a
+latin-1 ``str`` (one byte per row), the sampled suffix array, and per
+character a checkpoint count every ``occ_rate`` rows plus, for every
+row, the count since its checkpoint (what the GPU kernel computes with
+a popcount over the BWT block).  A rank is then two array reads, which
+:meth:`backward_search` and :meth:`suffix_position` do inline.
 """
 
 from __future__ import annotations
 
-from repro.genomics.index.bwt import SENTINEL, bwt_from_sa
-from repro.genomics.index.sa import suffix_array
+from array import array
+
+import numpy as np
+
+from repro.genomics.index.bwt import SENTINEL
+from repro.genomics.index.sa import suffix_order
 
 
 class FMIndex:
@@ -19,7 +30,7 @@ class FMIndex:
     Parameters
     ----------
     text:
-        The reference text (sentinel added internally).
+        The reference text (sentinel added internally; latin-1 only).
     occ_rate:
         Rows between occurrence checkpoints.
     sa_rate:
@@ -33,33 +44,38 @@ class FMIndex:
         self.occ_rate = occ_rate
         self.sa_rate = sa_rate
 
-        sa = suffix_array(text + SENTINEL)
-        self._bwt = bwt_from_sa(text, sa)
-        n = len(self._bwt)
+        terminated = text + SENTINEL
+        codes = np.frombuffer(terminated.encode("latin-1"), dtype=np.uint8)
+        sa = suffix_order(terminated)
+        # Row i of the BWT is the character before suffix sa[i]; the
+        # suffix at 0 wraps to the sentinel, the last character.
+        bwt_codes = codes[sa - 1]
+        self._bwt = bwt_codes.tobytes().decode("latin-1")
 
-        # C table: rows whose suffix starts with a smaller character.
-        counts: dict[str, int] = {}
-        for ch in self._bwt:
-            counts[ch] = counts.get(ch, 0) + 1
-        self._c_table: dict[str, int] = {}
-        offset = 0
-        for ch in sorted(counts):
-            self._c_table[ch] = offset
-            offset += counts[ch]
+        # Per present character: (C-table base, checkpoints, offsets),
+        # where checkpoints[k] counts the character in bwt[:k*occ_rate]
+        # and offsets[row] counts it from row's checkpoint up to row,
+        # so rank = checkpoints[row // occ_rate] + offsets[row].
+        n = len(bwt_codes)
+        counts = np.bincount(bwt_codes, minlength=256)
+        offset_type = "B" if occ_rate <= 256 else "I"
+        self._symbols: dict[str, tuple[int, array, array]] = {}
+        base = 0
+        for code in np.flatnonzero(counts).tolist():
+            running = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(bwt_codes == code, out=running[1:])
+            checkpoints = running[::occ_rate]
+            offsets = running - np.repeat(checkpoints, occ_rate)[: n + 1]
+            tables = (
+                base,
+                array("q", checkpoints.tobytes()),
+                array(offset_type, offsets.astype(offset_type).tobytes()),
+            )
+            self._symbols[chr(code)] = tables
+            base += int(counts[code])
 
-        # Occurrence checkpoints: occ[k][ch] = count of ch in bwt[:k*rate].
-        self._checkpoints: list[dict[str, int]] = []
-        running = {ch: 0 for ch in counts}
-        for i in range(n):
-            if i % occ_rate == 0:
-                self._checkpoints.append(dict(running))
-            running[self._bwt[i]] += 1
-        self._checkpoints.append(dict(running))
-
-        # Sampled suffix array.
-        self._sa_samples: dict[int, int] = {
-            row: pos for row, pos in enumerate(sa) if row % sa_rate == 0
-        }
+        #: sa[k * sa_rate]: the sampled rows are the multiples of sa_rate.
+        self._sa_samples = array("q", sa[::sa_rate].tobytes())
 
         #: Access counters consumed by the NvB kernel trace model.
         self.occ_lookups = 0
@@ -71,15 +87,16 @@ class FMIndex:
     @property
     def alphabet(self) -> list[str]:
         """Characters present in the index (including the sentinel)."""
-        return sorted(self._c_table)
+        return sorted(self._symbols)
 
     def rank(self, ch: str, row: int) -> int:
         """Occurrences of ``ch`` in ``bwt[:row]`` via the checkpoints."""
         self.occ_lookups += 1
-        checkpoint = row // self.occ_rate
-        return self._checkpoints[checkpoint].get(ch, 0) + self._bwt.count(
-            ch, checkpoint * self.occ_rate, row
-        )
+        symbol = self._symbols.get(ch)
+        if symbol is None:
+            return 0
+        _, checkpoints, offsets = symbol
+        return checkpoints[row // self.occ_rate] + offsets[row]
 
     def backward_search(self, pattern: str) -> tuple[int, int]:
         """Half-open row range ``[lo, hi)`` of suffixes prefixed by ``pattern``.
@@ -88,17 +105,23 @@ class FMIndex:
         occur.  The search consumes the pattern right to left, one rank
         pair per character — the LF loop of the GPU kernel.
         """
-        if not pattern:
-            return (0, len(self._bwt))
         lo, hi = 0, len(self._bwt)
+        rate = self.occ_rate
+        symbols = self._symbols
+        ranks = 0
         for ch in reversed(pattern):
-            if ch not in self._c_table:
-                return (0, 0)
-            base = self._c_table[ch]
-            lo = base + self.rank(ch, lo)
-            hi = base + self.rank(ch, hi)
+            symbol = symbols.get(ch)
+            if symbol is None:
+                lo = hi = 0
+                break
+            base, checkpoints, offsets = symbol
+            ranks += 2
+            lo = base + checkpoints[lo // rate] + offsets[lo]
+            hi = base + checkpoints[hi // rate] + offsets[hi]
             if lo >= hi:
-                return (0, 0)
+                lo = hi = 0
+                break
+        self.occ_lookups += ranks
         return (lo, hi)
 
     def count(self, pattern: str) -> int:
@@ -106,18 +129,21 @@ class FMIndex:
         lo, hi = self.backward_search(pattern)
         return hi - lo
 
-    def _lf(self, row: int) -> int:
-        ch = self._bwt[row]
-        return self._c_table[ch] + self.rank(ch, row)
-
     def suffix_position(self, row: int) -> int:
         """Text offset of the suffix in BWT row ``row`` (LF-walk to a sample)."""
+        bwt = self._bwt
+        rate = self.occ_rate
+        sa_rate = self.sa_rate
+        symbols = self._symbols
         steps = 0
-        while row not in self._sa_samples:
-            row = self._lf(row)
+        while row % sa_rate:
+            base, checkpoints, offsets = symbols[bwt[row]]
+            row = base + checkpoints[row // rate] + offsets[row]
             steps += 1
-            self.lf_steps += 1
-        return (self._sa_samples[row] + steps) % len(self._bwt)
+        # One rank per LF step.
+        self.occ_lookups += steps
+        self.lf_steps += steps
+        return (self._sa_samples[row // sa_rate] + steps) % len(bwt)
 
     def locate(self, pattern: str, limit: int | None = None) -> list[int]:
         """Sorted text offsets where ``pattern`` occurs (up to ``limit``)."""

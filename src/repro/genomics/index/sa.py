@@ -2,7 +2,7 @@
 
 Two implementations of Manber–Myers rank doubling:
 
-- :func:`suffix_array_numpy` — vectorized with ``numpy.lexsort``; builds
+- :func:`suffix_array_numpy` — vectorized with ``numpy.argsort``; builds
   megabase-scale arrays in seconds and is the default.
 - :func:`suffix_array_python` — pure standard library; the readable
   reference the vectorized version is property-tested against.
@@ -46,36 +46,44 @@ def suffix_array_python(text: str) -> list[int]:
 
 
 def suffix_array_numpy(text: str) -> list[int]:
-    """Vectorized suffix array via ``numpy.lexsort`` rank doubling."""
+    """Vectorized suffix array via ``numpy.argsort`` rank doubling."""
+    return suffix_order(text).tolist()
+
+
+def suffix_order(text: str):
+    """The suffix array of ``text`` as an int64 numpy array.
+
+    The array form of :func:`suffix_array_numpy`, for callers that keep
+    working on it in numpy (the FM-index build) instead of paying for a
+    list of Python ints.
+    """
     n = len(text)
-    if n == 0:
-        return []
-    if n == 1:
-        return [0]
+    if n <= 1:
+        return _np.zeros(n, dtype=_np.int64)
 
     rank = _np.frombuffer(text.encode("latin-1"), dtype=_np.uint8).astype(
         _np.int64
     )
     k = 1
     while True:
-        # Secondary key: the rank k positions ahead (-1 past the end).
-        tail = _np.full(n, -1, dtype=_np.int64)
-        tail[: n - k] = rank[k:]
-        order = _np.lexsort((tail, rank))
-        # Re-rank: increment where the (rank, tail) pair changes.
-        sorted_rank = rank[order]
-        sorted_tail = tail[order]
+        # One sort key per suffix: (rank, rank k positions ahead), the
+        # tail shifted by one so past-the-end (-1) sorts first.  Ties
+        # may land in any order; they share a rank until the last
+        # round, when every key is distinct.
+        radix = int(rank.max()) + 2
+        key = rank * radix
+        key[: n - k] += rank[k:] + 1
+        order = _np.argsort(key)
+        # Re-rank: increment where the key changes.
+        sorted_key = key[order]
         changed = _np.empty(n, dtype=_np.int64)
         changed[0] = 0
-        changed[1:] = (
-            (sorted_rank[1:] != sorted_rank[:-1])
-            | (sorted_tail[1:] != sorted_tail[:-1])
-        ).astype(_np.int64)
+        _np.not_equal(sorted_key[1:], sorted_key[:-1], out=changed[1:])
         new_rank = _np.empty(n, dtype=_np.int64)
         new_rank[order] = _np.cumsum(changed)
         rank = new_rank
         if rank[order[-1]] == n - 1:
-            return order.tolist()
+            return order
         k <<= 1
 
 

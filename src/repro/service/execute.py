@@ -9,6 +9,11 @@ rebuilds bit-identically.  Stage timings split the work the way the
 ``/metrics`` endpoint reports it: ``trace_load_s`` (building the
 application and materializing its traces), ``sim_s`` (the simulation
 proper) and ``serialize_s`` (stats -> wire payload).
+
+Every executor loads applications the same way, through a
+:class:`~repro.core.sweep.TraceCache` over the trace store named by
+``REPRO_TRACE_STORE`` (none when unset), so a warm store serves
+single runs as well as sweeps.
 """
 
 from __future__ import annotations
@@ -18,10 +23,12 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.runner import load_benchmark, variant_name
+from repro.core.runner import variant_name
+from repro.core.sweep import TraceCache, sweep_point
 from repro.data.datasets import DatasetSize
 from repro.sim.gpu import GPUSimulator
 from repro.sim.replay import replay_application
+from repro.sim.trace_store import TraceStore
 
 #: Executors rewrite ``progress.json`` at most this often (the file is
 #: re-read on every job-status poll, so finer granularity buys nothing).
@@ -83,19 +90,30 @@ def _attach_progress(sim: GPUSimulator, artifact_dir) -> None:
         sim.telemetry.progress = _telemetry_progress(artifact_dir)
 
 
+def _load(request, config, timings: dict):
+    """The request's application, timed as ``trace_load_s`` (a cold
+    build, or a decode when the store holds it).  Returns the
+    application and the end stamp."""
+    t = time.monotonic()
+    app = TraceCache(store=TraceStore.from_env()).get(sweep_point(
+        variant_name(request.benchmark, request.cdp),
+        request.benchmark,
+        config,
+        cdp=request.cdp,
+        size=DatasetSize(request.size),
+    ))
+    return app, _stamp(timings, "trace_load_s", t)
+
+
 def _run_exact(request, artifact_dir, timings: dict):
     """The exact-run path of ``repro run``, split into service stages.
 
-    ``trace_load_s`` covers building the application and materializing
-    its traces (:func:`~repro.core.runner.load_benchmark`), ``sim_s``
-    the replay.  Returns the stats and the ``sim_s`` end stamp.
+    ``trace_load_s`` covers loading the application (:func:`_load`),
+    ``sim_s`` the replay.  Returns the stats and the ``sim_s`` end
+    stamp.
     """
     config = request.resolved_config()
-    t = time.monotonic()
-    app = load_benchmark(
-        request.benchmark, cdp=request.cdp, size=DatasetSize(request.size)
-    )
-    t = _stamp(timings, "trace_load_s", t)
+    app, t = _load(request, config, timings)
     sim = GPUSimulator(config)
     _attach_progress(sim, artifact_dir)
     stats = replay_application(app, sim)
@@ -121,11 +139,7 @@ def execute_estimate(request, artifact_dir: str | None):
 
     config = request.resolved_config()
     timings: dict = {}
-    t = time.monotonic()
-    cached = load_benchmark(
-        request.benchmark, cdp=request.cdp, size=DatasetSize(request.size)
-    )
-    t = _stamp(timings, "trace_load_s", t)
+    cached, t = _load(request, config, timings)
     stats = estimate_application(cached, config)
     t = _stamp(timings, "sim_s", t)
     payload = {
@@ -154,13 +168,11 @@ def execute_sweep(request, artifact_dir: str | None):
     the distributed coordinator's straggler detection reads.
     """
     from repro.core.sweep import (
-        TraceCache,
         decode_point,
         resume_merge,
         run_point,
         suite_points,
     )
-    from repro.sim.trace_store import TraceStore
 
     config = request.resolved_config()
     timings: dict = {}

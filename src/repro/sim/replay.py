@@ -27,6 +27,7 @@ materialized application.
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import replace
 
 from repro.isa.instructions import OpClass, WarpInstruction
@@ -144,7 +145,11 @@ class ReplayKernel(KernelProgram):
             const_bytes=base.const_bytes,
         )
         self.base = base
-        self._owner = owner
+        # A weak proxy: the owner holds its kernels, so a strong
+        # back-reference would make every application a reference
+        # cycle, freed only by the cyclic collector.  A kernel is only
+        # ever used through its live owner.
+        self._owner = weakref.proxy(owner)
         self._traces: dict = {}
         #: (class key, bases) -> entry: warps with identical relocation
         #: parameters share one materialized instruction list outright.
@@ -434,49 +439,51 @@ class CachedApplication(Application):
         """
         self.total_counts = TraceCounts()
         self.launch_profiles: dict[tuple, tuple] = {}
-
-        def visit(launch: KernelLaunch) -> tuple:
-            key = self.launch_key(launch)
-            profile = self.launch_profiles.get(key)
-            if profile is not None:
-                return profile
-            kernel = launch.kernel
-            agg = TraceCounts()
-            total = 0
-            max_cta = 0
-            descendants = 0
-            for cta_id in range(launch.num_ctas):
-                cta_total = 0
-                for warp_id in range(kernel.warps_per_cta):
-                    ctx = WarpContext(
-                        cta_id=cta_id,
-                        warp_id=warp_id,
-                        warps_per_cta=kernel.warps_per_cta,
-                        num_ctas=launch.num_ctas,
-                        args=launch.args,
-                    )
-                    instrs, counts = kernel.entry_for(ctx)
-                    agg.merge(counts)
-                    cta_total += counts.instructions
-                    # The exact per-warp op mix says whether this trace
-                    # launches at all; most never do, and need no scan.
-                    if "launch" not in counts.op_mix:
-                        continue
-                    for instr in instrs:
-                        if instr.op is OpClass.LAUNCH:
-                            child = visit(instr.child)
-                            agg.merge(child[0])
-                            cta_total += child[1]
-                            descendants += 1 + child[3]
-                total += cta_total
-                max_cta = max(max_cta, cta_total)
-            profile = (agg, total, max_cta, descendants)
-            self.launch_profiles[key] = profile
-            return profile
-
         for op in self.ops:
             if isinstance(op, HostLaunch):
-                self.total_counts.merge(visit(op.launch)[0])
+                self.total_counts.merge(self._profile(op.launch)[0])
+
+    def _profile(self, launch: KernelLaunch) -> tuple:
+        """``launch``'s memoized profile, walking it (and its CDP
+        children) on first sight.  A method, not a closure: a recursive
+        closure would hold itself and ``self`` in a reference cycle."""
+        key = self.launch_key(launch)
+        profile = self.launch_profiles.get(key)
+        if profile is not None:
+            return profile
+        kernel = launch.kernel
+        agg = TraceCounts()
+        total = 0
+        max_cta = 0
+        descendants = 0
+        for cta_id in range(launch.num_ctas):
+            cta_total = 0
+            for warp_id in range(kernel.warps_per_cta):
+                ctx = WarpContext(
+                    cta_id=cta_id,
+                    warp_id=warp_id,
+                    warps_per_cta=kernel.warps_per_cta,
+                    num_ctas=launch.num_ctas,
+                    args=launch.args,
+                )
+                instrs, counts = kernel.entry_for(ctx)
+                agg.merge(counts)
+                cta_total += counts.instructions
+                # The exact per-warp op mix says whether this trace
+                # launches at all; most never do, and need no scan.
+                if "launch" not in counts.op_mix:
+                    continue
+                for instr in instrs:
+                    if instr.op is OpClass.LAUNCH:
+                        child = self._profile(instr.child)
+                        agg.merge(child[0])
+                        cta_total += child[1]
+                        descendants += 1 + child[3]
+            total += cta_total
+            max_cta = max(max_cta, cta_total)
+        profile = (agg, total, max_cta, descendants)
+        self.launch_profiles[key] = profile
+        return profile
 
     # -- replay ------------------------------------------------------------
     def host_program(self):

@@ -24,6 +24,45 @@ def naive_suffix_array(text: str) -> list[int]:
     return sorted(range(len(text)), key=lambda i: text[i:])
 
 
+class _NaiveFM:
+    """Brute-force FM-index: sorted suffixes, plain counts, no sampling."""
+
+    def __init__(self, text: str, sa_rate: int):
+        self.text = text + "$"
+        self.sa = naive_suffix_array(self.text)
+        self.bwt = "".join(self.text[i - 1] for i in self.sa)
+        self.sa_rate = sa_rate
+
+    def search(self, pattern: str) -> tuple[int, int]:
+        rows = [
+            row for row, i in enumerate(self.sa)
+            if self.text.startswith(pattern, i)
+        ]
+        return (rows[0], rows[-1] + 1) if rows else (0, 0)
+
+    def search_ranks(self, pattern: str) -> int:
+        """Ranks a backward search reads: two per character consumed,
+        stopping at a character absent from the text or at the first
+        suffix with no occurrence."""
+        ranks = 0
+        for i in range(len(pattern) - 1, -1, -1):
+            if pattern[i] not in self.text:
+                break
+            ranks += 2
+            if self.search(pattern[i:]) == (0, 0):
+                break
+        return ranks
+
+    def lf_walk(self, row: int) -> int:
+        """LF steps from ``row`` to the first row sampled at ``sa_rate``."""
+        steps = 0
+        while row % self.sa_rate:
+            ch = self.bwt[row]
+            row = sum(c < ch for c in self.bwt) + self.bwt[:row].count(ch)
+            steps += 1
+        return steps
+
+
 class TestSuffixArray:
     def test_banana(self):
         assert suffix_array("banana") == naive_suffix_array("banana")
@@ -118,25 +157,69 @@ class TestFMIndex:
         fm.locate("ana")
         assert fm.occ_lookups > 0
 
-    @given(dna, st.integers(min_value=1, max_value=5))
-    @settings(max_examples=40, deadline=None)
-    def test_count_locate_consistent(self, text, k):
-        fm = FMIndex(text)
-        pattern = text[:k]
-        positions = fm.locate(pattern)
-        assert len(positions) == fm.count(pattern)
-        for pos in positions:
-            assert text[pos : pos + len(pattern)] == pattern
+    @given(
+        st.one_of(dna, text_no_sentinel),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=1, max_value=70),
+        st.integers(min_value=1, max_value=20),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_count_locate_consistent(self, text, k, occ_rate, sa_rate, limit):
+        """``backward_search``, ``count`` and ``locate`` — and the
+        ``occ_lookups``/``lf_steps`` they charge — equal a brute-force
+        index, for prefixes (which occur) and reversed prefixes (which
+        may not) of random texts at random sampling rates."""
+        fm = FMIndex(text, occ_rate=occ_rate, sa_rate=sa_rate)
+        naive = _NaiveFM(text, sa_rate)
+        for pattern in (text[:k], text[:k][::-1] + "x", "$"):
+            lo, hi = naive.search(pattern)
+            fm.reset_counters()
+            assert fm.backward_search(pattern) == (lo, hi)
+            assert fm.occ_lookups == naive.search_ranks(pattern)
+            assert fm.count(pattern) == hi - lo
+            fm.reset_counters()
+            positions = fm.locate(pattern, limit=limit)
+            end = hi if limit is None else min(hi, lo + limit)
+            assert positions == sorted(naive.sa[lo:end])
+            steps = sum(naive.lf_walk(row) for row in range(lo, end))
+            assert fm.lf_steps == steps
+            assert fm.occ_lookups == naive.search_ranks(pattern) + steps
+            for pos in positions:
+                assert naive.text[pos : pos + len(pattern)] == pattern
 
-    @given(dna, st.sampled_from([1, 3, 64]))
-    @settings(max_examples=40, deadline=None)
-    def test_rank_counts_the_bwt_prefix(self, text, occ_rate):
+    @given(
+        st.one_of(dna, text_no_sentinel),
+        st.one_of(st.sampled_from([1, 3, 64]), st.integers(1, 300)),
+        st.integers(min_value=1, max_value=20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rank_counts_the_bwt_prefix(self, text, occ_rate, sa_rate):
         """Checkpoint plus the counted stretch after it == a plain count,
         for every row (both ends included) and every character, absent
-        ones and the sentinel too."""
+        ones and the sentinel too; each rank is one ``occ_lookup``, and
+        every row's LF walk to a sample matches the brute-force walk."""
+        fm = FMIndex(text, occ_rate=occ_rate, sa_rate=sa_rate)
+        naive = _NaiveFM(text, sa_rate)
+        for ch in set("ACGTN$az") | set(text):
+            for row in range(len(naive.bwt) + 1):
+                assert fm.rank(ch, row) == naive.bwt[:row].count(ch)
+        assert fm.occ_lookups == len(set("ACGTN$az") | set(text)) * (
+            len(naive.bwt) + 1
+        )
+        for row in range(len(naive.bwt)):
+            fm.reset_counters()
+            assert fm.suffix_position(row) == naive.sa[row]
+            assert fm.lf_steps == fm.occ_lookups == naive.lf_walk(row)
+
+    @pytest.mark.parametrize("occ_rate", [255, 256, 257, 1000])
+    def test_rank_across_wide_checkpoint_blocks(self, occ_rate):
+        """Counts since a checkpoint outgrow a byte once blocks are
+        longer than 256 rows."""
+        text = "A" * 300 + random_dna(400, seed=3)
         fm = FMIndex(text, occ_rate=occ_rate)
         bwt = bwt_from_sa(text)
-        for ch in "ACGTN$":
+        for ch in "ACGT$":
             for row in range(len(bwt) + 1):
                 assert fm.rank(ch, row) == bwt[:row].count(ch)
 
@@ -292,3 +375,67 @@ class TestPrealignmentFilter:
         reference = Sequence("ref", random_dna(500, seed=14))
         with pytest.raises(ValueError):
             ReadAligner(reference, prefilter_k=-1)
+
+
+def _work_counters(aligner: ReadAligner) -> dict:
+    """Every counter a map_reads run leaves except ``mapped``."""
+    counters = vars(aligner.stats).copy()
+    del counters["mapped"]
+    counters["lf_steps"] = aligner.index.lf_steps
+    counters["occ_lookups"] = aligner.index.occ_lookups
+    return counters
+
+
+class TestSeedingPass:
+    """``seed_reads`` leaves exactly the work counters of ``map_reads``."""
+
+    def _assert_same_counters(self, reference, reads, **kwargs):
+        mapped = ReadAligner(reference, **kwargs)
+        mapped.map_reads(reads)
+        seeded = ReadAligner(reference, **kwargs)
+        assert seeded.seed_reads(reads) is seeded.stats
+        assert _work_counters(seeded) == _work_counters(mapped)
+        assert seeded.stats.mapped == 0
+        return mapped
+
+    @pytest.mark.parametrize("size", ["small", "medium"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_nvb_datasets(self, size, seed):
+        from repro.data.datasets import DatasetSize, nvb_dataset
+
+        workload = nvb_dataset(DatasetSize(size), seed=seed)
+        mapped = self._assert_same_counters(
+            workload.reference, workload.read_sequences
+        )
+        assert mapped.stats.candidates_extended > 0
+
+    def test_repetitive_reference_hits_the_seed_cap(self):
+        unit = random_dna(90, seed=21)
+        reference = Sequence("rep", unit * 12 + random_dna(200, seed=22))
+        aligner = ReadAligner(reference)
+        reads = [
+            record.sequence
+            for record in sample_reads(reference, 12, 70, seed=23)
+        ]
+        seeds = [
+            seed
+            for read in reads
+            for residues in (read.residues,
+                             read.reverse_complement().residues)
+            for _, seed in aligner._seeds(residues)
+        ]
+        assert any(aligner.index.count(s) > aligner.max_seed_hits
+                   for s in seeds)
+        self._assert_same_counters(reference, reads)
+
+    def test_prefilter(self):
+        unit = random_dna(60, seed=11)
+        parts = [unit] + [random_dna(60, seed=12 + i) for i in range(20)]
+        reference = Sequence("rep", "".join(parts) + unit)
+        reads = [
+            record.sequence
+            for record in sample_reads(reference, 16, 60, seed=13,
+                                       error_rate=0.05)
+        ]
+        mapped = self._assert_same_counters(reference, reads, prefilter_k=2)
+        assert mapped.stats.candidates_filtered > 0

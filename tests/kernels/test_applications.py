@@ -1,5 +1,7 @@
 """Integration tests: every benchmark application runs and is faithful."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,22 @@ class TestFunctionalResults:
         first = app.run_functional()
         second = app.run_functional()
         assert first is second
+
+    def test_nvb_trace_reads_the_seeding_counters(self):
+        """The host program runs the seeding pass only: its memo holds
+        the work counters a full mapping leaves, and no index or
+        mapping."""
+        from repro.kernels import nvb_kernel
+
+        nvb_kernel._FUNCTIONAL_CACHE.clear()
+        app = build_application("NvB")
+        list(app.host_program())
+        stats, lf_steps = nvb_kernel._FUNCTIONAL_CACHE[app.workload]
+        _, mapped_stats, index = app.run_functional()
+        assert lf_steps == index.lf_steps
+        assert stats.mapped == 0
+        assert dataclasses.replace(stats, mapped=mapped_stats.mapped) == \
+            mapped_stats
 
 
 class TestAblationVariants:

@@ -1,6 +1,8 @@
 """Trace materialization/replay must be invisible in the results."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -131,6 +133,25 @@ class TestLaunchWalk:
             launches += descendants
         assert _as_tuple(cached.total_counts) == _as_tuple(total)
         assert launches > 0, "a CDP variant must launch children"
+
+
+class TestReferenceCounting:
+    """A materialized application is freed as soon as its last reference
+    goes, without waiting for the cyclic collector."""
+
+    @pytest.mark.parametrize("abbr,cdp", [("NW", False), ("NW", True),
+                                          ("NvB", True)])
+    def test_freed_without_the_cyclic_collector(self, abbr, cdp, tiny_gpu):
+        gc.collect()
+        gc.disable()
+        try:
+            entry = CachedApplication(build_application(abbr, cdp=cdp))
+            replay_application(entry, GPUSimulator(tiny_gpu))
+            ref = weakref.ref(entry)
+            del entry
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestReplayIdentity:
