@@ -15,17 +15,14 @@ sweep AXIS
     (``--jobs N`` fans points out over worker processes; ``--store
     DIR`` persists materialized traces across invocations;
     ``--estimate`` routes every point through the sampled estimator
-    for 10x+ config-space exploration; the ``benchmark`` axis runs
-    the whole suite at one config with per-variant rank columns, and
-    ``--journal FILE`` makes it resumable).
-dsweep
-    Run the benchmark sweep through the distributed coordinator:
-    chunked dispatch over local subprocess workers (``--dist-workers``)
-    or remote ``repro serve`` instances (``--endpoints``), with
-    straggler re-dispatch, bounded retry and a merge bit-identical to
-    ``sweep benchmark``.  Both commands share one sweep journal
-    format (``--journal FILE``, keyed by point identity), so either
-    resumes what the other finished, at any ``--chunk-size``.
+    for 10x+ config-space exploration).  The ``benchmark`` axis runs
+    the whole suite at one config with per-variant rank columns; its
+    points go to the distributed coordinator, one chunk per
+    application, over ``--jobs N`` forked workers or remote ``repro
+    serve`` instances (``--endpoints``), with straggler re-dispatch,
+    bounded retry (``--chunk-timeout``, ``--max-retries``) and a merge
+    bit-identical to ``--jobs 0``.  ``--journal FILE`` (keyed by point
+    identity) makes it resumable, whichever path wrote the journal.
 warm
     Materialize benchmark traces into the persistent trace store so
     later runs (sweeps, CI jobs, other processes) start warm
@@ -416,8 +413,11 @@ def cmd_sweep(args) -> int:
     from repro.core.sweep import default_jobs
     from repro.dist import DistSweepError
 
-    for flag, given in (("--journal", args.journal),
-                        ("--no-cdp", args.no_cdp)):
+    for flag, given in (("--journal", args.journal is not None),
+                        ("--no-cdp", args.no_cdp),
+                        ("--endpoints", args.endpoints is not None),
+                        ("--chunk-timeout", args.chunk_timeout is not None),
+                        ("--max-retries", args.max_retries is not None)):
         if args.axis != "benchmark" and given:
             print(f"{flag} only applies to the benchmark axis",
                   file=sys.stderr)
@@ -450,9 +450,9 @@ def cmd_sweep(args) -> int:
 def _print_benchmark_table(results) -> None:
     """One row per variant: cycles, CI, IPC, rank by cycles.
 
-    Shared by ``sweep benchmark`` and ``dsweep`` so the two commands
-    emit byte-identical tables for the same grid — the CI
-    ``dist-smoke`` job literally ``cmp``'s them.
+    The same bytes for the same grid whichever path ran it — the CI
+    ``dist-smoke`` job ``cmp``'s ``--jobs 0``, ``--jobs 2`` and
+    ``--endpoints``.
     """
     order = sorted(results, key=lambda name: (results[name].cycles, name))
     ranks = {name: i + 1 for i, name in enumerate(order)}
@@ -477,20 +477,57 @@ def _sweep_benchmark(args, config, jobs: int) -> int:
 
     The table is the view the CI ``sampled-smoke`` job diffs against
     the committed exact baseline (estimation must preserve the exact
-    mode's ranking).  ``--journal FILE`` records each finished point
-    and skips those the journal already holds (matched by content
-    identity, so a ``dsweep`` journal resumes it too).
+    mode's ranking).  ``--jobs 0`` runs the points in-process; ``--jobs
+    N`` and ``--endpoints`` hand them to the coordinator, which prints
+    its dispatch summary on stderr.  ``--journal FILE`` records each
+    finished point and skips those the journal already holds (matched
+    by content identity, whichever path wrote it).
     """
+    from repro.core.forked import CAN_FORK
     from repro.core.sweep import run_sweep, suite_points
+    from repro.dist import LocalProcessLauncher, ServiceLauncher, run_dsweep
 
+    if args.endpoints and args.jobs is not None:
+        print("--jobs cannot be combined with --endpoints: each endpoint "
+              "is one worker", file=sys.stderr)
+        return 2
+    in_process = not args.endpoints and (jobs == 0 or not CAN_FORK)
+    budget = {name: getattr(args, name)
+              for name in ("chunk_timeout", "max_retries")
+              if getattr(args, name) is not None}
+    if in_process and budget:
+        flag = "--" + next(iter(budget)).replace("_", "-")
+        print(f"{flag} needs worker processes: --jobs 0 runs in-process",
+              file=sys.stderr)
+        return 2
     error = _journal_error(args.journal)
     if error is not None:
         print(error, file=sys.stderr)
         return 2
     points = suite_points(cdp_variants=not args.no_cdp, size=args.size,
                           config=config)
-    results = run_sweep(points, jobs=jobs, journal=args.journal)
+    if in_process:
+        _print_benchmark_table(run_sweep(points, jobs=0,
+                                         journal=args.journal))
+        return 0
+    if args.endpoints:
+        launcher = ServiceLauncher(args.endpoints)
+    else:
+        launcher = LocalProcessLauncher(
+            workers=jobs, store=os.environ.get("REPRO_TRACE_STORE") or None,
+        )
+    with launcher:
+        results = run_dsweep(points, launcher, journal=args.journal,
+                             **budget)
     _print_benchmark_table(results)
+    stats = run_dsweep.last_stats
+    print(
+        f"# sweep: {stats['chunks']} chunk(s) dispatched, "
+        f"{stats['resumed']} point(s) resumed from journal, "
+        f"{stats['retries']} retried, "
+        f"{stats['redispatches']} straggler re-dispatches",
+        file=sys.stderr,
+    )
     return 0
 
 
@@ -590,60 +627,6 @@ def cmd_store(args) -> int:
         return 1
     print(f"unpacked {count} entr{'y' if count == 1 else 'ies'} "
           f"into {store.root}")
-    return 0
-
-
-def cmd_dsweep(args) -> int:
-    """The benchmark axis through the distributed sweep coordinator."""
-    from repro.core.sweep import suite_points
-    from repro.dist import (
-        DistSweepError,
-        LocalProcessLauncher,
-        ServiceLauncher,
-        run_dsweep,
-    )
-
-    error = _journal_error(args.journal)
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
-    if args.store:
-        os.environ["REPRO_TRACE_STORE"] = args.store
-    config = _config(args)
-    if args.estimate:
-        config = _estimate_config(args, config)
-    points = suite_points(cdp_variants=not args.no_cdp, size=args.size,
-                          config=config)
-    if args.endpoints:
-        launcher = ServiceLauncher(args.endpoints)
-    else:
-        launcher = LocalProcessLauncher(
-            workers=args.dist_workers,
-            store=args.store or os.environ.get("REPRO_TRACE_STORE") or None,
-        )
-    try:
-        results = run_dsweep(
-            points,
-            launcher,
-            chunk_size=args.chunk_size,
-            chunk_timeout=args.chunk_timeout,
-            max_retries=args.max_retries,
-            journal=args.journal,
-        )
-    except DistSweepError as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        launcher.close()
-    _print_benchmark_table(results)
-    stats = run_dsweep.last_stats
-    print(
-        f"# dsweep: {stats['chunks']} chunk(s) dispatched, "
-        f"{stats['resumed']} point(s) resumed from journal, "
-        f"{stats['retries']} retried, "
-        f"{stats['redispatches']} straggler re-dispatches",
-        file=sys.stderr,
-    )
     return 0
 
 
@@ -942,6 +925,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: one per CPU; 0 = in-process)",
     )
     p_sweep.add_argument(
+        "--endpoints", type=_endpoints, default=None,
+        metavar="HOST:PORT,...",
+        help="benchmark axis: dispatch chunks to remote `repro serve` "
+             "instances, one worker each, instead of --jobs workers",
+    )
+    # None marks a budget the command line did not give (``run_dsweep``
+    # holds the defaults); --jobs 0 refuses a given one.
+    p_sweep.add_argument(
+        "--chunk-timeout", type=_positive_float, default=None, metavar="S",
+        help="benchmark axis: per-chunk deadline in seconds "
+             "(default: none)",
+    )
+    p_sweep.add_argument(
+        "--max-retries", type=_nonneg_int, default=None, metavar="N",
+        help="benchmark axis: re-dispatch attempts per chunk before "
+             "failing the sweep (default: 2)",
+    )
+    p_sweep.add_argument(
         "--store", default=None, metavar="DIR",
         help="persistent trace store directory "
              "(default: $REPRO_TRACE_STORE when set)",
@@ -954,57 +955,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--journal", default=None, metavar="FILE",
         help="benchmark axis: sweep journal; finished points are "
-             "recorded, and a rerun (or dsweep) skips them",
+             "recorded, and a rerun skips them",
     )
     _add_machine_args(p_sweep)
     _add_estimate_args(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_dsweep = sub.add_parser(
-        "dsweep",
-        help="run the benchmark sweep through the distributed coordinator",
-    )
-    p_dsweep.add_argument(
-        "--dist-workers", type=_positive_int, default=2, metavar="N",
-        help="local subprocess workers (default: 2; ignored with "
-             "--endpoints)",
-    )
-    p_dsweep.add_argument(
-        "--endpoints", type=_endpoints, default=None,
-        metavar="HOST:PORT,...",
-        help="dispatch chunks to remote `repro serve` instances "
-             "instead of local subprocesses",
-    )
-    p_dsweep.add_argument(
-        "--chunk-size", type=_positive_int, default=4, metavar="N",
-        help="points per work unit (default: 4)",
-    )
-    p_dsweep.add_argument(
-        "--chunk-timeout", type=_positive_float, default=None, metavar="S",
-        help="per-chunk deadline in seconds (default: none)",
-    )
-    p_dsweep.add_argument(
-        "--max-retries", type=_nonneg_int, default=2, metavar="N",
-        help="re-dispatch attempts per chunk before failing the sweep "
-             "(default: 2)",
-    )
-    p_dsweep.add_argument(
-        "--journal", default=None, metavar="FILE",
-        help="sweep journal; finished chunks are recorded, and a rerun "
-             "(or sweep benchmark) skips their points",
-    )
-    p_dsweep.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="persistent trace store directory, exported to workers "
-             "(default: $REPRO_TRACE_STORE when set)",
-    )
-    p_dsweep.add_argument(
-        "--no-cdp", action="store_true",
-        help="skip the CDP variants",
-    )
-    _add_machine_args(p_dsweep)
-    _add_estimate_args(p_dsweep)
-    p_dsweep.set_defaults(func=cmd_dsweep)
 
     p_warm = sub.add_parser(
         "warm", help="materialize traces into the persistent store"

@@ -1,8 +1,8 @@
 """One forked child process with one duplex pipe.
 
 The repo's only parallelism is process fan-out: the service forks one
-child per job (:mod:`repro.service.jobs`) and ``repro dsweep`` /
-``sweep --jobs N`` keep one persistent forked worker per slot
+child per job (:mod:`repro.service.jobs`) and ``repro sweep --jobs
+N`` keeps one persistent forked worker per slot
 (:mod:`repro.dist.launchers`).  Both go through :class:`ForkedChild`:
 fork, exchange pickled objects over a ``multiprocessing`` pipe, wait
 for a reply with a deadline and a cancellation check, and kill.

@@ -7,8 +7,8 @@ make those sweeps embarrassingly accelerable:
 1. Points are independent — a ``(benchmark, cdp, size, config)`` tuple
    fully determines its :class:`RunStats` — so they fan out across
    forked worker processes (``jobs=N``) driven by the distributed
-   sweep coordinator (:mod:`repro.dist`), the one ``repro dsweep``
-   uses.
+   sweep coordinator (:mod:`repro.dist`), the one ``repro sweep
+   benchmark`` also drives over remote ``--endpoints``.
 2. Instruction traces depend only on the *application*, never on the
    timing config being swept, so each worker materializes a
    benchmark's traces once (:mod:`repro.sim.replay`) and replays them
@@ -157,9 +157,9 @@ def point_key(point: SweepPoint) -> str:
     benchmark identity plus the *full* serialized config — and nothing
     that doesn't (the display label).  This is the shared identity key
     of the sweep journal (:mod:`repro.dist.journal`, which ``repro
-    sweep`` and ``repro dsweep`` both resume from), the merge check and
-    every chunk reply: a result computed anywhere can be matched to its
-    point everywhere.
+    sweep benchmark`` resumes from in-process, over forked workers or
+    over endpoints alike), the merge check and every chunk reply: a
+    result computed anywhere can be matched to its point everywhere.
     """
     material = json.dumps(_identity(point), sort_keys=True)
     return hashlib.sha256(material.encode()).hexdigest()[:16]
@@ -168,10 +168,10 @@ def point_key(point: SweepPoint) -> str:
 def encode_point(point: SweepPoint) -> dict:
     """One sweep point as a JSON-safe dict (see :func:`decode_point`).
 
-    The HTTP point codec: ``repro dsweep --endpoints`` posts chunks in
-    this form, and the service's sweep endpoint decodes them.  The
-    config travels as config-file text, which round-trips every
-    ``GPUConfig`` knob exactly.
+    The HTTP point codec: ``repro sweep benchmark --endpoints`` posts
+    chunks in this form, and the service's sweep endpoint decodes
+    them.  The config travels as config-file text, which round-trips
+    every ``GPUConfig`` knob exactly.
     """
     return {"label": point.label, **_identity(point),
             "key": point_key(point)}
@@ -287,17 +287,6 @@ class TraceCache:
     def release(self, point: SweepPoint) -> None:
         """Drop ``point``'s application, if cached."""
         self._entries.pop(app_key(point), None)
-
-    def invalidate(self, abbr: str | None = None) -> int:
-        """Drop entries (all, or one benchmark's); returns the count."""
-        if abbr is None:
-            dropped = len(self._entries)
-            self._entries.clear()
-            return dropped
-        stale = [key for key in self._entries if key[0] == abbr]
-        for key in stale:
-            del self._entries[key]
-        return len(stale)
 
 
 def run_point(point: SweepPoint, cache: TraceCache | None = None) -> RunStats:
@@ -429,9 +418,7 @@ def run_sweep(
 
     store_root = str(resolved.root) if resolved is not None else None
     with LocalProcessLauncher(workers=jobs, store=store_root) as launcher:
-        # A chunk as large as the grid is a whole application group.
-        return run_dsweep(points, launcher, chunk_size=max(1, len(points)),
-                          journal=journal)
+        return run_dsweep(points, launcher, journal=journal)
 
 
 def suite_points(

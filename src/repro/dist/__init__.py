@@ -1,14 +1,15 @@
 """Distributed sweep engine: run one point grid across many workers.
 
-The coordinator (:mod:`repro.dist.coordinator`) chunks a
-``(benchmark, cdp, size, config)`` point grid into work units,
-dispatches them to a launcher-managed worker pool — forked local
-workers (:class:`~repro.dist.launchers.LocalProcessLauncher`, one
-:class:`~repro.core.forked.ForkedChild` per slot exchanging pickled
-points and ``RunStats``; also the engine behind ``run_sweep(jobs>=1)``)
-or remote ``repro serve`` instances
-(:class:`~repro.dist.launchers.ServiceLauncher`, which posts points in
-the HTTP point codec, :func:`~repro.core.sweep.encode_point`) — and
+The coordinator (:mod:`repro.dist.coordinator`) cuts a
+``(benchmark, cdp, size, config)`` point grid into one work unit per
+application, dispatches them to a launcher-managed worker pool —
+forked local workers (:class:`~repro.dist.launchers.LocalProcessLauncher`,
+one :class:`~repro.core.forked.ForkedChild` per slot exchanging pickled
+points and ``RunStats``; the engine behind ``run_sweep(jobs>=1)`` and
+``repro sweep benchmark --jobs N``) or remote ``repro serve``
+instances (:class:`~repro.dist.launchers.ServiceLauncher`, which posts
+points in the HTTP point codec, :func:`~repro.core.sweep.encode_point`;
+``repro sweep benchmark --endpoints``) — and
 merges the results back in input order, bit-identical to a local
 :func:`~repro.core.sweep.run_sweep` of the same grid.  Robustness is
 structural: per-chunk timeouts with bounded retry, straggler

@@ -2,9 +2,9 @@
 
 :func:`run_dsweep` turns one point grid into the same ``{label:
 RunStats}`` mapping a local :func:`~repro.core.sweep.run_sweep`
-returns — bit-identically — by chunking the grid into work units and
-dispatching them across a launcher's worker slots
-(:mod:`repro.dist.launchers`).
+returns — bit-identically — by cutting the grid into one work unit per
+application (:func:`make_chunks`) and dispatching them across a
+launcher's worker slots (:mod:`repro.dist.launchers`).
 
 Determinism contract
 --------------------
@@ -26,11 +26,11 @@ fail, loudly, naming the lost point identities
 launcher; a chunk that blows ``chunk_timeout`` gets its worker killed
 first so a wedged simulation cannot absorb retries.  When every
 pending chunk is taken, idle workers re-dispatch the slowest in-flight
-straggler (elapsed > ``straggler_factor`` x the median completed-chunk
-duration); whichever copy finishes first wins and the duplicate result
-is dropped.  With a ``journal``, completed chunks are persisted as
-they land, so an interrupted sweep re-run against the same journal
-resumes every finished point instead of recomputing it
+straggler (elapsed > :data:`STRAGGLER_FACTOR` x the median
+completed-chunk duration); whichever copy finishes first wins and the
+duplicate result is dropped.  With a ``journal``, completed chunks are
+persisted as they land, so an interrupted sweep re-run against the
+same journal resumes every finished point instead of recomputing it
 (:mod:`repro.dist.journal`).
 """
 
@@ -45,9 +45,14 @@ from repro.core.sweep import SweepPoint, app_key, point_key, resume_merge
 from repro.dist.journal import SweepJournal
 from repro.dist.launchers import ChunkFailed, ChunkTimeout, WorkerDied
 
-#: Default ceiling on points per chunk: small enough that retries and
-#: journal increments stay cheap, big enough to amortize dispatch.
-DEFAULT_CHUNK_SIZE = 4
+#: An idle worker duplicates an in-flight chunk once it has run this
+#: many times the median completed-chunk duration.
+STRAGGLER_FACTOR = 4.0
+
+#: Consecutive deaths or timeouts after which a worker slot is
+#: quarantined; at most the default ``max_retries``, so one bad slot
+#: can never exhaust a chunk's retries alone.
+WORKER_FAILURE_LIMIT = 2
 
 #: A straggler must also have run at least this long before an idle
 #: worker duplicates it (guards against thrashing on tiny chunks).
@@ -72,7 +77,7 @@ class DistSweepError(RuntimeError):
 
 @dataclass
 class _Chunk:
-    """One work unit: a contiguous same-application slice of the grid."""
+    """One work unit: every point of one application, in grid order."""
 
     id: int
     indices: list[int]  # positions in the (todo) point list
@@ -87,34 +92,24 @@ class _Chunk:
             self.keys = [point_key(point) for point in self.points]
 
 
-def make_chunks(
-    points: list[SweepPoint], chunk_size: int = DEFAULT_CHUNK_SIZE
-) -> list[list[int]]:
-    """Index chunks: same-application groups, sliced to ``chunk_size``.
+def make_chunks(points: list[SweepPoint]) -> list[list[int]]:
+    """Index chunks: one per :func:`~repro.core.sweep.app_key` group.
 
-    Grouping by :func:`~repro.core.sweep.app_key` first keeps trace
-    reuse intact — a worker that materializes an application's traces
-    replays them for every other point of the chunk — and slicing
-    bounds the retry/journal granularity.  Order inside a chunk follows
+    A worker that materializes an application's traces replays them
+    for every other point of its chunk.  Order inside a chunk follows
     input order, so the merge is position-stable.
     """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     groups: dict[tuple, list[int]] = {}
     for index, point in enumerate(points):
         groups.setdefault(app_key(point), []).append(index)
-    chunks = []
-    for indices in groups.values():
-        for start in range(0, len(indices), chunk_size):
-            chunks.append(indices[start:start + chunk_size])
-    return chunks
+    return list(groups.values())
 
 
 class _State:
     """Shared coordinator state; every mutation holds ``cond``."""
 
     def __init__(self, chunks: list[_Chunk], max_retries: int,
-                 straggler_factor: float | None, workers: int):
+                 workers: int):
         self.cond = threading.Condition()
         self.pending: deque[_Chunk] = deque(chunks)
         self.results: dict[int, list] = {}
@@ -124,7 +119,6 @@ class _State:
         self.retries = 0  # failure re-queues
         self.retired = 0  # worker slots quarantined for repeat deaths
         self.max_retries = max_retries
-        self.straggler_factor = straggler_factor
         self.fatal: DistSweepError | None = None
         self.inflight: dict[int, _Chunk] = {}
         self.active = workers
@@ -145,11 +139,11 @@ class _State:
         return self._steal_straggler()
 
     def _steal_straggler(self) -> _Chunk | None:
-        if self.straggler_factor is None or not self.durations:
+        if not self.durations:
             return None
         ordered = sorted(self.durations)
         median = ordered[len(ordered) // 2]
-        threshold = max(self.straggler_factor * median, MIN_STRAGGLER_S)
+        threshold = max(STRAGGLER_FACTOR * median, MIN_STRAGGLER_S)
         now = time.monotonic()
         slowest = None
         for chunk in self.inflight.values():
@@ -214,12 +208,14 @@ class _State:
                 self.pending.append(chunk)
             self.cond.notify_all()
 
-    def retire_worker(self) -> None:
-        """A slot quarantined itself after repeated deaths.
+    def retire_worker(self, exc: Exception) -> None:
+        """A slot quarantined itself after repeated deaths, ``exc``
+        the last.
 
         The sweep survives as long as one slot remains; losing the last
         one with work outstanding is fatal — naming everything still
-        unfinished — because nothing is left to re-run it on.
+        unfinished and the death that retired it — because nothing is
+        left to re-run it on.
         """
         with self.cond:
             self.active -= 1
@@ -234,13 +230,14 @@ class _State:
                 ]
                 self.fatal = DistSweepError(
                     lost=remaining,
-                    cause="every worker slot died repeatedly",
+                    cause="every worker slot died repeatedly; "
+                          f"{type(exc).__name__}: {exc}",
                 )
             self.cond.notify_all()
 
 
 def _worker_loop(worker_id: int, launcher, state: _State,
-                 chunk_timeout, journal, worker_failure_limit: int) -> None:
+                 chunk_timeout, journal) -> None:
     consecutive_deaths = 0
     while True:
         with state.cond:
@@ -266,10 +263,10 @@ def _worker_loop(worker_id: int, launcher, state: _State,
         except (WorkerDied, ChunkTimeout) as exc:
             state.fail(chunk, exc)
             consecutive_deaths += 1
-            if consecutive_deaths >= worker_failure_limit:
+            if consecutive_deaths >= WORKER_FAILURE_LIMIT:
                 # This slot keeps dying (bad host, poisoned respawn):
                 # quarantine it so it stops bleeding chunk retries.
-                state.retire_worker()
+                state.retire_worker(exc)
                 return
             continue
         consecutive_deaths = 0
@@ -280,11 +277,8 @@ def _worker_loop(worker_id: int, launcher, state: _State,
 def run_dsweep(
     points: list[SweepPoint],
     launcher,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     chunk_timeout: float | None = None,
     max_retries: int = 2,
-    worker_failure_limit: int = 2,
-    straggler_factor: float | None = 4.0,
     journal=None,
 ):
     """Run every point across ``launcher``'s workers; returns
@@ -294,16 +288,13 @@ def run_dsweep(
     ``journal`` (a path or :class:`~repro.dist.journal.SweepJournal`)
     records each completed chunk, and every point it already holds is
     filled from it by :func:`~repro.core.sweep.resume_merge` before
-    chunking — whichever sweep or chunk size wrote it.
-    ``straggler_factor=None`` disables tail re-dispatch.
+    chunking — whichever sweep wrote it.
 
     Failure budgets compose: each chunk survives ``max_retries``
     failed dispatches, and each worker slot survives
-    ``worker_failure_limit`` *consecutive* deaths/timeouts before it
-    is quarantined (a slot that dies on every chunk it touches would
-    otherwise drain the whole grid's retry budget by itself).  Keep
-    ``worker_failure_limit <= max_retries`` so one bad slot can never
-    exhaust a chunk alone.
+    :data:`WORKER_FAILURE_LIMIT` *consecutive* deaths/timeouts before
+    it is quarantined (a slot that dies on every chunk it touches would
+    otherwise drain the whole grid's retry budget by itself).
     """
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
@@ -321,20 +312,14 @@ def run_dsweep(
         chunks = [
             _Chunk(id=i, indices=indices,
                    points=[todo[j] for j in indices])
-            for i, indices in enumerate(make_chunks(todo, chunk_size))
+            for i, indices in enumerate(make_chunks(todo))
         ]
         workers = max(1, getattr(launcher, "workers", 1))
-        state = _State(
-            chunks,
-            max_retries=max_retries,
-            straggler_factor=straggler_factor,
-            workers=workers,
-        )
+        state = _State(chunks, max_retries=max_retries, workers=workers)
         threads = [
             threading.Thread(
                 target=_worker_loop,
-                args=(worker_id, launcher, state, chunk_timeout,
-                      journal, worker_failure_limit),
+                args=(worker_id, launcher, state, chunk_timeout, journal),
                 name=f"repro-dsweep-{worker_id}",
                 daemon=True,
             )

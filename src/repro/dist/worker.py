@@ -1,4 +1,4 @@
-"""The worker end of a local dsweep slot.
+"""The worker end of a local sweep worker slot.
 
 :func:`serve` runs in each
 :class:`~repro.dist.launchers.LocalProcessLauncher` child

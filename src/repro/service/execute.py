@@ -154,7 +154,7 @@ def execute_estimate(request, artifact_dir: str | None):
 def execute_sweep(request, artifact_dir: str | None):
     """The suite (or a subset) at the request's config.
 
-    With ``request.points`` set (a dsweep chunk), the wire-encoded
+    With ``request.points`` set (a coordinator chunk), the wire-encoded
     points are decoded and run verbatim — each carries its own full
     config — instead of building the suite grid.
 

@@ -290,7 +290,7 @@ class SweepRequest:
     cdp_variants: bool = True
     size: str = DatasetSize.SMALL.value
     config: dict = field(default_factory=dict)
-    points: tuple = ()  # wire-encoded explicit points (dsweep chunks)
+    points: tuple = ()  # wire-encoded explicit points (sweep chunks)
     priority: int = 0
     timeout_s: float | None = None
     use_cache: bool = True

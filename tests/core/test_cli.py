@@ -295,7 +295,8 @@ class TestProfile:
 
 
 class TestSweepJournal:
-    """``sweep benchmark`` and ``dsweep`` share one point-keyed journal."""
+    """``sweep benchmark`` in-process and over workers share one
+    point-keyed journal."""
 
     GRID = ["--no-cdp", "--size", "small", "--sms", "4"]
 
@@ -307,26 +308,31 @@ class TestSweepJournal:
         return captured.err
 
     def test_journal_resumes_across_commands(self, tmp_path, capsys):
-        """Either command's journal fully resumes the other, at any
-        chunking, with nothing re-simulated (nothing appended)."""
+        """The in-process journal (one record per point) fully resumes
+        the worker sweep (one record per chunk) and the other way
+        round, with nothing re-simulated (nothing appended)."""
         assert main(["sweep", "benchmark", "--jobs", "0", *self.GRID]) == 0
         table = capsys.readouterr().out
         seq, dist = tmp_path / "seq.jsonl", tmp_path / "dist.jsonl"
 
         self._run(capsys, ["sweep", "benchmark", "--jobs", "0"], seq, table)
         written = seq.read_text()
-        err = self._run(capsys, ["dsweep", "--dist-workers", "2",
-                                 "--chunk-size", "1"], seq, table)
-        assert "0 chunk(s) dispatched, 10 point(s) resumed" in err
+        err = self._run(capsys, ["sweep", "benchmark", "--jobs", "2"], seq,
+                        table)
+        assert "# sweep: 0 chunk(s) dispatched, 10 point(s) resumed" in err
         assert seq.read_text() == written
 
-        self._run(capsys, ["dsweep", "--dist-workers", "2",
-                           "--chunk-size", "4"], dist, table)
+        err = self._run(capsys, ["sweep", "benchmark", "--jobs", "2"], dist,
+                        table)
+        assert "# sweep: 10 chunk(s) dispatched, 0 point(s) resumed" in err
         written = dist.read_text()
-        self._run(capsys, ["sweep", "benchmark", "--jobs", "2"], dist, table)
+        self._run(capsys, ["sweep", "benchmark", "--jobs", "0"], dist, table)
         assert dist.read_text() == written
 
-    @pytest.mark.parametrize("command", [["sweep", "benchmark"], ["dsweep"]])
+    @pytest.mark.parametrize("command", [
+        ["sweep", "benchmark", "--jobs", "0"],
+        ["sweep", "benchmark", "--jobs", "2"],
+    ])
     @pytest.mark.parametrize("kind",
                              ["missing-dir", "file-as-dir", "dir", "foreign"])
     def test_rejects_an_unusable_journal(self, tmp_path, capsys, command,
@@ -386,10 +392,10 @@ class TestErrorPaths:
                      "--sample-seed", id="sweep-seed"),
         pytest.param(["sweep", "cache", "--sample-fraction", "0.2"],
                      "--sample-fraction", id="sweep-fraction"),
-        pytest.param(["dsweep", "--sample-fraction", "0.2"],
-                     "--sample-fraction", id="dsweep-fraction"),
-        pytest.param(["dsweep", "--sample-seed", "0"],
-                     "--sample-seed", id="dsweep-seed-default-value"),
+        pytest.param(["sweep", "benchmark", "--sample-fraction", "0.2"],
+                     "--sample-fraction", id="benchmark-fraction"),
+        pytest.param(["sweep", "benchmark", "--sample-seed", "0"],
+                     "--sample-seed", id="benchmark-seed-default-value"),
     ])
     def test_sampling_flags_require_estimate(self, argv, flag, capsys):
         """Without ``--estimate`` a sampling flag would be ignored
@@ -424,12 +430,10 @@ class TestErrorPaths:
         pytest.param(["run", "NW", "--sms", "many"], "--sms", id="sms-text"),
         pytest.param(["serve", "--workers", "0"], "--workers",
                      id="serve-workers"),
-        pytest.param(["dsweep", "--dist-workers", "0"], "--dist-workers",
-                     id="dist-workers"),
-        pytest.param(["dsweep", "--chunk-size", "0"], "--chunk-size",
-                     id="chunk-size"),
-        pytest.param(["dsweep", "--max-retries", "-1"], "--max-retries",
-                     id="max-retries"),
+        pytest.param(["sweep", "benchmark", "--jobs", "-1"], "--jobs",
+                     id="jobs"),
+        pytest.param(["sweep", "benchmark", "--max-retries", "-1"],
+                     "--max-retries", id="max-retries"),
         pytest.param(["profile", "NW", "--interval", "0"], "--interval",
                      id="interval"),
         pytest.param(["serve", "--port", "65536"], "--port",
@@ -442,11 +446,11 @@ class TestErrorPaths:
         pytest.param(["serve", "--port", "0", "--cache", "unused-cache",
                       "--cache-max-entries", "-5"], "--cache-max-entries",
                      id="cache-max-entries"),
-        pytest.param(["dsweep", "--chunk-timeout", "0"], "--chunk-timeout",
-                     id="chunk-timeout-zero"),
-        pytest.param(["dsweep", "--chunk-timeout", "-1"], "--chunk-timeout",
-                     id="chunk-timeout-negative"),
-        pytest.param(["dsweep", "--chunk-timeout", "soon"],
+        pytest.param(["sweep", "benchmark", "--chunk-timeout", "0"],
+                     "--chunk-timeout", id="chunk-timeout-zero"),
+        pytest.param(["sweep", "benchmark", "--chunk-timeout", "-1"],
+                     "--chunk-timeout", id="chunk-timeout-negative"),
+        pytest.param(["sweep", "benchmark", "--chunk-timeout", "soon"],
                      "--chunk-timeout", id="chunk-timeout-text"),
         pytest.param(["align", "ACGT", "ACGT", "--mode", "banded",
                       "--band", "-3"], "--band", id="band"),
@@ -464,7 +468,7 @@ class TestErrorPaths:
          "argument --sms: invalid value 'many': expected an integer"),
         (["serve", "--port", "x"],
          "argument --port: invalid value 'x': expected an integer"),
-        (["dsweep", "--chunk-timeout", "soon"],
+        (["sweep", "benchmark", "--chunk-timeout", "soon"],
          "argument --chunk-timeout: invalid value 'soon': "
          "expected a number"),
         (["run", "NW", "--size", "huge"],
@@ -491,7 +495,8 @@ class TestErrorPaths:
         """``--endpoints`` must be HOST:PORT entries with ports in
         [1, 65535], checked before any launcher or retry runs."""
         with pytest.raises(SystemExit) as exit_info:
-            main(["dsweep", "--no-cdp", "--endpoints", endpoints])
+            main(["sweep", "benchmark", "--no-cdp", "--endpoints",
+                  endpoints])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "argument --endpoints: invalid endpoint" in err
@@ -500,8 +505,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv,env", [
         pytest.param(["sweep", "benchmark", "--jobs", "2"],
                      {"REPRO_DIST_DIE_AFTER": "1"}, id="sweep-workers-die"),
-        pytest.param(["dsweep", "--endpoints", "127.0.0.1:1"], {},
-                     id="dsweep-unreachable"),
+        pytest.param(["sweep", "benchmark", "--endpoints", "127.0.0.1:1"],
+                     {}, id="endpoints-unreachable"),
     ])
     def test_lost_points_end_without_traceback(self, argv, env, capsys,
                                                monkeypatch):
@@ -515,6 +520,61 @@ class TestErrorPaths:
         assert "sweep failed: lost 10 point(s)" in captured.err
         assert "NW [" in captured.err and "last failure:" in captured.err
         assert "Traceback" not in captured.err
+        if "--endpoints" in argv:
+            # The death that retired the last slot, not only the fact.
+            assert "WorkerDied: service worker 0 unreachable" in captured.err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--endpoints", "127.0.0.1:8778"),
+        ("--chunk-timeout", "5"),
+        ("--max-retries", "1"),
+    ])
+    def test_distribution_flags_are_benchmark_axis_only(self, flag, value,
+                                                        capsys):
+        assert main(["sweep", "cache", flag, value, "--sms", "4"]) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} only applies to the benchmark axis" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--chunk-timeout", "5"),
+        ("--max-retries", "1"),
+    ])
+    def test_retry_budget_needs_workers(self, flag, value, capsys):
+        """Nothing reads a chunk budget in-process: ``--jobs 0`` refuses
+        it rather than ignore it."""
+        assert main(["sweep", "benchmark", "--jobs", "0", flag, value,
+                     "--no-cdp", "--sms", "4"]) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} needs worker processes" in captured.err
+        assert captured.out == ""
+
+    def test_jobs_and_endpoints_are_exclusive(self, capsys):
+        """One worker per endpoint: an explicit ``--jobs`` beside
+        ``--endpoints`` would be ignored, so it is refused."""
+        assert main(["sweep", "benchmark", "--jobs", "3", "--endpoints",
+                     "127.0.0.1:8778", "--no-cdp", "--sms", "4"]) == 2
+        captured = capsys.readouterr()
+        assert "--jobs cannot be combined with --endpoints" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(["dsweep", "--no-cdp"], "invalid choice: 'dsweep'",
+                     id="dsweep"),
+        pytest.param(["sweep", "benchmark", "--dist-workers", "2"],
+                     "unrecognized arguments: --dist-workers",
+                     id="dist-workers"),
+        pytest.param(["sweep", "benchmark", "--chunk-size", "1"],
+                     "unrecognized arguments: --chunk-size",
+                     id="chunk-size"),
+    ])
+    def test_removed_sweep_surface_is_refused(self, argv, message, capsys):
+        """``sweep benchmark`` took over the distributed command: its
+        name and its worker-count and chunk-size flags are gone."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,arg", [
         pytest.param(["warm", "NW", "NOPE"], "benchmarks", id="warm"),

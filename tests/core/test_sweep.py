@@ -123,16 +123,6 @@ class TestCacheKeying:
             sweep_point("e", "NW", config, use_shared=False)
         )
 
-    def test_invalidate(self, config):
-        cache = TraceCache()
-        cache.get(sweep_point("a", "NW", config))
-        cache.get(sweep_point("b", "STAR", config))
-        assert len(cache) == 2
-        assert cache.invalidate("NW") == 1
-        assert len(cache) == 1
-        assert cache.invalidate() == 1
-        assert len(cache) == 0
-
     def test_release_drops_one_application(self, config):
         cache = TraceCache()
         nw = sweep_point("a", "NW", config)

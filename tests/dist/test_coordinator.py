@@ -7,6 +7,7 @@ that keeps dying, and journal resume after an interrupt.  The real
 forked worker pool is exercised in ``test_launchers.py``.
 """
 
+import math
 import threading
 
 import pytest
@@ -16,6 +17,7 @@ from repro.core.sweep import TraceCache, point_key, run_point, run_sweep, sweep_
 from repro.dist import (
     DistSweepError,
     SweepJournal,
+    coordinator,
     run_dsweep,
 )
 from repro.dist.coordinator import make_chunks
@@ -38,6 +40,21 @@ def points():
 @pytest.fixture(scope="module")
 def serial(points):
     return run_sweep(points, jobs=0, store=None)
+
+
+@pytest.fixture(scope="module")
+def distinct():
+    """Four applications, one point each: four single-point chunks."""
+    return [
+        sweep_point(f"{abbr}{'-cdp' if cdp else ''}", abbr, CONFIG, cdp=cdp)
+        for abbr in ("NW", "CLUSTER")
+        for cdp in (False, True)
+    ]
+
+
+@pytest.fixture(scope="module")
+def distinct_serial(distinct):
+    return run_sweep(distinct, jobs=0, store=None)
 
 
 class ScriptedLauncher:
@@ -71,27 +88,21 @@ class ScriptedLauncher:
 
 
 class TestChunking:
-    def test_chunks_group_by_application(self, points):
-        chunks = make_chunks(points, chunk_size=4)
-        assert chunks == [[0, 1], [2, 3]]
-
-    def test_chunk_size_slices_groups(self, points):
-        assert make_chunks(points, chunk_size=1) == [[0], [1], [2], [3]]
-
-    def test_chunk_size_must_be_positive(self, points):
-        with pytest.raises(ValueError):
-            make_chunks(points, chunk_size=0)
+    def test_chunks_group_by_application(self, points, distinct):
+        assert make_chunks(points) == [[0, 1], [2, 3]]
+        assert make_chunks(distinct) == [[0], [1], [2], [3]]
 
 
 class TestHappyPath:
     def test_bit_identical_to_run_sweep(self, points, serial):
-        results = run_dsweep(points, ScriptedLauncher(), chunk_size=2)
+        results = run_dsweep(points, ScriptedLauncher())
         assert results == serial
         assert list(results) == [p.label for p in points]
 
-    def test_single_worker_single_point_chunks(self, points, serial):
+    def test_single_worker_single_point_chunks(self, distinct,
+                                               distinct_serial):
         launcher = ScriptedLauncher(workers=1)
-        assert run_dsweep(points, launcher, chunk_size=1) == serial
+        assert run_dsweep(distinct, launcher) == distinct_serial
         assert len(launcher.calls) == 4
 
     def test_duplicate_labels_rejected(self, points):
@@ -103,7 +114,7 @@ class TestHappyPath:
 class TestRetries:
     def test_failed_chunk_is_retried_elsewhere(self, points, serial):
         launcher = ScriptedLauncher(plan={0: [ChunkFailed("sim raised")]})
-        results = run_dsweep(points, launcher, chunk_size=2)
+        results = run_dsweep(points, launcher)
         assert results == serial
         assert run_dsweep.last_stats["retries"] == 1
 
@@ -112,7 +123,7 @@ class TestRetries:
             0: [WorkerDied("gone")],
             1: [ChunkTimeout("too slow")],
         })
-        assert run_dsweep(points, launcher, chunk_size=2) == serial
+        assert run_dsweep(points, launcher) == serial
         assert run_dsweep.last_stats["retries"] == 2
 
     def test_exhausted_retries_fail_loudly_with_identities(self, points):
@@ -120,7 +131,7 @@ class TestRetries:
             plan={0: [ChunkFailed("boom")] * 3},
         )
         with pytest.raises(DistSweepError) as err:
-            run_dsweep(points, launcher, chunk_size=2, max_retries=2)
+            run_dsweep(points, launcher, max_retries=2)
         assert len(err.value.lost) == 2  # both points of chunk 0
         for point in points[:2]:
             assert any(point_key(point) in lost for lost in err.value.lost)
@@ -129,12 +140,12 @@ class TestRetries:
     def test_zero_max_retries_means_one_shot(self, points):
         launcher = ScriptedLauncher(plan={0: [ChunkFailed("boom")]})
         with pytest.raises(DistSweepError):
-            run_dsweep(points, launcher, chunk_size=2, max_retries=0)
+            run_dsweep(points, launcher, max_retries=0)
 
 
 class TestQuarantine:
     def test_repeatedly_dying_slot_is_retired_not_fatal(
-        self, points, serial
+        self, distinct, distinct_serial
     ):
         class DyingSlotLauncher(ScriptedLauncher):
             def run_chunk(self, worker_id, chunk_id, pts, timeout=None):
@@ -142,11 +153,9 @@ class TestQuarantine:
                     raise WorkerDied("slot 0 keeps dying")
                 return super().run_chunk(worker_id, chunk_id, pts, timeout)
 
-        results = run_dsweep(
-            points, DyingSlotLauncher(workers=2), chunk_size=1,
-            max_retries=2, worker_failure_limit=2,
-        )
-        assert results == serial
+        results = run_dsweep(distinct, DyingSlotLauncher(workers=2),
+                             max_retries=2)
+        assert results == distinct_serial
         assert run_dsweep.last_stats["workers_retired"] == 1
 
     def test_all_slots_dying_is_fatal_and_names_everything(self, points):
@@ -154,13 +163,15 @@ class TestQuarantine:
             def run_chunk(self, worker_id, chunk_id, pts, timeout=None):
                 raise WorkerDied("host on fire")
 
-        with pytest.raises(DistSweepError, match="every worker slot"):
-            run_dsweep(points, AllDeadLauncher(workers=2), chunk_size=2,
-                       max_retries=5, worker_failure_limit=2)
+        with pytest.raises(DistSweepError, match="every worker slot") as err:
+            run_dsweep(points, AllDeadLauncher(workers=2), max_retries=5)
+        assert len(err.value.lost) == len(points)
+        assert err.value.cause.endswith("WorkerDied: host on fire")
 
 
 class TestStragglers:
-    def test_duplicate_delivery_first_wins(self, points, serial):
+    def test_duplicate_delivery_first_wins(self, distinct, distinct_serial,
+                                           monkeypatch):
         """A straggler re-dispatch races the original; the late copy's
         result must be dropped, not double-merged."""
         second_done = threading.Event()
@@ -183,18 +194,18 @@ class TestStragglers:
                     second_done.set()
                 return result
 
-        results = run_dsweep(
-            points, StallingLauncher(workers=2), chunk_size=1,
-            straggler_factor=0.1,
-        )
-        assert results == serial
+        monkeypatch.setattr(coordinator, "STRAGGLER_FACTOR", 0.1)
+        results = run_dsweep(distinct, StallingLauncher(workers=2))
+        assert results == distinct_serial
         assert run_dsweep.last_stats["redispatches"] >= 1
         assert run_dsweep.last_stats["duplicates_dropped"] >= 1
 
-    def test_straggler_disabled_means_no_redispatch(self, points, serial):
-        results = run_dsweep(points, ScriptedLauncher(), chunk_size=1,
-                             straggler_factor=None)
-        assert results == serial
+    def test_straggler_disabled_means_no_redispatch(
+        self, distinct, distinct_serial, monkeypatch
+    ):
+        monkeypatch.setattr(coordinator, "STRAGGLER_FACTOR", math.inf)
+        results = run_dsweep(distinct, ScriptedLauncher())
+        assert results == distinct_serial
         assert run_dsweep.last_stats["redispatches"] == 0
 
 
@@ -209,12 +220,11 @@ class TestJournalResume:
             workers=1, plan={1: [ChunkFailed("power cut")] * 9},
         )
         with pytest.raises(DistSweepError):
-            run_dsweep(points, bad, chunk_size=2, journal=path,
-                       max_retries=1)
+            run_dsweep(points, bad, journal=path, max_retries=1)
         # Second attempt with a healthy pool: chunk 0's points resume
         # from the journal, only the other chunk's points are dispatched.
         good = ScriptedLauncher(workers=1)
-        results = run_dsweep(points, good, chunk_size=2, journal=path)
+        results = run_dsweep(points, good, journal=path)
         assert results == serial
         assert run_dsweep.last_stats["resumed"] == 2
         assert good.calls == [(0, 0)]
@@ -222,41 +232,48 @@ class TestJournalResume:
 
     def test_completed_sweep_replays_fully(self, tmp_path, points, serial):
         path = tmp_path / "sweep.journal"
-        run_dsweep(points, ScriptedLauncher(), chunk_size=2, journal=path)
+        run_dsweep(points, ScriptedLauncher(), journal=path)
         idle = ScriptedLauncher()
-        assert run_dsweep(points, idle, chunk_size=2,
-                          journal=path) == serial
+        assert run_dsweep(points, idle, journal=path) == serial
         assert idle.calls == []
         assert run_dsweep.last_stats["resumed"] == 4
 
     def test_rechunked_journal_resumes(self, tmp_path, points, serial):
+        """Records are per point, not per chunk: a journal of two
+        two-point chunks resumes a grid whose chunks differ (reordered)
+        and the per-point in-process sweep, appending nothing."""
         path = tmp_path / "sweep.journal"
-        run_dsweep(points, ScriptedLauncher(), chunk_size=2, journal=path)
+        run_dsweep(points, ScriptedLauncher(), journal=path)
+        written = path.read_text()
         idle = ScriptedLauncher()
-        assert run_dsweep(points, idle, chunk_size=1,
-                          journal=path) == serial
+        reordered = [points[3], points[0], points[2], points[1]]
+        assert run_dsweep(reordered, idle, journal=path) == {
+            point.label: serial[point.label] for point in reordered
+        }
         assert idle.calls == []
         assert run_dsweep.last_stats["chunks"] == 0
+        assert run_sweep(points, jobs=0, store=None, journal=path) == serial
+        assert path.read_text() == written
 
     def test_journal_instance_accepted(self, tmp_path, points, serial):
         journal = SweepJournal(tmp_path / "sweep.journal")
-        assert run_dsweep(points, ScriptedLauncher(), chunk_size=2,
+        assert run_dsweep(points, ScriptedLauncher(),
                           journal=journal) == serial
 
     def test_truncated_sequential_journal_resumes(
-        self, tmp_path, points, serial
+        self, tmp_path, distinct, distinct_serial
     ):
         """A crash mid-append in a ``run_sweep(jobs=0)`` journal costs
         only the torn point: ``run_dsweep`` re-runs just the missing
         ones and merges to the serial result."""
         path = tmp_path / "sweep.journal"
-        run_sweep(points[:3], jobs=0, store=None, journal=path)
+        run_sweep(distinct[:3], jobs=0, store=None, journal=path)
         whole = path.read_text()
         path.write_text(whole[: len(whole) - len(whole.splitlines()[-1]) // 2])
         launcher = ScriptedLauncher(workers=1)
-        assert run_dsweep(points, launcher, chunk_size=1,
-                          journal=path) == serial
-        assert launcher.points == [[points[2]], [points[3]]]
+        assert run_dsweep(distinct, launcher,
+                          journal=path) == distinct_serial
+        assert launcher.points == [[distinct[2]], [distinct[3]]]
         assert run_dsweep.last_stats["resumed"] == 2
 
 
@@ -275,8 +292,7 @@ class TestResume:
         journal = _journal_of(tmp_path, points, serial,
                               {points[0].label, points[3].label})
         launcher = ScriptedLauncher(workers=1)
-        results = run_dsweep(points, launcher, chunk_size=1,
-                             journal=journal)
+        results = run_dsweep(points, launcher, journal=journal)
         assert results == serial
         assert len(launcher.calls) == 2  # only the two unknown points
 

@@ -15,7 +15,12 @@ import pytest
 
 from repro.core.config_presets import baseline_config, with_cache_sizes
 from repro.core.sweep import run_sweep, sweep_point
-from repro.dist import DistSweepError, LocalProcessLauncher, run_dsweep
+from repro.dist import (
+    DistSweepError,
+    LocalProcessLauncher,
+    coordinator,
+    run_dsweep,
+)
 from repro.dist.launchers import ChunkTimeout, WorkerDied
 
 CONFIG = baseline_config(num_sms=4)
@@ -36,29 +41,39 @@ def serial(points):
     return run_sweep(points, jobs=0, store=None)
 
 
+@pytest.fixture(scope="module")
+def distinct():
+    """Four applications, one point each: four single-point chunks."""
+    return [
+        sweep_point(f"{abbr}{'-cdp' if cdp else ''}", abbr, CONFIG, cdp=cdp)
+        for abbr in ("NW", "SW")
+        for cdp in (False, True)
+    ]
+
+
 def test_two_workers_bit_identical(points, serial):
     with LocalProcessLauncher(workers=2) as launcher:
-        results = run_dsweep(points, launcher, chunk_size=1)
+        results = run_dsweep(points, launcher)
     assert results == serial
     assert list(results) == [p.label for p in points]
 
 
 def test_worker_reused_across_chunks(points, serial):
     with LocalProcessLauncher(workers=1) as launcher:
-        assert run_dsweep(points, launcher, chunk_size=2) == serial
+        assert run_dsweep(points, launcher) == serial
         assert launcher.spawns == 1
 
 
-def test_killed_worker_mid_chunk_loses_nothing(points, serial):
+def test_killed_worker_mid_chunk_loses_nothing(distinct):
     """Worker 0 exits without replying on its first chunk, and again on
     every respawn; the sweep must finish bit-identically off worker 1
     after quarantining the dying slot."""
+    serial = run_sweep(distinct, jobs=0, store=None)
     launcher = LocalProcessLauncher(
         workers=2, worker_env={0: {"REPRO_DIST_DIE_AFTER": "1"}},
     )
     with launcher:
-        results = run_dsweep(points, launcher, chunk_size=1,
-                             max_retries=2, worker_failure_limit=2)
+        results = run_dsweep(distinct, launcher, max_retries=2)
     assert results == serial
     assert run_dsweep.last_stats["retries"] >= 1
     assert run_dsweep.last_stats["workers_retired"] == 1
@@ -73,36 +88,37 @@ def test_sigkill_during_sweep_is_survived(points, serial):
         launcher.run_chunk(1, -1, points[:1], timeout=None)
         victim = launcher.pids()[1]
         os.kill(victim, signal.SIGKILL)
-        results = run_dsweep(points, launcher, chunk_size=1)
+        results = run_dsweep(points, launcher)
     assert results == serial
     assert run_dsweep.last_stats["workers_retired"] == 0
 
 
-def test_chunk_timeout_kills_and_retries_elsewhere(points, serial):
+def test_chunk_timeout_kills_and_retries_elsewhere(points, serial,
+                                                  monkeypatch):
     """Worker 0 wedges on every chunk; the deadline fires, the worker
     is killed, and the chunk reruns on the healthy slot."""
+    monkeypatch.setattr(coordinator, "WORKER_FAILURE_LIMIT", 1)
     launcher = LocalProcessLauncher(
         workers=2, worker_env={0: {"REPRO_DIST_STALL_S": "60"}},
     )
     with launcher:
-        results = run_dsweep(points, launcher, chunk_size=2,
-                             chunk_timeout=10.0, max_retries=2,
-                             worker_failure_limit=1)
+        results = run_dsweep(points, launcher, chunk_timeout=10.0,
+                             max_retries=2)
     assert results == serial
     assert run_dsweep.last_stats["workers_retired"] == 1
 
 
-def test_timeout_exhaustion_fails_loudly(points):
+def test_timeout_exhaustion_fails_loudly(points, monkeypatch):
     """Every slot wedges: retries exhaust and the error names the lost
     points instead of hanging or returning a partial grid."""
+    monkeypatch.setattr(coordinator, "WORKER_FAILURE_LIMIT", 5)
     launcher = LocalProcessLauncher(
         workers=1, extra_env={"REPRO_DIST_STALL_S": "60"},
     )
     with launcher:
         with pytest.raises(DistSweepError) as err:
-            run_dsweep(points[:2], launcher, chunk_size=2,
-                       chunk_timeout=1.0, max_retries=1,
-                       worker_failure_limit=5)
+            run_dsweep(points[:2], launcher, chunk_timeout=1.0,
+                       max_retries=1)
     assert len(err.value.lost) == 2
 
 

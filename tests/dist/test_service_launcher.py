@@ -1,4 +1,5 @@
-"""Dsweep over live ``repro serve`` endpoints (the remote launcher)."""
+"""The coordinator over live ``repro serve`` endpoints (the remote
+launcher)."""
 
 import threading
 
@@ -49,7 +50,7 @@ def _endpoint(server) -> str:
 def test_dsweep_over_http_bit_identical(server, points):
     serial = run_sweep(points, jobs=0, store=None)
     launcher = ServiceLauncher([_endpoint(server)], timeout=120.0)
-    results = run_dsweep(points, launcher, chunk_size=2)
+    results = run_dsweep(points, launcher)
     assert results == serial
 
 
@@ -57,8 +58,8 @@ def test_second_sweep_answers_from_result_cache(server, points):
     """Identical chunks re-submitted must hit the server's cache and
     still merge bit-identically."""
     launcher = ServiceLauncher([_endpoint(server)], timeout=120.0)
-    first = run_dsweep(points, launcher, chunk_size=2)
-    second = run_dsweep(points, launcher, chunk_size=2)
+    first = run_dsweep(points, launcher)
+    second = run_dsweep(points, launcher)
     assert first == second
 
 
