@@ -422,10 +422,14 @@ def cmd_sweep(args) -> int:
             print(f"{flag} only applies to the benchmark axis",
                   file=sys.stderr)
             return 2
+    if args.endpoints and args.store is not None:
+        print("--store cannot be combined with --endpoints: remote "
+              "workers read their own REPRO_TRACE_STORE", file=sys.stderr)
+        return 2
     if args.store:
         # The sweep engine's default store resolution reads the
         # environment, so one assignment threads the store through
-        # every harness down to the pool workers.
+        # every harness down to the chunk children.
         os.environ["REPRO_TRACE_STORE"] = args.store
     config = _config(args)
     if args.estimate:
@@ -945,7 +949,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--store", default=None, metavar="DIR",
         help="persistent trace store directory "
-             "(default: $REPRO_TRACE_STORE when set)",
+             "(default: $REPRO_TRACE_STORE when set; refused with "
+             "--endpoints)",
     )
     p_sweep.add_argument(
         "--no-cdp", action="store_true",

@@ -1,16 +1,16 @@
-"""One forked child process with one duplex pipe.
+"""One forked child process that sends one reply.
 
 The repo's only parallelism is process fan-out: the service forks one
 child per job (:mod:`repro.service.jobs`) and ``repro sweep --jobs
-N`` keeps one persistent forked worker per slot
-(:mod:`repro.dist.launchers`).  Both go through :class:`ForkedChild`:
-fork, exchange pickled objects over a ``multiprocessing`` pipe, wait
-for a reply with a deadline and a cancellation check, and kill.
+N`` forks one child per chunk (:mod:`repro.dist.launchers`).  Both go
+through :class:`ForkedChild`: fork with the work as arguments, wait
+for the child's pickled reply over a ``multiprocessing`` pipe with a
+deadline and a cancellation check, and kill.
 
-Every fork happens under one lock, and each child closes every other
-live parent-side pipe end, its own included.  Otherwise a child would
-hold a copy of a sibling's parent end (or of its own), and closing
-that end in the parent would never reach the child as EOF.
+Every fork happens under one lock, and the parent closes its copy of
+the child's pipe end before releasing the lock, so no later fork
+inherits that end and the parent's end reads EOF once the child is
+gone.
 
 :data:`CAN_FORK` is the repo's one probe for the ``fork`` start
 method; without it callers run their work inline.
@@ -29,10 +29,8 @@ _CTX = multiprocessing.get_context("fork") if CAN_FORK else None
 #: How often :meth:`ForkedChild.recv` re-checks its ``cancelled`` callable.
 _POLL_S = 0.02
 
-# Guards every fork and every close of a parent end, so each child
-# sees exactly the live parent ends it must close.
+# Guards every fork, so no child inherits another child's pipe end.
 _LOCK = threading.Lock()
-_PARENT_ENDS: set = set()
 
 
 class ChildDied(RuntimeError):
@@ -47,22 +45,19 @@ class ChildCancelled(RuntimeError):
     """``cancelled()`` turned true before a reply; the child was killed."""
 
 
-def _child_main(target, args, conn, parent_ends) -> None:
+def _child_main(target, args, conn) -> None:
     global _LOCK
-    for end in parent_ends:
-        end.close()
-    # The fork copied the lock held and the parent's ends; start clean.
+    # The fork copied the lock held; start clean.
     _LOCK = threading.Lock()
-    _PARENT_ENDS.clear()
     target(conn, *args)
 
 
 class ForkedChild:
     """A forked child running ``target(conn, *args)``.
 
-    ``conn`` is the child's end of a duplex pipe; the parent talks to
-    it through :meth:`send` and :meth:`recv`.  Raises ``OSError`` when
-    the platform cannot fork.
+    ``conn`` is the child's end of a pipe; the child sends its reply
+    there and the parent reads it with :meth:`recv`.  Raises
+    ``OSError`` when the platform cannot fork.
     """
 
     def __init__(self, target, *args):
@@ -72,8 +67,7 @@ class ForkedChild:
             self.conn, child_end = _CTX.Pipe()
             self.proc = _CTX.Process(
                 target=_child_main,
-                args=(target, args, child_end,
-                      [self.conn, *_PARENT_ENDS]),
+                args=(target, args, child_end),
                 daemon=True,
             )
             try:
@@ -83,18 +77,9 @@ class ForkedChild:
                 raise
             finally:
                 child_end.close()
-            _PARENT_ENDS.add(self.conn)
-
-    def send(self, obj) -> None:
-        """Pickle ``obj`` to the child; :class:`ChildDied` if it is gone."""
-        try:
-            self.conn.send(obj)
-        except OSError as exc:
-            self.kill()
-            raise ChildDied(f"unreachable: {exc}") from exc
 
     def recv(self, deadline: float | None = None, cancelled=None):
-        """The child's next reply.
+        """The child's reply.
 
         ``deadline`` is a ``time.monotonic()`` instant; ``cancelled`` a
         callable polled every few milliseconds.  Death, a passed
@@ -127,21 +112,16 @@ class ForkedChild:
             self.kill()
             raise ChildDied(f"exited (code {code}) without a result")
 
-    def _release(self) -> None:
-        with _LOCK:
-            _PARENT_ENDS.discard(self.conn)
-            self.conn.close()
-
     def kill(self) -> None:
         """SIGKILL the child, reap it and close the parent end."""
         self.proc.kill()
         self.proc.join()
-        self._release()
+        self.conn.close()
 
     def close(self, timeout: float = 5.0) -> None:
-        """Close the parent end (the child reads EOF) and reap the
-        child, killing it if it outlives ``timeout`` seconds."""
-        self._release()
+        """Close the parent end and reap the child, killing it if it
+        outlives ``timeout`` seconds."""
+        self.conn.close()
         self.proc.join(timeout)
         if self.proc.is_alive():
             self.kill()

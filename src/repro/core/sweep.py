@@ -6,11 +6,11 @@ make those sweeps embarrassingly accelerable:
 
 1. Points are independent — a ``(benchmark, cdp, size, config)`` tuple
    fully determines its :class:`RunStats` — so they fan out across
-   forked worker processes (``jobs=N``) driven by the distributed
+   forked chunk processes (``jobs=N``) driven by the distributed
    sweep coordinator (:mod:`repro.dist`), the one ``repro sweep
    benchmark`` also drives over remote ``--endpoints``.
 2. Instruction traces depend only on the *application*, never on the
-   timing config being swept, so each worker materializes a
+   timing config being swept, so each chunk materializes a
    benchmark's traces once (:mod:`repro.sim.replay`) and replays them
    at every config point that shares the application.
 
@@ -363,9 +363,10 @@ def run_sweep(
 
     ``jobs=0`` runs in-process (sharing ``cache``, or a private one);
     ``jobs=N`` hands the grid to the distributed sweep coordinator
-    (:func:`repro.dist.run_dsweep`) over ``N`` forked local workers,
-    one chunk per application group so each worker materializes an
-    application's traces once; ``jobs=None`` uses one worker per CPU.
+    (:func:`repro.dist.run_dsweep`) over ``N`` local worker slots,
+    one chunk per application group, each run by a forked child that
+    materializes the application's traces once and exits;
+    ``jobs=None`` uses one slot per CPU.
     Results are bit-identical across all three paths.  Where the
     platform cannot fork, every ``jobs`` value runs in-process.
 

@@ -2,11 +2,11 @@
 
 The coordinator (:mod:`repro.dist.coordinator`) cuts a
 ``(benchmark, cdp, size, config)`` point grid into one work unit per
-application, dispatches them to a launcher-managed worker pool —
-forked local workers (:class:`~repro.dist.launchers.LocalProcessLauncher`,
-one :class:`~repro.core.forked.ForkedChild` per slot exchanging pickled
-points and ``RunStats``; the engine behind ``run_sweep(jobs>=1)`` and
-``repro sweep benchmark --jobs N``) or remote ``repro serve``
+application, dispatches them to a launcher's worker slots — local
+slots (:class:`~repro.dist.launchers.LocalProcessLauncher`, which
+forks one :class:`~repro.core.forked.ForkedChild` per chunk and reads
+its pickled ``RunStats`` back; the engine behind ``run_sweep(jobs>=1)``
+and ``repro sweep benchmark --jobs N``) or remote ``repro serve``
 instances (:class:`~repro.dist.launchers.ServiceLauncher`, which posts
 points in the HTTP point codec, :func:`~repro.core.sweep.encode_point`;
 ``repro sweep benchmark --endpoints``) — and

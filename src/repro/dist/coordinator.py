@@ -22,9 +22,11 @@ Failures re-queue the chunk for any other worker, bounded by
 ``max_retries`` attempts; only when a chunk exhausts its retries —
 i.e. the work could not be re-run elsewhere either — does the sweep
 fail, loudly, naming the lost point identities
-(:class:`DistSweepError`).  A dead worker is respawned by its
-launcher; a chunk that blows ``chunk_timeout`` gets its worker killed
-first so a wedged simulation cannot absorb retries.  When every
+(:class:`DistSweepError`).  A worker death costs only the chunk it
+was running: the slot's next chunk starts afresh (a new forked child
+locally, a new request to a service); a chunk that blows
+``chunk_timeout`` gets its worker killed first so a wedged simulation
+cannot absorb retries.  When every
 pending chunk is taken, idle workers re-dispatch the slowest in-flight
 straggler (elapsed > :data:`STRAGGLER_FACTOR` x the median
 completed-chunk duration); whichever copy finishes first wins and the
@@ -264,7 +266,7 @@ def _worker_loop(worker_id: int, launcher, state: _State,
             state.fail(chunk, exc)
             consecutive_deaths += 1
             if consecutive_deaths >= WORKER_FAILURE_LIMIT:
-                # This slot keeps dying (bad host, poisoned respawn):
+                # This slot keeps dying (bad host, poisoned fork):
                 # quarantine it so it stops bleeding chunk retries.
                 state.retire_worker(exc)
                 return

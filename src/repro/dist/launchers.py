@@ -1,23 +1,22 @@
-"""Worker pools the sweep coordinator dispatches chunks to.
+"""Worker slots the sweep coordinator dispatches chunks to.
 
 A launcher owns ``workers`` slots and exposes one blocking primitive::
 
     run_chunk(worker_id, chunk_id, points, timeout) -> [RunStats, ...]
 
-raising :class:`WorkerDied` (the worker is gone — respawned lazily on
-the next call), :class:`ChunkTimeout` (deadline passed; the worker is
-killed so a wedged simulation cannot poison later chunks), or
-:class:`ChunkFailed` (the worker is healthy but the chunk's simulation
-raised).  The coordinator treats all three identically — re-queue and
-retry elsewhere — so launchers stay dumb pipes and every robustness
-decision lives in one place.
+raising :class:`WorkerDied` (the worker is gone), :class:`ChunkTimeout`
+(deadline passed; the worker is killed so a wedged simulation cannot
+poison later chunks), or :class:`ChunkFailed` (the worker is healthy
+but the chunk's simulation raised).  The coordinator treats all three
+identically — re-queue and retry elsewhere — so launchers stay dumb
+pipes and every robustness decision lives in one place.
 
 Two implementations:
 
-- :class:`LocalProcessLauncher` — one persistent
-  :class:`~repro.core.forked.ForkedChild` per slot running
-  :func:`repro.dist.worker.serve`; points go out and ``RunStats`` come
-  back as pickled objects over the child's pipe.
+- :class:`LocalProcessLauncher` — one
+  :class:`~repro.core.forked.ForkedChild` per chunk; the points go to
+  the child as fork arguments and its ``RunStats`` come back pickled
+  over the child's pipe.
 - :class:`ServiceLauncher` — one remote ``repro serve`` instance per
   slot, driven through :class:`repro.service.client.ServiceClient`
   using the sweep endpoint's explicit-points mode; points travel in
@@ -26,13 +25,18 @@ Two implementations:
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro.core.forked import ChildDied, ChildTimeout, ForkedChild
-from repro.core.sweep import SweepPoint, encode_point, point_key
-from repro.dist.worker import serve
+from repro.core.sweep import (
+    SweepPoint,
+    TraceCache,
+    encode_point,
+    point_key,
+    run_point,
+)
 from repro.sim.stats import stats_from_dict
+from repro.sim.trace_store import TraceStore
 
 
 class WorkerDied(RuntimeError):
@@ -47,89 +51,53 @@ class ChunkFailed(RuntimeError):
     """The worker is fine but the chunk's simulation raised."""
 
 
-def _child_main(conn, env: dict) -> None:
-    """Forked worker body: set the env, then serve."""
-    for name, value in env.items():
-        if value is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = value
+def _chunk_main(conn, points: list[SweepPoint], store) -> None:
+    """Forked chunk body: run ``points``, send one reply, exit.
+
+    The reply is ``("ok", keys, stats)`` — the points' identity keys
+    and ``RunStats`` objects, in order — or ``("error", message,
+    None)`` when a simulation raises.
+    """
+    cache = TraceCache(store=None if store is None else TraceStore(store))
     try:
-        serve(conn)
-    except (BrokenPipeError, KeyboardInterrupt):
-        pass
+        stats = [run_point(point, cache) for point in points]
+        reply = ("ok", [point_key(point) for point in points], stats)
+    except Exception as exc:  # noqa: BLE001 - report it to the parent
+        reply = ("error", f"{type(exc).__name__}: {exc}", None)
+    conn.send(reply)
 
 
 class LocalProcessLauncher:
-    """A pool of persistent forked local workers.
+    """Local worker slots that fork one child per chunk.
 
-    Workers fork lazily and are respawned transparently after a death
-    or a timeout kill; each keeps a warm in-process
-    :class:`~repro.core.sweep.TraceCache` (plus the shared on-disk
-    store when ``store`` is set — and only then: a worker never picks
-    up ``REPRO_TRACE_STORE`` on its own) across all the chunks it runs.
-
-    ``extra_env`` sets environment variables in every worker;
-    ``worker_env`` maps worker ids to extra variables for that worker
-    only — the failure-injection hook the tests use to make exactly one
-    worker die deterministically mid-sweep.
+    Each child runs its chunk through a fresh
+    :class:`~repro.core.sweep.TraceCache` over ``store`` (a trace-store
+    directory, or None for no store: a child never reads
+    ``REPRO_TRACE_STORE`` itself), replies once and exits, so a death
+    or a timeout kill costs only that chunk and the slot's next chunk
+    forks a fresh child.
     """
 
-    def __init__(
-        self,
-        workers: int = 2,
-        store=None,
-        extra_env: dict | None = None,
-        worker_env: dict[int, dict] | None = None,
-    ):
+    def __init__(self, workers: int = 2, store=None):
         if workers < 1:
             raise ValueError("need at least one worker")
         self.workers = workers
         self.store = store
-        self.extra_env = dict(extra_env or {})
-        self.worker_env = {k: dict(v) for k, v in (worker_env or {}).items()}
-        self._live: dict[int, ForkedChild] = {}
-        self.spawns = 0
-
-    # -- lifecycle -----------------------------------------------------------
-    def _ensure(self, worker_id: int) -> ForkedChild:
-        child = self._live.get(worker_id)
-        if child is not None and child.proc.is_alive():
-            return child
-        if child is not None:
-            self._drop(worker_id)
-        env = {"REPRO_TRACE_STORE": None if self.store is None
-               else str(self.store)}
-        for extra in (self.extra_env, self.worker_env.get(worker_id, {})):
-            env.update({k: str(v) for k, v in extra.items()})
-        try:
-            child = ForkedChild(_child_main, env)
-        except OSError as exc:
-            raise WorkerDied(
-                f"worker {worker_id} could not fork: {exc}"
-            ) from exc
-        self.spawns += 1
-        self._live[worker_id] = child
-        return child
-
-    def _drop(self, worker_id: int) -> None:
-        child = self._live.pop(worker_id, None)
-        if child is not None:
-            child.kill()
+        self._running: dict[int, ForkedChild] = {}
 
     def pids(self) -> dict[int, int]:
-        """Live worker pids (the SIGKILL tests aim at these)."""
+        """Pids of the chunk children running now, by slot."""
         return {
             worker_id: child.proc.pid
-            for worker_id, child in list(self._live.items())
+            for worker_id, child in list(self._running.items())
             if child.proc.is_alive()
         }
 
     def close(self) -> None:
-        """Stop every worker: EOF on its pipe, a kill if it lingers."""
-        while self._live:
-            _, child = self._live.popitem()
-            child.close()
+        """Kill every chunk child still running."""
+        while self._running:
+            _, child = self._running.popitem()
+            child.kill()
 
     def __enter__(self) -> "LocalProcessLauncher":
         return self
@@ -137,7 +105,6 @@ class LocalProcessLauncher:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- the coordinator-facing primitive ------------------------------------
     def run_chunk(
         self,
         worker_id: int,
@@ -145,33 +112,36 @@ class LocalProcessLauncher:
         points: list[SweepPoint],
         timeout: float | None = None,
     ) -> list:
-        """Run one chunk on one worker; blocking.  See module docstring
-        for the failure contract."""
-        child = self._ensure(worker_id)
+        """Run one chunk in a fresh child; blocking.  See module
+        docstring for the failure contract."""
         deadline = None if timeout is None else time.monotonic() + timeout
         try:
-            child.send(points)
+            child = ForkedChild(_chunk_main, points, self.store)
+        except OSError as exc:
+            raise WorkerDied(
+                f"worker {worker_id} could not fork: {exc}"
+            ) from exc
+        self._running[worker_id] = child
+        try:
             reply = child.recv(deadline=deadline)
         except ChildTimeout:
-            # The worker was wedged on this chunk and is now killed, so
-            # the slot comes back clean for the retry.
-            self._live.pop(worker_id, None)
             raise ChunkTimeout(
                 f"chunk {chunk_id} exceeded {timeout}s on worker "
                 f"{worker_id}; worker killed"
             ) from None
         except ChildDied as exc:
-            self._live.pop(worker_id, None)
             raise WorkerDied(
                 f"worker {worker_id} died running chunk {chunk_id}: {exc}"
             ) from exc
+        finally:
+            self._running.pop(worker_id, None)
+            child.close()
         if reply[0] == "error":
             raise ChunkFailed(
                 f"chunk {chunk_id} failed on worker {worker_id}: {reply[1]}"
             )
         _, keys, stats = reply
         if keys != [point_key(point) for point in points]:
-            self._drop(worker_id)
             raise WorkerDied(
                 f"worker {worker_id} answered chunk {chunk_id} for other "
                 "points; protocol desync"

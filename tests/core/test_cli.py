@@ -1,12 +1,14 @@
 """Tests for the command-line interface."""
 
 import dataclasses
+import os
 
 import pytest
 
 from repro import bench
 from repro.cli import main
 from repro.data.datasets import DatasetSize
+from repro.dist import launchers
 
 
 class TestList:
@@ -502,18 +504,20 @@ class TestErrorPaths:
         assert "argument --endpoints: invalid endpoint" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv,env", [
-        pytest.param(["sweep", "benchmark", "--jobs", "2"],
-                     {"REPRO_DIST_DIE_AFTER": "1"}, id="sweep-workers-die"),
+    @pytest.mark.parametrize("argv,children_die", [
+        pytest.param(["sweep", "benchmark", "--jobs", "2"], True,
+                     id="sweep-workers-die"),
         pytest.param(["sweep", "benchmark", "--endpoints", "127.0.0.1:1"],
-                     {}, id="endpoints-unreachable"),
+                     False, id="endpoints-unreachable"),
     ])
-    def test_lost_points_end_without_traceback(self, argv, env, capsys,
-                                               monkeypatch):
+    def test_lost_points_end_without_traceback(self, argv, children_die,
+                                               capsys, monkeypatch):
         """A sweep that loses points exits 1 with the error's message —
         every lost ``label [point_key]`` and the last cause."""
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
+        if children_die:
+            # Every chunk child, forked with this patch, exits unanswered.
+            monkeypatch.setattr(launchers, "_chunk_main",
+                                lambda conn, *args: os._exit(13))
         assert main([*argv, "--no-cdp", "--sms", "4"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -548,6 +552,18 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert f"{flag} needs worker processes" in captured.err
         assert captured.out == ""
+
+    def test_store_and_endpoints_are_exclusive(self, capsys, tmp_path):
+        """Remote ``repro serve`` workers read their own
+        ``REPRO_TRACE_STORE``, so ``--store`` beside ``--endpoints``
+        would be ignored; it is refused before anything runs."""
+        store = tmp_path / "store"
+        assert main(["sweep", "benchmark", "--endpoints", "127.0.0.1:8778",
+                     "--store", str(store), "--no-cdp", "--sms", "4"]) == 2
+        captured = capsys.readouterr()
+        assert "--store cannot be combined with --endpoints" in captured.err
+        assert captured.out == ""
+        assert not store.exists()
 
     def test_jobs_and_endpoints_are_exclusive(self, capsys):
         """One worker per endpoint: an explicit ``--jobs`` beside

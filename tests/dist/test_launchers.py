@@ -1,15 +1,19 @@
-"""The real worker pool: bit-identity and violent failure modes.
+"""The real local launcher: bit-identity and violent failure modes.
 
-These tests fork actual worker processes running
-``repro.dist.worker.serve``.
-Failure injection uses the worker's env knobs (``REPRO_DIST_DIE_AFTER``
-kills the process with no reply mid-chunk — indistinguishable from a
-SIGKILL to the parent — and ``REPRO_DIST_STALL_S`` wedges it), plus one
-genuine ``SIGKILL`` aimed at a live pid.
+These tests fork actual chunk children.  Faults are injected by
+patching the chunk body (``launchers._chunk_main``) in the parent: every
+later fork inherits the patch, and the name of the forking dispatch
+thread (``repro-dsweep-<slot>``) tells the slots apart inside the
+child.  A child can exit without replying (indistinguishable from a
+SIGKILL to the parent) or wedge; one test also sends a genuine
+``SIGKILL`` to a pid taken from ``pids()``.
 """
 
+import multiprocessing
 import os
 import signal
+import threading
+import time
 
 import pytest
 
@@ -19,9 +23,10 @@ from repro.dist import (
     DistSweepError,
     LocalProcessLauncher,
     coordinator,
+    launchers,
     run_dsweep,
 )
-from repro.dist.launchers import ChunkTimeout, WorkerDied
+from repro.dist.launchers import ChunkFailed, ChunkTimeout, WorkerDied
 
 CONFIG = baseline_config(num_sms=4)
 
@@ -51,6 +56,40 @@ def distinct():
     ]
 
 
+def _exit_without_reply():
+    os._exit(13)  # like a SIGKILL mid-chunk: no reply, no cleanup
+
+
+def _wedge():
+    time.sleep(60)
+
+
+@pytest.fixture
+def fault(monkeypatch):
+    """``fault(action, slots=None)`` runs ``action`` at the start of
+    every chunk child forked for one of ``slots`` (every child when
+    None)."""
+
+    def install(action, slots=None):
+        real = launchers._chunk_main
+        names = None if slots is None else {
+            f"repro-dsweep-{slot}" for slot in slots
+        }
+
+        def chunk_main(conn, *args):
+            if names is None or threading.current_thread().name in names:
+                action()
+            real(conn, *args)
+
+        monkeypatch.setattr(launchers, "_chunk_main", chunk_main)
+
+    return install
+
+
+def _children() -> set[int]:
+    return {child.pid for child in multiprocessing.active_children()}
+
+
 def test_two_workers_bit_identical(points, serial):
     with LocalProcessLauncher(workers=2) as launcher:
         results = run_dsweep(points, launcher)
@@ -58,114 +97,152 @@ def test_two_workers_bit_identical(points, serial):
     assert list(results) == [p.label for p in points]
 
 
-def test_worker_reused_across_chunks(points, serial):
-    with LocalProcessLauncher(workers=1) as launcher:
-        assert run_dsweep(points, launcher) == serial
-        assert launcher.spawns == 1
-
-
-def test_killed_worker_mid_chunk_loses_nothing(distinct):
-    """Worker 0 exits without replying on its first chunk, and again on
-    every respawn; the sweep must finish bit-identically off worker 1
-    after quarantining the dying slot."""
+def test_killed_worker_mid_chunk_loses_nothing(distinct, fault):
+    """Every child slot 0 forks exits without replying; the sweep must
+    finish bit-identically off slot 1 after quarantining slot 0."""
     serial = run_sweep(distinct, jobs=0, store=None)
-    launcher = LocalProcessLauncher(
-        workers=2, worker_env={0: {"REPRO_DIST_DIE_AFTER": "1"}},
-    )
-    with launcher:
+    fault(_exit_without_reply, slots={0})
+    with LocalProcessLauncher(workers=2) as launcher:
         results = run_dsweep(distinct, launcher, max_retries=2)
     assert results == serial
     assert run_dsweep.last_stats["retries"] >= 1
     assert run_dsweep.last_stats["workers_retired"] == 1
 
 
-def test_sigkill_during_sweep_is_survived(points, serial):
-    """A genuine SIGKILL of a live worker: the next dispatch sees EOF,
-    the chunk is re-queued, the slot respawns."""
+def test_sigkill_during_sweep_is_survived(points, serial, fault, tmp_path):
+    """A genuine SIGKILL of a live chunk child: the parent sees the
+    death, the chunk is re-queued, and the next fork runs it."""
+    marker = tmp_path / "wedged"
+
+    def wedge_once():
+        if not marker.exists():
+            marker.write_text("")
+            _wedge()
+
+    fault(wedge_once, slots={1})
+    killed = []
+
+    def kill_the_wedged_child(launcher):
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            pid = launcher.pids().get(1)
+            if pid is not None and marker.exists():
+                os.kill(pid, signal.SIGKILL)
+                killed.append(pid)
+                return
+            time.sleep(0.01)
+
     with LocalProcessLauncher(workers=2) as launcher:
-        # Pre-spawn both slots so there is a pid to murder.
-        launcher.run_chunk(0, -1, points[:1], timeout=None)
-        launcher.run_chunk(1, -1, points[:1], timeout=None)
-        victim = launcher.pids()[1]
-        os.kill(victim, signal.SIGKILL)
+        killer = threading.Thread(target=kill_the_wedged_child,
+                                  args=(launcher,))
+        killer.start()
         results = run_dsweep(points, launcher)
+        killer.join(timeout=30)
+    assert not killer.is_alive()
+    assert killed
     assert results == serial
     assert run_dsweep.last_stats["workers_retired"] == 0
 
 
-def test_chunk_timeout_kills_and_retries_elsewhere(points, serial,
+def test_chunk_timeout_kills_and_retries_elsewhere(points, serial, fault,
                                                   monkeypatch):
-    """Worker 0 wedges on every chunk; the deadline fires, the worker
-    is killed, and the chunk reruns on the healthy slot."""
+    """Slot 0 wedges on every chunk; the deadline fires, its child is
+    killed, and the chunk reruns on the healthy slot."""
     monkeypatch.setattr(coordinator, "WORKER_FAILURE_LIMIT", 1)
-    launcher = LocalProcessLauncher(
-        workers=2, worker_env={0: {"REPRO_DIST_STALL_S": "60"}},
-    )
-    with launcher:
+    fault(_wedge, slots={0})
+    with LocalProcessLauncher(workers=2) as launcher:
         results = run_dsweep(points, launcher, chunk_timeout=10.0,
                              max_retries=2)
     assert results == serial
     assert run_dsweep.last_stats["workers_retired"] == 1
 
 
-def test_timeout_exhaustion_fails_loudly(points, monkeypatch):
-    """Every slot wedges: retries exhaust and the error names the lost
+def test_timeout_exhaustion_fails_loudly(points, fault, monkeypatch):
+    """Every child wedges: retries exhaust and the error names the lost
     points instead of hanging or returning a partial grid."""
     monkeypatch.setattr(coordinator, "WORKER_FAILURE_LIMIT", 5)
-    launcher = LocalProcessLauncher(
-        workers=1, extra_env={"REPRO_DIST_STALL_S": "60"},
-    )
-    with launcher:
+    fault(_wedge)
+    with LocalProcessLauncher(workers=1) as launcher:
         with pytest.raises(DistSweepError) as err:
             run_dsweep(points[:2], launcher, chunk_timeout=1.0,
                        max_retries=1)
     assert len(err.value.lost) == 2
 
 
-def test_direct_run_chunk_timeout_raises(points):
-    launcher = LocalProcessLauncher(
-        workers=1, extra_env={"REPRO_DIST_STALL_S": "60"},
-    )
-    with launcher:
+# One child per chunk: whatever the outcome, no child outlives it.
+
+def test_direct_run_chunk_reply_leaves_no_child(points, serial):
+    before = _children()
+    with LocalProcessLauncher(workers=1) as launcher:
+        stats = launcher.run_chunk(0, 0, points[:1], timeout=None)
+        assert stats == [serial[points[0].label]]
+        assert launcher.pids() == {}
+        assert _children() <= before
+
+
+def test_direct_run_chunk_failure_raises(points, monkeypatch):
+    def boom(point, cache):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(launchers, "run_point", boom)
+    before = _children()
+    with LocalProcessLauncher(workers=1) as launcher:
+        with pytest.raises(ChunkFailed, match="ValueError: boom"):
+            launcher.run_chunk(0, 0, points[:1], timeout=None)
+        assert launcher.pids() == {}
+        assert _children() <= before
+
+
+def test_direct_run_chunk_timeout_raises(points, fault):
+    fault(_wedge)
+    before = _children()
+    with LocalProcessLauncher(workers=1) as launcher:
         with pytest.raises(ChunkTimeout):
             launcher.run_chunk(0, 0, points[:1], timeout=1.0)
-        # The wedged worker was killed; the slot respawns clean.
         assert launcher.pids() == {}
+        assert _children() <= before
 
 
-def test_direct_run_chunk_worker_death_raises(points):
-    launcher = LocalProcessLauncher(
-        workers=1, extra_env={"REPRO_DIST_DIE_AFTER": "1"},
-    )
-    with launcher:
-        with pytest.raises(WorkerDied):
+def test_direct_run_chunk_worker_death_raises(points, fault):
+    fault(_exit_without_reply)
+    before = _children()
+    with LocalProcessLauncher(workers=1) as launcher:
+        with pytest.raises(WorkerDied, match=r"exited \(code 13\)"):
             launcher.run_chunk(0, 0, points[:1], timeout=None)
+        assert launcher.pids() == {}
+        assert _children() <= before
 
 
-def test_worker_sees_eof_despite_siblings(points):
-    """Later forks close the pipe ends of earlier workers, so closing a
-    worker's parent-side pipe end still ends it while its siblings live."""
-    with LocalProcessLauncher(workers=3) as launcher:
-        for worker_id in range(3):
-            launcher.run_chunk(worker_id, worker_id, points[:1])
-        first = launcher._live[0]
-        first.conn.close()
-        first.proc.join(timeout=10)
-        assert not first.proc.is_alive()
-        assert set(launcher.pids()) == {1, 2}
-
-
-def test_close_is_idempotent(points):
+def test_close_is_idempotent(points, fault):
+    """``close()`` kills a chunk child still running; the chunk's
+    ``run_chunk`` then reports the death."""
+    fault(_wedge)
     launcher = LocalProcessLauncher(workers=1)
-    launcher.run_chunk(0, 0, points[:1], timeout=None)
+    raised = []
+
+    def run():
+        try:
+            launcher.run_chunk(0, 0, points[:1], timeout=None)
+        except WorkerDied as exc:
+            raised.append(exc)
+
+    runner = threading.Thread(target=run)
+    runner.start()
+    deadline = time.monotonic() + 30
+    while not launcher.pids():
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
     launcher.close()
     launcher.close()
+    runner.join(timeout=30)
+    assert not runner.is_alive()
+    assert raised
     assert launcher.pids() == {}
 
 
 def test_no_store_means_no_store_even_with_env(points, tmp_path,
                                               monkeypatch):
-    """``store=None`` must keep workers off ``$REPRO_TRACE_STORE``."""
+    """``store=None`` must keep chunk children off ``$REPRO_TRACE_STORE``."""
     monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path))
     with LocalProcessLauncher(workers=1, store=None) as launcher:
         run_dsweep(points[:1], launcher)
