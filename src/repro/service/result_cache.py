@@ -21,18 +21,19 @@ more than recomputation.  A cache entry is addressed by
 
 Layout (in the style of :mod:`repro.sim.trace_store`): one
 ``<key>.json`` payload file per entry, published by atomic rename so
-readers never see partial writes; an ``index.json`` with per-entry
-metadata, serialized under a single-writer ``index.lock``
-(``O_CREAT | O_EXCL``; locks older than ``stale_lock_s`` are presumed
-dead and broken).  A corrupt payload or index is retired on read, not
-raised.
+readers never see partial writes.  The directory is the cache's only
+state: ``len()`` counts the payload files, and nothing else (a
+``.tmp`` file mid-publish, any other file) is an entry.  A corrupt
+payload is retired on read, not raised.
 
-Eviction: optional ``max_entries`` / ``max_bytes`` budgets evict the
-oldest entries (by the index's ``created`` timestamps) inside the
-same locked index transaction that publishes a new entry, so a
-long-running server's cache directory stays bounded.  The entry being
-published always survives — a budget smaller than one payload must
-not turn the cache into a thrash loop.  ``repro serve
+Eviction: optional ``max_entries`` / ``max_bytes`` budgets make each
+``put`` evict the oldest payloads by ``st_mtime``, sized by
+``st_size``, from one directory scan, so a long-running server's
+cache directory stays bounded.  No shared file is rewritten, so
+eviction takes no lock: two processes that evict at the same moment
+may evict more than they need to, never less.  The entry being
+published always survives its own put — a budget smaller than one
+payload must not turn the cache into a thrash loop.  ``repro serve
 --cache-max-bytes`` wires this up; evictions are counted in
 ``/metrics``.
 """
@@ -42,17 +43,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
+import re
 from pathlib import Path
 
 from repro.sim.configfile import save_config
-from repro.sim.trace_store import _default_stale_lock_s, source_fingerprint
+from repro.sim.trace_store import source_fingerprint
 
-#: Version stamp inside every payload file and the index.
+#: Version stamp inside every payload file.
 CACHE_VERSION = 1
 
-#: Poll interval while another writer holds the index lock.
-_POLL_S = 0.005
+#: File name of a payload: the :func:`cache_key` plus ``.json``.
+_PAYLOAD_NAME = re.compile(r"[0-9a-f]{64}\.json")
 
 
 def cache_key(kind: str, identity: dict, config) -> str:
@@ -77,14 +78,10 @@ class ResultCache:
     def __init__(
         self,
         root: str | os.PathLike,
-        stale_lock_s: float | None = None,
         max_entries: int | None = None,
         max_bytes: int | None = None,
     ):
         self.root = Path(root).expanduser()
-        self.stale_lock_s = (
-            _default_stale_lock_s() if stale_lock_s is None else stale_lock_s
-        )
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         if max_bytes is not None and max_bytes < 1:
@@ -97,7 +94,7 @@ class ResultCache:
         self.evictions = 0
 
     def __len__(self) -> int:
-        return len(self.index().get("entries", {}))
+        return len(self._payloads())
 
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}.json"
@@ -128,7 +125,7 @@ class ResultCache:
         self.hits += 1
         return data["payload"]
 
-    def put(self, key: str, payload: dict, meta: dict | None = None) -> Path:
+    def put(self, key: str, payload: dict) -> Path:
         """Publish ``payload`` under ``key`` (atomic, idempotent).
 
         Concurrent writers of the same key are harmless: the payload
@@ -137,107 +134,57 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(key)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        encoded = json.dumps(
+        tmp.write_text(json.dumps(
             {"version": CACHE_VERSION, "key": key, "payload": payload}
-        )
-        tmp.write_text(encoded)
+        ))
         os.replace(tmp, path)
-        self._index_put(key, {**(meta or {}), "bytes": len(encoded)})
+        self._evict(keep=path.name)
         self.stores += 1
         return path
 
-    # -- index --------------------------------------------------------------
-    def index(self) -> dict:
-        """The JSON index (``{"version", "entries": {key: meta}}``)."""
+    # -- directory ----------------------------------------------------------
+    def _payloads(self) -> list[tuple[float, str, int]]:
+        """``(st_mtime, name, st_size)`` of every payload file."""
+        found = []
         try:
-            data = json.loads((self.root / "index.json").read_bytes())
-            if data.get("version") != CACHE_VERSION:
-                raise ValueError("foreign index")
-            return data
-        except (OSError, ValueError):
-            return {"version": CACHE_VERSION, "entries": {}}
-
-    def _index_put(self, key: str, meta: dict) -> None:
-        lock = self.root / "index.lock"
-        self._acquire(lock)
-        try:
-            data = self.index()
-            data["entries"][key] = {
-                **meta,
-                "file": f"{key}.json",
-                "created": time.time(),
-            }
-            self._evict_locked(data, keep=key)
-            tmp = self.root / f"index.json.{os.getpid()}.tmp"
-            tmp.write_text(json.dumps(data, indent=1, sort_keys=True))
-            os.replace(tmp, self.root / "index.json")
-        finally:
-            try:
-                os.unlink(lock)
-            except OSError:
-                pass
-
-    def _entry_bytes(self, meta: dict) -> int:
-        size = meta.get("bytes")
-        if isinstance(size, int):
-            return size
-        try:  # entries written before the budgets existed
-            return (self.root / meta.get("file", "")).stat().st_size
+            with os.scandir(self.root) as entries:
+                for entry in entries:
+                    if not _PAYLOAD_NAME.fullmatch(entry.name):
+                        continue
+                    try:
+                        st = entry.stat()
+                    except OSError:
+                        continue  # evicted or retired meanwhile
+                    found.append((st.st_mtime, entry.name, st.st_size))
         except OSError:
-            return 0
+            pass
+        return found
 
-    def _evict_locked(self, data: dict, keep: str) -> None:
-        """Drop oldest entries past the budgets (caller holds the lock).
+    def _evict(self, keep: str) -> None:
+        """Drop the oldest payloads past the budgets.
 
-        ``keep`` (the entry being published) is never evicted, so one
+        ``keep`` (the payload just published) is never evicted, so one
         oversized payload degrades to a single-entry cache rather than
         an unwritable one.
         """
         if self.max_entries is None and self.max_bytes is None:
             return
-        entries = data["entries"]
-        total = sum(self._entry_bytes(meta) for meta in entries.values())
-        oldest = sorted(
-            (k for k in entries if k != keep),
-            key=lambda k: (entries[k].get("created", 0.0), k),
-        )
-        for key in oldest:
+        payloads = sorted(self._payloads())
+        count = len(payloads)
+        total = sum(size for _, _, size in payloads)
+        for _, name, size in payloads:
             over_count = (
-                self.max_entries is not None
-                and len(entries) > self.max_entries
+                self.max_entries is not None and count > self.max_entries
             )
-            over_bytes = (
-                self.max_bytes is not None and total > self.max_bytes
-            )
+            over_bytes = self.max_bytes is not None and total > self.max_bytes
             if not over_count and not over_bytes:
                 break
-            meta = entries.pop(key)
-            total -= self._entry_bytes(meta)
-            try:
-                (self.root / meta.get("file", f"{key}.json")).unlink()
-            except OSError:
-                pass
-            self.evictions += 1
-
-    def _acquire(self, lock: Path) -> None:
-        """Single-writer lockfile with stale-age takeover."""
-        while True:
-            try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                try:
-                    age = time.time() - lock.stat().st_mtime
-                except OSError:
-                    continue  # released between EXCL failure and stat
-                if age > self.stale_lock_s:
-                    # Writer died holding the lock: break it and retry.
-                    try:
-                        os.unlink(lock)
-                    except OSError:
-                        pass
-                    continue
-                time.sleep(_POLL_S)
+            if name == keep:
                 continue
-            os.write(fd, str(os.getpid()).encode())
-            os.close(fd)
-            return
+            count -= 1
+            total -= size
+            try:
+                (self.root / name).unlink()
+            except OSError:
+                continue  # another process evicted it first
+            self.evictions += 1

@@ -224,11 +224,7 @@ class SimulationService:
                 and job.result is not None
                 and self.cache is not None
             ):
-                self.cache.put(
-                    job.cache_key,
-                    job.result,
-                    meta={"kind": job.kind, "job": job.id},
-                )
+                self.cache.put(job.cache_key, job.result)
                 self.metrics.count_cache("stores")
             with self._inflight_lock:
                 if self._inflight.get(job.cache_key) == job.id:

@@ -41,23 +41,32 @@ generation and overwrite the entry.
 
 Concurrency
 -----------
+The directory is the store's only state: ``<name>.trace`` entries,
+``<name>.trace.lock`` build locks and ``builds.log``.
 :meth:`TraceStore.get_or_build` serializes cold builds of one entry
-across processes with an ``O_CREAT | O_EXCL`` lockfile: exactly one
-process generates while the others poll for the finished file (stale
-locks from killed writers are broken after a timeout).  Finished
-entries are published by atomic rename, so readers never observe a
-partial file.  Every materialization appends one line to
-``builds.log``, which is how the fan-out tests assert the
+across processes with an exclusive ``fcntl.flock`` on the entry's
+lock file: one process builds while the others wait in ``flock``,
+then load the published entry (or build it themselves if the holder
+died before publishing).  The kernel drops the lock when its holder
+exits, however it exits, so a SIGKILLed writer never stalls the next
+reader and a slow live writer is never pre-empted.  Lock files are
+never unlinked, because a waiter may hold one open.  A ``flock``
+belongs to the open file description, which a fork shares, so only
+processes that run points take a build lock and none of them forks
+while holding one (the service and sweep-coordinator parents never
+build).  Finished entries are published by atomic rename, so readers
+never observe a partial file.  Every materialization appends one line
+to ``builds.log``, which is how the fan-out tests assert the
 exactly-once property.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import os
 import struct
 import sys
-import time
 import zlib
 from array import array
 from pathlib import Path
@@ -82,30 +91,12 @@ VERSION = 2
 PACK_MAGIC = b"RPAK"
 PACK_VERSION = 1
 
-#: Seconds after which another process's lockfile is presumed dead.
-#: Per-store override: ``TraceStore(root, stale_lock_s=...)`` or the
-#: ``REPRO_TRACE_LOCK_TIMEOUT`` environment variable.  A writer that
-#: dies holding the O_EXCL lock (kill -9 mid-build) leaves waiters
-#: polling until this age elapses, so short-lived jobs want a bound
-#: matched to their build times rather than the conservative default
-#: (``tests/sim/test_trace_store.py`` locks the takeover behavior).
-STALE_LOCK_S = 60.0
-
-
-def _default_stale_lock_s() -> float:
-    raw = os.environ.get("REPRO_TRACE_LOCK_TIMEOUT", "")
-    try:
-        value = float(raw)
-    except ValueError:
-        return STALE_LOCK_S
-    return value if value > 0 else STALE_LOCK_S
-
-#: Poll interval while waiting for a concurrent writer.
-_POLL_S = 0.02
-
 _OPS = list(OpClass)
 _SPACES = list(MemSpace)
 _NO_SPACE = 255
+
+#: Header byte-order code of this host (0 little-, 1 big-endian).
+_BYTE_ORDER = 0 if sys.byteorder == "little" else 1
 
 
 # -- binary encoding --------------------------------------------------------
@@ -163,12 +154,9 @@ class _Reader:
     def text(self) -> str:
         return self._take(self.u32()).decode("utf-8")
 
-    def arr(self, typecode: str, swap: bool) -> array:
-        raw = self._take(self.u32())
+    def arr(self, typecode: str) -> array:
         a = array(typecode)
-        a.frombytes(raw)
-        if swap:
-            a.byteswap()
+        a.frombytes(self._take(self.u32()))
         return a
 
 
@@ -366,7 +354,7 @@ def encode_bytes(entry: CachedApplication) -> bytes:
     header = MAGIC + struct.pack(
         "<HBBQI",
         VERSION,
-        0 if sys.byteorder == "little" else 1,
+        _BYTE_ORDER,
         0,
         len(payload),
         zlib.crc32(payload),
@@ -388,14 +376,18 @@ def decode_bytes(data: bytes) -> CachedApplication:
         raise ValueError("truncated trace-store file")
     if zlib.crc32(payload) != crc:
         raise ValueError("trace-store CRC mismatch")
-    swap = order != (0 if sys.byteorder == "little" else 1)
+    if order != _BYTE_ORDER:
+        raise ValueError(
+            f"trace-store file has byte order {order} (0 little-, 1 "
+            f"big-endian); this host is {sys.byteorder}-endian"
+        )
 
     r = _Reader(payload)
     name = r.text()
     may_device_launch = bool(r.u8())
     try:
         entry = CachedApplication.decoded(
-            name, may_device_launch, lambda owner: _decode_ops(r, swap, owner)
+            name, may_device_launch, lambda owner: _decode_ops(r, owner)
         )
     except (IndexError, KeyError) as exc:
         raise ValueError(f"inconsistent trace-store tables ({exc})") from exc
@@ -404,7 +396,7 @@ def decode_bytes(data: bytes) -> CachedApplication:
     return entry
 
 
-def _decode_ops(r: _Reader, swap: bool, owner: CachedApplication) -> list:
+def _decode_ops(r: _Reader, owner: CachedApplication) -> list:
     """The host program of a store payload, its kernels preloaded."""
     kernels = [
         ReplayKernel(
@@ -417,9 +409,9 @@ def _decode_ops(r: _Reader, swap: bool, owner: CachedApplication) -> list:
     # Distinct argument sets only need distinct identities: decoded
     # kernels key their tables on the argument token, never read it.
     args = [{"args": i} for i in range(r.u32())]
-    launch_kernels = r.arr("I", swap)
-    launch_ctas = r.arr("I", swap)
-    launch_args = r.arr("I", swap)
+    launch_kernels = r.arr("I")
+    launch_ctas = r.arr("I")
+    launch_args = r.arr("I")
     if not len(launch_kernels) == len(launch_ctas) == len(launch_args):
         raise ValueError("inconsistent launch table")
     launches = [
@@ -439,14 +431,14 @@ def _decode_ops(r: _Reader, swap: bool, owner: CachedApplication) -> list:
             )
 
     num_pool = r.u32()
-    ops_a = r.arr("B", False)
-    masks_a = r.arr("I", swap)
-    repeats_a = r.arr("I", swap)
-    children_a = r.arr("i", swap)
-    spaces_a = r.arr("B", False)
-    stores_a = r.arr("B", False)
-    nlines_a = r.arr("I", swap)
-    lines_a = r.arr("q", swap)
+    ops_a = r.arr("B")
+    masks_a = r.arr("I")
+    repeats_a = r.arr("I")
+    children_a = r.arr("i")
+    spaces_a = r.arr("B")
+    stores_a = r.arr("B")
+    nlines_a = r.arr("I")
+    lines_a = r.arr("q")
     if not (
         len(ops_a) == len(masks_a) == len(repeats_a) == len(children_a)
         == len(spaces_a) == len(stores_a) == len(nlines_a) == num_pool
@@ -483,7 +475,7 @@ def _decode_ops(r: _Reader, swap: bool, owner: CachedApplication) -> list:
         raise ValueError("inconsistent line table")
 
     num_counts = r.u32()
-    counts_flat = r.arr("Q", swap)
+    counts_flat = r.arr("Q")
     counts_table = []
     pos = 0
     for _ in range(num_counts):
@@ -492,10 +484,10 @@ def _decode_ops(r: _Reader, swap: bool, owner: CachedApplication) -> list:
     if pos != len(counts_flat):
         raise ValueError("inconsistent counts table")
 
-    entry_lens = r.arr("I", swap)
-    entry_flat = r.arr("I", swap)
-    entry_counts = r.arr("I", swap)
-    entry_classes = r.arr("I", swap)
+    entry_lens = r.arr("I")
+    entry_flat = r.arr("I")
+    entry_counts = r.arr("I")
+    entry_classes = r.arr("I")
     if not len(entry_lens) == len(entry_counts) == len(entry_classes):
         raise ValueError("inconsistent entry table")
     entries = []
@@ -508,7 +500,7 @@ def _decode_ops(r: _Reader, swap: bool, owner: CachedApplication) -> list:
     if pos != len(entry_flat):
         raise ValueError("inconsistent entry table")
 
-    warp_entries = r.arr("I", swap)
+    warp_entries = r.arr("I")
     pos = 0
     for launch in launches:
         end = pos + launch.num_ctas * launch.kernel.warps_per_cta
@@ -552,16 +544,10 @@ def source_fingerprint() -> str:
 class TraceStore:
     """On-disk trace store rooted at a directory."""
 
-    def __init__(
-        self, root: str | os.PathLike, stale_lock_s: float | None = None
-    ):
+    def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self.hits = 0
         self.builds = 0
-        #: Lock age beyond which a (presumed dead) writer is evicted.
-        self.stale_lock_s = (
-            _default_stale_lock_s() if stale_lock_s is None else stale_lock_s
-        )
 
     @classmethod
     def from_env(cls) -> "TraceStore | None":
@@ -613,8 +599,8 @@ class TraceStore:
 
         ``build`` returns the materialized :class:`CachedApplication`,
         which is stored and returned.  Concurrent callers with the
-        same key serialize on a lockfile: one builds, the rest wait for
-        the published file.
+        same key serialize on the entry's ``flock``: one builds, the
+        rest wait for the lock and then load the published file.
         """
         path = self.path_for(key)
         stored = self._load_path(path)
@@ -622,54 +608,18 @@ class TraceStore:
             self.hits += 1
             return stored
         self.root.mkdir(parents=True, exist_ok=True)
-        lock = path.with_name(path.name + ".lock")
-        while True:
-            try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                stored = self._await_writer(path, lock)
-                if stored is not None:
-                    self.hits += 1
-                    return stored
-                continue  # writer vanished without publishing: take over
-            try:
-                os.write(fd, str(os.getpid()).encode())
-                os.close(fd)
-                # A writer may have published between our miss and the
-                # lock acquisition.
-                stored = self._load_path(path)
-                if stored is not None:
-                    self.hits += 1
-                    return stored
-                entry = build()
-                self.builds += 1
-                self._save_path(path, entry)
-                self._log_build(path)
-                return entry
-            finally:
-                try:
-                    os.unlink(lock)
-                except OSError:
-                    pass
-
-    def _await_writer(self, path: Path, lock: Path):
-        """Poll until the writer publishes ``path`` or abandons ``lock``."""
-        while True:
+        with open(path.with_name(path.name + ".lock"), "ab") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            # The previous holder published, or died without publishing.
             stored = self._load_path(path)
             if stored is not None:
+                self.hits += 1
                 return stored
-            try:
-                age = time.time() - lock.stat().st_mtime
-            except OSError:
-                return None  # lock released; caller re-checks / retries
-            if age > self.stale_lock_s:
-                # Writer died mid-build: break its lock and take over.
-                try:
-                    os.unlink(lock)
-                except OSError:
-                    pass
-                return None
-            time.sleep(_POLL_S)
+            entry = build()
+            self.builds += 1
+            self._save_path(path, entry)
+            self._log_build(path)
+            return entry
 
     def _log_build(self, path: Path) -> None:
         """Append one line per materialization (the fan-out tests'

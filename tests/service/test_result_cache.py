@@ -132,24 +132,51 @@ class TestPayloads:
         assert len(reopened) == 1
 
 
-class TestIndex:
-    def test_index_records_meta(self, cache):
-        key = "9a" * 32
-        cache.put(key, {"x": 1}, meta={"kind": "simulate"})
-        entry = cache.index()["entries"][key]
-        assert entry["kind"] == "simulate"
-        assert entry["file"] == f"{key}.json"
-        assert entry["created"] > 0
+def _write_payloads(root, count):
+    """``count`` payload files, one second apart in ``st_mtime``, written
+    past any cache handle (as a crashed or older writer leaves them)."""
+    root.mkdir(parents=True, exist_ok=True)
+    keys = [f"{i:02x}" * 32 for i in range(count)]
+    now = time.time()
+    for age, key in enumerate(reversed(keys)):
+        path = root / f"{key}.json"
+        path.write_text(json.dumps(
+            {"version": CACHE_VERSION, "key": key, "payload": {"key": key}}
+        ))
+        os.utime(path, (now - 10 - age, now - 10 - age))
+    return keys  # oldest first
 
-    def test_corrupt_index_tolerated(self, cache):
-        cache.put("bc" * 32, {"x": 1})
-        (cache.root / "index.json").write_text("not json{{")
-        assert cache.index() == {"version": CACHE_VERSION, "entries": {}}
-        # payloads are untouched by index corruption
-        assert cache.get("bc" * 32) == {"x": 1}
+
+class TestIndex:
+    """The directory listing is the index: payload files are entries,
+    nothing else is."""
+
+    def test_corrupt_index_tolerated(self, tmp_path):
+        """An ``index.json`` / ``index.lock`` left by an older cache
+        layout is never counted, served or evicted as a payload."""
+        tmp_path.mkdir(exist_ok=True)
+        leftovers = {
+            "index.json": json.dumps({"version": CACHE_VERSION,
+                                      "entries": {"ab" * 32: {}}}),
+            "index.lock": "12345",
+        }
+        for name, text in leftovers.items():
+            (tmp_path / name).write_text(text)
+        cache = ResultCache(tmp_path, max_entries=2)
+        assert len(cache) == 0
+        for i, key in enumerate(("bc" * 32, "cd" * 32, "de" * 32)):
+            cache.put(key, {"n": i})
+            time.sleep(0.01)
+        assert len(cache) == 2
+        assert cache.evictions == 1
+        assert cache.get("bc" * 32) is None
+        assert cache.get("ab" * 32) is None  # listed in index.json only
+        assert cache.get("de" * 32) == {"n": 2}
+        for name, text in leftovers.items():
+            assert (tmp_path / name).read_text() == text
 
     def test_concurrent_writers_all_land(self, tmp_path):
-        """N threads with their own cache handles share one index."""
+        """N threads with their own cache handles share one directory."""
         keys = [f"{i:02x}" * 32 for i in range(8)]
         errors = []
 
@@ -167,32 +194,10 @@ class TestIndex:
         for thread in threads:
             thread.join()
         assert not errors
-        index = ResultCache(tmp_path).index()
-        assert sorted(index["entries"]) == sorted(keys)
-        assert not (tmp_path / "index.lock").exists()
-
-    def test_stale_index_lock_broken(self, tmp_path):
-        """A lock from a dead writer is taken over, not waited out."""
-        cache = ResultCache(tmp_path, stale_lock_s=0.2)
-        cache.root.mkdir(parents=True, exist_ok=True)
-        lock = cache.root / "index.lock"
-        lock.write_text("99999")  # orphaned by a killed process
-        old = time.time() - 5.0
-        os.utime(lock, (old, old))
-        started = time.monotonic()
-        cache.put("de" * 32, {"recovered": True})
-        assert time.monotonic() - started < 2.0  # did not block for 60s
-        assert cache.get("de" * 32) == {"recovered": True}
-
-    def test_fresh_lock_respected(self, tmp_path):
-        """A live writer's lock delays, not breaks, the second writer."""
-        cache = ResultCache(tmp_path, stale_lock_s=0.25)
-        cache.root.mkdir(parents=True, exist_ok=True)
-        (cache.root / "index.lock").write_text("123")  # freshly created
-        started = time.monotonic()
-        cache.put("f0" * 32, {"waited": True})
-        # Had to wait for the lock to cross the stale threshold.
-        assert time.monotonic() - started >= 0.2
+        cache = ResultCache(tmp_path)
+        assert len(cache) == 8
+        for key in keys:
+            assert cache.get(key) == {"key": key}
 
 
 class TestEviction:
@@ -222,21 +227,18 @@ class TestEviction:
         assert cache.get("d4" * 32) is None
         assert cache.get("e5" * 32) == {"second": True}
 
-    def test_pre_budget_entries_sized_by_stat(self, tmp_path):
-        """Entries written before the budgets existed carry no
-        ``bytes`` in the index; eviction falls back to the payload
-        file's on-disk size."""
-        legacy = ResultCache(tmp_path)
-        legacy.put("f6" * 32, {"old": True})
-        index = legacy.index()
-        del index["entries"]["f6" * 32]["bytes"]
-        (tmp_path / "index.json").write_text(json.dumps(index))
-        time.sleep(0.01)
-        bounded = ResultCache(tmp_path, max_bytes=16)
-        bounded.put("a7" * 32, {"new": True})
-        assert bounded.evictions == 1
-        assert bounded.get("f6" * 32) is None
-        assert bounded.get("a7" * 32) == {"new": True}
+    def test_one_put_trims_every_payload_on_disk(self, tmp_path):
+        """Payloads the cache never recorded (a crash mid-put, a torn
+        listing) still count: one put at ``max_entries=2`` leaves 2."""
+        keys = _write_payloads(tmp_path, 7)
+        cache = ResultCache(tmp_path, max_entries=2)
+        cache.put("ff" * 32, {"new": True})
+        assert len(cache) == 2
+        assert len(list(tmp_path.glob("*.json"))) == 2
+        assert cache.evictions == 6
+        assert cache.get(keys[0]) is None  # oldest not served
+        assert cache.get(keys[-1]) == {"key": keys[-1]}
+        assert cache.get("ff" * 32) == {"new": True}
 
     def test_unbounded_cache_never_evicts(self, tmp_path):
         cache = ResultCache(tmp_path)

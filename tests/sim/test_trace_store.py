@@ -3,6 +3,7 @@ the sweep paths (exact and estimated) that read it."""
 
 import dataclasses
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -138,6 +139,25 @@ def test_load_retires_a_version_1_entry(tmp_path):
     assert not path.exists()
 
 
+def test_load_retires_a_foreign_byte_order_entry(tmp_path):
+    """A file written on a host of the other byte order is retired like
+    a corrupt one, then rebuilt in this host's order."""
+    store = TraceStore(tmp_path)
+    key = app_key(_point())
+    store.save(key, _cached())
+    path = store.path_for(key)
+    raw = bytearray(path.read_bytes())
+    raw[6] ^= 1  # the header's byte-order code
+    with pytest.raises(ValueError, match="byte order"):
+        decode_bytes(bytes(raw))
+    path.write_bytes(bytes(raw))
+    assert store.load(key) is None
+    assert not path.exists()
+    assert store.get_or_build(key, lambda: _cached()) is not None
+    assert store.builds == 1
+    assert store.load(key) is not None
+
+
 def test_decoded_entry_is_a_cached_application():
     """A store hit is the same replayable type a cold build returns,
     with the launch profiles and class keys the estimator reads."""
@@ -197,127 +217,113 @@ def test_get_or_build_builds_once_then_hits(tmp_path):
     assert _stats(first) == _stats(second)
 
 
-def test_stale_lock_is_broken(tmp_path, monkeypatch):
-    import repro.sim.trace_store as ts
+def _lock_path(store, key):
+    path = store.path_for(key)
+    return path.with_name(path.name + ".lock")
 
-    monkeypatch.setattr(ts, "STALE_LOCK_S", 0.01)
+
+def test_stale_lock_is_broken(tmp_path):
+    """A lock file that nobody holds (a writer that exited, however it
+    exited) does not block: the caller takes the lock and builds."""
     store = TraceStore(tmp_path)
     key = app_key(_point())
-    lock = store.path_for(key).with_name(
-        store.path_for(key).name + ".lock"
-    )
-    tmp_path.mkdir(exist_ok=True)
+    lock = _lock_path(store, key)
     lock.write_text("dead-writer")
-    os.utime(lock, (0, 0))  # ancient mtime: the writer is gone
+    started = time.monotonic()
     entry = store.get_or_build(key, lambda: _cached())
+    assert time.monotonic() - started < 5
     assert entry is not None
-    assert not lock.exists()
+    assert store.builds == 1
+    assert store.path_for(key).exists()
 
 
 def test_dead_writer_lock_recovered(tmp_path):
-    """A writer SIGKILLed while holding the O_EXCL lock must not wedge
-    later readers: once the lock crosses the stale age they take over
-    and build themselves."""
+    """A writer SIGKILLed while holding the build lock must not stall
+    later readers: the kernel drops its ``flock`` and the next caller
+    builds at once."""
     import multiprocessing
-    import time as time_mod
+    import signal
 
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("needs fork to stage a killable writer")
-    store = TraceStore(tmp_path, stale_lock_s=0.3)
+    store = TraceStore(tmp_path)
     key = app_key(_point())
     path = store.path_for(key)
-    lock = path.with_name(path.name + ".lock")
-    ctx = multiprocessing.get_context("fork")
+    building = tmp_path / "building"
 
-    def doomed_writer():
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
-        time_mod.sleep(60)  # "building" forever; killed by the parent
+    def wedged_build():
+        building.write_text("")
+        time.sleep(60)  # "building" forever; killed by the parent
 
-    tmp_path.mkdir(exist_ok=True)
-    writer = ctx.Process(target=doomed_writer)
-    writer.start()
-    deadline = time_mod.monotonic() + 5
-    while not lock.exists():  # wait until the victim holds the lock
-        assert time_mod.monotonic() < deadline
-        time_mod.sleep(0.005)
-    writer.kill()
-    writer.join(timeout=10)
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - child
+        try:
+            TraceStore(tmp_path).get_or_build(key, wedged_build)
+        finally:
+            os._exit(1)
+    try:
+        deadline = time.monotonic() + 10
+        while not building.exists():  # the victim holds the lock
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
-    started = time_mod.monotonic()
-    entry = store.get_or_build(key, lambda: _cached())
-    assert entry is not None
-    assert time_mod.monotonic() - started < 5  # took over, no 60s wait
+    built = _cached()
+    started = time.monotonic()
+    entry = store.get_or_build(key, lambda: built)
+    assert time.monotonic() - started < 1  # no age to wait out
+    assert entry is built
     assert store.builds == 1
-    assert not lock.exists()
     assert path.exists()  # and the takeover published normally
 
 
-def test_stale_lock_s_constructor_override(tmp_path):
-    """Per-store stale age: an old lock is broken after ~stale_lock_s,
-    not after the 60s module default."""
-    import time as time_mod
-
-    store = TraceStore(tmp_path, stale_lock_s=0.1)
-    assert store.stale_lock_s == 0.1
-    key = app_key(_point())
-    path = store.path_for(key)
-    lock = path.with_name(path.name + ".lock")
-    tmp_path.mkdir(exist_ok=True)
-    lock.write_text("dead")
-    os.utime(lock, (0, 0))
-    started = time_mod.monotonic()
-    assert store.get_or_build(key, lambda: _cached()) is not None
-    assert time_mod.monotonic() - started < 5
-
-
-def test_stale_lock_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_LOCK_TIMEOUT", "0.25")
-    assert TraceStore(tmp_path).stale_lock_s == 0.25
-    monkeypatch.setenv("REPRO_TRACE_LOCK_TIMEOUT", "not-a-number")
-    assert TraceStore(tmp_path).stale_lock_s == 60.0  # fallback
-    monkeypatch.setenv("REPRO_TRACE_LOCK_TIMEOUT", "-5")
-    assert TraceStore(tmp_path).stale_lock_s == 60.0  # rejects <= 0
-    monkeypatch.delenv("REPRO_TRACE_LOCK_TIMEOUT")
-    assert TraceStore(tmp_path).stale_lock_s == 60.0
-
-
 def test_live_writer_is_awaited_not_preempted(tmp_path):
-    """A fresh lock means the writer is alive: the reader waits for the
-    published file and loads it instead of building a duplicate."""
+    """A held lock means the writer is alive: the waiter blocks until
+    it publishes and loads the entry instead of building a duplicate,
+    however long the build takes."""
     import threading
-    import time as time_mod
 
-    store = TraceStore(tmp_path, stale_lock_s=30.0)
+    store = TraceStore(tmp_path)
     key = app_key(_point())
-    path = store.path_for(key)
-    lock = path.with_name(path.name + ".lock")
-    tmp_path.mkdir(exist_ok=True)
     entry = _cached()
+    building = threading.Event()
 
-    def writer():
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        os.close(fd)
-        time_mod.sleep(0.15)  # mid-build
-        store.save(key, entry)
-        os.unlink(lock)
+    def slow_build():
+        building.set()
+        time.sleep(0.5)  # mid-build
+        return entry
 
-    thread = threading.Thread(target=writer)
+    thread = threading.Thread(
+        target=TraceStore(tmp_path).get_or_build, args=(key, slow_build)
+    )
     thread.start()
-    deadline = time_mod.monotonic() + 5
-    while not lock.exists():
-        assert time_mod.monotonic() < deadline
-        time_mod.sleep(0.005)
-    reader = TraceStore(tmp_path, stale_lock_s=30.0)
-    stored = reader.get_or_build(
-        key, lambda: pytest.fail("reader must wait, not rebuild")
+    assert building.wait(timeout=10)
+    stored = store.get_or_build(
+        key, lambda: pytest.fail("waiter must load, not rebuild")
     )
     thread.join(timeout=10)
-    assert stored is not None
-    assert reader.builds == 0
-    assert reader.hits == 1
+    assert store.builds == 0
+    assert store.hits == 1
+    assert len((tmp_path / "builds.log").read_text().splitlines()) == 1
     assert _stats(stored) == _stats(entry)
+
+
+def test_lock_files_are_not_entries(tmp_path):
+    """A built entry leaves ``X.trace`` and ``X.trace.lock`` behind;
+    listing and packing see one entry."""
+    store = TraceStore(tmp_path / "src")
+    key = app_key(_point())
+    store.get_or_build(key, lambda: _cached())
+    path = store.path_for(key)
+    assert _lock_path(store, key).exists()
+    assert store.entry_names() == [path.name]
+    archive = tmp_path / "traces.rpak"
+    assert store.pack(archive) == 1
+    dst = TraceStore(tmp_path / "dst")
+    assert dst.unpack(archive) == 1
+    assert dst.entry_names() == [path.name]
 
 
 def _contend(root: str) -> int:
