@@ -174,7 +174,7 @@ class ServiceLauncher:
                     ServiceClient(host or "127.0.0.1", int(port),
                                   timeout=timeout)
                 )
-            else:  # an existing client (tests inject doubles)
+            else:  # an existing client, or a double with its methods
                 self._clients.append(endpoint)
         self.workers = len(self._clients)
         self.use_cache = use_cache
@@ -184,7 +184,10 @@ class ServiceLauncher:
         return {}  # remote processes; nothing SIGKILL-able from here
 
     def close(self) -> None:
-        pass  # servers outlive their clients by design
+        """Close the clients' pooled connections; the servers outlive
+        their clients by design."""
+        for client in self._clients:
+            client.close()
 
     def __enter__(self) -> "ServiceLauncher":
         return self

@@ -10,21 +10,42 @@ Used by ``tests/service/`` and scriptable from user code::
     stats = client.stats(job["id"])       # a real RunStats again
     print(stats.ipc)
 
-Every call opens a fresh connection (the server is HTTP/1.1 but jobs
-outlive connections anyway), so one client instance is safe to share
-across threads — the stress tests hammer a single instance.
+Calls reuse persistent HTTP/1.1 connections from a small pool, so a
+cache hit costs one request round trip, not a TCP handshake and a new
+server thread.  The pool is lock-guarded, so one client instance is
+safe to share across threads: each concurrent call checks out its own
+connection.  A connection the server closed while it sat idle in the
+pool is retried once on a fresh one (only when it fails before any
+response byte, so no request is answered twice).  Connections opened
+before a ``fork`` are dropped in the child, never shared.  ``close()``
+(or leaving a ``with`` block) closes the pooled connections::
+
+    with ServiceClient("127.0.0.1", 8777) as client:
+        client.health()
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
 import time
+import weakref
 from http.client import HTTPConnection
 
 from repro.sim.stats import RunStats, stats_from_dict
 
 #: Job states that end a :meth:`ServiceClient.wait` poll loop.
 FINAL_STATES = ("done", "failed", "cancelled", "timeout")
+
+#: Idle connections a client keeps; more concurrent calls than this
+#: open extra connections that close when their call returns.
+POOL_SIZE = 4
+
+
+def _close_all(connections: list) -> None:
+    while connections:
+        connections.pop().close()
 
 
 class ServiceError(RuntimeError):
@@ -45,22 +66,70 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._lock = threading.Lock()
+        self._idle: list[HTTPConnection] = []
+        self._pid = os.getpid()
+        # A client dropped without close() still closes its sockets.
+        weakref.finalize(self, _close_all, self._idle)
+
+    def close(self) -> None:
+        """Close the pooled connections (the client stays usable)."""
+        with self._lock:
+            _close_all(self._idle)
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- transport ----------------------------------------------------------
+    def _checkout(self) -> HTTPConnection:
+        with self._lock:
+            if self._pid != os.getpid():
+                # Forked: the parent's sockets are not this process's
+                # to use.  Closing the child's copies leaves them open
+                # in the parent.
+                self._pid = os.getpid()
+                _close_all(self._idle)
+            if self._idle:
+                return self._idle.pop()
+        return HTTPConnection(self.host, self.port, timeout=self.timeout)
+
+    def _checkin(self, conn: HTTPConnection) -> None:
+        with self._lock:
+            if self._pid == os.getpid() and len(self._idle) < POOL_SIZE:
+                self._idle.append(conn)
+                return
+        conn.close()
+
     def _request(self, method: str, path: str, payload: dict | None = None,
                  raw: bool = False):
-        conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
+        body = json.dumps(payload).encode() if payload is not None else None
+        headers = {"Content-Type": "application/json"} if body else {}
+        conn = self._checkout()
+        # A pooled connection has a socket; a fresh one opens its own
+        # in request().
+        reused = conn.sock is not None
         try:
-            body = (
-                json.dumps(payload).encode() if payload is not None else None
-            )
-            headers = {"Content-Type": "application/json"} if body else {}
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
+            try:
+                conn.request(method, path, body=body, headers=headers)
+                response = conn.getresponse()
+            except ConnectionError:
+                # No response byte arrived, so the server never answered
+                # this request: a reused connection was closed under us
+                # (idle timeout, server restart).  Retry once, fresh.
+                if not reused:
+                    raise
+                conn.close()
+                conn.request(method, path, body=body, headers=headers)
+                response = conn.getresponse()
             data = response.read()
             status = response.status
-        finally:
+        except BaseException:
             conn.close()
+            raise
+        self._checkin(conn)
         if raw and status < 400:
             return data
         try:

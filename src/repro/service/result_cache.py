@@ -40,6 +40,7 @@ payload must not turn the cache into a thrash loop.  ``repro serve
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -56,6 +57,17 @@ CACHE_VERSION = 1
 _PAYLOAD_NAME = re.compile(r"[0-9a-f]{64}\.json")
 
 
+@functools.lru_cache(maxsize=256)
+def _config_text(config) -> str:
+    """``save_config(config)``, once per distinct config.
+
+    ``GPUConfig`` is frozen and hashable.  Request configs resolve
+    through ``apply_overrides``, which types every value as its field
+    declares, so configs that compare equal serialize identically.
+    """
+    return save_config(config)
+
+
 def cache_key(kind: str, identity: dict, config) -> str:
     """The content address of one request's result."""
     material = json.dumps(
@@ -63,7 +75,7 @@ def cache_key(kind: str, identity: dict, config) -> str:
             "version": CACHE_VERSION,
             "kind": kind,
             "identity": identity,
-            "config": save_config(config),
+            "config": _config_text(config),
         },
         sort_keys=True,
     )

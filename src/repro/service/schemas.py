@@ -467,7 +467,10 @@ class JobView:
         return cls(**data)
 
     def to_dict(self) -> dict:
-        data = asdict(self)
+        # Shallow on purpose: ``Job.view()`` already copied ``timings``
+        # and ``progress`` is parsed fresh per view, so ``asdict``'s
+        # recursive deep copy would only repeat that work.
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["artifacts"] = list(self.artifacts)
         return data
 

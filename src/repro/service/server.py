@@ -18,9 +18,17 @@ minting one) and one structured log line goes to stderr per request:
 ``[repro.serve] rid=... method path status dur_ms``.  Errors use the
 uniform envelope from :func:`repro.service.schemas.error_body`.
 
-Built on ``ThreadingHTTPServer`` — one thread per connection, no
-third-party dependencies — which is plenty: the heavy lifting happens
-in the job queue's bounded workers, and cache hits are dict lookups.
+Built on ``ThreadingHTTPServer`` with no third-party dependencies:
+the heavy lifting happens in the job queue's bounded workers, and
+cache hits are file reads.  Connections are persistent (HTTP/1.1
+keep-alive), so a thread serves one connection, not one request: a
+client that reuses its connection pays no TCP handshake and no thread
+start per call.  Each response leaves in one write on a
+``TCP_NODELAY`` socket, so a reused connection never waits out the
+peer's delayed ACK (about 40 ms on Linux).  A connection idle for
+:data:`IDLE_TIMEOUT_S` is closed, and ``shutdown()`` /
+``server_close()`` close every open one, so no handler thread keeps
+answering after the server stops.
 """
 
 from __future__ import annotations
@@ -28,7 +36,9 @@ from __future__ import annotations
 import errno
 import json
 import re
+import socket
 import sys
+import threading
 import time
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -51,6 +61,11 @@ _ARTIFACT_ROUTE = re.compile(
 #: config overrides; anything larger is a client bug or abuse).
 MAX_BODY_BYTES = 1 << 20
 
+#: Seconds a persistent connection may sit between requests before the
+#: server closes it and frees its thread.  Clients retry a request that
+#: meets a connection closed this way on a fresh one.
+IDLE_TIMEOUT_S = 15.0
+
 
 class ServiceHTTPServer(ThreadingHTTPServer):
     """HTTP server bound to one :class:`SimulationService`."""
@@ -59,16 +74,49 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 
     def __init__(self, address, service: SimulationService):
         self.service = service
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
         super().__init__(address, _Handler)
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def _close_connections(self) -> None:
+        """End every open connection: the handler threads blocked on
+        their next request line read EOF and exit."""
+        with self._open_lock:
+            connections = list(self._open)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its handler
 
     def shutdown(self) -> None:  # also stops the workers
         super().shutdown()
+        self._close_connections()
         self.service.shutdown()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._close_connections()
 
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
     server: ServiceHTTPServer
+
+    def setup(self) -> None:
+        self.timeout = IDLE_TIMEOUT_S  # read per connection, not at import
+        super().setup()
 
     # -- plumbing -----------------------------------------------------------
     def _begin(self) -> None:
@@ -77,30 +125,28 @@ class _Handler(BaseHTTPRequestHandler):
         )
         self._started = time.monotonic()
 
-    def _send_json(self, status: int, body: dict) -> None:
-        data = json.dumps(body).encode()
+    def _send(self, status: int, data: bytes, content_type: str) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
         self.send_header("X-Request-Id", self.request_id)
-        self.end_headers()
-        self.wfile.write(data)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        # Head and body in one write: a second small write on a reused
+        # connection would otherwise be held for the peer's delayed ACK.
+        self._headers_buffer.append(b"\r\n")
+        self._headers_buffer.append(data)
+        self.flush_headers()
         self._log(status)
+
+    def _send_json(self, status: int, body: dict) -> None:
+        self._send(status, json.dumps(body).encode(), "application/json")
 
     def _send_error(self, status: int, message: str,
                     field: str | None = None) -> None:
         self._send_json(
             status, error_body(message, self.request_id, field)
         )
-
-    def _send_bytes(self, data: bytes, content_type: str) -> None:
-        self.send_response(200)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.send_header("X-Request-Id", self.request_id)
-        self.end_headers()
-        self.wfile.write(data)
-        self._log(200)
 
     def _log(self, status: int) -> None:
         dur_ms = (time.monotonic() - self._started) * 1000.0
@@ -115,8 +161,21 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # replaced by the structured _log line
 
     def _read_body(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length")
+        try:
+            length = int(header or 0)
+        except ValueError:
+            length = -1
+        # Either way the body stays unread, and the next request on
+        # this connection would start inside it: close the connection.
+        if length < 0:
+            self.close_connection = True
+            raise SchemaError(
+                "Content-Length",
+                f"must be a non-negative integer, got {header!r}",
+            )
         if length > MAX_BODY_BYTES:
+            self.close_connection = True
             raise SchemaError("", f"request body over {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length) if length else b""
         if not raw:
@@ -131,6 +190,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._begin()
         kind = self.path.rstrip("/").rpartition("/")[2]
         if not self.path.startswith("/v1/") or kind not in REQUEST_TYPES:
+            self.close_connection = True  # its body is never read
             self._send_error(404, f"no such endpoint {self.path!r}")
             return
         try:
@@ -249,7 +309,7 @@ class _Handler(BaseHTTPRequestHandler):
             else "application/x-ndjson" if name.endswith(".jsonl")
             else "application/octet-stream"
         )
-        self._send_bytes(data, content_type)
+        self._send(200, data, content_type)
 
 
 def make_server(

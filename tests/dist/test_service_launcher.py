@@ -78,3 +78,11 @@ def test_rejected_chunk_is_chunk_failed(server, points):
     broken = [points[0], points[0]]  # duplicate labels -> rejected
     with pytest.raises(ChunkFailed):
         launcher.run_chunk(0, 0, broken, timeout=30.0)
+
+
+def test_close_closes_the_pooled_connections(server, points):
+    with ServiceLauncher([_endpoint(server)], timeout=120.0) as launcher:
+        launcher.run_chunk(0, 0, points[:1], timeout=120.0)
+        (client,) = launcher._clients
+        assert client._idle  # the chunk's connection, kept for reuse
+    assert client._idle == []

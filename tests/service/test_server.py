@@ -6,6 +6,7 @@ run at a tiny 2-SM config to keep each request sub-second.
 """
 
 import json
+import socket
 import threading
 from http.client import HTTPConnection
 
@@ -40,7 +41,8 @@ def server(tmp_path):
 
 @pytest.fixture
 def client(server):
-    return ServiceClient(*server.server_address)
+    with ServiceClient(*server.server_address) as client:
+        yield client
 
 
 class TestLifecycle:
@@ -133,6 +135,29 @@ class TestValidation:
             assert "invalid JSON" in body["error"]
         finally:
             conn.close()
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "-1"])
+    def test_bad_content_length_400_names_the_header(self, server, length):
+        """Not a non-negative integer: a 400 in the error envelope, and
+        the connection closes (the body's end is unknown)."""
+        with socket.create_connection(server.server_address,
+                                      timeout=3) as sock:
+            sock.sendall(
+                b"POST /v1/simulate HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n"
+                b'{"benchmark": "STAR"}'
+            )
+            reply = b""
+            while chunk := sock.recv(65536):  # EOF: the server closed
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), reply
+        assert b"Connection: close" in head
+        envelope = json.loads(body)
+        assert envelope["field"] == "Content-Length"
+        assert "Content-Length" in envelope["error"]
+        assert repr(length) in envelope["error"]
+        assert envelope["request_id"]
 
     def test_unknown_endpoint_404(self, client):
         with pytest.raises(ServiceError) as err:
