@@ -23,7 +23,7 @@ def build_workload() -> ReadMappingWorkload:
     return ReadMappingWorkload(reference, tuple(reads))
 
 
-def functional_mapping(workload: ReadMappingWorkload) -> "list":
+def functional_mapping(workload: ReadMappingWorkload) -> None:
     aligner = ReadAligner(workload.reference)
     rows = []
     correct = mapped = 0
@@ -55,26 +55,6 @@ def functional_mapping(workload: ReadMappingWorkload) -> "list":
           f"{correct}/{mapped} at the true locus")
     print(f"seed searches: {aligner.stats.seed_searches}, "
           f"extensions: {aligner.stats.candidates_extended}")
-    return [
-        (record.sequence, aligner.map_read(record.sequence))
-        for record in workload.reads
-    ]
-
-
-def sam_and_coverage(workload: ReadMappingWorkload, mappings) -> None:
-    from repro.genomics.index.sam import (
-        coverage_summary,
-        pileup,
-        write_sam,
-    )
-
-    sam_text = write_sam(workload.reference, mappings, "toy_mappings.sam")
-    print(f"\nwrote {sam_text.count(chr(10))} SAM lines to toy_mappings.sam")
-    columns = pileup(workload.reference, mappings)
-    summary = coverage_summary(workload.reference, columns)
-    print(f"coverage breadth {100 * summary['breadth']:.1f}%, "
-          f"mean depth {summary['mean_depth']:.2f}, "
-          f"mismatch rate {100 * summary['mismatch_rate']:.2f}%")
 
 
 def simulate_nvb(workload: ReadMappingWorkload) -> None:
@@ -93,6 +73,5 @@ def simulate_nvb(workload: ReadMappingWorkload) -> None:
 
 if __name__ == "__main__":
     workload = build_workload()
-    mappings = functional_mapping(workload)
-    sam_and_coverage(workload, mappings)
+    functional_mapping(workload)
     simulate_nvb(workload)

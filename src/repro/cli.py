@@ -43,8 +43,6 @@ trace ABBR
     Capture a benchmark's first host launch to an RTRX trace file.
 replay FILE
     Re-simulate an RTRX file: ``repro trace`` output or a store entry.
-align QUERY TARGET
-    Align two sequences from the command line.
 serve
     Run the simulation service: typed simulate/sweep/profile/estimate
     HTTP endpoints over an async job queue with a content-addressed
@@ -634,20 +632,6 @@ def cmd_store(args) -> int:
     return 0
 
 
-def cmd_roofline(args) -> int:
-    from repro.core import roofline_report
-    from repro.core.runner import run_suite
-
-    config = _config(args)
-    benchmarks = args.benchmarks or None
-    results = run_suite(
-        benchmarks, cdp_variants=not args.no_cdp,
-        size=args.size, config=config,
-    )
-    print(format_table(roofline_report(results, config)))
-    return 0
-
-
 def cmd_figure(args) -> int:
     entry = EXPERIMENTS.get(args.name.lower())
     if entry is None:
@@ -834,36 +818,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_align(args) -> int:
-    from repro.genomics.align import (
-        banded_global,
-        needleman_wunsch,
-        semi_global,
-        smith_waterman,
-    )
-
-    aligners = {
-        "global": needleman_wunsch,
-        "local": smith_waterman,
-        "semiglobal": semi_global,
-        "banded": lambda q, t: banded_global(q, t, band=args.band),
-    }
-    try:
-        result = aligners[args.mode](args.query.upper(), args.target.upper())
-    except ValueError as exc:  # e.g. a band narrower than the length gap
-        print(f"cannot align: {exc}", file=sys.stderr)
-        return 2
-    print(result.aligned_query)
-    print("".join(
-        "|" if a == b and a != "-" else " "
-        for a, b in zip(result.aligned_query, result.aligned_target)
-    ))
-    print(result.aligned_target)
-    print(f"score={result.score} cigar={result.cigar} "
-          f"identity={result.identity():.2f}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -996,13 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_store.set_defaults(func=cmd_store)
 
-    p_roof = sub.add_parser("roofline", help="roofline analysis of the suite")
-    p_roof.add_argument("benchmarks", nargs="*", type=_benchmark,
-                        help="benchmark subset (default: all)")
-    p_roof.add_argument("--no-cdp", action="store_true")
-    _add_machine_args(p_roof)
-    p_roof.set_defaults(func=cmd_roofline)
-
     p_fig = sub.add_parser("figure", help="regenerate a table/figure")
     p_fig.add_argument("name", help="an experiment key, e.g. fig3, table3, "
                        "ablation_memcpy_flush (a wrong one lists them all)")
@@ -1063,14 +1010,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: unbounded)",
     )
     p_serve.set_defaults(func=cmd_serve)
-
-    p_align = sub.add_parser("align", help="align two sequences")
-    p_align.add_argument("query")
-    p_align.add_argument("target")
-    p_align.add_argument("--mode", default="global",
-                         choices=["global", "local", "semiglobal", "banded"])
-    p_align.add_argument("--band", type=_nonneg_int, default=32)
-    p_align.set_defaults(func=cmd_align)
     return parser
 
 

@@ -49,12 +49,6 @@ from repro.core.report import (
     format_kernel_profile,
     format_sample_note,
 )
-from repro.core.analysis import (
-    RooflinePoint,
-    machine_peaks,
-    roofline_point,
-    roofline_report,
-)
 from repro.sim.config import a100_config, rtx3070_baseline, rtx3090_config
 
 __all__ = [
@@ -86,10 +80,6 @@ __all__ = [
     "format_interval_profile",
     "format_kernel_profile",
     "format_sample_note",
-    "RooflinePoint",
-    "machine_peaks",
-    "roofline_point",
-    "roofline_report",
     "rtx3070_baseline",
     "rtx3090_config",
     "a100_config",

@@ -114,63 +114,6 @@ def sequence_family(
     return family
 
 
-def sample_paired_reads(
-    reference: Sequence,
-    count: int,
-    read_length: int,
-    insert_size: int = 300,
-    insert_stddev: int = 30,
-    seed=0,
-    error_rate: float = 0.005,
-    base_quality: int = 30,
-    name_prefix: str = "pair",
-) -> list[tuple[FastqRecord, FastqRecord]]:
-    """Sample Illumina-style paired-end reads (FR orientation).
-
-    Each pair brackets one fragment: read 1 is the fragment's 5' end on
-    the forward strand, read 2 the 3' end reverse-complemented.  The
-    fragment length is drawn from N(insert_size, insert_stddev), clamped
-    to at least ``read_length``.
-    """
-    if insert_size < read_length:
-        raise ValueError("insert_size must be >= read_length")
-    if read_length <= 0:
-        raise ValueError("read_length must be positive")
-    rng = _rng(seed)
-    pairs: list[tuple[FastqRecord, FastqRecord]] = []
-    for i in range(count):
-        fragment_len = max(
-            read_length, int(rng.gauss(insert_size, insert_stddev))
-        )
-        fragment_len = min(fragment_len, len(reference))
-        start = rng.randint(0, len(reference) - fragment_len)
-        fragment = reference.residues[start : start + fragment_len]
-
-        r1_res = mutate(
-            fragment[:read_length], rng, substitution_rate=error_rate
-        )
-        r2_seq = Sequence("f", fragment[-read_length:]).reverse_complement()
-        r2_res = mutate(r2_seq.residues, rng, substitution_rate=error_rate)
-
-        quality = tuple([base_quality] * read_length)
-        r1 = FastqRecord(
-            Sequence(f"{name_prefix}{i}/1", r1_res, DNA,
-                     description=f"pos={start} strand=+"),
-            quality,
-        )
-        r2 = FastqRecord(
-            Sequence(
-                f"{name_prefix}{i}/2", r2_res, DNA,
-                description=(
-                    f"pos={start + fragment_len - read_length} strand=-"
-                ),
-            ),
-            quality,
-        )
-        pairs.append((r1, r2))
-    return pairs
-
-
 def sample_reads(
     reference: Sequence,
     count: int,

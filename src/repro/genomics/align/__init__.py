@@ -22,11 +22,8 @@ from repro.genomics.align.gotoh import (
     semi_global,
 )
 from repro.genomics.align.banded import banded_global
-from repro.genomics.align.hirschberg import hirschberg, linear_scheme
 
 __all__ = [
-    "hirschberg",
-    "linear_scheme",
     "AlignmentMode",
     "AlignmentResult",
     "align",

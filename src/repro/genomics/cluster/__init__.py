@@ -7,16 +7,8 @@ from repro.genomics.cluster.kmer_filter import (
     short_word_bound,
 )
 from repro.genomics.cluster.packing import pack_dna, unpack_dna
-from repro.genomics.cluster.minhash import (
-    MinHashSketch,
-    jaccard_for_identity,
-    sketch_filter,
-)
 
 __all__ = [
-    "MinHashSketch",
-    "jaccard_for_identity",
-    "sketch_filter",
     "Cluster",
     "ClusteringResult",
     "greedy_cluster",

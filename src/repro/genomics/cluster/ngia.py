@@ -18,6 +18,7 @@ use of banded DP on the GPU.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.genomics.align.banded import banded_global
@@ -38,7 +39,7 @@ class Cluster:
     representative: Sequence
     members: list[Sequence] = field(default_factory=list)
     packed: list[int] = field(default_factory=list, repr=False)
-    profile: object = field(default=None, repr=False)
+    profile: Counter | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -106,30 +107,16 @@ def greedy_cluster(
     word_length: int = 5,
     scheme: ScoringScheme | None = None,
     band: int = 16,
-    prefilter: str = "words",
 ) -> ClusteringResult:
     """Cluster ``sequences`` at the given identity threshold.
 
     Follows nGIA/CD-HIT semantics: longest-first greedy assignment to
     the first matching representative.  Deterministic for fixed input
     (ties in length break by input order).
-
-    ``prefilter`` selects the candidate filter after the length check:
-    ``"words"`` (nGIA's exact short-word counting bound) or
-    ``"minhash"`` (constant-space MinHash sketches; see
-    :mod:`repro.genomics.cluster.minhash`).
     """
     if not 0.0 < identity <= 1.0:
         raise ValueError("identity must be in (0, 1]")
-    if prefilter not in ("words", "minhash"):
-        raise ValueError("prefilter must be 'words' or 'minhash'")
     scheme = scheme or ScoringScheme.dna_default()
-    if prefilter == "minhash":
-        from repro.genomics.cluster.minhash import MinHashSketch
-
-        make_profile = lambda seq: MinHashSketch.of(seq, k=word_length)
-    else:
-        make_profile = lambda seq: kmer_profile(seq, word_length)
 
     order = sorted(
         range(len(sequences)), key=lambda i: (-len(sequences[i]), i)
@@ -138,7 +125,7 @@ def greedy_cluster(
 
     for idx in order:
         seq = sequences[idx]
-        profile = make_profile(seq)
+        profile = kmer_profile(seq, word_length)
         home = None
         record = {
             "index": idx,
@@ -155,15 +142,9 @@ def greedy_cluster(
                 result.prefilter_rejections += 1
                 record["prefilter"] += 1
                 continue
-            # 2. short-word (or sketch) filter.
-            if prefilter == "minhash":
-                from repro.genomics.cluster.minhash import sketch_filter
-
-                passes = sketch_filter(profile, cluster.profile, identity)
-            else:
-                bound = short_word_bound(len(seq), word_length, identity)
-                passes = shared_kmer_count(profile, cluster.profile) >= bound
-            if not passes:
+            # 2. short-word filter.
+            bound = short_word_bound(len(seq), word_length, identity)
+            if shared_kmer_count(profile, cluster.profile) < bound:
                 result.short_word_rejections += 1
                 record["shortword"] += 1
                 continue

@@ -51,8 +51,6 @@ class AlignerStats:
     seeds_extracted: int = 0
     seed_searches: int = 0
     candidates_extended: int = 0
-    #: candidates discarded by the bit-parallel pre-alignment filter
-    candidates_filtered: int = 0
 
 
 class ReadAligner:
@@ -66,23 +64,15 @@ class ReadAligner:
         max_seed_hits: int = 8,
         scheme: ScoringScheme | None = None,
         extension_padding: int = 8,
-        prefilter_k: int | None = None,
     ):
-        """``prefilter_k`` enables Myers bit-parallel pre-alignment
-        filtering: candidate windows whose edit distance to the read
-        exceeds ``k`` are discarded before scored extension (the
-        GenAx/ASAP accelerator design)."""
         if seed_length <= 0 or seed_interval <= 0:
             raise ValueError("seed_length and seed_interval must be positive")
-        if prefilter_k is not None and prefilter_k < 0:
-            raise ValueError("prefilter_k must be non-negative")
         self.reference = reference
         self.seed_length = seed_length
         self.seed_interval = seed_interval
         self.max_seed_hits = max_seed_hits
         self.scheme = scheme or ScoringScheme.dna_default()
         self.extension_padding = extension_padding
-        self.prefilter_k = prefilter_k
         self.index = FMIndex(reference.residues)
         self.stats = AlignerStats()
 
@@ -112,8 +102,8 @@ class ReadAligner:
     def _window(self, residues: str, start: int) -> tuple[int, str] | None:
         """The reference window a candidate at ``start`` extends into.
 
-        ``None`` when the window is empty or the pre-alignment filter
-        rejects it; otherwise the candidate counts as extended.
+        ``None`` when the window is empty; otherwise the candidate
+        counts as extended.
         """
         pad = self.extension_padding
         window_lo = max(0, start - pad)
@@ -121,13 +111,6 @@ class ReadAligner:
         window = self.reference.residues[window_lo:window_hi]
         if not window:
             return None
-        if self.prefilter_k is not None:
-            from repro.genomics.align.myers import best_edit_window
-
-            if best_edit_window(residues, window,
-                                max_k=self.prefilter_k) is None:
-                self.stats.candidates_filtered += 1
-                return None
         self.stats.candidates_extended += 1
         return window_lo, window
 
@@ -219,42 +202,6 @@ class ReadAligner:
     def map_reads(self, reads: list[Sequence]) -> list[ReadMapping | None]:
         """Map a batch of reads (the unit of work of one kernel launch)."""
         return [self.map_read(read) for read in reads]
-
-    def map_pair(
-        self,
-        read1: Sequence,
-        read2: Sequence,
-        max_insert: int = 1000,
-    ) -> tuple[ReadMapping | None, ReadMapping | None]:
-        """Map a paired-end read (FR orientation, bounded insert size).
-
-        Both mates are mapped independently; a pair is *concordant*
-        when the mates land on opposite strands within ``max_insert``.
-        Concordant pairs get a mapping-quality boost (the pair
-        constraint disambiguates repeats); discordant mates are
-        returned as mapped singles, matching Bowtie2's mixed mode.
-        """
-        m1 = self.map_read(read1)
-        m2 = self.map_read(read2)
-        if m1 is None or m2 is None:
-            return m1, m2
-        concordant = (
-            m1.strand != m2.strand
-            and abs(m2.position - m1.position) <= max_insert
-        )
-        if not concordant:
-            return m1, m2
-        boost = 5
-        return (
-            ReadMapping(
-                m1.read_name, m1.position, m1.strand, m1.score,
-                m1.cigar, min(42, m1.mapq + boost), m1.alignment,
-            ),
-            ReadMapping(
-                m2.read_name, m2.position, m2.strand, m2.score,
-                m2.cigar, min(42, m2.mapq + boost), m2.alignment,
-            ),
-        )
 
 
 def _mapping_quality(

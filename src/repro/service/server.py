@@ -161,13 +161,21 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # replaced by the structured _log line
 
     def _read_body(self):
+        # A body refused here stays unread, and the next request on
+        # this connection would start inside it: close the connection.
+        encoding = self.headers.get("Transfer-Encoding")
+        if encoding is not None:
+            self.close_connection = True
+            raise SchemaError(
+                "Transfer-Encoding",
+                f"is not supported, got {encoding!r}; "
+                "send the body with a Content-Length",
+            )
         header = self.headers.get("Content-Length")
         try:
             length = int(header or 0)
         except ValueError:
             length = -1
-        # Either way the body stays unread, and the next request on
-        # this connection would start inside it: close the connection.
         if length < 0:
             self.close_connection = True
             raise SchemaError(

@@ -2,13 +2,30 @@
 
 import dataclasses
 import os
+import re
+from pathlib import Path
 
 import pytest
 
-from repro import bench
-from repro.cli import main
+from repro import bench, cli
+from repro.cli import build_parser, main
 from repro.data.datasets import DatasetSize
 from repro.dist import launchers
+
+
+class TestCommandInventory:
+    def test_docstring_and_docs_name_the_parser_commands(self):
+        """The module docstring lists exactly the parser's commands, and
+        every ``python -m repro <cmd>`` in the docs names one of them."""
+        commands = build_parser()._subparsers._group_actions[0].choices
+        listing = cli.__doc__.partition("--------\n")[2]
+        headings = re.findall(r"^([a-z]+)\b", listing, re.MULTILINE)
+        assert sorted(headings) == sorted(commands)
+        root = Path(__file__).resolve().parents[2]
+        for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+            named = re.findall(r"python -m repro ([a-z]+)",
+                               (root / doc).read_text())
+            assert set(named) <= set(commands), doc
 
 
 class TestList:
@@ -130,24 +147,6 @@ class TestDataset:
         assert captured.out == ""
 
 
-class TestAlign:
-    def test_global(self, capsys):
-        assert main(["align", "GATTACA", "GATCA"]) == 0
-        out = capsys.readouterr().out
-        assert "GATTACA" in out
-        assert "score=3" in out
-
-    def test_local(self, capsys):
-        assert main(["align", "TTTGATTACATTT", "CCGATTACACC",
-                     "--mode", "local"]) == 0
-        assert "GATTACA" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("mode", ["semiglobal", "banded"])
-    def test_other_modes(self, mode, capsys):
-        assert main(["align", "ACGTACGT", "ACGTTCGT", "--mode", mode]) == 0
-        assert "score=" in capsys.readouterr().out
-
-
 class TestSuiteCommand:
     def test_suite_subset_runs(self, capsys):
         # The full suite is exercised in benchmarks/; here just make
@@ -156,15 +155,6 @@ class TestSuiteCommand:
         out = capsys.readouterr().out
         assert "device_time" in out
         assert "NvB" in out
-
-
-class TestRoofline:
-    def test_roofline_subset(self, capsys):
-        assert main(["roofline", "SW", "CLUSTER", "--no-cdp",
-                     "--sms", "8"]) == 0
-        out = capsys.readouterr().out
-        assert "intensity" in out
-        assert "bound" in out
 
 
 class TestTraceReplay:
@@ -454,8 +444,6 @@ class TestErrorPaths:
                      "--chunk-timeout", id="chunk-timeout-negative"),
         pytest.param(["sweep", "benchmark", "--chunk-timeout", "soon"],
                      "--chunk-timeout", id="chunk-timeout-text"),
-        pytest.param(["align", "ACGT", "ACGT", "--mode", "banded",
-                      "--band", "-3"], "--band", id="band"),
     ])
     def test_invalid_integer_flags(self, argv, flag, capsys):
         """Out-of-range numbers are argparse errors naming the flag,
@@ -596,7 +584,6 @@ class TestErrorPaths:
         pytest.param(["warm", "NW", "NOPE"], "benchmarks", id="warm"),
         pytest.param(["dataset", "NOPE"], "benchmark", id="dataset"),
         pytest.param(["trace", "NOPE"], "benchmark", id="trace"),
-        pytest.param(["roofline", "NOPE"], "benchmarks", id="roofline"),
     ])
     def test_unknown_benchmark_is_a_usage_error(self, argv, arg, capsys):
         """Every command taking benchmark names checks them at argument
@@ -606,12 +593,6 @@ class TestErrorPaths:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {arg}: unknown benchmark 'NOPE'" in err
-
-    def test_align_band_too_narrow_for_the_lengths(self, capsys):
-        assert main(["align", "ACGTT", "ACG", "--mode", "banded",
-                     "--band", "1"]) == 2
-        err = capsys.readouterr().err
-        assert "cannot align: band 1 too narrow to align lengths 5 and 3" in err
 
     def test_removed_workers_flag_rejected(self, capsys):
         """Every simulation is one sequential process: ``run`` has no

@@ -17,6 +17,7 @@ from repro.core.config_presets import (
     with_topology,
 )
 from repro.isa.instructions import WARP_SIZE
+from repro.sim.config import a100_config, rtx3090_config
 
 
 class TestBaseline:
@@ -41,6 +42,13 @@ class TestBaseline:
 
     def test_overrides(self):
         assert baseline_config(num_sms=4).num_sms == 4
+
+
+class TestDevicePresets:
+    def test_presets_are_valid_configs(self):
+        assert rtx3090_config().num_sms == 82
+        assert a100_config().l2.size_bytes == 40 * 1024 * 1024
+        assert rtx3090_config(num_sms=4).num_sms == 4
 
 
 class TestSweepLists:

@@ -195,35 +195,3 @@ class TestGreedyCluster:
         low = greedy_cluster(seqs, identity=0.7).num_clusters
         high = greedy_cluster(seqs, identity=0.99).num_clusters
         assert high >= low
-
-
-class TestMinHashPrefilter:
-    def _mixture(self):
-        from repro.data.synth import random_dna
-
-        seqs = []
-        for f in range(3):
-            seqs.extend(
-                sequence_family(5, 120, divergence=0.03, seed=f,
-                                name_prefix=f"mh{f}_")
-            )
-        seqs += [
-            Sequence(f"mhs{i}", random_dna(120, seed=90 + i))
-            for i in range(3)
-        ]
-        return seqs
-
-    def test_minhash_matches_word_filter_clustering(self):
-        seqs = self._mixture()
-        words = greedy_cluster(seqs, identity=0.88, prefilter="words")
-        sketches = greedy_cluster(seqs, identity=0.88, prefilter="minhash")
-        assert words.assignments() == sketches.assignments()
-
-    def test_minhash_filter_still_rejects(self):
-        seqs = self._mixture()
-        result = greedy_cluster(seqs, identity=0.88, prefilter="minhash")
-        assert result.short_word_rejections > 0
-
-    def test_unknown_prefilter_rejected(self):
-        with pytest.raises(ValueError, match="prefilter"):
-            greedy_cluster([Sequence("s", "ACGT")], prefilter="bloom")

@@ -337,46 +337,6 @@ class TestSuffixArrayImplementations:
         assert suffix_array_numpy(text) == suffix_array_python(text)
 
 
-class TestPrealignmentFilter:
-    def test_filter_preserves_true_mappings(self):
-        reference = Sequence("ref", random_dna(4000, seed=42))
-        plain = ReadAligner(reference)
-        filtered = ReadAligner(reference, prefilter_k=6)
-        records = sample_reads(reference, 15, 70, seed=10, error_rate=0.01)
-        for record in records:
-            a = plain.map_read(record.sequence)
-            b = filtered.map_read(record.sequence)
-            if a is not None:
-                assert b is not None
-                assert b.position == a.position
-
-    def test_filter_reduces_extensions(self):
-        unit = random_dna(60, seed=11)
-        # A noisy repeat: many candidate loci, most beyond k edits.
-        parts = [unit] + [
-            random_dna(60, seed=12 + i) for i in range(20)
-        ]
-        reference = Sequence("rep", "".join(parts) + unit)
-        filtered = ReadAligner(reference, prefilter_k=2)
-        plain = ReadAligner(reference)
-        read = Sequence("r", unit)
-        filtered.map_read(read)
-        plain.map_read(read)
-        assert filtered.stats.candidates_extended <= \
-            plain.stats.candidates_extended
-        # And the filter actually fired somewhere across a read batch.
-        records = sample_reads(reference, 10, 60, seed=13,
-                               error_rate=0.02)
-        for record in records:
-            filtered.map_read(record.sequence)
-        assert filtered.stats.candidates_filtered >= 0
-
-    def test_negative_k_rejected(self):
-        reference = Sequence("ref", random_dna(500, seed=14))
-        with pytest.raises(ValueError):
-            ReadAligner(reference, prefilter_k=-1)
-
-
 def _work_counters(aligner: ReadAligner) -> dict:
     """Every counter a map_reads run leaves except ``mapped``."""
     counters = vars(aligner.stats).copy()
@@ -389,10 +349,10 @@ def _work_counters(aligner: ReadAligner) -> dict:
 class TestSeedingPass:
     """``seed_reads`` leaves exactly the work counters of ``map_reads``."""
 
-    def _assert_same_counters(self, reference, reads, **kwargs):
-        mapped = ReadAligner(reference, **kwargs)
+    def _assert_same_counters(self, reference, reads):
+        mapped = ReadAligner(reference)
         mapped.map_reads(reads)
-        seeded = ReadAligner(reference, **kwargs)
+        seeded = ReadAligner(reference)
         assert seeded.seed_reads(reads) is seeded.stats
         assert _work_counters(seeded) == _work_counters(mapped)
         assert seeded.stats.mapped == 0
@@ -427,15 +387,3 @@ class TestSeedingPass:
         assert any(aligner.index.count(s) > aligner.max_seed_hits
                    for s in seeds)
         self._assert_same_counters(reference, reads)
-
-    def test_prefilter(self):
-        unit = random_dna(60, seed=11)
-        parts = [unit] + [random_dna(60, seed=12 + i) for i in range(20)]
-        reference = Sequence("rep", "".join(parts) + unit)
-        reads = [
-            record.sequence
-            for record in sample_reads(reference, 16, 60, seed=13,
-                                       error_rate=0.05)
-        ]
-        mapped = self._assert_same_counters(reference, reads, prefilter_k=2)
-        assert mapped.stats.candidates_filtered > 0

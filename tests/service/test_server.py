@@ -159,6 +159,29 @@ class TestValidation:
         assert repr(length) in envelope["error"]
         assert envelope["request_id"]
 
+    def test_chunked_body_400_names_the_header(self, server):
+        """A chunked body is refused and the connection closes: its
+        chunks are never parsed as the next request."""
+        with socket.create_connection(server.server_address,
+                                      timeout=3) as sock:
+            body = b'{"benchmark": "STAR"}'
+            sock.sendall(
+                b"POST /v1/simulate HTTP/1.1\r\nHost: test\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n"
+                b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+            )
+            reply = b""
+            while chunk := sock.recv(65536):  # EOF: the server closed
+                reply += chunk
+        head, _, rest = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), reply
+        assert b"Connection: close" in head
+        envelope = json.loads(rest)
+        assert envelope["field"] == "Transfer-Encoding"
+        assert "chunked" in envelope["error"]
+        assert b"Bad request syntax" not in reply
+
     def test_unknown_endpoint_404(self, client):
         with pytest.raises(ServiceError) as err:
             client.submit("compile", benchmark="STAR")
