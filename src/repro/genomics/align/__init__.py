@@ -13,7 +13,7 @@ All aligners share the affine-gap Gotoh dynamic-programming engine in
 - :func:`banded_global` — KSW-style banded alignment (GASAL2 ``GKSW``).
 """
 
-from repro.genomics.align.result import AlignmentResult, cigar_to_pairs
+from repro.genomics.align.result import AlignmentResult
 from repro.genomics.align.gotoh import (
     AlignmentMode,
     align,
@@ -31,5 +31,4 @@ __all__ = [
     "smith_waterman",
     "semi_global",
     "banded_global",
-    "cigar_to_pairs",
 ]

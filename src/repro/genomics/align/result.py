@@ -104,22 +104,3 @@ def compress_ops(ops: list[str]) -> str:
             run_op, run_len = op, 1
     out.append(f"{run_len}{run_op}")
     return "".join(out)
-
-
-def cigar_to_pairs(cigar: str) -> list[tuple[int | None, int | None]]:
-    """Expand a CIGAR into per-column (query_offset, target_offset) pairs.
-
-    Gap columns carry ``None`` on the gapped side.  Offsets are relative
-    to the alignment start.
-    """
-    qi = ti = 0
-    pairs: list[tuple[int | None, int | None]] = []
-    for count, op in parse_cigar(cigar):
-        consumes_q, consumes_t = _CONSUMES[op]
-        for _ in range(count):
-            pairs.append((qi if consumes_q else None, ti if consumes_t else None))
-            if consumes_q:
-                qi += 1
-            if consumes_t:
-                ti += 1
-    return pairs

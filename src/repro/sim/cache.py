@@ -6,6 +6,11 @@ without fetching it from below (the GPU L1 behaviour for global
 stores); dirty evictions are handed to ``writeback_sink`` so the owner
 can propagate them to the next level and charge DRAM bandwidth.
 
+A set holds the shared empty tuple ``_NO_LINES`` until its first fill,
+which allocates its ``OrderedDict`` and records it as live; ``flush``
+walks only the live sets.  An empty machine (a 128 MB L2 has 65,536
+sets) therefore costs one list slot per set, not one dict.
+
 Miss rate follows the profiler convention (nvprof's global load hit
 rate): only *loads* enter the miss-rate numerator/denominator; store
 traffic is counted separately.
@@ -25,6 +30,10 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.sim.config import CacheConfig
+
+#: the ways of every set that has never been filled (``line in ()`` is a
+#: miss, so the hit paths need no test for it)
+_NO_LINES = ()
 
 
 @dataclass(slots=True)
@@ -77,12 +86,11 @@ class Cache:
         self._num_sets = config.num_sets
         self._assoc = config.assoc
         self._disabled = config.disabled
-        self._resident = 0
-        # sets[set_index] maps line -> dirty flag, in LRU order
-        # (oldest first).
-        self._sets: list[OrderedDict[int, bool]] = [
-            OrderedDict() for _ in range(self._num_sets)
-        ]
+        # sets[set_index] maps line -> dirty flag, in LRU order (oldest
+        # first), or is _NO_LINES until the set's first fill; _live
+        # lists the indices of the allocated sets.
+        self._sets: list = [_NO_LINES] * self._num_sets
+        self._live: list[int] = []
 
     def access(self, line: int, store: bool = False) -> bool:
         """Access a line; returns ``True`` on hit.  Misses auto-fill."""
@@ -106,7 +114,8 @@ class Cache:
         if not store:
             stats.load_misses += 1
         # Fill: evict the LRU way when the set is full, handing a dirty
-        # victim to the next level before the new line is inserted.
+        # victim to the next level before the new line is inserted; a
+        # set's first fill allocates it.
         if len(ways) >= self._assoc:
             victim, victim_dirty = ways.popitem(last=False)
             stats.evictions += 1
@@ -114,8 +123,10 @@ class Cache:
                 stats.writebacks += 1
                 if self.writeback_sink is not None:
                     self.writeback_sink(victim)
-        else:
-            self._resident += 1
+        elif ways is _NO_LINES:
+            index = line % self._num_sets
+            ways = self._sets[index] = OrderedDict()
+            self._live.append(index)
         ways[line] = store
         return False
 
@@ -171,15 +182,16 @@ class Cache:
 
     def contains(self, line: int) -> bool:
         """Probe without side effects (for tests)."""
-        if self.config.disabled:
+        if self._disabled:
             return False
-        return line in self._sets[line % self.config.num_sets]
+        return line in self._sets[line % self._num_sets]
 
     def dirty_resident(self) -> int:
         """Number of dirty lines currently resident (not yet written back)."""
+        sets = self._sets
         return sum(
-            sum(1 for dirty in ways.values() if dirty)
-            for ways in self._sets
+            sum(1 for dirty in sets[index].values() if dirty)
+            for index in self._live
         )
 
     def flush(self) -> int:
@@ -190,13 +202,12 @@ class Cache:
         Flushed dirty lines are dropped, not propagated — the host has
         already overwritten the data.
         """
-        if not self._resident:
+        if not self._live:
             return 0
-        writebacks = 0
-        for ways in self._sets:
-            if ways:
-                writebacks += sum(1 for dirty in ways.values() if dirty)
-                ways.clear()
-        self._resident = 0
+        writebacks = self.dirty_resident()
+        sets = self._sets
+        for index in self._live:
+            sets[index] = _NO_LINES
+        self._live.clear()
         self.stats.writebacks += writebacks
         return writebacks

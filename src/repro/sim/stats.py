@@ -135,17 +135,6 @@ class RunStats:
             return {b: 0.0 for b in OCCUPANCY_BUCKETS}
         return {b: n / total for b, n in self.warp_occupancy.items()}
 
-    def load_imbalance(self) -> float:
-        """Max/mean issued instructions over the SMs that did any work.
-
-        1.0 is perfectly balanced; STAR's static pair assignment and
-        single-CTA CDP children show up here.
-        """
-        active = [n for n in self.sm_instructions.values() if n]
-        if not active:
-            return 0.0
-        return max(active) / (sum(active) / len(active))
-
     def dram_utilization(self) -> float:
         """Fig 18: data-pin cycles / total execution cycles."""
         if self.cycles == 0:

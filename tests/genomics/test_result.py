@@ -4,7 +4,6 @@ import pytest
 
 from repro.genomics.align.result import (
     AlignmentResult,
-    cigar_to_pairs,
     compress_ops,
     parse_cigar,
 )
@@ -37,17 +36,6 @@ class TestCompressOps:
         for count, op in parse_cigar(cigar):
             expanded.extend([op] * count)
         assert expanded == ops
-
-
-class TestCigarToPairs:
-    def test_match_only(self):
-        assert cigar_to_pairs("2M") == [(0, 0), (1, 1)]
-
-    def test_insertion_has_no_target(self):
-        assert cigar_to_pairs("1M1I1M") == [(0, 0), (1, None), (2, 1)]
-
-    def test_deletion_has_no_query(self):
-        assert cigar_to_pairs("1M1D1M") == [(0, 0), (None, 1), (1, 2)]
 
 
 def make_result(**overrides):

@@ -82,6 +82,10 @@ class TestCounting:
         assert breakdown["long_memory_latency"] == 0.75
         assert sum(breakdown.values()) == pytest.approx(1.0)
 
+    def test_per_sm_counts_sum_to_total(self):
+        stats = run_benchmark("NW", config=GPUConfig(num_sms=8))
+        assert sum(stats.sm_instructions.values()) == stats.instructions
+
 
 class TestDerivedMetrics:
     def test_ipc(self):
@@ -109,19 +113,6 @@ class TestDerivedMetrics:
         stats = RunStats(cycles=10)
         stats.dram.data_cycles = 100
         assert stats.dram_utilization() == 1.0
-
-
-class TestLoadImbalance:
-    def test_balanced_grid_near_one(self):
-        stats = run_benchmark("GG", config=GPUConfig(num_sms=8))
-        assert stats.load_imbalance() >= 1.0
-
-    def test_empty_stats(self):
-        assert RunStats().load_imbalance() == 0.0
-
-    def test_per_sm_counts_sum_to_total(self):
-        stats = run_benchmark("NW", config=GPUConfig(num_sms=8))
-        assert sum(stats.sm_instructions.values()) == stats.instructions
 
 
 class TestMerge:
