@@ -67,6 +67,7 @@ from repro.core import (
 )
 from repro.data.datasets import DatasetSize
 from repro.kernels import benchmark_names
+from repro.sim.gpu import SimulationDeadlock
 from repro.sim.launch import Application, HostLaunch
 
 
@@ -1019,7 +1020,12 @@ def main(argv: list[str] | None = None) -> int:
     if flag is not None:
         print(f"{flag} requires --estimate", file=sys.stderr)
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SimulationDeadlock as exc:
+        # A machine that can never finish the run: one line, exit 1.
+        print(f"simulation failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

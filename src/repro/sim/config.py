@@ -93,6 +93,18 @@ class PCIConfig:
             raise ValueError("PCI bandwidth must be positive")
 
 
+#: GPUConfig fields a machine needs at least one of: an SM that holds
+#: no CTA, thread or register can run nothing.
+_AT_LEAST_ONE = ("max_ctas_per_sm", "max_threads_per_sm", "registers_per_sm")
+#: GPUConfig fields that are sizes or cycle counts, which cannot be
+#: negative (a negative latency or launch cost runs time backwards).
+_NON_NEGATIVE = (
+    "shared_mem_per_sm", "int_latency", "fp_latency", "sfu_latency",
+    "shared_latency", "branch_latency", "host_launch_cycles",
+    "cdp_launch_cycles", "cdp_dispatch_cycles",
+)
+
+
 @dataclass(frozen=True)
 class GPUConfig:
     """Full device configuration (Table I bolded values by default)."""
@@ -176,6 +188,14 @@ class GPUConfig:
     def __post_init__(self) -> None:
         if self.num_sms <= 0:
             raise ValueError("need at least one SM")
+        for name in _AT_LEAST_ONE:
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        for name in _NON_NEGATIVE:
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if self.scheduler not in ("lrr", "gto", "old", "2lv"):
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if self.num_mem_partitions <= 0:

@@ -12,11 +12,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect_left, insort
 
 from repro.sim.config import GPUConfig
 from repro.sim.horizon import Horizon
+from repro.sim.kernel import KernelProgram
 from repro.sim.launch import Application, HostLaunch, HostMemcpy, KernelLaunch
 from repro.sim.memory import MemorySubsystem
+from repro.sim.occupancy import cta_misfit
 from repro.sim.replay import CachedApplication
 from repro.sim.sm import _STALL_KEYS, StreamingMultiprocessor
 from repro.sim.stats import RunStats, StallReason
@@ -66,6 +69,11 @@ class GPUSimulator:
                     _id, line, _sm.time
                 )
             )
+        #: ``(used_threads, sm_id)`` of every SM, ascending: the order
+        #: CTAs are placed in, kept sorted at each admit and release
+        #: (``_reorder``; ``_placed[sm_id]`` is the SM's recorded load)
+        self._load_order = [(0, sm.sm_id) for sm in self.sms]
+        self._placed = [0] * len(self.sms)
         self._heap: list = []
         self._heap_seq = itertools.count()
         self._pending_grids: list[Grid] = []
@@ -101,33 +109,77 @@ class GPUSimulator:
 
     # -- grid management ---------------------------------------------------
     def submit_grid(self, grid: Grid) -> None:
-        """Queue a grid and place as many CTAs as currently fit."""
+        """Queue a grid and place as many CTAs as currently fit.
+
+        A host grid whose CTA does not fit even an empty SM can never
+        run: it raises :class:`SimulationDeadlock` here, naming the
+        kernel and the resource.  A CDP child that big still waits for
+        ``_force_admit_child``.
+        """
+        if grid.parent_warp is None:
+            misfit = cta_misfit(self.config, grid.kernel)
+            if misfit is not None:
+                raise SimulationDeadlock(misfit)
         self._pending_grids.append(grid)
         self._active_grids += 1
         if self._lookahead is not None:
             self._lookahead.grid_submitted(grid)
         self._dispatch_pending()
 
+    def _place(self, kernel: KernelProgram) -> StreamingMultiprocessor | None:
+        """The least-loaded SM, by ``(used_threads, sm_id)``, that can
+        admit a CTA of ``kernel``: the first in the load order that can.
+
+        Least-loaded placement keeps concurrent small grids (CDP
+        children especially) spread across the machine.  While any SM
+        is idle the first in the order is the lowest-id idle one, so a
+        launch onto a quiet machine checks one SM per CTA.  An SM
+        without room for the CTA's threads ends the walk: every later
+        SM holds at least as many.
+        """
+        headroom = self.config.max_threads_per_sm - kernel.cta_threads
+        sms = self.sms
+        for used, sm_id in self._load_order:
+            if used > headroom:
+                return None
+            sm = sms[sm_id]
+            if sm.can_admit(kernel):
+                return sm
+        return None
+
+    def _reorder(self, sm: StreamingMultiprocessor) -> None:
+        """Move ``sm`` to its place in the load order after an admit or
+        a release changed its ``used_threads``."""
+        sm_id = sm.sm_id
+        used = sm.used_threads
+        placed = self._placed[sm_id]
+        if used != placed:
+            order = self._load_order
+            del order[bisect_left(order, (placed, sm_id))]
+            insort(order, (used, sm_id))
+            self._placed[sm_id] = used
+
     def _dispatch_pending(self) -> None:
-        # Fully-dispatched grids are dropped by rebuilding the pending
-        # list once, not with ``list.remove`` inside the scan — many
-        # small grids (CDP children especially) made that quadratic.
+        """Place pending CTAs, in submission order, each on the SM
+        :meth:`_place` picks, until a grid's next CTA fits nowhere.
+
+        Fully-dispatched grids are dropped by rebuilding the pending
+        list once, not with ``list.remove`` inside the scan — many
+        small grids (CDP children especially) made that quadratic.
+        """
         pending = self._pending_grids
         if not pending:
             return
         remaining: list[Grid] = []
         for grid in pending:
+            kernel = grid.kernel
             while not grid.dispatch_done:
-                # Least-loaded placement keeps concurrent small grids
-                # (CDP children especially) spread across the machine.
-                candidates = [
-                    sm for sm in self.sms if sm.can_admit(grid.kernel)
-                ]
-                if not candidates:
+                sm = self._place(kernel)
+                if sm is None:
                     break
-                sm = min(candidates, key=lambda s: (s.used_threads, s.sm_id))
                 cta = sm.admit_cta(grid, grid.available_time)
                 cta.sm = sm
+                self._reorder(sm)
                 if self._lookahead is not None:
                     self._lookahead.cta_admitted(cta)
                 self._wake_sm(sm, max(sm.time, grid.available_time))
@@ -190,6 +242,7 @@ class GPUSimulator:
             grid.completion_time = t
             self.on_grid_finished(grid, t)
         self.refill_sm(sm, t)
+        self._reorder(sm)
 
     def device_launch(
         self,
@@ -292,10 +345,11 @@ class GPUSimulator:
         for index, grid in enumerate(self._pending_grids):
             if grid.parent_warp is None or grid.dispatch_done:
                 continue
-            sm = min(self.sms, key=lambda s: (s.used_threads, s.sm_id))
+            sm = self.sms[self._load_order[0][1]]
             start = max(sm.time, grid.available_time)
             cta = sm.admit_cta(grid, start)
             cta.sm = sm
+            self._reorder(sm)
             if grid.dispatch_done:
                 # Drop by index: ``list.remove`` rescans from the front
                 # and turned deep CDP backlogs quadratic.

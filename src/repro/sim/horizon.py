@@ -244,11 +244,10 @@ class Horizon:
         """Can any not-yet-dispatched warp of ``grid`` device-launch?"""
         known = self._grid_launches.get(grid)
         if known is None:
-            kernel = grid.kernel
+            rows = grid.rows
             known = False
             for cta_id in range(grid.next_cta, grid.num_ctas):
-                for warp_id in range(kernel.warps_per_cta):
-                    ops = kernel.warp_trace(grid.context(cta_id, warp_id))
+                for ops in rows[cta_id]:
                     known = bool(self._table(ops)[1])
                     if known:
                         break

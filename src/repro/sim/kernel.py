@@ -70,6 +70,17 @@ class KernelProgram:
         """
         raise NotImplementedError
 
+    def cta_rows(self, num_ctas: int, args: dict):
+        """The warp traces of one launch, indexed by ``cta_id``.
+
+        Row ``cta_id`` lists that CTA's warps' materialized instruction
+        lists in warp order; :meth:`repro.sim.warp.Grid.make_cta` reads
+        one row per CTA it places.  The default reads each row through
+        :meth:`warp_trace` on demand; the replay layer's kernels hand
+        out rows materialized once per launch instead.
+        """
+        return _GeneratedRows(self, num_ctas, args)
+
     def trace_template(self, ctx: WarpContext):
         """Templating contract for one warp: ``(key, bases)`` or None.
 
@@ -93,3 +104,37 @@ class KernelProgram:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<KernelProgram {self.name} cta={self.cta_threads}>"
+
+
+class _GeneratedRows:
+    """A launch's CTA rows built through ``warp_trace`` when read.
+
+    A trace that is not a list (a live generator) raises ``TypeError``
+    by kernel, CTA and warp: the simulator runs only materialized
+    traces, which :class:`repro.sim.replay.CachedApplication` builds.
+    """
+
+    __slots__ = ("kernel", "num_ctas", "args")
+
+    def __init__(self, kernel: KernelProgram, num_ctas: int, args: dict):
+        self.kernel = kernel
+        self.num_ctas = num_ctas
+        self.args = args
+
+    def __getitem__(self, cta_id: int) -> list:
+        kernel = self.kernel
+        warps = kernel.warps_per_cta
+        row = []
+        for warp_id in range(warps):
+            ops = kernel.warp_trace(
+                WarpContext(cta_id, warp_id, warps, self.num_ctas, self.args)
+            )
+            if ops.__class__ is not list:
+                raise TypeError(
+                    f"kernel {kernel.name!r} (cta={cta_id}, "
+                    f"warp={warp_id}) gave a {type(ops).__name__} trace; "
+                    "the simulator runs materialized instruction lists "
+                    "(wrap the application in CachedApplication)"
+                )
+            row.append(ops)
+        return row

@@ -31,6 +31,26 @@ def ctas_per_sm(config: GPUConfig, kernel: KernelProgram) -> int:
     return occupancy_report(config, kernel).ctas_per_sm
 
 
+def cta_misfit(config: GPUConfig, kernel: KernelProgram) -> str | None:
+    """Why one CTA of ``kernel`` fits no SM under ``config``, even an
+    empty one, or None when it fits.  The message names the kernel and
+    the first resource, in the SM's ``can_admit`` order, that the CTA
+    exceeds; an empty SM always has a CTA slot (``max_ctas_per_sm`` is
+    at least 1)."""
+    regs = kernel.regs_per_thread * kernel.cta_threads
+    for need, have, what, field in (
+        (kernel.cta_threads, config.max_threads_per_sm, "threads",
+         "max_threads_per_sm"),
+        (regs, config.registers_per_sm, "registers", "registers_per_sm"),
+        (kernel.smem_per_cta, config.shared_mem_per_sm,
+         "bytes of shared memory", "shared_mem_per_sm"),
+    ):
+        if need > have:
+            return (f"kernel {kernel.name!r} cannot run: one CTA needs "
+                    f"{need} {what} and an SM has {have} ({field})")
+    return None
+
+
 def occupancy_report(config: GPUConfig, kernel: KernelProgram) -> OccupancyReport:
     """Full occupancy analysis for Fig 6 / Fig 11."""
     limits = {
@@ -60,7 +80,9 @@ def occupancy_report(config: GPUConfig, kernel: KernelProgram) -> OccupancyRepor
         ),
         shared_utilization=min(
             1.0, resident * kernel.smem_per_cta / config.shared_mem_per_sm
-        ),
+        )
+        if config.shared_mem_per_sm
+        else 0.0,
         constant_utilization=min(
             1.0, kernel.const_bytes / config.const_cache.size_bytes
         )

@@ -158,6 +158,10 @@ class ReplayKernel(KernelProgram):
         #: warp key -> class key (see :meth:`class_key`); a decoded
         #: store entry arrives with this table and ``_traces`` full.
         self._class_keys: dict = {}
+        #: (num_ctas, args token) -> the launch's per-CTA rows of warp
+        #: traces (:meth:`cta_rows`), filled by the owner's profile
+        #: walk (``CachedApplication._profile``)
+        self.rows: dict = {}
 
     def _generate(self, ctx: WarpContext) -> tuple[list, "TraceCounts"]:
         """Run the live generator and count one warp's trace.
@@ -274,6 +278,12 @@ class ReplayKernel(KernelProgram):
         # The materialized list itself: Warp wraps traces in ``iter``,
         # and list iterators resume faster than a generator would.
         return self.entry_for(ctx)[0]
+
+    def cta_rows(self, num_ctas: int, args: dict) -> list:
+        """The launch's rows as the owner's profile walk left them:
+        building a :class:`CachedApplication` walks every launch it can
+        run, CDP children included."""
+        return self.rows[(num_ctas, self._owner.args_token(args))]
 
     def class_key(self, ctx: WarpContext):
         """The equivalence-class identity of one warp, for sampling.
@@ -445,8 +455,10 @@ class CachedApplication(Application):
 
     def _profile(self, launch: KernelLaunch) -> tuple:
         """``launch``'s memoized profile, walking it (and its CDP
-        children) on first sight.  A method, not a closure: a recursive
-        closure would hold itself and ``self`` in a reference cycle."""
+        children) on first sight and leaving its per-CTA trace rows on
+        the kernel (:meth:`ReplayKernel.cta_rows`).  A method, not a
+        closure: a recursive closure would hold itself and ``self`` in a
+        reference cycle."""
         key = self.launch_key(launch)
         profile = self.launch_profiles.get(key)
         if profile is not None:
@@ -456,8 +468,10 @@ class CachedApplication(Application):
         total = 0
         max_cta = 0
         descendants = 0
+        rows = []
         for cta_id in range(launch.num_ctas):
             cta_total = 0
+            row = []
             for warp_id in range(kernel.warps_per_cta):
                 ctx = WarpContext(
                     cta_id=cta_id,
@@ -467,6 +481,7 @@ class CachedApplication(Application):
                     args=launch.args,
                 )
                 instrs, counts = kernel.entry_for(ctx)
+                row.append(instrs)
                 agg.merge(counts)
                 cta_total += counts.instructions
                 # The exact per-warp op mix says whether this trace
@@ -479,8 +494,11 @@ class CachedApplication(Application):
                         agg.merge(child[0])
                         cta_total += child[1]
                         descendants += 1 + child[3]
+            rows.append(row)
             total += cta_total
             max_cta = max(max_cta, cta_total)
+        # The rows every replay of this launch places its CTAs from.
+        kernel.rows[(launch.num_ctas, key[2])] = rows
         profile = (agg, total, max_cta, descendants)
         self.launch_profiles[key] = profile
         return profile

@@ -69,10 +69,10 @@ from dataclasses import dataclass, field, replace
 
 from repro.isa.instructions import MemSpace, OpClass
 from repro.sim.config import GPUConfig
-from repro.sim.gpu import GPUSimulator
+from repro.sim.gpu import GPUSimulator, SimulationDeadlock
 from repro.sim.kernel import KernelProgram, WarpContext
 from repro.sim.launch import Application, HostLaunch, KernelLaunch
-from repro.sim.occupancy import ctas_per_sm
+from repro.sim.occupancy import cta_misfit, ctas_per_sm
 from repro.sim.replay import (
     CachedApplication,
     TraceCounts,
@@ -368,10 +368,10 @@ class _SampledKernel(KernelProgram):
     """A shrunken grid that replays the *original* CTAs it sampled.
 
     Traces depend on the warp's position in the original grid (work is
-    grid-strided in most kernels), so each slot maps back to its
-    original ``cta_id`` and the trace is served at the original
-    ``num_ctas`` — the miniature machine runs bit-identical per-CTA
-    instruction streams, just fewer of them.
+    grid-strided in most kernels), so slot ``i`` places row
+    ``slot_to_orig[i]`` of the original launch's trace rows — the
+    miniature machine runs bit-identical per-CTA instruction streams,
+    just fewer of them.
     """
 
     def __init__(self, base, slot_to_orig: list[int], orig_num_ctas: int):
@@ -386,15 +386,9 @@ class _SampledKernel(KernelProgram):
         self.slot_to_orig = slot_to_orig
         self.orig_num_ctas = orig_num_ctas
 
-    def warp_trace(self, ctx: WarpContext):
-        orig = WarpContext(
-            cta_id=self.slot_to_orig[ctx.cta_id],
-            warp_id=ctx.warp_id,
-            warps_per_cta=ctx.warps_per_cta,
-            num_ctas=self.orig_num_ctas,
-            args=ctx.args,
-        )
-        return self.base.warp_trace(orig)
+    def cta_rows(self, num_ctas: int, args: dict) -> list:
+        rows = self.base.cta_rows(self.orig_num_ctas, args)
+        return [rows[orig] for orig in self.slot_to_orig]
 
 
 class _SampledApplication(Application):
@@ -670,6 +664,13 @@ def estimate_application(
             "provides the equivalence classes and exact totals); got "
             f"{type(cached).__name__}"
         )
+    # A host grid no SM can hold fails as the exact run would, before
+    # the planner sizes its occupancy.
+    for op in cached.ops:
+        if isinstance(op, HostLaunch):
+            misfit = cta_misfit(config, op.launch.kernel)
+            if misfit is not None:
+                raise SimulationDeadlock(misfit)
     plan = _plan(cached, config)
     if plan is None:
         return _exact_fallback(cached, config)

@@ -811,6 +811,7 @@ class StreamingMultiprocessor:
         warp.in_ready = False
         self.scheduler.retired(warp)
         cta = warp.cta
+        cta.live_warps -= 1
         if cta.live_warps == 0:
             self._release_cta(cta)
             # Grid bookkeeping (retire count, completion, backfill)

@@ -314,6 +314,7 @@ class ReferenceSM(StreamingMultiprocessor):
         self.warps.remove(warp)
         self.scheduler.retired(warp)
         cta = warp.cta
+        cta.live_warps -= 1
         if cta.live_warps == 0:
             self._release_cta(cta)
             # Same GPU-side bookkeeping hook as the event core.

@@ -6,7 +6,7 @@ import itertools
 from typing import Optional
 
 from repro.isa.instructions import WarpInstruction
-from repro.sim.kernel import KernelProgram, WarpContext
+from repro.sim.kernel import KernelProgram
 from repro.sim.stats import StallReason
 
 #: Wake time of a warp blocked on an event (barrier, child completion).
@@ -53,23 +53,26 @@ class Warp:
 
 
 class CTA:
-    """A cooperative thread array resident on one SM."""
+    """A cooperative thread array resident on one SM.
+
+    ``live_warps`` counts the warps that have not exited: set when
+    :meth:`Grid.make_cta` builds the warps, decremented by the owning
+    SM at each EXIT, so an exit or a barrier arrival reads it in O(1).
+    """
 
     __slots__ = (
-        "cta_id", "grid", "warps", "barrier_arrived", "sm", "start_time"
+        "cta_id", "grid", "warps", "live_warps", "barrier_arrived", "sm",
+        "start_time",
     )
 
     def __init__(self, cta_id: int, grid: "Grid"):
         self.cta_id = cta_id
         self.grid = grid
         self.warps: list[Warp] = []
+        self.live_warps = 0
         self.barrier_arrived = 0
         self.sm = None  # set on admission by the owning SM
         self.start_time: float = 0.0  # dispatch time, set in make_cta
-
-    @property
-    def live_warps(self) -> int:
-        return sum(1 for w in self.warps if not w.exited)
 
     def barrier_ready(self) -> bool:
         """True when every live warp has arrived at the barrier."""
@@ -96,6 +99,8 @@ class Grid:
         self.args = args or {}
         self.available_time = available_time
         self.parent_warp = parent_warp
+        #: the launch's warp traces, one row per CTA
+        self.rows = kernel.cta_rows(num_ctas, self.args)
         self.seq = next(Grid._seq)
         self.next_cta = 0
         self.remaining_ctas = num_ctas
@@ -110,42 +115,26 @@ class Grid:
     def finished(self) -> bool:
         return self.remaining_ctas == 0
 
-    def context(self, cta_id: int, warp_id: int) -> WarpContext:
-        """The trace generator's identity of one warp of this grid."""
-        return WarpContext(
-            cta_id=cta_id,
-            warp_id=warp_id,
-            warps_per_cta=self.kernel.warps_per_cta,
-            num_ctas=self.num_ctas,
-            args=self.args,
-        )
-
     def make_cta(self, sm_time: float) -> CTA:
-        """Instantiate the next CTA with its warps' materialized traces.
+        """Instantiate the next CTA from its row of ``rows``.
 
-        A kernel whose ``warp_trace`` is not a list (a live generator)
-        raises ``TypeError``: the simulator runs only materialized
-        traces, which :class:`repro.sim.replay.CachedApplication`
-        builds.
+        ``rows`` is the kernel's :meth:`~repro.sim.kernel.KernelProgram.cta_rows`
+        table for this launch, fetched once per grid: a replayed
+        kernel's rows were materialized when its application was
+        built, so placing a CTA builds its warps and nothing else.
         """
         if self.dispatch_done:
             raise RuntimeError("all CTAs already dispatched")
         cta = CTA(self.next_cta, self)
         cta.start_time = sm_time
+        row = self.rows[self.next_cta]
         self.next_cta += 1
         if self.start_time is None:
             self.start_time = sm_time
-        kernel = self.kernel
-        for warp_id in range(kernel.warps_per_cta):
-            ops = kernel.warp_trace(self.context(cta.cta_id, warp_id))
-            if ops.__class__ is not list:
-                raise TypeError(
-                    f"kernel {kernel.name!r} (cta={cta.cta_id}, "
-                    f"warp={warp_id}) gave a {type(ops).__name__} trace; "
-                    "the simulator runs materialized instruction lists "
-                    "(wrap the application in CachedApplication)"
-                )
+        warps = cta.warps
+        for warp_id, ops in enumerate(row):
             warp = Warp(ops, cta, warp_id)
             warp.next_ready = sm_time
-            cta.warps.append(warp)
+            warps.append(warp)
+        cta.live_warps = len(warps)
         return cta

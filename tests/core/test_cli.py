@@ -607,6 +607,8 @@ class TestErrorPaths:
         ("# c\nnum_sms = abc\n", "line 2: num_sms: expected an integer"),
         ("sample_fraction = 0.5\n", "line 1: sample_fraction: "),
         ("num_smz = 4\n", "line 1: unknown key 'num_smz'"),
+        ("host_launch_cycles = -5000\n",
+         "line 1: host_launch_cycles: host_launch_cycles must be >= 0"),
     ])
     def test_bad_config_file_is_a_usage_error(self, tmp_path, capsys,
                                               text, where):
@@ -618,6 +620,23 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert f"--config: {path}: {where}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["run", "--estimate"], ["profile"],
+    ], ids=["run", "estimate", "profile"])
+    def test_a_cta_that_fits_no_sm_fails_in_one_line(self, tmp_path, capsys,
+                                                     command):
+        """SMs too small for one CTA: the first launch fails with one
+        line naming the kernel and the resource, exit 1, no traceback."""
+        path = tmp_path / "f.cfg"
+        path.write_text("max_threads_per_sm = 64\n")
+        assert main([*command, "STAR", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "simulation failed: kernel 'star_chunk' cannot run: one CTA "
+            "needs 256 threads and an SM has 64 (max_threads_per_sm)\n"
+        )
 
     def test_config_file_drives_the_run(self, tmp_path, capsys):
         path = tmp_path / "f.cfg"

@@ -146,6 +146,19 @@ class TestRejection:
                 "simulate", {"benchmark": "NW", "config": overrides}
             )
 
+    @pytest.mark.parametrize("key,bad", [
+        ("max_ctas_per_sm", 0), ("max_threads_per_sm", 0),
+        ("registers_per_sm", 0), ("shared_mem_per_sm", -1),
+        ("int_latency", -3), ("fp_latency", -1), ("sfu_latency", -1),
+        ("shared_latency", -1), ("branch_latency", -1),
+        ("host_launch_cycles", -5000), ("cdp_launch_cycles", -1),
+        ("cdp_dispatch_cycles", -1),
+    ])
+    def test_impossible_machine_names_the_key(self, key, bad):
+        with pytest.raises(SchemaError, match=f"{key} must be") as err:
+            parse_request("simulate", {"benchmark": "NW", "config": {key: bad}})
+        assert err.value.field == "config"
+
     @pytest.mark.parametrize("kind", ["simulate", "profile"])
     def test_exact_endpoints_reject_sampling_config(self, kind):
         """A sampled config on an exact endpoint fails at parse time,

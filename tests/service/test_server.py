@@ -118,6 +118,15 @@ class TestValidation:
         assert err.value.body["field"] == "config"
         assert "unknown key" in err.value.body["error"]
 
+    def test_impossible_machine_is_400_naming_the_key(self, client):
+        for key, bad in (("int_latency", -3), ("host_launch_cycles", -5000),
+                         ("max_threads_per_sm", 0)):
+            with pytest.raises(ServiceError) as err:
+                client.simulate("STAR", config={key: bad})
+            assert err.value.status == 400
+            assert err.value.body["field"] == "config"
+            assert f"{key} must be" in err.value.body["error"]
+
     def test_unknown_benchmark_400(self, client):
         with pytest.raises(ServiceError) as err:
             client.simulate("BLAST")

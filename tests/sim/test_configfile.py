@@ -122,6 +122,44 @@ class TestParseConfig:
         assert (cfg.l1.size_bytes, cfg.l1.line_bytes) == (64, 64)
 
 
+#: (field, a rejected value, the rule the message states): the
+#: resource limits need at least one of each, sizes and cycle counts
+#: cannot be negative.
+IMPOSSIBLE_MACHINES = [
+    ("max_ctas_per_sm", 0, "at least 1"),
+    ("max_threads_per_sm", 0, "at least 1"),
+    ("registers_per_sm", 0, "at least 1"),
+    ("shared_mem_per_sm", -1, ">= 0"),
+    ("int_latency", -3, ">= 0"),
+    ("fp_latency", -1, ">= 0"),
+    ("sfu_latency", -1, ">= 0"),
+    ("shared_latency", -1, ">= 0"),
+    ("branch_latency", -1, ">= 0"),
+    ("host_launch_cycles", -5000, ">= 0"),
+    ("cdp_launch_cycles", -1, ">= 0"),
+    ("cdp_dispatch_cycles", -1, ">= 0"),
+]
+
+
+class TestImpossibleMachines:
+    """A machine that cannot exist fails by field name, wherever the
+    config comes from; the boundary value itself is a valid machine."""
+
+    @pytest.mark.parametrize("field,bad,rule", IMPOSSIBLE_MACHINES)
+    def test_constructor_names_the_field(self, field, bad, rule):
+        with pytest.raises(ValueError, match=f"^{field} must be {rule}"):
+            GPUConfig(**{field: bad})
+        least = 1 if rule == "at least 1" else 0
+        assert getattr(GPUConfig(**{field: least}), field) == least
+
+    @pytest.mark.parametrize("field,bad,rule", IMPOSSIBLE_MACHINES)
+    def test_config_file_names_line_and_field(self, field, bad, rule):
+        with pytest.raises(
+            ValueError, match=f"^line 2: {field}: {field} must be {rule}"
+        ):
+            parse_config(f"num_sms = 8\n{field} = {bad}\n")
+
+
 class TestSaveLoadRoundtrip:
     def test_roundtrip_baseline(self, tmp_path):
         path = tmp_path / "gpu.cfg"

@@ -23,6 +23,7 @@ from repro.sim import (
     KernelProgram,
 )
 from repro.sim.gpu import SimulationDeadlock
+from repro.sim.kernel import WarpContext
 from repro.sim.replay import CachedApplication, replay_application
 from repro.sim.sm import StreamingMultiprocessor
 from repro.sim.stats import StallReason
@@ -90,8 +91,32 @@ class TestDeadlock:
             yield TraceBuilder().exit()
 
         huge = ScriptKernel(script, 64, smem_per_cta=200 * 1024)
-        with pytest.raises(SimulationDeadlock):
+        with pytest.raises(SimulationDeadlock, match=(
+            r"^kernel 'script' cannot run: one CTA needs 204800 bytes of "
+            r"shared memory and an SM has 102400 \(shared_mem_per_sm\)$"
+        )):
             run_app(ScriptApp(huge), event_core=event_core)
+
+    @BOTH_CORES
+    def test_oversized_cdp_child_is_swapped_in(self, event_core):
+        """Only a host grid is refused at submit: a CDP child too big
+        for an empty SM still runs, one CTA at a time, admitted past
+        the limits over its device-sync-blocked parent."""
+        child = ScriptKernel(
+            lambda ctx: iter([TraceBuilder().ints(3), TraceBuilder().exit()]),
+            32, smem_per_cta=200 * 1024,
+        )
+
+        def parent(ctx):
+            b = TraceBuilder()
+            yield b.launch(KernelLaunch(child, num_ctas=2))
+            yield b.device_sync()
+            yield b.exit()
+
+        stats = run_app(ScriptApp(ScriptKernel(parent, 32)),
+                        event_core=event_core)
+        assert stats.device_launches == 1
+        assert stats.instructions == 3 + 2 * 4
 
 
 class TestDormantAccounting:
@@ -253,6 +278,34 @@ class TestRunAhead:
             assert len(defers) == most
         else:
             assert len(defers) <= most
+
+    def test_placement_checks_per_replay(self, monkeypatch):
+        """CTA placement takes the first SM of the load order that can
+        admit, so a launch onto a quiet machine checks about one SM per
+        CTA: NvB small's 144 one-CTA launches made 11,232 ``can_admit``
+        calls when every CTA scanned all 78 SMs."""
+        app = load_benchmark("NvB", size=DatasetSize.SMALL)
+        checks = _count_calls(monkeypatch, StreamingMultiprocessor,
+                              "can_admit")
+        admits = _count_calls(monkeypatch, StreamingMultiprocessor,
+                              "admit_cta")
+        replay_application(app, GPUSimulator(GPUConfig()))
+        assert len(admits) == 144
+        assert len(checks) <= 2 * len(admits)
+
+    @pytest.mark.parametrize("abbr,cdp", [
+        pytest.param("NvB", False, id="NvB"),
+        pytest.param("STAR", True, id="STAR-CDP"),
+    ])
+    def test_replay_builds_no_warp_context(self, monkeypatch, abbr, cdp):
+        """A replay places every CTA, CDP children included, from the
+        trace rows its application's profile walk left on each kernel:
+        no ``WarpContext`` and no per-warp trace lookup."""
+        app = load_benchmark(abbr, cdp=cdp, size=DatasetSize.SMALL)
+        replay_application(app, GPUSimulator(GPUConfig()))
+        contexts = _count_calls(monkeypatch, WarpContext, "__init__")
+        replay_application(app, GPUSimulator(GPUConfig()))
+        assert not contexts
 
     def test_false_declaration_raises(self):
         """An application that declares itself launch-free but then

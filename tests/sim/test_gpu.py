@@ -310,7 +310,7 @@ class TestHostInterface:
                 yield HostLaunch(KernelLaunch(huge, 1))
 
         sim = GPUSimulator(GPUConfig(num_sms=2, num_mem_partitions=2))
-        with pytest.raises(SimulationDeadlock):
+        with pytest.raises(SimulationDeadlock, match="shared memory"):
             sim.run_application(App())
 
 

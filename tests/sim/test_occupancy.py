@@ -36,6 +36,15 @@ class TestLimits:
         assert report.ctas_per_sm == config.max_ctas_per_sm
         assert report.limiter == "cta"
 
+    def test_machine_without_shared_memory(self):
+        """Zero shared memory per SM is a valid machine: a kernel that
+        uses none runs at its other limits, one that does fits nowhere."""
+        config = GPUConfig(shared_mem_per_sm=0)
+        report = occupancy_report(config, kernel(threads=512, regs=8))
+        assert (report.ctas_per_sm, report.shared_utilization) == (3, 0.0)
+        with pytest.raises(ValueError, match="does not fit"):
+            ctas_per_sm(config, kernel(smem=1024))
+
     def test_kernel_too_big_raises(self):
         config = GPUConfig()
         with pytest.raises(ValueError, match="does not fit"):
