@@ -67,8 +67,8 @@ from repro.core import (
 )
 from repro.data.datasets import DatasetSize
 from repro.kernels import benchmark_names
-from repro.sim.gpu import SimulationDeadlock
 from repro.sim.launch import Application, HostLaunch
+from repro.sim.occupancy import CTAMisfit
 
 
 _SIZES = tuple(size.value for size in DatasetSize)
@@ -1022,8 +1022,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except SimulationDeadlock as exc:
-        # A machine that can never finish the run: one line, exit 1.
+    except CTAMisfit as exc:
+        # A machine that cannot hold one CTA of the run: one line, exit
+        # 1.  Any other deadlock is a simulator fault and keeps its
+        # traceback.
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 1
 

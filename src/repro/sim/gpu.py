@@ -19,15 +19,11 @@ from repro.sim.horizon import Horizon
 from repro.sim.kernel import KernelProgram
 from repro.sim.launch import Application, HostLaunch, HostMemcpy, KernelLaunch
 from repro.sim.memory import MemorySubsystem
-from repro.sim.occupancy import cta_misfit
+from repro.sim.occupancy import SimulationDeadlock, check_cta_fits
 from repro.sim.replay import CachedApplication
 from repro.sim.sm import _STALL_KEYS, StreamingMultiprocessor
 from repro.sim.stats import RunStats, StallReason
 from repro.sim.warp import CTA, NEVER, Grid, Warp
-
-
-class SimulationDeadlock(RuntimeError):
-    """The device has pending work but no SM can ever make progress."""
 
 
 class GPUSimulator:
@@ -112,14 +108,13 @@ class GPUSimulator:
         """Queue a grid and place as many CTAs as currently fit.
 
         A host grid whose CTA does not fit even an empty SM can never
-        run: it raises :class:`SimulationDeadlock` here, naming the
-        kernel and the resource.  A CDP child that big still waits for
+        run: it raises :class:`repro.sim.occupancy.CTAMisfit` (a
+        :class:`SimulationDeadlock`) here, naming the kernel and the
+        resource.  A CDP child that big still waits for
         ``_force_admit_child``.
         """
         if grid.parent_warp is None:
-            misfit = cta_misfit(self.config, grid.kernel)
-            if misfit is not None:
-                raise SimulationDeadlock(misfit)
+            check_cta_fits(self.config, grid.kernel)
         self._pending_grids.append(grid)
         self._active_grids += 1
         if self._lookahead is not None:

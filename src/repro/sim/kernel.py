@@ -75,9 +75,11 @@ class KernelProgram:
 
         Row ``cta_id`` lists that CTA's warps' materialized instruction
         lists in warp order; :meth:`repro.sim.warp.Grid.make_cta` reads
-        one row per CTA it places.  The default reads each row through
-        :meth:`warp_trace` on demand; the replay layer's kernels hand
-        out rows materialized once per launch instead.
+        one row per CTA it places.  Every simulated run goes through
+        the replay layer, whose kernels override this with rows
+        materialized once per launch; the default, which reads each row
+        through :meth:`warp_trace` on demand, serves only kernels that
+        tests place on a :class:`~repro.sim.warp.Grid` directly.
         """
         return _GeneratedRows(self, num_ctas, args)
 
@@ -109,7 +111,10 @@ class KernelProgram:
 class _GeneratedRows:
     """A launch's CTA rows built through ``warp_trace`` when read.
 
-    A trace that is not a list (a live generator) raises ``TypeError``
+    The fallback for kernels that tests place on a ``Grid`` directly;
+    no simulated run reaches it (``run_application`` wraps every
+    application in :class:`repro.sim.replay.CachedApplication`).  A
+    trace that is not a list (a live generator) raises ``TypeError``
     by kernel, CTA and warp: the simulator runs only materialized
     traces, which :class:`repro.sim.replay.CachedApplication` builds.
     """

@@ -31,12 +31,21 @@ def ctas_per_sm(config: GPUConfig, kernel: KernelProgram) -> int:
     return occupancy_report(config, kernel).ctas_per_sm
 
 
-def cta_misfit(config: GPUConfig, kernel: KernelProgram) -> str | None:
-    """Why one CTA of ``kernel`` fits no SM under ``config``, even an
-    empty one, or None when it fits.  The message names the kernel and
-    the first resource, in the SM's ``can_admit`` order, that the CTA
-    exceeds; an empty SM always has a CTA slot (``max_ctas_per_sm`` is
-    at least 1)."""
+class SimulationDeadlock(RuntimeError):
+    """The device has pending work but no SM can ever make progress."""
+
+
+class CTAMisfit(SimulationDeadlock, ValueError):
+    """One CTA of a kernel needs more than an empty SM has: a host grid
+    of it can never start, and the kernel has no occupancy."""
+
+
+def check_cta_fits(config: GPUConfig, kernel: KernelProgram) -> None:
+    """Raise :class:`CTAMisfit` when one CTA of ``kernel`` fits no SM
+    under ``config``, even an empty one.  The message names the kernel
+    and the first resource, in the SM's ``can_admit`` order, that the
+    CTA exceeds; an empty SM always has a CTA slot (``max_ctas_per_sm``
+    is at least 1)."""
     regs = kernel.regs_per_thread * kernel.cta_threads
     for need, have, what, field in (
         (kernel.cta_threads, config.max_threads_per_sm, "threads",
@@ -46,13 +55,15 @@ def cta_misfit(config: GPUConfig, kernel: KernelProgram) -> str | None:
          "bytes of shared memory", "shared_mem_per_sm"),
     ):
         if need > have:
-            return (f"kernel {kernel.name!r} cannot run: one CTA needs "
-                    f"{need} {what} and an SM has {have} ({field})")
-    return None
+            raise CTAMisfit(
+                f"kernel {kernel.name!r} does not fit on an SM: one CTA "
+                f"needs {need} {what} and an SM has {have} ({field})"
+            )
 
 
 def occupancy_report(config: GPUConfig, kernel: KernelProgram) -> OccupancyReport:
     """Full occupancy analysis for Fig 6 / Fig 11."""
+    check_cta_fits(config, kernel)
     limits = {
         "cta": config.max_ctas_per_sm,
         "threads": config.max_threads_per_sm // kernel.cta_threads,
@@ -65,11 +76,6 @@ def occupancy_report(config: GPUConfig, kernel: KernelProgram) -> OccupancyRepor
 
     limiter = min(limits, key=lambda k: (limits[k], k))
     resident = limits[limiter]
-    if resident == 0:
-        raise ValueError(
-            f"kernel {kernel.name} does not fit on an SM "
-            f"(limited by {limiter})"
-        )
 
     threads = resident * kernel.cta_threads
     return OccupancyReport(

@@ -159,9 +159,8 @@ class ReplayKernel(KernelProgram):
         #: store entry arrives with this table and ``_traces`` full.
         self._class_keys: dict = {}
         #: (num_ctas, args token) -> the launch's per-CTA rows of warp
-        #: traces (:meth:`cta_rows`), filled by the owner's profile
-        #: walk (``CachedApplication._profile``)
-        self.rows: dict = {}
+        #: traces (:meth:`keep_rows`, :meth:`cta_rows`)
+        self._rows: dict = {}
 
     def _generate(self, ctx: WarpContext) -> tuple[list, "TraceCounts"]:
         """Run the live generator and count one warp's trace.
@@ -279,11 +278,27 @@ class ReplayKernel(KernelProgram):
         # and list iterators resume faster than a generator would.
         return self.entry_for(ctx)[0]
 
+    def _rows_key(self, num_ctas: int, args: dict) -> tuple:
+        return (num_ctas, self._owner.args_token(args))
+
+    def keep_rows(self, num_ctas: int, args: dict, rows: list) -> None:
+        """Store one launch's per-CTA rows for :meth:`cta_rows`; the
+        owner's profile walk (``CachedApplication._profile``) builds
+        them."""
+        self._rows[self._rows_key(num_ctas, args)] = rows
+
     def cta_rows(self, num_ctas: int, args: dict) -> list:
         """The launch's rows as the owner's profile walk left them:
         building a :class:`CachedApplication` walks every launch it can
         run, CDP children included."""
-        return self.rows[(num_ctas, self._owner.args_token(args))]
+        rows = self._rows.get(self._rows_key(num_ctas, args))
+        if rows is None:
+            raise LookupError(
+                f"kernel {self.name!r}: no trace rows for this launch of "
+                f"{num_ctas} CTAs; only launches its CachedApplication "
+                "runs are profiled"
+            )
+        return rows
 
     def class_key(self, ctx: WarpContext):
         """The equivalence-class identity of one warp, for sampling.
@@ -498,7 +513,7 @@ class CachedApplication(Application):
             total += cta_total
             max_cta = max(max_cta, cta_total)
         # The rows every replay of this launch places its CTAs from.
-        kernel.rows[(launch.num_ctas, key[2])] = rows
+        kernel.keep_rows(launch.num_ctas, launch.args, rows)
         profile = (agg, total, max_cta, descendants)
         self.launch_profiles[key] = profile
         return profile

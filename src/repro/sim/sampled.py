@@ -69,10 +69,10 @@ from dataclasses import dataclass, field, replace
 
 from repro.isa.instructions import MemSpace, OpClass
 from repro.sim.config import GPUConfig
-from repro.sim.gpu import GPUSimulator, SimulationDeadlock
+from repro.sim.gpu import GPUSimulator
 from repro.sim.kernel import KernelProgram, WarpContext
 from repro.sim.launch import Application, HostLaunch, KernelLaunch
-from repro.sim.occupancy import cta_misfit, ctas_per_sm
+from repro.sim.occupancy import ctas_per_sm
 from repro.sim.replay import (
     CachedApplication,
     TraceCounts,
@@ -664,13 +664,6 @@ def estimate_application(
             "provides the equivalence classes and exact totals); got "
             f"{type(cached).__name__}"
         )
-    # A host grid no SM can hold fails as the exact run would, before
-    # the planner sizes its occupancy.
-    for op in cached.ops:
-        if isinstance(op, HostLaunch):
-            misfit = cta_misfit(config, op.launch.kernel)
-            if misfit is not None:
-                raise SimulationDeadlock(misfit)
     plan = _plan(cached, config)
     if plan is None:
         return _exact_fallback(cached, config)

@@ -11,6 +11,7 @@ from repro import bench, cli
 from repro.cli import build_parser, main
 from repro.data.datasets import DatasetSize
 from repro.dist import launchers
+from repro.sim.gpu import SimulationDeadlock
 
 
 class TestCommandInventory:
@@ -634,9 +635,20 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "simulation failed: kernel 'star_chunk' cannot run: one CTA "
-            "needs 256 threads and an SM has 64 (max_threads_per_sm)\n"
+            "simulation failed: kernel 'star_chunk' does not fit on an SM: "
+            "one CTA needs 256 threads and an SM has 64 "
+            "(max_threads_per_sm)\n"
         )
+
+    def test_a_scheduler_deadlock_keeps_its_traceback(self, monkeypatch):
+        """Only a CTA misfit is a one-line error: any other deadlock is
+        a simulator fault and propagates."""
+        def stuck(args):
+            raise SimulationDeadlock("no runnable SMs")
+
+        monkeypatch.setattr(cli, "cmd_run", stuck)
+        with pytest.raises(SimulationDeadlock, match="no runnable SMs"):
+            main(["run", "NW"])
 
     def test_config_file_drives_the_run(self, tmp_path, capsys):
         path = tmp_path / "f.cfg"

@@ -92,8 +92,9 @@ class TestDeadlock:
 
         huge = ScriptKernel(script, 64, smem_per_cta=200 * 1024)
         with pytest.raises(SimulationDeadlock, match=(
-            r"^kernel 'script' cannot run: one CTA needs 204800 bytes of "
-            r"shared memory and an SM has 102400 \(shared_mem_per_sm\)$"
+            r"^kernel 'script' does not fit on an SM: one CTA needs 204800 "
+            r"bytes of shared memory and an SM has 102400 "
+            r"\(shared_mem_per_sm\)$"
         )):
             run_app(ScriptApp(huge), event_core=event_core)
 
