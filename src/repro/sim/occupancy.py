@@ -32,7 +32,11 @@ def ctas_per_sm(config: GPUConfig, kernel: KernelProgram) -> int:
 
 
 class SimulationDeadlock(RuntimeError):
-    """The device has pending work but no SM can ever make progress."""
+    """The device has pending work but no SM can ever make progress.
+
+    Defined beside the fit check, whose :class:`CTAMisfit` is one, and
+    raised by :mod:`repro.sim.gpu` (which callers import it from) for
+    the rest."""
 
 
 class CTAMisfit(SimulationDeadlock, ValueError):

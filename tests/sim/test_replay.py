@@ -83,6 +83,23 @@ class TestReplayKernel:
         assert all(x is y for x, y in zip(first, second))
         assert len(first) == len(second)
 
+    def test_cta_rows_are_the_profiled_traces(self):
+        """A profiled launch's rows hold the memoized warp traces; a
+        launch the application never runs has none, and says so."""
+        cached = CachedApplication(build_application("NW"))
+        launch = next(
+            op.launch for op in cached.host_program()
+            if isinstance(op, HostLaunch)
+        )
+        kernel = launch.kernel
+        rows = kernel.cta_rows(launch.num_ctas, launch.args)
+        assert len(rows) == launch.num_ctas
+        ctx = WarpContext(0, 0, kernel.warps_per_cta, launch.num_ctas,
+                          args=launch.args)
+        assert rows[0][0] is kernel.warp_trace(ctx)
+        with pytest.raises(LookupError, match="no trace rows"):
+            kernel.cta_rows(launch.num_ctas + 1, launch.args)
+
 
 def _brute_force_walk(launch):
     """(counts, total, max_cta, descendants) of one launch, scanning
